@@ -37,7 +37,7 @@ OVERHEAD_BUDGET = 0.05
 
 def build_and_run(injector=None):
     sim = build_simulation(
-        ParMult(),
+        [ParMult()],
         MoveThresholdPolicy(),
         n_processors=N_PROCESSORS,
         injector=injector,

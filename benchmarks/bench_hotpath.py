@@ -54,7 +54,7 @@ def min_speedup() -> float:
 
 def _run(factory, fast_path):
     sim = build_simulation(
-        factory(),
+        [factory()],
         MoveThresholdPolicy(threshold=4),
         n_processors=N_PROCESSORS,
         fast_path=fast_path,

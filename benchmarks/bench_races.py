@@ -39,7 +39,7 @@ OVERHEAD_BUDGET = 0.05
 
 def build_and_run(with_detector=False):
     sim = build_simulation(
-        ParMult(),
+        [ParMult()],
         MoveThresholdPolicy(),
         n_processors=N_PROCESSORS,
         sanitize=False,

@@ -43,7 +43,7 @@ def test_threshold_sweep(benchmark, name):
             telemetry = maybe_telemetry()
             results[threshold] = run_once(
                 _workload(name),
-                MoveThresholdPolicy(threshold),
+                MoveThresholdPolicy(threshold=threshold),
                 n_processors=7,
                 check_invariants=False,
                 telemetry=telemetry,

@@ -37,7 +37,7 @@ N_THREADS = 8
 
 def _run(machine_config):
     sim = build_simulation(
-        ParMult.small(),
+        [ParMult.small()],
         MoveThresholdPolicy(threshold=4),
         n_threads=N_THREADS,
         machine_config=machine_config,

@@ -62,7 +62,7 @@ def _run(patched: bool):
         patched_calls=PAPER_PATCHED_CALLS if patched else (),
     )
     sim = build_simulation(
-        SyscallHeavy(),
+        [SyscallHeavy()],
         MoveThresholdPolicy(threshold=4),
         n_processors=7,
         unix_master=master,
@@ -70,7 +70,7 @@ def _run(patched: bool):
     )
     sim.engine.run(sim.threads)
     stack_states = []
-    for name, region in sim.context.regions.items():
+    for name, region in sim.contexts[0].regions.items():
         if not name.startswith("stack"):
             continue
         page = region.vm_object.resident_page(0)

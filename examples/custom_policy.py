@@ -63,7 +63,7 @@ def main() -> None:
     print(f"{'policy':>16s} {'user(s)':>9s} {'system(s)':>10s} "
           f"{'alpha':>6s} {'moves':>6s}")
     for policy in (
-        MoveThresholdPolicy(4),
+        MoveThresholdPolicy(threshold=4),
         FirstWriterPolicy(),
         RandomLikePolicy(),
     ):

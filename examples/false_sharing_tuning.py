@@ -25,7 +25,7 @@ def run_variant(private_divisors: bool):
     trace = TraceCollector(keep_faults=False)
     result = run_once(
         workload,
-        MoveThresholdPolicy(4),
+        MoveThresholdPolicy(threshold=4),
         n_processors=7,
         observer=trace,
         check_invariants=False,

@@ -35,7 +35,7 @@ def main() -> None:
         trace = TraceCollector(keep_faults=False)
         result = run_once(
             workload,
-            MoveThresholdPolicy(4),
+            MoveThresholdPolicy(threshold=4),
             n_processors=7,
             observer=trace,
             check_invariants=False,

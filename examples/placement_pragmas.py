@@ -20,13 +20,13 @@ def main() -> None:
 
     automatic = run_once(
         Primes3(limit=limit),
-        MoveThresholdPolicy(4),
+        MoveThresholdPolicy(threshold=4),
         n_processors=7,
         check_invariants=False,
     )
     pragmatic = run_once(
         Primes3(limit=limit, use_pragmas=True),
-        PragmaPolicy(MoveThresholdPolicy(4)),
+        PragmaPolicy(MoveThresholdPolicy(threshold=4)),
         n_processors=7,
         check_invariants=False,
     )

@@ -31,13 +31,13 @@ def main() -> None:
     for share in (0.2, 0.3, 0.4, 0.5, 0.7, 0.9):
         automatic = run_once(
             LopsidedSharing(dominant_share=share),
-            MoveThresholdPolicy(4),
+            MoveThresholdPolicy(threshold=4),
             n_processors=7,
             check_invariants=False,
         )
         remote = run_once(
             LopsidedSharing(dominant_share=share, pragma=Pragma.REMOTE),
-            HomeNodePolicy(MoveThresholdPolicy(4)),
+            HomeNodePolicy(MoveThresholdPolicy(threshold=4)),
             n_processors=7,
             check_invariants=False,
         )

@@ -11,7 +11,6 @@ plots), feeding ``repro-numa report --from-cache``.
 from repro.analysis import model, paper
 from repro.analysis.cachereport import (
     CacheDataset,
-    EvaluationJoin,
     derive_row,
     evaluation_from_dataset,
 )
@@ -55,6 +54,7 @@ from repro.analysis.speedup import (
 )
 from repro.analysis.report import (
     Evaluation,
+    EvaluationJoin,
     EvaluationRow,
     format_measured_alpha,
     format_table3,

@@ -19,10 +19,9 @@ Layers, bottom up:
 * :class:`CacheDataset` — a loaded scan with spec-addressed lookup and
   the flat derived-metric table (:meth:`CacheDataset.table`);
 * :func:`evaluation_from_dataset` — rejoins the paper's three-run
-  triples (Tnuma/Tglobal/Tlocal) from cached outcomes and solves the
-  Section 3.1 model, yielding the exact
-  :class:`~repro.analysis.report.Evaluation` the Table 3/4 renderers
-  already consume;
+  triples (Tnuma/Tglobal/Tlocal) from cached outcomes through
+  :func:`~repro.analysis.report.join_evaluation`, the same joiner a
+  live :func:`~repro.analysis.report.run_evaluation` uses;
 * section generators (:func:`threshold_versus_section`,
   :func:`chaos_fan_section`, :func:`summary_section`) — slp-style
   summary and versus artifacts, each returning its text together with
@@ -32,13 +31,16 @@ Layers, bottom up:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis import model as eqs
 from repro.analysis.frames import DataTable, Row
-from repro.analysis.report import Evaluation, EvaluationRow
+from repro.analysis.report import (
+    Evaluation,
+    EvaluationJoin,
+    join_evaluation,
+    solve_row,
+)
 from repro.analysis.versus import versus_from_table
 from repro.exp.cache import (
     CACHE_SCHEMA,
@@ -55,7 +57,6 @@ from repro.exp.grid import (
     table3_grid,
 )
 from repro.exp.spec import Outcome, RunSpec
-from repro.sim.harness import PlacementMeasurement
 
 #: Fingerprint prefix length used in human-facing footnotes; full
 #: fingerprints always travel in the ``--json`` manifest.
@@ -210,31 +211,6 @@ class CacheDataset:
         return self._table
 
 
-@dataclass
-class EvaluationJoin:
-    """A Tables 3–4 evaluation rejoined purely from cached outcomes."""
-
-    evaluation: Evaluation
-    #: Applications whose full Tnuma/Tglobal/Tlocal triple was cached.
-    complete: List[str] = field(default_factory=list)
-    #: Required specs the cache could not serve.
-    missing: List[RunSpec] = field(default_factory=list)
-    #: Contributing spec fingerprints (sorted, full length).
-    fingerprints: List[str] = field(default_factory=list)
-
-    @property
-    def required(self) -> int:
-        """Unique specs the evaluation needs."""
-        return len(self.fingerprints) + len(self.missing)
-
-    @property
-    def cache_ratio(self) -> float:
-        """Served / required (1.0 when nothing is required)."""
-        if self.required == 0:
-            return 1.0
-        return len(self.fingerprints) / self.required
-
-
 def placement_triples(
     apps: Optional[Sequence[str]] = None,
     n_processors: int = 7,
@@ -263,59 +239,14 @@ def evaluation_from_dataset(
     threshold: int = 4,
     quick: bool = False,
 ) -> EvaluationJoin:
-    """Rebuild the Tables 3–4 evaluation from cached outcomes only.
-
-    Applications with an incomplete triple are left out of the
-    evaluation and reported via :attr:`EvaluationJoin.missing`, so a
-    partially warmed cache degrades to a partial (still correct, still
-    footnoted) report instead of an error.
-    """
-    rows: List[EvaluationRow] = []
-    complete: List[str] = []
-    missing: List[RunSpec] = []
-    fingerprints: List[str] = []
-    for group in placement_triples(
-        apps, n_processors=n_processors, threshold=threshold, quick=quick
-    ):
-        outcomes = [dataset.get(spec) for spec in group.specs]
-        absent = [
-            spec
-            for spec, outcome in zip(group.specs, outcomes)
-            if outcome is None
-        ]
-        if absent:
-            missing.extend(absent)
-            continue
-        tnuma, tglobal, tlocal = (outcome.result for outcome in outcomes)
-        measurement = PlacementMeasurement(
-            workload=group.application,
-            g_over_l=group.tnuma.resolve_workload().g_over_l,
-            numa=tnuma,
-            all_global=tglobal,
-            local=tlocal,
-        )
-        params = eqs.solve(
-            measurement.t_global_s,
-            measurement.t_numa_s,
-            measurement.t_local_s,
-            measurement.g_over_l,
-        )
-        rows.append(
-            EvaluationRow(
-                application=group.application,
-                measurement=measurement,
-                params=params,
-            )
-        )
-        complete.append(group.application)
-        fingerprints.extend(spec.fingerprint() for spec in group.specs)
-    return EvaluationJoin(
-        evaluation=Evaluation(
-            rows=rows, n_processors=n_processors, threshold=threshold
+    """Rebuild the Tables 3–4 evaluation from cached outcomes only."""
+    return join_evaluation(
+        placement_triples(
+            apps, n_processors=n_processors, threshold=threshold, quick=quick
         ),
-        complete=complete,
-        missing=missing,
-        fingerprints=sorted(fingerprints),
+        dataset.get,
+        n_processors,
+        threshold,
     )
 
 
@@ -484,20 +415,16 @@ def policy_tournament_section(
             if outcome is None:
                 absent.append(spec)
                 continue
-            measurement = PlacementMeasurement(
-                workload=tournament.application,
-                g_over_l=g_over_l,
-                numa=outcome.result,
-                all_global=tglobal.result,
-                local=tlocal.result,
+            row = solve_row(
+                tournament.application,
+                g_over_l,
+                outcome.result,
+                tglobal.result,
+                tlocal.result,
             )
-            params = eqs.solve(
-                measurement.t_global_s,
-                measurement.t_numa_s,
-                measurement.t_local_s,
-                measurement.g_over_l,
+            solved[label] = (
+                row.params, row.measurement.t_numa_s, spec.fingerprint()
             )
-            solved[label] = (params, measurement.t_numa_s, spec.fingerprint())
         if not solved:
             continue
         baseline = solved.get("move-threshold")

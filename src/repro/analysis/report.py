@@ -1,20 +1,26 @@
 """Evaluation driver and table renderers for the paper's Tables 3 and 4.
 
 :func:`run_evaluation` performs the paper's three-run methodology for a
-set of applications; the ``format_*`` functions print the same rows the
+set of applications through the batch orchestrator;
+:func:`join_evaluation` turns the three outcomes per application into
+model parameters, whether they come from a batch that just ran or from
+the result cache; the ``format_*`` functions print the same rows the
 paper reports, with the published numbers alongside for comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.analysis import model as eqs
 from repro.analysis.paper import TABLE_3, TABLE_4
-from repro.sim.harness import PlacementMeasurement, measure_placement
+from repro.exp.batch import run_batch
+from repro.exp.grid import PlacementSpecs, flatten, table3_grid
+from repro.exp.spec import Outcome, RunSpec
+from repro.sim.harness import PlacementMeasurement
+from repro.sim.result import RunResult
 from repro.workloads import TABLE_4_WORKLOADS
-from repro.workloads.base import Workload
 
 
 @dataclass(frozen=True)
@@ -59,10 +65,46 @@ class Evaluation:
         raise KeyError(application)
 
 
-def _row_from_measurement(
-    name: str, measurement: PlacementMeasurement
+@dataclass
+class EvaluationJoin:
+    """A Tables 3–4 evaluation joined from per-spec outcomes."""
+
+    evaluation: Evaluation
+    #: Applications whose full Tnuma/Tglobal/Tlocal triple was served.
+    complete: List[str] = field(default_factory=list)
+    #: Required specs the lookup could not serve.
+    missing: List[RunSpec] = field(default_factory=list)
+    #: Contributing spec fingerprints (sorted, full length).
+    fingerprints: List[str] = field(default_factory=list)
+
+    @property
+    def required(self) -> int:
+        """Unique specs the evaluation needs."""
+        return len(self.fingerprints) + len(self.missing)
+
+    @property
+    def cache_ratio(self) -> float:
+        """Served / required (1.0 when nothing is required)."""
+        if self.required == 0:
+            return 1.0
+        return len(self.fingerprints) / self.required
+
+
+def solve_row(
+    application: str,
+    g_over_l: float,
+    numa: RunResult,
+    all_global: RunResult,
+    local: RunResult,
 ) -> EvaluationRow:
     """Solve the model for one application's three measured runs."""
+    measurement = PlacementMeasurement(
+        workload=application,
+        g_over_l=g_over_l,
+        numa=numa,
+        all_global=all_global,
+        local=local,
+    )
     params = eqs.solve(
         measurement.t_global_s,
         measurement.t_numa_s,
@@ -70,18 +112,65 @@ def _row_from_measurement(
         measurement.g_over_l,
     )
     return EvaluationRow(
-        application=name, measurement=measurement, params=params
+        application=application, measurement=measurement, params=params
+    )
+
+
+def join_evaluation(
+    groups: Sequence[PlacementSpecs],
+    lookup: Callable[[RunSpec], Optional[Outcome]],
+    n_processors: int,
+    threshold: int,
+) -> EvaluationJoin:
+    """Join each application's Tnuma/Tglobal/Tlocal outcomes into a row.
+
+    *lookup* maps a spec to its outcome, or ``None`` when there is none
+    (an uncached or quarantined spec).  Applications with an incomplete
+    triple are left out of the evaluation and reported via
+    :attr:`EvaluationJoin.missing`, so a partially warmed cache degrades
+    to a partial (still correct, still footnoted) report instead of an
+    error.
+    """
+    rows: List[EvaluationRow] = []
+    complete: List[str] = []
+    missing: List[RunSpec] = []
+    fingerprints: List[str] = []
+    for group in groups:
+        outcomes = [lookup(spec) for spec in group.specs]
+        absent = [
+            spec
+            for spec, outcome in zip(group.specs, outcomes)
+            if outcome is None
+        ]
+        if absent:
+            missing.extend(absent)
+            continue
+        rows.append(
+            solve_row(
+                group.application,
+                group.tnuma.resolve_workload().g_over_l,
+                *(outcome.result for outcome in outcomes),
+            )
+        )
+        complete.append(group.application)
+        fingerprints.extend(spec.fingerprint() for spec in group.specs)
+    return EvaluationJoin(
+        evaluation=Evaluation(
+            rows=rows, n_processors=n_processors, threshold=threshold
+        ),
+        complete=complete,
+        missing=missing,
+        fingerprints=sorted(fingerprints),
     )
 
 
 def run_evaluation(
-    workloads: Optional[Dict[str, Callable[[], Workload]]] = None,
-    n_processors: int = 7,
-    threshold: int = 4,
-    check_invariants: bool = False,
     *,
     apps: Optional[Sequence[str]] = None,
+    n_processors: int = 7,
+    threshold: int = 4,
     quick: bool = False,
+    check_invariants: bool = False,
     jobs: int = 1,
     cache=None,
     registry=None,
@@ -90,68 +179,34 @@ def run_evaluation(
 ) -> Evaluation:
     """Measure Tnuma/Tglobal/Tlocal and solve the model for each app.
 
-    Invariant checking is off by default here purely for speed; the test
-    suite runs the same workloads with it on.
-
-    With ``workloads=None`` (the CLI's path) the evaluation is expressed
-    as a declarative :func:`~repro.exp.grid.table3_grid` and executed by
-    the batch orchestrator, which unlocks ``jobs`` worker processes, the
-    on-disk result ``cache``, and ``batch_*`` telemetry
+    The evaluation is the declarative :func:`~repro.exp.grid.table3_grid`
+    executed by the batch orchestrator, which brings ``jobs`` worker
+    processes, the on-disk result ``cache``, and ``batch_*`` telemetry
     (``registry``/``bus``/``progress`` pass straight through to
     :func:`~repro.exp.batch.run_batch`).  ``apps`` restricts the grid
-    and ``quick`` selects the scaled-down workload instances.  Passing
-    an explicit ``workloads`` dict (custom factories the registries
-    cannot rebuild) keeps the classic in-process loop; the two paths
-    produce identical measurements because both execute the exact
-    :func:`~repro.exp.grid.placement_specs` triple.
+    and ``quick`` selects the scaled-down workload instances.  Invariant
+    checking is off by default here purely for speed; the test suite
+    runs the same workloads with it on.
     """
-    if workloads is None:
-        from repro.exp.batch import run_batch
-        from repro.exp.grid import flatten, table3_grid
-
-        groups = table3_grid(
-            apps=apps,
-            n_processors=n_processors,
-            threshold=threshold,
-            quick=quick,
-            check_invariants=check_invariants,
-        )
-        batch = run_batch(
-            flatten(groups),
-            jobs=jobs,
-            cache=cache,
-            registry=registry,
-            bus=bus,
-            progress=progress,
-        )
-        rows = []
-        for index, group in enumerate(groups):
-            tnuma, tglobal, tlocal = (
-                row.outcome.result
-                for row in batch.rows[3 * index: 3 * index + 3]
-            )
-            measurement = PlacementMeasurement(
-                workload=group.application,
-                g_over_l=group.tnuma.resolve_workload().g_over_l,
-                numa=tnuma,
-                all_global=tglobal,
-                local=tlocal,
-            )
-            rows.append(_row_from_measurement(group.application, measurement))
-        return Evaluation(
-            rows=rows, n_processors=n_processors, threshold=threshold
-        )
-
-    rows = []
-    for name, factory in workloads.items():
-        measurement = measure_placement(
-            factory(),
-            n_processors=n_processors,
-            threshold=threshold,
-            check_invariants=check_invariants,
-        )
-        rows.append(_row_from_measurement(name, measurement))
-    return Evaluation(rows=rows, n_processors=n_processors, threshold=threshold)
+    groups = table3_grid(
+        apps=apps,
+        n_processors=n_processors,
+        threshold=threshold,
+        quick=quick,
+        check_invariants=check_invariants,
+    )
+    batch = run_batch(
+        flatten(groups),
+        jobs=jobs,
+        cache=cache,
+        registry=registry,
+        bus=bus,
+        progress=progress,
+    )
+    outcomes = {row.spec: row.outcome for row in batch.rows}
+    return join_evaluation(
+        groups, outcomes.get, n_processors, threshold
+    ).evaluation
 
 
 def _format_table(

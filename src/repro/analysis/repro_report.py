@@ -1,22 +1,17 @@
 """One-shot reproduction report: every table, figure and check, as text.
 
-``repro-numa report`` (or :func:`generate_report`) assembles a single
-markdown document with the whole evaluation — Tables 1-4, Figures 1-2,
-the latency check, the measured-α cross-check — so a reader can
-regenerate the paper's artifacts with one command and diff the result
-against EXPERIMENTS.md.
+``repro-numa report`` assembles a single markdown document with the
+whole evaluation — Tables 1-4, Figures 1-2, the latency check, the
+measured-α cross-check — so a reader can regenerate the paper's
+artifacts with one command and diff the result against EXPERIMENTS.md.
 
-Two paths produce that document:
-
-* the classic in-process path (:func:`generate_report` with a
-  workloads dict, kept for the library API), which simulates and then
-  renders;
-* the cache-backed path (:func:`generate_cache_report`), which renders
-  purely from a :class:`~repro.analysis.cachereport.CacheDataset` over
-  ``.repro-cache/`` — **zero re-execution**, every artifact footnoted
-  with the spec fingerprints and cache-schema version it was derived
-  from, and byte-identical output for an identical cache.  This is the
-  path behind ``repro-numa report --from-cache``.
+:func:`generate_cache_report` renders that document purely from a
+:class:`~repro.analysis.cachereport.CacheDataset` over ``.repro-cache/``
+— **zero re-execution**, every artifact footnoted with the spec
+fingerprints and cache-schema version it was derived from, and
+byte-identical output for an identical cache.  A live report is a cache
+fill (:func:`~repro.exp.batch.run_batch` over the required grid)
+followed by this render, which is what ``repro-numa report`` does.
 """
 
 from __future__ import annotations
@@ -24,12 +19,11 @@ from __future__ import annotations
 import hashlib
 import pathlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro import __version__
 from repro.analysis.cachereport import (
     CacheDataset,
-    EvaluationJoin,
     chaos_fan_section,
     evaluation_from_dataset,
     footnote,
@@ -44,16 +38,15 @@ from repro.analysis.diagrams import figure1, figure2, wiring_report
 from repro.analysis.paper import ACE_RATIOS
 from repro.analysis.report import (
     Evaluation,
+    EvaluationJoin,
     format_measured_alpha,
     format_table3,
     format_table4,
-    run_evaluation,
 )
 from repro.core.transitions import READ_TABLE, WRITE_TABLE
 from repro.exp.cache import CACHE_SCHEMA
 from repro.exp.spec import SPEC_SCHEMA
 from repro.machine.config import TimingParameters, ace_config
-from repro.workloads.base import Workload
 
 
 def _render_transition_table(table, title: str) -> str:
@@ -69,7 +62,7 @@ def _render_transition_table(table, title: str) -> str:
 
 
 def _header_sections(n_processors: int, threshold: int) -> List[str]:
-    """The static preamble shared by both report paths."""
+    """The report's static preamble."""
     timing = TimingParameters()
     return [
         "# Reproduction report",
@@ -115,62 +108,6 @@ def _figure_sections(n_processors: int) -> List[str]:
         "```",
         "",
     ]
-
-
-def generate_report(
-    workloads: Optional[Dict[str, Callable[[], Workload]]] = None,
-    n_processors: int = 7,
-    threshold: int = 4,
-    evaluation: Optional[Evaluation] = None,
-) -> str:
-    """Build the full reproduction report as a markdown string.
-
-    Pass a precomputed *evaluation* to skip re-running the applications
-    (the CLI reuses one evaluation for Tables 3 and 4).
-    """
-    if evaluation is None:
-        evaluation = run_evaluation(
-            workloads, n_processors=n_processors, threshold=threshold
-        )
-    sections = _header_sections(n_processors, threshold)
-    sections += [
-        "## Table 3 — the evaluation",
-        "```",
-        format_table3(evaluation),
-        "```",
-        "",
-        "## Table 4 — NUMA-management overhead",
-        "```",
-        format_table4(evaluation),
-        "```",
-        "",
-        "## Measured vs model-recovered alpha",
-        "```",
-        format_measured_alpha(evaluation),
-        "```",
-        "",
-    ]
-    sections += _figure_sections(n_processors)
-    return "\n".join(sections)
-
-
-def write_report(
-    path: Union[str, pathlib.Path],
-    workloads: Optional[Dict[str, Callable[[], Workload]]] = None,
-    n_processors: int = 7,
-    threshold: int = 4,
-) -> pathlib.Path:
-    """Generate the report and write it to *path*."""
-    path = pathlib.Path(path)
-    path.write_text(
-        generate_report(
-            workloads, n_processors=n_processors, threshold=threshold
-        )
-    )
-    return path
-
-
-# -- the cache-backed path ---------------------------------------------------
 
 
 @dataclass

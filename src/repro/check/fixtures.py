@@ -112,7 +112,7 @@ def _run_fixture(workload: _FixtureWorkload) -> RaceDetector:
     from repro.sim.harness import build_simulation
 
     sim = build_simulation(
-        workload,
+        [workload],
         MoveThresholdPolicy(),
         n_processors=3,
         check_invariants=False,

@@ -10,9 +10,9 @@ acquires ``B`` while holding ``A``.  A cycle in that graph is an
 ordering violation: two threads can interleave into a deadlock.
 
 :class:`LockOrderChecker` receives the same ``on_lock_acquire`` /
-``on_lock_release`` notifications :func:`repro.threads.spinlock.set_lock_observer`
-delivers, so it can run standalone in tests or inside the runtime
-sanitizer.
+``on_lock_release`` notifications observers installed with
+:func:`repro.threads.spinlock.add_lock_observer` get, so it can run
+standalone in tests or inside the runtime sanitizer.
 """
 
 from __future__ import annotations

@@ -404,7 +404,7 @@ def attach_sanitizer(
     :class:`~repro.check.races.RaceDetector`, so every sanitized run
     gets lockset/happens-before race checking alongside the directory
     and TLB sweeps.  Observers a previous run left behind are replaced,
-    not accumulated, matching the original single-slot semantics.
+    not accumulated.
     """
     # Imported lazily: repro.threads pulls in the sim package, which in
     # turn imports the harness that calls back into this module.

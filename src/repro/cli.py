@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 from repro.analysis import model as eqs
 from repro.analysis.diagrams import figure1, figure2, wiring_report
@@ -54,28 +54,12 @@ from repro.analysis.report import (
 from repro.core.state import AccessKind, PlacementDecision
 from repro.core.transitions import READ_TABLE, WRITE_TABLE, StateKey
 from repro.errors import ConfigurationError, ReproError
+from repro.exp.spec import resolve_workload
 from repro.machine.config import TimingParameters, ace_config
 from repro.obs.exporters import JsonSink
 from repro.sim.harness import measure_placement
 from repro.workloads import TABLE_3_WORKLOADS, small_workloads
 from repro.workloads.primes import Primes2
-
-
-def _workload_set(quick: bool) -> Dict[str, Callable]:
-    if quick:
-        small = small_workloads()
-        return {name: (lambda wl=wl: wl) for name, wl in small.items()}
-    return dict(TABLE_3_WORKLOADS)
-
-
-def _find_workload(workloads: Dict[str, Callable], name: str) -> Callable:
-    """Case-insensitive workload lookup with a helpful error."""
-    for known, factory in workloads.items():
-        if known.lower() == name.lower():
-            return factory
-    raise ConfigurationError(
-        f"unknown workload {name!r}; choose from {', '.join(workloads)}"
-    )
 
 
 def _cache_from(args: argparse.Namespace):
@@ -157,8 +141,7 @@ def cmd_metrics(args: argparse.Namespace) -> None:
     """Telemetry for one workload: time series, histograms, profile."""
     from repro.obs import Telemetry
 
-    factory = _find_workload(_workload_set(args.quick), args.workload)
-    workload = factory()
+    workload = resolve_workload(args.workload, quick=args.quick)
     telemetry = Telemetry(sample_interval=args.sample_interval)
     measurement = measure_placement(
         workload,
@@ -360,11 +343,10 @@ def cmd_bus(args: argparse.Namespace) -> None:
     from repro.sim.harness import run_once
 
     config = ace_config(args.processors)
-    workloads = _workload_set(args.quick)
     print(f"IPC-bus utilization at {args.processors} processors:")
-    for name, factory in workloads.items():
+    for name in TABLE_3_WORKLOADS:
         result = run_once(
-            factory(),
+            resolve_workload(name, quick=args.quick),
             MoveThresholdPolicy(threshold=args.threshold),
             n_processors=args.processors,
             check_invariants=False,
@@ -390,10 +372,10 @@ def cmd_speedup(args: argparse.Namespace) -> None:
     """Speedup curves (the elapsed-time view the paper avoided)."""
     from repro.analysis.speedup import speedup_curve
 
-    workloads = _workload_set(args.quick)
     for name in args.apps or ["Primes1", "Primes3"]:
+        workload = resolve_workload(name, quick=args.quick)
         curve = speedup_curve(
-            _find_workload(workloads, name),
+            lambda: workload,
             processors=(1, 2, 4, args.processors),
         )
         print(curve.format())
@@ -407,19 +389,17 @@ def cmd_advise(args: argparse.Namespace) -> None:
     from repro.core.policies import MoveThresholdPolicy
     from repro.sim.harness import build_simulation
 
-    workloads = _workload_set(args.quick)
     for name in args.apps or ["Primes2", "Primes3"]:
-        factory = _find_workload(workloads, name)
         trace = TraceCollector(keep_faults=False)
         sim = build_simulation(
-            factory(),
+            [resolve_workload(name, quick=args.quick)],
             MoveThresholdPolicy(threshold=args.threshold),
-            args.processors,
+            n_processors=args.processors,
             observer=trace,
             check_invariants=False,
         )
         sim.engine.run(sim.threads)
-        report = advise(trace, space=sim.space)
+        report = advise(trace, space=sim.contexts[0].space)
         print(f"{name}: layout advice (top 5 by estimated saving)")
         if not report.advice:
             print("  nothing to improve: no writably-shared traffic found")
@@ -438,22 +418,23 @@ def cmd_mix(args: argparse.Namespace) -> None:
     from repro.sim.harness import run_once
     from repro.sim.mix import run_mix
 
-    workloads = _workload_set(args.quick)
     names = args.apps or ["IMatMult", "Primes3"]
-    factories = [_find_workload(workloads, name) for name in names]
+    workloads = [
+        resolve_workload(name, quick=args.quick) for name in names
+    ]
     print(f"application mix on {args.processors} processors: "
           f"{' + '.join(names)}")
     standalone = {}
-    for name, factory in zip(names, factories):
+    for workload in workloads:
         result = run_once(
-            factory(),
+            workload,
             MoveThresholdPolicy(threshold=args.threshold),
             n_processors=args.processors,
             check_invariants=False,
         )
-        standalone[name] = result.user_time_us
+        standalone[workload.name] = result.user_time_us
     mix = run_mix(
-        [factory() for factory in factories],
+        workloads,
         MoveThresholdPolicy(threshold=args.threshold),
         n_processors=args.processors,
         check_invariants=False,
@@ -556,10 +537,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     """
     from repro.faults import run_chaos
 
-    factory = _find_workload(_workload_set(args.quick), args.workload)
+    workload = resolve_workload(args.workload, quick=args.quick)
     machine_config = _resolve_cli_machine(args)
     report = run_chaos(
-        factory(),
+        workload,
         profile_name=args.profile,
         seed=args.seed,
         n_processors=args.processors,
@@ -587,7 +568,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     deterministic backoff (``--max-attempts``), hung workers are bounded
     by ``--timeout``, and a spec that exhausts its attempts is
     quarantined (exit 1) instead of sinking the grid — ``--strict``
-    restores the legacy first-failure-raises contract.  Every cached
+    selects the first-failure-raises contract.  Every cached
     batch also appends a crash-safe journal beside the cache directory;
     after a hard kill, ``--resume`` rebuilds the batch from the journal
     and re-runs it, serving everything that completed from the cache.
@@ -1264,7 +1245,7 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "--strict",
                 action="store_true",
-                help="legacy contract: one attempt per spec, first "
+                help="fail fast: one attempt per spec, first "
                      "failure aborts the batch (exit 2)",
             )
             sub.add_argument(

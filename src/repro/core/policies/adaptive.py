@@ -38,7 +38,7 @@ from repro.core.policies.move_threshold import (
     MoveThresholdPolicy,
 )
 from repro.core.policies.reconsider import ReconsiderPolicy
-from repro.core.policy import UNSET, NUMAPolicy, resolve_ctor_args
+from repro.core.policy import NUMAPolicy
 from repro.core.state import AccessKind, PageLike, PlacementDecision
 from repro.errors import ConfigurationError
 from repro.machine.timing import (
@@ -97,34 +97,14 @@ class AdaptiveThresholdPolicy(ReconsiderPolicy):
 
     def __init__(
         self,
-        *legacy,
-        threshold: int = UNSET,
-        interval_us: float = UNSET,
-        backoff: float = UNSET,
-        max_interval_us: float = UNSET,
-        contended_owners: int = UNSET,
-        contended_threshold: int = UNSET,
+        *,
+        threshold: int = DEFAULT_MOVE_THRESHOLD,
+        interval_us: float = DEFAULT_ADAPTIVE_INTERVAL_US,
+        backoff: float = DEFAULT_BACKOFF,
+        max_interval_us: float = DEFAULT_MAX_INTERVAL_US,
+        contended_owners: int = DEFAULT_CONTENDED_OWNERS,
+        contended_threshold: Optional[int] = None,
     ) -> None:
-        (
-            threshold,
-            interval_us,
-            backoff,
-            max_interval_us,
-            contended_owners,
-            contended_threshold,
-        ) = resolve_ctor_args(
-            type(self).__name__,
-            (
-                ("threshold", threshold, DEFAULT_MOVE_THRESHOLD),
-                ("interval_us", interval_us, DEFAULT_ADAPTIVE_INTERVAL_US),
-                ("backoff", backoff, DEFAULT_BACKOFF),
-                ("max_interval_us", max_interval_us, DEFAULT_MAX_INTERVAL_US),
-                ("contended_owners", contended_owners,
-                 DEFAULT_CONTENDED_OWNERS),
-                ("contended_threshold", contended_threshold, None),
-            ),
-            legacy,
-        )
         super().__init__(threshold=threshold, interval_us=interval_us)
         if backoff < 1.0:
             raise ConfigurationError("backoff cannot shrink pin lifetimes")
@@ -249,22 +229,12 @@ class BandwidthAwarePolicy(MoveThresholdPolicy):
 
     def __init__(
         self,
-        *legacy,
-        threshold: int = UNSET,
-        congestion: float = UNSET,
-        window_us: float = UNSET,
-        max_factor: float = UNSET,
+        *,
+        threshold: int = DEFAULT_MOVE_THRESHOLD,
+        congestion: float = DEFAULT_CONGESTION,
+        window_us: float = DEFAULT_WINDOW_US,
+        max_factor: float = DEFAULT_MAX_FACTOR,
     ) -> None:
-        threshold, congestion, window_us, max_factor = resolve_ctor_args(
-            type(self).__name__,
-            (
-                ("threshold", threshold, DEFAULT_MOVE_THRESHOLD),
-                ("congestion", congestion, DEFAULT_CONGESTION),
-                ("window_us", window_us, DEFAULT_WINDOW_US),
-                ("max_factor", max_factor, DEFAULT_MAX_FACTOR),
-            ),
-            legacy,
-        )
         super().__init__(threshold=threshold)
         if not 0.0 < congestion < 1.0:
             raise ConfigurationError(
@@ -453,24 +423,13 @@ class BanditPolicy(NUMAPolicy):
 
     def __init__(
         self,
-        *legacy,
-        epsilon: float = UNSET,
-        seed: int = UNSET,
-        candidates: str = UNSET,
-        epoch_us: float = UNSET,
-        strategy: str = UNSET,
+        *,
+        epsilon: float = DEFAULT_EPSILON,
+        seed: int = 0,
+        candidates: str = DEFAULT_CANDIDATES,
+        epoch_us: float = DEFAULT_EPOCH_US,
+        strategy: str = DEFAULT_STRATEGY,
     ) -> None:
-        epsilon, seed, candidates, epoch_us, strategy = resolve_ctor_args(
-            type(self).__name__,
-            (
-                ("epsilon", epsilon, DEFAULT_EPSILON),
-                ("seed", seed, 0),
-                ("candidates", candidates, DEFAULT_CANDIDATES),
-                ("epoch_us", epoch_us, DEFAULT_EPOCH_US),
-                ("strategy", strategy, DEFAULT_STRATEGY),
-            ),
-            legacy,
-        )
         if not 0.0 <= epsilon <= 1.0:
             raise ConfigurationError("epsilon must be a probability")
         if epoch_us <= 0:

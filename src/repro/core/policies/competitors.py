@@ -32,7 +32,7 @@ from typing import Dict
 
 from repro.core.policies.move_threshold import DEFAULT_MOVE_THRESHOLD
 from repro.core.policies.reconsider import ReconsiderPolicy
-from repro.core.policy import UNSET, NUMAPolicy, resolve_ctor_args
+from repro.core.policy import NUMAPolicy
 from repro.core.state import AccessKind, PageLike, PlacementDecision
 
 #: Default defrost interval for :class:`DecayPolicy`, simulated µs.
@@ -110,16 +110,11 @@ class DecayPolicy(ReconsiderPolicy):
     """PLATINUM-style freeze/defrost: pins decay after an interval."""
 
     def __init__(
-        self, *legacy, threshold: int = UNSET, decay_us: float = UNSET
+        self,
+        *,
+        threshold: int = DEFAULT_MOVE_THRESHOLD,
+        decay_us: float = DEFAULT_DECAY_US,
     ) -> None:
-        threshold, decay_us = resolve_ctor_args(
-            type(self).__name__,
-            (
-                ("threshold", threshold, DEFAULT_MOVE_THRESHOLD),
-                ("decay_us", decay_us, DEFAULT_DECAY_US),
-            ),
-            legacy,
-        )
         super().__init__(threshold=threshold, interval_us=decay_us)
         self.name = f"decay({threshold},{decay_us:g}us)"
 

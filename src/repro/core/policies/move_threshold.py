@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Set
 
-from repro.core.policy import UNSET, NUMAPolicy, resolve_ctor_args
+from repro.core.policy import NUMAPolicy
 from repro.core.state import AccessKind, PageLike, PlacementDecision
 from repro.errors import ConfigurationError
 
@@ -23,18 +23,9 @@ DEFAULT_MOVE_THRESHOLD = 4
 
 
 class MoveThresholdPolicy(NUMAPolicy):
-    """Pin a page in global memory after ``threshold`` ownership moves.
+    """Pin a page in global memory after ``threshold`` ownership moves."""
 
-    ``threshold`` is keyword-only going forward; the legacy positional
-    form still works but raises a :class:`DeprecationWarning`.
-    """
-
-    def __init__(self, *legacy, threshold: int = UNSET) -> None:
-        (threshold,) = resolve_ctor_args(
-            type(self).__name__,
-            (("threshold", threshold, DEFAULT_MOVE_THRESHOLD),),
-            legacy,
-        )
+    def __init__(self, *, threshold: int = DEFAULT_MOVE_THRESHOLD) -> None:
         if threshold < 0:
             raise ConfigurationError("move threshold cannot be negative")
         self._threshold = threshold

@@ -20,7 +20,6 @@ from repro.core.policies.move_threshold import (
     DEFAULT_MOVE_THRESHOLD,
     MoveThresholdPolicy,
 )
-from repro.core.policy import UNSET, resolve_ctor_args
 from repro.core.state import PageLike
 from repro.errors import ConfigurationError
 
@@ -33,8 +32,6 @@ class ReconsiderPolicy(MoveThresholdPolicy):
 
     ``interval_us`` is how long a pin lasts; when it expires the page's
     move count resets to zero and the page becomes cacheable again.
-    Both parameters are keyword-only going forward; legacy positional
-    use raises a :class:`DeprecationWarning`.
     """
 
     #: Unpinning live pages is this policy's whole point; the protocol
@@ -43,18 +40,10 @@ class ReconsiderPolicy(MoveThresholdPolicy):
 
     def __init__(
         self,
-        *legacy,
-        threshold: int = UNSET,
-        interval_us: float = UNSET,
+        *,
+        threshold: int = DEFAULT_MOVE_THRESHOLD,
+        interval_us: float = DEFAULT_RECONSIDER_INTERVAL_US,
     ) -> None:
-        threshold, interval_us = resolve_ctor_args(
-            type(self).__name__,
-            (
-                ("threshold", threshold, DEFAULT_MOVE_THRESHOLD),
-                ("interval_us", interval_us, DEFAULT_RECONSIDER_INTERVAL_US),
-            ),
-            legacy,
-        )
         super().__init__(threshold=threshold)
         if interval_us <= 0:
             raise ConfigurationError("reconsider interval must be positive")

@@ -8,10 +8,7 @@ hard-coded ``resolve_policy(name, threshold)`` lambda table.  The entry
 validates and coerces parameters before construction, the CLI's
 ``repro-numa policies`` command lists the table, and
 :meth:`~repro.core.policy.NUMAPolicy.params` closes the round trip:
-``entry.build(**policy.params())`` rebuilds an equivalent policy.
-
-Entries remain callable as ``entry(threshold)`` so the historical
-``POLICY_REGISTRY[name](threshold)`` usage (and its tests) keep working.
+``entry.build(params=policy.params())`` rebuilds an equivalent policy.
 """
 
 from __future__ import annotations
@@ -151,10 +148,6 @@ class PolicyEntry:
         ):
             kwargs["threshold"] = threshold
         return self.factory(**kwargs)
-
-    def __call__(self, threshold: int = DEFAULT_MOVE_THRESHOLD) -> NUMAPolicy:
-        """Legacy ``POLICY_REGISTRY[name](threshold)`` compatibility."""
-        return self.build(threshold=threshold)
 
 
 def _threshold_param() -> ParamSpec:

@@ -15,58 +15,9 @@ easily substitute another policy without modifying the NUMA manager".
 from __future__ import annotations
 
 import abc
-import warnings
-from typing import Dict, Sequence, Tuple
+from typing import Dict
 
 from repro.core.state import AccessKind, PageLike, PlacementDecision
-
-#: Sentinel distinguishing "keyword not given" from an explicit value in
-#: the keyword-only constructor shims (:func:`resolve_ctor_args`).
-UNSET = object()
-
-
-def resolve_ctor_args(
-    cls_name: str,
-    spec: Sequence[Tuple[str, object, object]],
-    legacy: Tuple[object, ...],
-) -> Tuple[object, ...]:
-    """Resolve keyword-only constructor parameters with a legacy shim.
-
-    *spec* is ``(name, explicit_value, default)`` per parameter, where
-    ``explicit_value`` is :data:`UNSET` when the keyword was not given.
-    Positional values in *legacy* still map onto the leading parameters
-    — old call sites like ``MoveThresholdPolicy(threshold=4)`` keep working — but
-    raise a :class:`DeprecationWarning` naming the keywords to migrate
-    to, mirroring the harness drivers'
-    :func:`repro.sim.harness.merge_legacy_positionals`.
-    """
-    if len(legacy) > len(spec):
-        raise TypeError(
-            f"{cls_name}() takes at most {1 + len(spec)} positional "
-            f"arguments ({1 + len(legacy)} given)"
-        )
-    if legacy:
-        names = [name for name, _, _ in spec[: len(legacy)]]
-        warnings.warn(
-            f"passing {cls_name}() arguments positionally is deprecated; "
-            f"pass {', '.join(names)} by keyword",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    resolved = []
-    for index, (name, explicit, default) in enumerate(spec):
-        if index < len(legacy):
-            if explicit is not UNSET:
-                raise TypeError(
-                    f"{cls_name}() got multiple values for argument "
-                    f"{name!r}"
-                )
-            resolved.append(legacy[index])
-        elif explicit is not UNSET:
-            resolved.append(explicit)
-        else:
-            resolved.append(default)
-    return tuple(resolved)
 
 
 class NUMAPolicy(abc.ABC):

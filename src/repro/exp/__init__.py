@@ -5,7 +5,7 @@ it into data.  :class:`~repro.exp.spec.RunSpec` captures one simulation
 declaratively, :mod:`repro.exp.grid` expands sweeps into spec lists,
 :func:`~repro.exp.batch.run_batch` executes them with fingerprint
 deduplication, an on-disk :class:`~repro.exp.cache.ResultCache`, and
-:class:`~repro.exp.runner.ParallelRunner` process fan-out.
+:class:`~repro.exp.supervise.SupervisedRunner` process fan-out.
 
 Quick start::
 
@@ -58,14 +58,13 @@ from repro.exp.journal import (
     ReplayedBatch,
     journal_path_for,
 )
-from repro.exp.runner import ParallelRunner, default_jobs
 from repro.exp.supervise import (
     SupervisedRunner,
     SupervisorPolicy,
     SuperviseStats,
+    default_jobs,
 )
 from repro.exp.spec import (
-    POLICY_REGISTRY,
     SPEC_SCHEMA,
     Outcome,
     RunSpec,
@@ -109,9 +108,7 @@ __all__ = [
     "seed_fan",
     "table3_grid",
     "threshold_grid",
-    "ParallelRunner",
     "default_jobs",
-    "POLICY_REGISTRY",
     "SPEC_SCHEMA",
     "Outcome",
     "RunSpec",

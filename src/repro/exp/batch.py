@@ -15,8 +15,8 @@ Fault tolerance is layered on without changing the happy path:
 
 * a :class:`~repro.exp.supervise.SupervisorPolicy` bounds worker
   failures (timeout, retry with deterministic backoff, quarantine,
-  pool recycle, serial fallback) — ``policy=None`` keeps the legacy
-  strict contract where the first failure raises;
+  pool recycle, serial fallback) — ``policy=None`` is the strict
+  contract where the first failure raises;
 * a :class:`~repro.exp.journal.BatchJournal` WAL makes the batch itself
   crash-safe — :func:`resume_batch` rebuilds the spec list from the
   journal after a ``kill -9`` and re-runs it against the cache, which
@@ -252,15 +252,15 @@ def run_batch(
     """Execute *specs* with deduplication, caching, and fan-out.
 
     Serial execution (``jobs=1``) runs in-process on exactly the path
-    the classic drivers take, so its results are bit-identical to
-    calling them directly; parallel execution is value-identical (the
+    :func:`~repro.sim.harness.run_once` takes, so its results are
+    bit-identical to calling it directly; parallel execution is value-identical (the
     simulations are deterministic and marshalled as plain dicts).
 
     Only fully declarative specs are cached — a spec that cannot be
     rebuilt from registries alone has no trustworthy identity.
 
-    ``policy=None`` preserves the legacy strict contract (one attempt,
-    first failure raises).  A resilient policy adds retry, timeout,
+    ``policy=None`` is the strict contract (one attempt, first failure
+    raises).  A resilient policy adds retry, timeout,
     quarantine, and pool-recycle behaviour; a :class:`BatchJournal`
     additionally makes the batch crash-safe (see :func:`resume_batch`).
     A clean ``KeyboardInterrupt`` closes the journal with an ``aborted``

@@ -74,8 +74,8 @@ def placement_specs(
 
     ``Tlocal`` runs one thread on a one-processor machine under the
     always-LOCAL policy, exactly as :func:`~repro.sim.harness.
-    measure_placement` does — the same helper builds both, so direct
-    measurement and batched sweeps can never drift apart.
+    measure_placement` does (``tests/exp/test_shims.py`` pins the two
+    byte for byte).
     """
     base = dict(
         workload=application,

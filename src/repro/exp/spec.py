@@ -9,17 +9,17 @@ result's identity: :meth:`RunSpec.fingerprint` is a stable SHA-256 over
 the spec's canonical JSON, the same in every process and on every
 machine, which is what lets the on-disk
 :class:`~repro.exp.cache.ResultCache` recognize work it has already
-done and the :class:`~repro.exp.runner.ParallelRunner` marshal specs to
-worker processes and results back without ambiguity.
+done and the :class:`~repro.exp.supervise.SupervisedRunner` marshal
+specs to worker processes and results back without ambiguity.
 
-``RunSpec.run()`` is the single front door for executing a simulation:
-:func:`repro.sim.harness.run_once`, :func:`repro.sim.mix.run_mix` and
-:func:`repro.faults.chaos.run_chaos` are shims over the same
-build/execute/collect path.  The in-memory overrides (``workload=``,
-``policy=``, ``machine_config=`` …) keep the classic instance-passing
-drivers working: a spec executed with overrides runs exactly the same
-way but is no longer declarative, so the orchestrator only caches specs
-it built itself from registry names.
+A spec runs through the same three :mod:`repro.sim.harness` steps as the
+instance-passing drivers (``build_simulation`` → ``run_engine`` →
+``collect_result``), resolving the workload, policy and machine from
+their registries first.  :meth:`RunSpec.build` takes in-memory overrides
+for callers that need to observe the run (``telemetry=``,
+``observer=`` …); such a simulation is no longer described by the spec
+alone, so the orchestrator only caches what :meth:`RunSpec.execute`
+produced from the declarative fields.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 from repro.core.policies import DEFAULT_MOVE_THRESHOLD
-from repro.core.policies.registry import POLICY_ENTRIES, build_policy
+from repro.core.policies.registry import build_policy
 from repro.core.policy import NUMAPolicy
 from repro.errors import ConfigurationError
 from repro.machine.config import MachineConfig, ace_config
@@ -43,13 +43,6 @@ from repro.workloads.base import Workload
 #: simulator alters what an identical spec would compute, so stale cache
 #: entries (keyed by fingerprint) can never be returned for new code.
 SPEC_SCHEMA = "repro-exp/v1"
-
-#: Declarative policy registry: spec ``policy`` name →
-#: :class:`~repro.core.policies.registry.PolicyEntry`.  Entries are
-#: callable as ``entry(threshold)`` (the historical factory shape);
-#: parameterized construction goes through :func:`resolve_policy` /
-#: :func:`repro.core.policies.registry.build_policy`.
-POLICY_REGISTRY = POLICY_ENTRIES
 
 #: Pair-tuple type for the frozen dict-like fields.
 Pairs = Tuple[Tuple[str, object], ...]
@@ -121,7 +114,7 @@ class RunSpec:
     workload_params: Pairs = ()
     #: Use the scaled-down ``.small()`` instance (the CLI's ``--quick``).
     quick: bool = False
-    #: Policy registry name (see POLICY_REGISTRY).
+    #: Policy registry name (see POLICY_ENTRIES).
     policy: str = "move-threshold"
     #: Move threshold for policies that take one (the paper's boot-time
     #: parameter; ignored by the baselines).
@@ -298,7 +291,7 @@ class RunSpec:
     ) -> harness.Simulation:
         """Wire the simulation this spec describes (overrides optional)."""
         return harness.build_simulation(
-            workload if workload is not None else self.resolve_workload(),
+            [workload if workload is not None else self.resolve_workload()],
             policy if policy is not None else self.resolve_policy(),
             n_processors=self.n_processors,
             n_threads=self.n_threads,
@@ -316,36 +309,10 @@ class RunSpec:
             fast_path=self.fast_path,
         )
 
-    def run(
-        self,
-        *,
-        workload: Optional[Workload] = None,
-        policy: Optional[NUMAPolicy] = None,
-        machine_config: Optional[MachineConfig] = None,
-        scheduler_factory=None,
-        unix_master=None,
-        observer=None,
-        telemetry=None,
-        injector=None,
-    ) -> RunResult:
-        """Build, execute and collect one run.
-
-        Telemetry handling (the ``engine_run`` profiler span and
-        :meth:`~repro.obs.telemetry.Telemetry.finalize`) lives here, so
-        every driver that routes through a spec — including chaos and
-        mix shims — gets profiled identically.
-        """
-        sim = self.build(
-            workload=workload,
-            policy=policy,
-            machine_config=machine_config,
-            scheduler_factory=scheduler_factory,
-            unix_master=unix_master,
-            observer=observer,
-            telemetry=telemetry,
-            injector=injector,
-        )
-        rounds = harness.run_engine(sim.engine, sim.threads, telemetry)
+    def run(self) -> RunResult:
+        """Build, execute and collect one run from the declarative fields."""
+        sim = self.build()
+        rounds = harness.run_engine(sim.engine, sim.threads)
         return harness.collect_result(sim, rounds)
 
     def execute(self) -> "Outcome":

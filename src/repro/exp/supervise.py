@@ -1,9 +1,22 @@
-"""Supervised spec execution: timeouts, retries, quarantine, recycle.
+"""Supervised spec execution: fan-out, timeouts, retries, quarantine.
 
-:class:`~repro.exp.runner.ParallelRunner` trusts its workers; this
-module does not.  :class:`SupervisedRunner` executes a deduplicated spec
-list under a :class:`SupervisorPolicy` that bounds every failure mode a
-long sweep actually hits:
+The simulations of a sweep are independent, deterministic, and
+CPU-bound, which makes them ideal :mod:`concurrent.futures` fan-out
+material.  :class:`SupervisedRunner` marshals each unique
+:class:`~repro.exp.spec.RunSpec` to a worker as its canonical key dict,
+executes it there from the declarative fields alone (so the result
+depends on nothing but the spec), and marshals the outcome back as its
+:meth:`~repro.exp.spec.Outcome.as_dict` view — both directions are
+plain dicts of primitives, so the parallel results are value-identical
+to a serial run.  ``jobs=1`` never touches a process pool: it calls
+:meth:`RunSpec.execute` in-process.  Unique specs are submitted
+heaviest-first (a static per-workload weight table — longest-processing-
+time order keeps the pool's tail short) and in-flight work is bounded to
+``2 × jobs`` futures, so a huge grid neither floods the executor queue
+nor idles workers between waves.
+
+Workers are not trusted: the :class:`SupervisorPolicy` bounds every
+failure mode a long sweep actually hits:
 
 * **Hung workers** — each in-flight spec carries a wall-clock deadline;
   an overdue worker cannot be killed individually through
@@ -30,9 +43,9 @@ worker actions (kill/hang) are decided per ``(fingerprint, attempt)`` at
 submission and executed by the worker itself, and are therefore exactly
 as deterministic as the supervision they exercise.
 
-``SupervisorPolicy.strict()`` reproduces the legacy runner contract —
-one attempt, first failure raises — which is what keeps this layer a
-pure superset of the old ``_run_pool``.
+``SupervisorPolicy.strict()`` is the fail-fast contract — one attempt,
+first failure raises — that :func:`~repro.exp.batch.run_batch` defaults
+to.
 """
 
 from __future__ import annotations
@@ -66,6 +79,49 @@ if TYPE_CHECKING:
     from repro.exp.journal import BatchJournal
     from repro.obs.events import EventBus
 
+#: Rough relative wall-clock weight per workload (measured once on the
+#: full-scale Table 3 matrix); only the *ordering* matters, for
+#: longest-first submission.  Unknown workloads sort mid-pack.
+WORKLOAD_WEIGHTS: Dict[str, int] = {
+    "Primes1": 100,
+    "FFT": 60,
+    "Primes3": 40,
+    "Primes2": 30,
+    "IMatMult": 20,
+    "PlyTrace": 15,
+    "Gfetch": 8,
+    "ParMult": 5,
+}
+
+#: Default weight for workloads not in the table.
+_DEFAULT_WEIGHT = 25
+
+
+def spec_weight(spec: RunSpec) -> int:
+    """Heuristic relative cost of one spec (for submission ordering)."""
+    weight = WORKLOAD_WEIGHTS.get(spec.workload, _DEFAULT_WEIGHT)
+    if spec.fault_profile not in (None, "none"):
+        weight += 5  # recovery paths lengthen the run a little
+    return weight
+
+
+def warm_worker() -> None:
+    """Pool initializer: pre-import the simulator's hot modules.
+
+    Under the default ``fork`` start method this is free (the parent
+    already imported everything); under ``spawn`` it front-loads import
+    cost into pool startup instead of the first simulation, so per-spec
+    timings stay comparable across workers.
+    """
+    import repro.faults.chaos  # noqa: F401
+    import repro.sim.engine  # noqa: F401
+    import repro.workloads  # noqa: F401
+
+
+def default_jobs() -> int:
+    """A sensible ``--jobs`` default: the machine's CPU count."""
+    return max(1, os.cpu_count() or 1)
+
 
 @dataclass(frozen=True)
 class SupervisorPolicy:
@@ -95,7 +151,7 @@ class SupervisorPolicy:
     #: Clamp jobs to the host's cores, and degrade to in-process serial
     #: execution when the pool keeps dying.
     auto_serial: bool = True
-    #: Legacy contract: first failure raises instead of retrying.
+    #: Fail fast: the first failure raises instead of retrying.
     raise_on_failure: bool = False
     #: Harness-chaos schedule to run under (tests/benches/CI only).
     chaos: Optional[HarnessChaosPlan] = None
@@ -132,7 +188,7 @@ class SupervisorPolicy:
 
     @classmethod
     def strict(cls, auto_serial: bool = True) -> "SupervisorPolicy":
-        """The legacy runner contract: one attempt, failures raise."""
+        """The fail-fast contract: one attempt, failures raise."""
         return cls(
             max_attempts=1,
             raise_on_failure=True,
@@ -183,23 +239,24 @@ class _Flight:
 def execute_supervised(
     payload: Dict[str, object], action: Optional[Dict[str, object]] = None
 ) -> Dict[str, object]:
-    """Worker entry point with an optional chaos *action* to suffer first.
+    """Worker entry point: spec key dict in, outcome dict out.
 
+    Module-level (picklable) on purpose; reconstructing the spec from
+    its canonical key keeps the worker independent of parent-process
+    object identity.  An optional chaos *action* is suffered first:
     ``{"kill": True}`` SIGKILLs the worker mid-spec (the parent sees a
     broken pool); ``{"hang_s": x}`` sleeps *x* host seconds before
     executing (the parent sees a hung worker if *x* exceeds its
     timeout).  The decision is made — deterministically — in the parent;
     the worker just obeys.
     """
-    from repro.exp.runner import execute_payload
-
     if action:
         if action.get("kill"):
             os.kill(os.getpid(), signal.SIGKILL)
         hang_s = action.get("hang_s")
         if hang_s:
             time.sleep(float(hang_s))
-    return execute_payload(payload)
+    return RunSpec.from_key(payload).execute().as_dict()
 
 
 class SupervisedRunner:
@@ -208,7 +265,6 @@ class SupervisedRunner:
     The input is the deduplicated ``(fingerprint, spec)`` list; the
     output is ``(outcomes, quarantined, stats)``.  Alignment with a
     caller's duplicate-bearing spec list is the caller's job (see
-    :class:`~repro.exp.runner.ParallelRunner` and
     :func:`~repro.exp.batch.run_batch`).
     """
 
@@ -320,8 +376,6 @@ class SupervisedRunner:
         on_result: Optional[Callable[[RunSpec, Outcome], None]] = None,
     ) -> Tuple[Dict[str, Outcome], Dict[str, str], SuperviseStats]:
         """Execute unique ``(fingerprint, spec)`` pairs, heaviest first."""
-        from repro.exp.runner import spec_weight
-
         outcomes: Dict[str, Outcome] = {}
         quarantined: Dict[str, str] = {}
         ordered = sorted(
@@ -393,8 +447,6 @@ class SupervisedRunner:
     # -- pool path -----------------------------------------------------------
 
     def _new_pool(self) -> ProcessPoolExecutor:
-        from repro.exp.runner import warm_worker
-
         return ProcessPoolExecutor(
             max_workers=self.jobs_effective, initializer=warm_worker
         )

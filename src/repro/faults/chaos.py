@@ -141,7 +141,7 @@ def run_chaos(
     if policy is None:
         policy = MoveThresholdPolicy()
     sim = build_simulation(
-        workload,
+        [workload],
         policy,
         n_processors=n_processors,
         machine_config=machine_config,

@@ -1,34 +1,35 @@
 """High-level run harness: build, run, and measure workloads.
 
-:func:`run_once` wires a workload, a policy and a machine together and
-returns a :class:`~repro.sim.result.RunResult`.  :func:`measure_placement`
-performs the paper's full Section 3.1 methodology for one application:
+:func:`build_simulation` wires workloads (one Mach task each), a policy
+and a machine together; :func:`run_engine` executes the result and
+:func:`collect_result` assembles a :class:`~repro.sim.result.RunResult`.
+Every driver is those three steps: :func:`run_once` here,
+:func:`repro.sim.mix.run_mix`, :func:`repro.faults.chaos.run_chaos` and
+the declarative :class:`~repro.exp.spec.RunSpec`.
+:func:`measure_placement` performs the paper's full Section 3.1
+methodology for one application:
 
 * ``Tnuma`` — the real policy on an N-processor machine;
 * ``Tglobal`` — the all-writable-data-in-global baseline, same machine;
 * ``Tlocal`` — a single thread on a single-processor machine, everything
   local.
-
-Both drivers are thin shims over the declarative
-:class:`~repro.exp.spec.RunSpec` front door (they construct a spec and
-execute it with their in-memory workload/policy instances), so every run
-— direct, swept, or batched through :mod:`repro.exp` — takes the same
-build/execute/collect path.  Their parameters are keyword-only going
-forward; positional use beyond ``(workload, policy)`` still works but
-raises a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
 
 from repro.check.sanitizer import attach_sanitizer, maybe_attach_sanitizer
 from repro.core.numa_manager import NUMAManager
+from repro.core.policies import (
+    AllGlobalPolicy,
+    AllLocalPolicy,
+    MoveThresholdPolicy,
+)
 from repro.core.policy import NUMAPolicy
 from repro.machine.config import MachineConfig, ace_config
 from repro.machine.machine import Machine
@@ -44,8 +45,12 @@ from repro.vm.page_pool import PagePool
 from repro.vm.pmap import ACEPmap
 from repro.workloads.base import BuildContext, Workload
 
-PolicyFactory = Callable[[], NUMAPolicy]
 SchedulerFactory = Callable[[int], Scheduler]
+
+#: Virtual pages between consecutive tasks' bases.  The simulated MMUs
+#: have no address-space identifiers, so shared vpage numbers would let
+#: one task translate into another's frames.
+TASK_VPAGE_STRIDE = 0x100000
 
 
 @dataclass
@@ -56,10 +61,12 @@ class Simulation:
     numa: NUMAManager
     pool: PagePool
     pmap: ACEPmap
-    space: AddressSpace
     engine: Engine
-    threads: list
-    context: BuildContext
+    #: Every task's threads, in task order.
+    threads: List[CThread]
+    #: One build context (and through it one address space) per Mach
+    #: task, in task order; a single run has exactly one.
+    contexts: List[BuildContext]
     #: The ``REPRO_SANITIZE``-attached :class:`ProtocolSanitizer`, when
     #: the environment opted this process in (``None`` otherwise).
     #: Chaos runs reuse it instead of attaching a second instance.
@@ -67,8 +74,9 @@ class Simulation:
 
 
 def build_simulation(
-    workload: Workload,
+    workloads: Sequence[Workload],
     policy: NUMAPolicy,
+    *,
     n_processors: int = 7,
     n_threads: Optional[int] = None,
     machine_config: Optional[MachineConfig] = None,
@@ -82,6 +90,14 @@ def build_simulation(
     sanitize: Optional[bool] = None,
 ) -> Simulation:
     """Assemble machine, VM, NUMA layer, and threads for one run.
+
+    Each workload gets its own address space and fault handler (its own
+    Mach task); all tasks share the machine, the logical page pool, and
+    the NUMA manager, so their pages genuinely compete for local memory
+    and the policy sees the whole mix's behaviour — the scenario the
+    paper's introduction argues only the operating system can serve.  A
+    single run is a mix of one.  ``n_threads`` is per task (default: one
+    per processor).
 
     ``observer`` (the legacy single slot) and ``telemetry`` compose:
     both end up subscribed to the engine's event bus.  ``injector``
@@ -107,21 +123,34 @@ def build_simulation(
     numa = NUMAManager(machine, policy, check_invariants=check_invariants)
     pool = PagePool(numa)
     pmap = ACEPmap(numa)
-    space = AddressSpace(name=workload.name)
-    fault_handler = FaultHandler(machine, space, pool, pmap)
     if n_threads is None:
         n_threads = machine.n_cpus
-    ctx = BuildContext(
-        space=space,
-        n_threads=n_threads,
-        n_processors=machine.n_cpus,
-        machine_config=machine_config,
-    )
-    bodies = workload.build(ctx)
-    threads = [
-        CThread(name=f"{workload.name}-{i}", index=i, body=body)
-        for i, body in enumerate(bodies)
-    ]
+    contexts: List[BuildContext] = []
+    handlers: List[FaultHandler] = []
+    threads: List[CThread] = []
+    for task, workload in enumerate(workloads):
+        space = AddressSpace(
+            name=workload.name,
+            first_vpage=0x100 + task * TASK_VPAGE_STRIDE,
+        )
+        ctx = BuildContext(
+            space=space,
+            n_threads=n_threads,
+            n_processors=machine.n_cpus,
+            machine_config=machine_config,
+        )
+        contexts.append(ctx)
+        handlers.append(FaultHandler(machine, space, pool, pmap))
+        for body in workload.build(ctx):
+            index = len(threads)
+            threads.append(
+                CThread(
+                    name=f"{workload.name}-{index}",
+                    index=index,
+                    body=body,
+                    task=task,
+                )
+            )
     scheduler = (
         scheduler_factory(machine.n_cpus)
         if scheduler_factory is not None
@@ -129,10 +158,11 @@ def build_simulation(
     )
     engine = Engine(
         machine,
-        fault_handler,
+        handlers[0],
         scheduler,
         unix_master=unix_master,
         observer=observer,
+        extra_handlers=dict(enumerate(handlers[1:], start=1)),
         fast_path=fast_path,
     )
     numa.bus = engine.bus
@@ -153,10 +183,9 @@ def build_simulation(
         numa=numa,
         pool=pool,
         pmap=pmap,
-        space=space,
         engine=engine,
         threads=threads,
-        context=ctx,
+        contexts=contexts,
         sanitizer=sanitizer,
     )
 
@@ -190,7 +219,7 @@ def collect_result(sim: Simulation, rounds: int) -> RunResult:
         data_refs = data_refs.merged_with(c.data_refs)
         all_refs = all_refs.merged_with(c.all_refs)
     return RunResult(
-        workload=sim.context.space.name,
+        workload=sim.contexts[0].space.name,
         policy=sim.numa.policy.name,
         n_processors=machine.n_cpus,
         n_threads=len(sim.threads),
@@ -203,115 +232,36 @@ def collect_result(sim: Simulation, rounds: int) -> RunResult:
     )
 
 
-def merge_legacy_positionals(
-    func_name: str,
-    n_leading: int,
-    accepted: Sequence[str],
-    legacy: Tuple[object, ...],
-    kwargs: Dict[str, object],
-) -> Dict[str, object]:
-    """Fold deprecated positional arguments into a keyword dictionary.
-
-    The harness drivers accept only their leading arguments positionally
-    (``workload`` and, where applicable, ``policy``); everything else is
-    keyword-only going forward.  Old call sites that passed more
-    positionals keep working, but get a :class:`DeprecationWarning`
-    naming the keywords to migrate to.
-    """
-    if not legacy:
-        return kwargs
-    if len(legacy) > len(accepted):
-        raise TypeError(
-            f"{func_name}() takes at most {n_leading + len(accepted)} "
-            f"positional arguments ({n_leading + len(legacy)} given)"
-        )
-    names = list(accepted[: len(legacy)])
-    warnings.warn(
-        f"passing {func_name}() arguments beyond the first {n_leading} "
-        f"positionally is deprecated; pass {', '.join(names)} by keyword",
-        DeprecationWarning,
-        stacklevel=3,
+def run_once(
+    workload: Workload,
+    policy: NUMAPolicy,
+    *,
+    n_processors: int = 7,
+    n_threads: Optional[int] = None,
+    machine_config: Optional[MachineConfig] = None,
+    scheduler_factory: Optional[SchedulerFactory] = None,
+    unix_master: Optional[UnixMaster] = None,
+    observer: Optional[EngineObserver] = None,
+    check_invariants: bool = True,
+    telemetry: Optional[Telemetry] = None,
+    fast_path: bool = True,
+) -> RunResult:
+    """Run *workload* under *policy* and collect the result."""
+    sim = build_simulation(
+        [workload],
+        policy,
+        n_processors=n_processors,
+        n_threads=n_threads,
+        machine_config=machine_config,
+        scheduler_factory=scheduler_factory,
+        unix_master=unix_master,
+        observer=observer,
+        check_invariants=check_invariants,
+        telemetry=telemetry,
+        fast_path=fast_path,
     )
-    merged = dict(kwargs)
-    for name, value in zip(accepted, legacy):
-        if name in merged:
-            raise TypeError(
-                f"{func_name}() got multiple values for argument {name!r}"
-            )
-        merged[name] = value
-    return merged
-
-
-#: Deprecated positional order of :func:`run_once` beyond (workload, policy).
-_RUN_ONCE_ORDER = (
-    "n_processors",
-    "n_threads",
-    "machine_config",
-    "scheduler_factory",
-    "unix_master",
-    "observer",
-    "check_invariants",
-    "telemetry",
-    "fast_path",
-)
-
-
-_RUN_ONCE_DEFAULTS: Dict[str, object] = {
-    "n_processors": 7,
-    "n_threads": None,
-    "machine_config": None,
-    "scheduler_factory": None,
-    "unix_master": None,
-    "observer": None,
-    "check_invariants": True,
-    "telemetry": None,
-    "fast_path": True,
-}
-
-
-def run_once(workload: Workload, policy: NUMAPolicy, *legacy, **kwargs) -> RunResult:
-    """Run *workload* under *policy* and collect the result.
-
-    A thin shim over :class:`repro.exp.spec.RunSpec` — the spec is the
-    single front door for executing simulations; this keeps the classic
-    call shape while routing through the same path the experiment
-    orchestrator uses.  Keyword parameters (all optional):
-    ``n_processors`` (7), ``n_threads``, ``machine_config``,
-    ``scheduler_factory``, ``unix_master``, ``observer``,
-    ``check_invariants`` (True), ``telemetry``, ``fast_path`` (True).
-    They are keyword-only going forward; positional use beyond
-    ``(workload, policy)`` is deprecated.
-    """
-    kwargs = merge_legacy_positionals(
-        "run_once", 2, _RUN_ONCE_ORDER, legacy, kwargs
-    )
-    unknown = set(kwargs) - set(_RUN_ONCE_DEFAULTS)
-    if unknown:
-        raise TypeError(
-            f"run_once() got unexpected keyword arguments: {sorted(unknown)}"
-        )
-    opts = dict(_RUN_ONCE_DEFAULTS)
-    opts.update(kwargs)
-
-    from repro.exp.spec import RunSpec  # deferred: exp builds on sim
-
-    spec = RunSpec(
-        workload=workload.name,
-        policy=getattr(policy, "name", policy.__class__.__name__),
-        n_processors=opts["n_processors"],
-        n_threads=opts["n_threads"],
-        check_invariants=opts["check_invariants"],
-        fast_path=opts["fast_path"],
-    )
-    return spec.run(
-        workload=workload,
-        policy=policy,
-        machine_config=opts["machine_config"],
-        scheduler_factory=opts["scheduler_factory"],
-        unix_master=opts["unix_master"],
-        observer=opts["observer"],
-        telemetry=opts["telemetry"],
-    )
+    rounds = run_engine(sim.engine, sim.threads, telemetry)
+    return collect_result(sim, rounds)
 
 
 @dataclass(frozen=True)
@@ -340,25 +290,15 @@ class PlacementMeasurement:
         return self.local.user_time_s
 
 
-#: Deprecated positional order of :func:`measure_placement` beyond (workload,).
-_MEASURE_ORDER = (
-    "n_processors",
-    "threshold",
-    "machine_config",
-    "check_invariants",
-    "telemetry",
-)
-
-_MEASURE_DEFAULTS: Dict[str, object] = {
-    "n_processors": 7,
-    "threshold": 4,
-    "machine_config": None,
-    "check_invariants": True,
-    "telemetry": None,
-}
-
-
-def measure_placement(workload: Workload, *legacy, **kwargs) -> PlacementMeasurement:
+def measure_placement(
+    workload: Workload,
+    *,
+    n_processors: int = 7,
+    threshold: int = 4,
+    machine_config: Optional[MachineConfig] = None,
+    check_invariants: bool = True,
+    telemetry: Optional[Telemetry] = None,
+) -> PlacementMeasurement:
     """Run the paper's three measurements for one application.
 
     ``Tlocal`` runs with one thread on a one-processor machine under the
@@ -367,48 +307,35 @@ def measure_placement(workload: Workload, *legacy, **kwargs) -> PlacementMeasure
     attaches to the Tnuma run only — that is the run whose dynamics the
     paper's tables describe.
 
-    The three runs are the :func:`repro.exp.grid.placement_specs` grid
-    executed in place, so a ``measure_placement`` call and a batched
-    sweep over the same application produce identical results.  Keyword
-    parameters: ``n_processors`` (7), ``threshold`` (4),
-    ``machine_config``, ``check_invariants`` (True), ``telemetry``;
-    positional use beyond ``(workload,)`` is deprecated.
+    These are the same three runs :func:`repro.exp.grid.placement_specs`
+    describes declaratively, so a ``measure_placement`` call and a
+    batched sweep over the same application produce identical results.
     """
-    kwargs = merge_legacy_positionals(
-        "measure_placement", 1, _MEASURE_ORDER, legacy, kwargs
-    )
-    unknown = set(kwargs) - set(_MEASURE_DEFAULTS)
-    if unknown:
-        raise TypeError(
-            "measure_placement() got unexpected keyword arguments: "
-            f"{sorted(unknown)}"
-        )
-    opts = dict(_MEASURE_DEFAULTS)
-    opts.update(kwargs)
-    machine_config: Optional[MachineConfig] = opts["machine_config"]
-
-    from repro.exp.grid import placement_specs  # deferred: exp builds on sim
-
-    specs = placement_specs(
-        workload.name,
-        n_processors=opts["n_processors"],
-        threshold=opts["threshold"],
-        check_invariants=opts["check_invariants"],
-    )
-    numa_result = specs.tnuma.run(
-        workload=workload,
+    numa_result = run_once(
+        workload,
+        MoveThresholdPolicy(threshold=threshold),
+        n_processors=n_processors,
         machine_config=machine_config,
-        telemetry=opts["telemetry"],
+        check_invariants=check_invariants,
+        telemetry=telemetry,
     )
-    global_result = specs.tglobal.run(
-        workload=workload, machine_config=machine_config
+    global_result = run_once(
+        workload,
+        AllGlobalPolicy(),
+        n_processors=n_processors,
+        machine_config=machine_config,
+        check_invariants=check_invariants,
     )
-    local_config = (
-        None if machine_config is None
-        else machine_config.scaled(n_processors=1)
-    )
-    local_result = specs.tlocal.run(
-        workload=workload, machine_config=local_config
+    local_result = run_once(
+        workload,
+        AllLocalPolicy(),
+        n_processors=1,
+        n_threads=1,
+        machine_config=(
+            None if machine_config is None
+            else machine_config.scaled(n_processors=1)
+        ),
+        check_invariants=check_invariants,
     )
     return PlacementMeasurement(
         workload=workload.name,

@@ -10,37 +10,23 @@ global memory pool, and a single NUMA manager + policy — and per-task
 user time is attributed, so a mix run can be compared against each
 application's standalone run.
 
-Like the single-run drivers, :func:`run_mix` is a thin shim: the wiring
-lives in :func:`build_mix_simulation` and the engine execution goes
-through :func:`repro.sim.harness.run_engine`, so telemetry (profiled
-``engine_run`` spans, finalized gauges) behaves exactly as it does for
-:func:`~repro.sim.harness.run_once`.  ``check_invariants`` defaults to
-``True``, the same default as every other driver (it used to default
-off here; pass ``check_invariants=False`` explicitly for speed).
-Parameters beyond ``(workloads, policy)`` are keyword-only going
-forward; positional use is deprecated.
+The wiring is :func:`repro.sim.harness.build_simulation` given several
+workloads — a single run is a mix of one — so everything a single run
+gets (policy ``bind_machine``, ``REPRO_SANITIZE``, telemetry) a mix gets
+too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.core.numa_manager import NUMAManager
 from repro.core.policy import NUMAPolicy
 from repro.core.stats import NUMAStats
-from repro.machine.config import MachineConfig, ace_config
-from repro.machine.machine import Machine
+from repro.machine.config import MachineConfig
 from repro.obs.telemetry import Telemetry
-from repro.sim.engine import Engine
-from repro.sim.harness import merge_legacy_positionals, run_engine
-from repro.threads.cthreads import CThread
-from repro.threads.scheduler import AffinityScheduler
-from repro.vm.address_space import AddressSpace
-from repro.vm.fault import FaultHandler
-from repro.vm.page_pool import PagePool
-from repro.vm.pmap import ACEPmap
-from repro.workloads.base import BuildContext, Workload
+from repro.sim.harness import build_simulation, run_engine
+from repro.workloads.base import Workload
 
 
 @dataclass(frozen=True)
@@ -75,151 +61,34 @@ class MixResult:
         raise KeyError(workload)
 
 
-@dataclass
-class MixSimulation:
-    """A fully wired multiprogrammed simulation."""
-
-    machine: Machine
-    numa: NUMAManager
-    pool: PagePool
-    pmap: ACEPmap
-    engine: Engine
-    threads: List[CThread]
-    spaces: List[AddressSpace]
-    #: task id → application name, in task order.
-    task_names: Dict[int, str]
-
-
-def build_mix_simulation(
+def run_mix(
     workloads: List[Workload],
     policy: NUMAPolicy,
+    *,
     n_processors: int = 7,
     machine_config: Optional[MachineConfig] = None,
     check_invariants: bool = True,
     telemetry: Optional[Telemetry] = None,
-) -> MixSimulation:
-    """Wire several applications onto one machine, one Mach task each.
-
-    Each workload gets its own address space and fault handler (its own
-    Mach task); all tasks share the machine, the logical page pool, and
-    the NUMA manager, so their pages genuinely compete for local memory
-    and the policy sees the whole mix's behaviour — the scenario the
-    paper's introduction argues only the operating system can serve.
-    """
-    if machine_config is None:
-        machine_config = ace_config(n_processors)
-    machine = Machine(machine_config)
-    numa = NUMAManager(machine, policy, check_invariants=check_invariants)
-    pool = PagePool(numa)
-    pmap = ACEPmap(numa)
-
-    threads: List[CThread] = []
-    spaces: List[AddressSpace] = []
-    handlers: Dict[int, FaultHandler] = {}
-    names: Dict[int, str] = {}
-    thread_index = 0
-    for task_id, workload in enumerate(workloads):
-        # Disjoint virtual ranges per task: the simulated MMUs have no
-        # address-space identifiers, so shared vpage numbers would let
-        # one task translate into another's frames.
-        space = AddressSpace(
-            name=f"{workload.name}-task{task_id}",
-            first_vpage=0x100 + task_id * 0x100000,
-        )
-        spaces.append(space)
-        handler = FaultHandler(machine, space, pool, pmap)
-        handlers[task_id] = handler
-        names[task_id] = workload.name
-        ctx = BuildContext(
-            space=space,
-            n_threads=machine.n_cpus,
-            n_processors=machine.n_cpus,
-            machine_config=machine_config,
-        )
-        for body in workload.build(ctx):
-            threads.append(
-                CThread(
-                    name=f"{workload.name}-{thread_index}",
-                    index=thread_index,
-                    body=body,
-                    task=task_id,
-                )
-            )
-            thread_index += 1
-
-    primary = handlers[0]
-    extra = {task: h for task, h in handlers.items() if task != 0}
-    engine = Engine(
-        machine,
-        primary,
-        AffinityScheduler(machine.n_cpus),
-        extra_handlers=extra,
-    )
-    numa.bus = engine.bus
-    if telemetry is not None:
-        telemetry.attach(machine, numa, pool, engine)
-    return MixSimulation(
-        machine=machine,
-        numa=numa,
-        pool=pool,
-        pmap=pmap,
-        engine=engine,
-        threads=threads,
-        spaces=spaces,
-        task_names=names,
-    )
-
-
-#: Deprecated positional order of :func:`run_mix` beyond (workloads, policy).
-_RUN_MIX_ORDER = ("n_processors", "machine_config", "check_invariants")
-
-_RUN_MIX_DEFAULTS: Dict[str, object] = {
-    "n_processors": 7,
-    "machine_config": None,
-    "check_invariants": True,
-    "telemetry": None,
-}
-
-
-def run_mix(workloads: List[Workload], policy: NUMAPolicy, *legacy, **kwargs) -> MixResult:
-    """Run several applications concurrently on one machine.
-
-    Keyword parameters: ``n_processors`` (7), ``machine_config``,
-    ``check_invariants`` (True — unified with :func:`~repro.sim.
-    harness.run_once`; this driver historically defaulted it off), and
-    ``telemetry``.  Positional use beyond ``(workloads, policy)`` is
-    deprecated.
-    """
-    kwargs = merge_legacy_positionals(
-        "run_mix", 2, _RUN_MIX_ORDER, legacy, kwargs
-    )
-    unknown = set(kwargs) - set(_RUN_MIX_DEFAULTS)
-    if unknown:
-        raise TypeError(
-            f"run_mix() got unexpected keyword arguments: {sorted(unknown)}"
-        )
-    opts = dict(_RUN_MIX_DEFAULTS)
-    opts.update(kwargs)
-
-    sim = build_mix_simulation(
+) -> MixResult:
+    """Run several applications concurrently on one machine."""
+    sim = build_simulation(
         workloads,
         policy,
-        n_processors=opts["n_processors"],
-        machine_config=opts["machine_config"],
-        check_invariants=opts["check_invariants"],
-        telemetry=opts["telemetry"],
+        n_processors=n_processors,
+        machine_config=machine_config,
+        check_invariants=check_invariants,
+        telemetry=telemetry,
     )
-    rounds = run_engine(sim.engine, sim.threads, opts["telemetry"])
-    tasks = [
-        TaskResult(
-            task=task_id,
-            workload=sim.task_names[task_id],
-            user_time_us=sim.engine.task_user_us.get(task_id, 0.0),
-        )
-        for task_id in sorted(sim.task_names)
-    ]
+    rounds = run_engine(sim.engine, sim.threads, telemetry)
     return MixResult(
-        tasks=tasks,
+        tasks=[
+            TaskResult(
+                task=task,
+                workload=workload.name,
+                user_time_us=sim.engine.task_user_us.get(task, 0.0),
+            )
+            for task, workload in enumerate(workloads)
+        ],
         total_user_us=sim.machine.total_user_time_us(),
         total_system_us=sim.machine.total_system_time_us(),
         stats=sim.numa.stats,

@@ -26,7 +26,7 @@ multi-observer fan-out) lets both run in the same simulation.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 from repro.sim.ops import Compute, MemBlock, Op
 
@@ -65,28 +65,6 @@ def remove_lock_observer(observer: object) -> None:
 def lock_observers() -> List[object]:
     """The currently installed lock observers, installation order."""
     return list(_lock_observers)
-
-
-def set_lock_observer(observer: Optional[object]) -> Optional[object]:
-    """Legacy single-slot shim: replace *all* observers with *observer*.
-
-    Returns the previously installed observer (the first, when several
-    were installed), matching the original single-slot contract so
-    ``previous = set_lock_observer(obs); ...; set_lock_observer(previous)``
-    still restores a sane state.  Pass ``None`` to stop observing.  New
-    code should pair :func:`add_lock_observer` with
-    :func:`remove_lock_observer` instead, which composes.
-    """
-    previous = _lock_observers[0] if _lock_observers else None
-    _lock_observers.clear()
-    if observer is not None:
-        _lock_observers.append(observer)
-    return previous
-
-
-def lock_observer() -> Optional[object]:
-    """The first installed lock observer, if any (legacy accessor)."""
-    return _lock_observers[0] if _lock_observers else None
 
 
 class SpinLock:

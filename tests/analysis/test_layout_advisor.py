@@ -27,14 +27,14 @@ def ref(trace, cpu, vpage, reads=0, writes=0):
 def run_traced(workload, n_processors=7):
     trace = TraceCollector(keep_faults=False)
     sim = build_simulation(
-        workload,
+        [workload],
         MoveThresholdPolicy(threshold=4),
-        n_processors,
+        n_processors=n_processors,
         observer=trace,
         check_invariants=False,
     )
     sim.engine.run(sim.threads)
-    return trace, sim.space
+    return trace, sim.contexts[0].space
 
 
 class TestSyntheticPatterns:

@@ -18,17 +18,13 @@ from repro.analysis.report import (
     run_evaluation,
 )
 from repro.machine.config import ace_config
-from repro.workloads import small_workloads
 
 
 @pytest.fixture(scope="module")
 def small_evaluation():
-    workloads = {
-        name: (lambda wl=wl: wl)
-        for name, wl in small_workloads().items()
-        if name in ("ParMult", "IMatMult", "Primes3")
-    }
-    return run_evaluation(workloads, n_processors=3)
+    return run_evaluation(
+        apps=("ParMult", "IMatMult", "Primes3"), n_processors=3, quick=True
+    )
 
 
 class TestPaperConstants:

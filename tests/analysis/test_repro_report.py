@@ -2,18 +2,25 @@
 
 import pytest
 
-from repro.analysis.repro_report import generate_report, write_report
-from repro.workloads import small_workloads
+from repro.analysis.cachereport import CacheDataset, placement_triples
+from repro.analysis.repro_report import generate_cache_report
+from repro.cli import main
+from repro.exp.batch import run_batch
+from repro.exp.cache import ResultCache
+from repro.exp.grid import flatten
+
+APPS = ("ParMult", "IMatMult")
+GRID = dict(n_processors=3, quick=True)
 
 
 @pytest.fixture(scope="module")
-def report_text():
-    workloads = {
-        name: (lambda wl=wl: wl)
-        for name, wl in small_workloads().items()
-        if name in ("ParMult", "IMatMult")
-    }
-    return generate_report(workloads, n_processors=3)
+def report_text(tmp_path_factory):
+    """A live report: fill the cache, then render from it."""
+    root = tmp_path_factory.mktemp("report-cache")
+    run_batch(flatten(placement_triples(APPS, **GRID)), cache=ResultCache(root))
+    return generate_cache_report(
+        CacheDataset.load(root), apps=APPS, **GRID
+    ).document
 
 
 class TestGenerateReport:
@@ -46,13 +53,11 @@ class TestGenerateReport:
         assert "SOSP '89" in report_text
 
     def test_write_report(self, tmp_path):
-        workloads = {
-            name: (lambda wl=wl: wl)
-            for name, wl in small_workloads().items()
-            if name == "ParMult"
-        }
-        path = write_report(
-            tmp_path / "REPORT.md", workloads, n_processors=2
-        )
+        path = tmp_path / "REPORT.md"
+        argv = [
+            "--quick", "--processors", "2", "report", "--apps", "ParMult",
+            "--cache-dir", str(tmp_path / "cache"), "--out", str(path),
+        ]
+        assert main(argv) == 0
         assert path.exists()
         assert "# Reproduction report" in path.read_text()

@@ -126,10 +126,13 @@ class TestCycleDetection:
 
 class TestSpinlockObserverWiring:
     def test_spinlock_notifies_observer(self):
-        from repro.threads.spinlock import SpinLock, set_lock_observer
+        from repro.threads.spinlock import (
+            SpinLock,
+            add_lock_observer,
+            remove_lock_observer,
+        )
 
-        checker = LockOrderChecker()
-        previous = set_lock_observer(checker)
+        checker = add_lock_observer(LockOrderChecker())
         try:
             lock = SpinLock(vpage=42)
             for _ in lock.acquire(holder="t1"):
@@ -137,6 +140,6 @@ class TestSpinlockObserverWiring:
             for _ in lock.release(holder="t1"):
                 pass
         finally:
-            set_lock_observer(previous)
+            remove_lock_observer(checker)
         assert checker.acquisitions == 1
         assert checker.held_by("t1") == []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check.races import detach_detector
 from repro.check.sanitizer import (
     ProtocolSanitizer,
     attach_sanitizer,
@@ -14,7 +15,14 @@ from repro.core.state import AccessKind, PageState
 from repro.errors import ProtocolViolation
 from repro.machine.memory import Frame, FrameKind
 from repro.sim.harness import build_simulation
+from repro.threads.spinlock import remove_lock_observer
 from repro.workloads import small_workloads
+
+
+def detach_sanitizer(sanitizer, machine):
+    """Uninstall what ``attach_sanitizer`` installed process-wide."""
+    remove_lock_observer(sanitizer)
+    detach_detector(sanitizer.races, machine)
 
 
 class FakeNuma:
@@ -63,29 +71,32 @@ class TestEnablement:
 class TestCleanWorkloadRun:
     def test_small_workload_passes_sanitized(self):
         wl = small_workloads()["ParMult"]
-        sim = build_simulation(wl, MoveThresholdPolicy(threshold=4), 4)
+        sim = build_simulation(
+            [wl], MoveThresholdPolicy(threshold=4), n_processors=4
+        )
         sanitizer = attach_sanitizer(sim.numa, sim.engine.bus)
         try:
             sim.engine.run(sim.threads)
         finally:
-            from repro.threads.spinlock import set_lock_observer
-
-            set_lock_observer(None)
+            detach_sanitizer(sanitizer, sim.machine)
         assert sanitizer.checks > 0
         assert sanitizer.trail()[-1]["t"] == "run_end"
 
     def test_harness_attaches_when_env_set(self, monkeypatch):
-        from repro.threads.spinlock import lock_observer, set_lock_observer
+        from repro.threads.spinlock import lock_observers
 
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         wl = small_workloads()["ParMult"]
+        sim = build_simulation(
+            [wl], MoveThresholdPolicy(threshold=4), n_processors=4
+        )
         try:
-            sim = build_simulation(wl, MoveThresholdPolicy(threshold=4), 4)
-            # The harness installed the sanitizer as the lock observer.
-            assert isinstance(lock_observer(), ProtocolSanitizer)
+            # The harness installed the sanitizer as a lock observer.
+            assert sim.sanitizer in lock_observers()
+            assert isinstance(sim.sanitizer, ProtocolSanitizer)
             sim.engine.run(sim.threads)  # and the run passes its checks
         finally:
-            set_lock_observer(None)
+            detach_sanitizer(sim.sanitizer, sim.machine)
 
 
 class TestDirectoryInvariantCheck:

@@ -373,9 +373,6 @@ class TestPolicyRegistry:
             rebuilt = entry.build(params=policy.params())
             assert rebuilt.params() == policy.params(), name
 
-    def test_legacy_call_shape_still_works(self):
-        assert POLICY_ENTRIES["move-threshold"](3).threshold == 3
-
     def test_parse_policy_arg(self):
         name, params = parse_policy_arg("bandit:seed=7,epsilon=0.2")
         assert name == "bandit"
@@ -390,21 +387,18 @@ class TestPolicyRegistry:
 
 
 class TestKeywordOnlyShims:
-    def test_positional_threshold_warns(self):
-        with pytest.warns(DeprecationWarning, match="keyword"):
-            policy = MoveThresholdPolicy(3)
-        assert policy.threshold == 3
-
-    def test_positional_reconsider_args_warn(self):
-        with pytest.warns(DeprecationWarning):
-            policy = ReconsiderPolicy(2, 5_000.0)
-        assert policy.params() == {"threshold": 2, "interval_us": 5_000.0}
+    """Policy constructors take their parameters by keyword only."""
 
     def test_positional_and_keyword_together_is_an_error(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="multiple values"):
-                MoveThresholdPolicy(3, threshold=4)
+        with pytest.raises(TypeError, match="positional"):
+            MoveThresholdPolicy(3, threshold=4)
 
     def test_too_many_positionals_is_an_error(self):
         with pytest.raises(TypeError, match="positional"):
             MoveThresholdPolicy(3, 4)
+        with pytest.raises(TypeError, match="positional"):
+            ReconsiderPolicy(2, 5_000.0)
+
+    def test_keywords_set_every_parameter(self):
+        policy = ReconsiderPolicy(threshold=2, interval_us=5_000.0)
+        assert policy.params() == {"threshold": 2, "interval_us": 5_000.0}

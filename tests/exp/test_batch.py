@@ -1,4 +1,4 @@
-"""run_batch + ParallelRunner: dedup, parity, resumability, telemetry."""
+"""run_batch + SupervisedRunner: dedup, parity, resumability, telemetry."""
 
 import pytest
 
@@ -12,9 +12,12 @@ from repro.exp.batch import (
 from repro.exp.cache import ResultCache
 from repro.exp.grid import flatten, table3_grid, threshold_grid
 from repro.exp.journal import BatchJournal, journal_path_for
-from repro.exp.runner import ParallelRunner, spec_weight
 from repro.exp.spec import RunSpec
-from repro.exp.supervise import SupervisorPolicy
+from repro.exp.supervise import (
+    SupervisedRunner,
+    SupervisorPolicy,
+    spec_weight,
+)
 from repro.faults.harness import make_harness_plan
 from repro.obs.events import EventBus
 from repro.obs.metrics import MetricsRegistry
@@ -34,8 +37,8 @@ class TestRunner:
         """The headline fidelity property: fanning a grid across worker
         processes must not change a single byte of any outcome."""
         specs = small_grid()
-        serial = ParallelRunner(jobs=1).run(specs)
-        parallel = ParallelRunner(jobs=2).run(specs)
+        serial = run_batch(specs, jobs=1).outcomes
+        parallel = run_batch(specs, jobs=2).outcomes
         assert len(serial) == len(parallel) == len(specs)
         for left, right in zip(serial, parallel):
             assert left.to_json() == right.to_json()
@@ -43,21 +46,23 @@ class TestRunner:
     def test_duplicates_execute_once(self):
         spec = RunSpec(workload="ParMult", quick=True, n_processors=2)
         seen = []
-        outcomes = ParallelRunner(jobs=1).run(
-            [spec, spec, spec], on_result=lambda s, o: seen.append(s)
+        batch = run_batch(
+            [spec, spec, spec], progress=lambda line: seen.append(line)
         )
+        outcomes = batch.outcomes
         assert len(outcomes) == 3
         assert len(seen) == 1
+        assert batch.executed == 1
         assert outcomes[0].to_json() == outcomes[2].to_json()
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(SimulationError):
-            ParallelRunner(jobs=0)
+            SupervisedRunner(jobs=0)
 
     def test_worker_failures_carry_spec_context(self):
         bad = RunSpec(workload="nope", quick=True)
         with pytest.raises(Exception) as excinfo:
-            ParallelRunner(jobs=2).run([bad])
+            run_batch([bad], jobs=2)
         assert "nope" in str(excinfo.value)
 
     def test_spec_weight_orders_heavy_workloads_first(self):

@@ -1,4 +1,4 @@
-"""The classic drivers as RunSpec shims: parity and deprecation."""
+"""The instance-passing drivers and RunSpec take one path: parity."""
 
 import warnings
 
@@ -29,20 +29,13 @@ class TestRunOnceShim:
                 check_invariants=False,
             )
 
-    def test_positional_extras_warn_but_work(self):
-        with pytest.warns(DeprecationWarning, match="run_once"):
-            legacy = run_once(ParMult.small(), MoveThresholdPolicy(threshold=4), 2)
-        modern = run_once(
-            ParMult.small(), MoveThresholdPolicy(threshold=4), n_processors=2
-        )
-        assert legacy.to_json() == modern.to_json()
-
     def test_positional_keyword_conflict_is_an_error(self):
-        with pytest.raises(TypeError, match="n_processors"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
+        with pytest.raises(TypeError, match="positional"):
             run_once(
                 ParMult.small(), MoveThresholdPolicy(threshold=4), 2, n_processors=2
             )
+        with pytest.raises(TypeError, match="positional"):
+            run_once(ParMult.small(), MoveThresholdPolicy(threshold=4), 2)
 
     def test_unknown_keyword_is_an_error(self):
         with pytest.raises(TypeError, match="surprise"):
@@ -68,7 +61,3 @@ class TestMeasurePlacementShim:
         assert m.local.n_processors == 1
         assert m.local.n_threads == 1
         assert m.numa.n_processors == 3
-
-    def test_positional_extras_warn(self):
-        with pytest.warns(DeprecationWarning, match="measure_placement"):
-            measure_placement(ParMult.small(), 2)

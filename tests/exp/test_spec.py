@@ -5,9 +5,9 @@ import sys
 
 import pytest
 
+from repro.core.policies.registry import POLICY_ENTRIES
 from repro.errors import ConfigurationError
 from repro.exp.spec import (
-    POLICY_REGISTRY,
     SPEC_SCHEMA,
     Outcome,
     RunSpec,
@@ -97,7 +97,7 @@ class TestResolution:
 
     def test_resolve_policy_registry_covers_paper_policies(self):
         for name in ("move-threshold", "all-global", "all-local"):
-            assert name in POLICY_REGISTRY
+            assert name in POLICY_ENTRIES
         policy = resolve_policy("move-threshold", threshold=9)
         assert policy.threshold == 9
 

@@ -103,7 +103,7 @@ class TestRecovery:
         from repro.sim.harness import build_simulation
 
         baseline = build_simulation(
-            ParMult.small(), MoveThresholdPolicy(), n_processors=4
+            [ParMult.small()], MoveThresholdPolicy(), n_processors=4
         )
         baseline.engine.run(baseline.threads)
         report = small_chaos("none", sanitize=False)

@@ -19,7 +19,7 @@ def run_both_paths(workload_factory, n_processors=4):
     sims = []
     for fast_path in (True, False):
         sim = build_simulation(
-            workload_factory(),
+            [workload_factory()],
             MoveThresholdPolicy(threshold=4),
             n_processors=n_processors,
             fast_path=fast_path,

@@ -71,10 +71,10 @@ class TestRunOnce:
         assert result.migrations > 0
 
     def test_build_simulation_exposes_parts(self):
-        sim = build_simulation(MiniWorkload(), MoveThresholdPolicy(threshold=4), 2)
+        sim = build_simulation([MiniWorkload()], MoveThresholdPolicy(threshold=4), n_processors=2)
         assert sim.machine.n_cpus == 2
         assert len(sim.threads) == 2
-        assert sim.context.n_threads == 2
+        assert sim.contexts[0].n_threads == 2
 
 
 class TestMeasurePlacement:

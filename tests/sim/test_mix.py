@@ -1,10 +1,16 @@
 """Multiprogrammed mixes: several tasks on one machine."""
 
+import inspect
+
 import pytest
 
+from repro.check.races import detach_detector
 from repro.core.policies import MoveThresholdPolicy
-from repro.sim.harness import run_once
+from repro.core.policies.registry import build_policy
+from repro.sim.harness import build_simulation, run_once
 from repro.sim.mix import run_mix
+from repro.threads.spinlock import lock_observers, remove_lock_observer
+from repro.workloads.gfetch import Gfetch
 from repro.workloads.imatmult import IMatMult
 from repro.workloads.parmult import ParMult
 from repro.workloads.primes import Primes1, Primes3
@@ -39,22 +45,53 @@ class TestRunMix:
         with pytest.raises(KeyError):
             mix.task_named("nope")
 
-    def test_positional_extras_are_deprecated_but_work(self):
-        """Positional args beyond (workloads, policy) still run, with a
-        DeprecationWarning steering callers to keywords."""
-        with pytest.warns(DeprecationWarning, match="run_mix"):
-            legacy = run_mix([ParMult.small()], MoveThresholdPolicy(threshold=4), 4)
-        modern = run_mix(
-            [ParMult.small()], MoveThresholdPolicy(threshold=4), n_processors=4
+    @pytest.mark.parametrize("workload", [ParMult, Gfetch])
+    def test_single_run_is_a_mix_of_one(self, workload):
+        solo = run_once(
+            workload.small(), MoveThresholdPolicy(threshold=4), n_processors=4
         )
-        assert legacy.total_user_us == modern.total_user_us
-        assert legacy.rounds == modern.rounds
+        mix = run_mix(
+            [workload.small()], MoveThresholdPolicy(threshold=4), n_processors=4
+        )
+        assert mix.total_user_us == solo.user_time_us
+        assert mix.total_system_us == solo.system_time_us
+        assert mix.stats.as_dict() == solo.stats.as_dict()
+        assert mix.rounds == solo.rounds
 
     def test_invariants_checked_by_default(self):
-        """run_mix now shares run_once's check_invariants=True default."""
-        import repro.sim.mix as mix_mod
+        """run_mix shares run_once's check_invariants=True default."""
+        for driver in (run_mix, run_once):
+            default = inspect.signature(driver).parameters["check_invariants"]
+            assert default.default is True
 
-        assert mix_mod._RUN_MIX_DEFAULTS["check_invariants"] is True
+    def test_mix_binds_machine_watching_policies(self):
+        """Policies with a bind_machine hook see the machine in a mix
+        exactly as in a single run."""
+        bandwidth = build_policy("bandwidth-aware")
+        bandit = build_policy("bandit", params={"seed": 7})
+        for policy in (bandwidth, bandit):
+            run_mix(
+                [ParMult.small(), Gfetch.small()], policy, n_processors=2
+            )
+        assert bandwidth.contention is not None
+        assert bandit._machine is not None
+
+    def test_mix_is_sanitized_like_a_single_run(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        for workloads in (
+            [ParMult.small()],
+            [IMatMult.small(), Primes3.small()],
+        ):
+            sim = build_simulation(
+                workloads, MoveThresholdPolicy(threshold=4), n_processors=4
+            )
+            assert sim.sanitizer in lock_observers()
+            try:
+                sim.engine.run(sim.threads)
+            finally:
+                remove_lock_observer(sim.sanitizer)
+                detach_detector(sim.sanitizer.races, sim.machine)
+            assert sim.sanitizer.checks > 0
 
     def test_same_application_twice_does_not_cross_barriers(self):
         """Two IMatMult tasks use identical barrier names; they must
@@ -84,9 +121,7 @@ class TestRunMix:
         assert mixed == pytest.approx(solo.user_time_us, rel=0.05)
 
     def test_mix_invariants_hold(self):
-        from repro.sim.mix import run_mix as rm
-
-        result = rm(
+        result = run_mix(
             [IMatMult.small(), Primes3.small()],
             MoveThresholdPolicy(threshold=4),
             n_processors=4,
@@ -98,35 +133,16 @@ class TestRunMix:
         """No address-space identifiers in the MMUs, so tasks must not
         collide on virtual page numbers — one task would otherwise
         translate straight into another task's frames."""
-        from repro.core.policies import MoveThresholdPolicy as MTP
-        from repro.sim.mix import run_mix as rm
-        from repro.machine.machine import Machine
-        from repro.machine.config import ace_config
-        from repro.core.numa_manager import NUMAManager
-        from repro.vm.address_space import AddressSpace
-        from repro.vm.fault import FaultHandler
-        from repro.vm.page_pool import PagePool
-        from repro.vm.pmap import ACEPmap
-        from repro.workloads.base import BuildContext
-
-        # Build two task spaces the way run_mix does and check ranges.
-        spaces = [
-            AddressSpace(name=f"t{i}", first_vpage=0x100 + i * 0x100000)
-            for i in range(2)
-        ]
-        config = ace_config(2)
-        for i, space in enumerate(spaces):
-            ctx = BuildContext(
-                space=space,
-                n_threads=2,
-                n_processors=2,
-                machine_config=config,
-            )
-            ParMult.small().build(ctx)
+        sim = build_simulation(
+            [ParMult.small(), ParMult.small()],
+            MoveThresholdPolicy(threshold=4),
+            n_processors=2,
+        )
         vpages = [
-            {vp for region in space.regions for vp in region.vpages()}
-            for space in spaces
+            {vp for region in ctx.space.regions for vp in region.vpages()}
+            for ctx in sim.contexts
         ]
+        assert vpages[0] and vpages[1]
         assert vpages[0].isdisjoint(vpages[1])
 
     def test_identical_twins_get_identical_times(self):

@@ -78,7 +78,7 @@ class TestAnalysisCommands:
                     "3",
                     "mix",
                     "--apps",
-                    "ParMult",
+                    "parmult",  # lookup is case-insensitive
                     "Primes1",
                 ]
             )

@@ -62,7 +62,7 @@ class TestFullPipeline:
 
     def test_every_application_final_state_is_consistent(self):
         for name, workload in small_workloads().items():
-            sim = build_simulation(workload, MoveThresholdPolicy(threshold=4), 4)
+            sim = build_simulation([workload], MoveThresholdPolicy(threshold=4), n_processors=4)
             sim.engine.run(sim.threads)
             sim.numa.check_all_invariants()
             # No frame leaks relative to live pages.
@@ -73,7 +73,7 @@ class TestFullPipeline:
         """Pragma'd, remote, and automatic regions in one address space."""
         policy = HomeNodePolicy(PragmaPolicy(MoveThresholdPolicy(threshold=4)))
         sim = build_simulation(
-            LopsidedSharing(dominant_share=0.8, pragma=Pragma.REMOTE),
+            [LopsidedSharing(dominant_share=0.8, pragma=Pragma.REMOTE)],
             policy,
             n_processors=4,
         )

@@ -21,13 +21,13 @@ from repro.workloads.primes import (
 
 
 def run_and_inspect(workload, n_processors=4):
-    sim = build_simulation(workload, MoveThresholdPolicy(threshold=4), n_processors)
+    sim = build_simulation([workload], MoveThresholdPolicy(threshold=4), n_processors=n_processors)
     sim.engine.run(sim.threads)
     return sim
 
 
 def states_of(sim, object_name):
-    region = sim.context.regions[object_name]
+    region = sim.contexts[0].regions[object_name]
     states = []
     for offset in range(region.n_pages):
         page = region.vm_object.resident_page(offset)
@@ -109,7 +109,7 @@ class TestIMatMult:
 
     def test_input_pages_replicated_on_all_readers(self):
         sim = run_and_inspect(IMatMult.small(), n_processors=3)
-        region = sim.context.regions["matrix.A"]
+        region = sim.contexts[0].regions["matrix.A"]
         page = region.vm_object.resident_page(0)
         entry = sim.numa.directory.get(page.page_id)
         assert len(entry.local_copies) == 3

@@ -36,7 +36,7 @@ class TestEveryWorkload:
         assert result.user_time_us > 0
 
     def test_invariants_hold_at_exit(self, workload):
-        sim = build_simulation(workload, MoveThresholdPolicy(threshold=4), 4)
+        sim = build_simulation([workload], MoveThresholdPolicy(threshold=4), n_processors=4)
         sim.engine.run(sim.threads)
         sim.numa.check_all_invariants()
 
@@ -49,10 +49,10 @@ class TestEveryWorkload:
 
     def test_build_is_pure_across_runs(self, workload):
         """Two consecutive builds must not share VM objects."""
-        sim1 = build_simulation(workload, MoveThresholdPolicy(threshold=4), 2)
-        sim2 = build_simulation(workload, MoveThresholdPolicy(threshold=4), 2)
-        ids1 = {r.vm_object.object_id for r in sim1.space.regions}
-        ids2 = {r.vm_object.object_id for r in sim2.space.regions}
+        sim1 = build_simulation([workload], MoveThresholdPolicy(threshold=4), n_processors=2)
+        sim2 = build_simulation([workload], MoveThresholdPolicy(threshold=4), n_processors=2)
+        ids1 = {r.vm_object.object_id for r in sim1.contexts[0].space.regions}
+        ids2 = {r.vm_object.object_id for r in sim2.contexts[0].space.regions}
         assert ids1.isdisjoint(ids2)
 
     def test_numa_between_local_and_global(self, workload):
