@@ -51,7 +51,6 @@ from repro.exp.cache import (
 )
 from repro.exp.grid import (
     DEFAULT_TOURNAMENT_POLICIES,
-    PlacementSpecs,
     PolicyChoice,
     policy_tournament,
     table3_grid,
@@ -211,27 +210,6 @@ class CacheDataset:
         return self._table
 
 
-def placement_triples(
-    apps: Optional[Sequence[str]] = None,
-    n_processors: int = 7,
-    threshold: int = 4,
-    quick: bool = False,
-) -> List[PlacementSpecs]:
-    """The report's required grid — identical to ``batch --grid table3``.
-
-    Sharing :func:`~repro.exp.grid.table3_grid` (including its
-    ``check_invariants=False`` default) is what guarantees the specs a
-    ``repro-numa batch`` run caches are the exact fingerprints a
-    ``repro-numa report --from-cache`` later looks up.
-    """
-    return table3_grid(
-        apps=apps,
-        n_processors=n_processors,
-        threshold=threshold,
-        quick=quick,
-    )
-
-
 def evaluation_from_dataset(
     dataset: CacheDataset,
     apps: Optional[Sequence[str]] = None,
@@ -239,9 +217,15 @@ def evaluation_from_dataset(
     threshold: int = 4,
     quick: bool = False,
 ) -> EvaluationJoin:
-    """Rebuild the Tables 3–4 evaluation from cached outcomes only."""
+    """Rebuild the Tables 3–4 evaluation from cached outcomes only.
+
+    The required grid is :func:`~repro.exp.grid.table3_grid` itself
+    (``check_invariants=False`` default included), so the specs a
+    ``repro-numa batch`` run caches are the exact fingerprints looked
+    up here.
+    """
     return join_evaluation(
-        placement_triples(
+        table3_grid(
             apps, n_processors=n_processors, threshold=threshold, quick=quick
         ),
         dataset.get,

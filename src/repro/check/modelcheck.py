@@ -56,8 +56,23 @@ protocol state space:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 if TYPE_CHECKING:
     from repro.machine.topology import SocketTopology
@@ -125,6 +140,9 @@ TLBConfig = Tuple[PageState, Optional[int], FrozenSet[int], FrozenSet[int]]
 #: A table cell identifier for coverage accounting.
 CellKey = Tuple[str, PlacementDecision, StateKey]
 
+#: The two placement decisions Tables 1-2 have rows for.
+_DECISIONS = (PlacementDecision.LOCAL, PlacementDecision.GLOBAL)
+
 
 @dataclass
 class ModelCheckReport:
@@ -145,18 +163,22 @@ class ModelCheckReport:
     n_ml_configs: int = 0
     n_cpus: int = 0
 
+    def _sections(self) -> Tuple[Tuple[str, str, List[str]], ...]:
+        """Every failure list: (record kind, report title, entries)."""
+        return (
+            ("mismatch", "table mismatches", self.mismatches),
+            ("totality", "totality failures", self.totality_failures),
+            ("semantic", "semantic failures", self.semantic_failures),
+            ("invariant", "invariant failures", self.invariant_failures),
+            ("unreached", "unreached table cells", self.unreached_cells),
+            ("tlb", "TLB coherence failures", self.tlb_failures),
+            ("multilevel", "multi-level failures", self.ml_failures),
+        )
+
     @property
     def ok(self) -> bool:
         """Whether every check passed."""
-        return not (
-            self.mismatches
-            or self.totality_failures
-            or self.semantic_failures
-            or self.invariant_failures
-            or self.unreached_cells
-            or self.tlb_failures
-            or self.ml_failures
-        )
+        return not any(entries for _, _, entries in self._sections())
 
     @property
     def exit_code(self) -> int:
@@ -179,16 +201,7 @@ class ModelCheckReport:
                 f"  reachable multi-level configurations "
                 f"(2 sockets x 2 cpus): {self.n_ml_configs}"
             )
-        sections = (
-            ("table mismatches", self.mismatches),
-            ("totality failures", self.totality_failures),
-            ("semantic failures", self.semantic_failures),
-            ("invariant failures", self.invariant_failures),
-            ("unreached table cells", self.unreached_cells),
-            ("TLB coherence failures", self.tlb_failures),
-            ("multi-level failures", self.ml_failures),
-        )
-        for title, entries in sections:
+        for _, title, entries in self._sections():
             if entries:
                 lines.append(f"  {title} ({len(entries)}):")
                 lines.extend(f"    - {entry}" for entry in entries)
@@ -200,15 +213,7 @@ class ModelCheckReport:
     def as_records(self) -> List[Dict[str, object]]:
         """Flat records for the JSONL exporters."""
         records: List[Dict[str, object]] = []
-        for kind, entries in (
-            ("mismatch", self.mismatches),
-            ("totality", self.totality_failures),
-            ("semantic", self.semantic_failures),
-            ("invariant", self.invariant_failures),
-            ("unreached", self.unreached_cells),
-            ("tlb", self.tlb_failures),
-            ("multilevel", self.ml_failures),
-        ):
+        for kind, _, entries in self._sections():
             for entry in entries:
                 records.append(
                     {"t": "modelcheck_failure", "kind": kind,
@@ -258,11 +263,7 @@ def _check_transcription(report: ModelCheckReport) -> None:
 
 def _check_totality(report: ModelCheckReport) -> None:
     """Layer 2a: lookup/classify_state are total over their domains."""
-    for kind, decision, key in product(
-        AccessKind,
-        (PlacementDecision.LOCAL, PlacementDecision.GLOBAL),
-        StateKey,
-    ):
+    for kind, decision, key in product(AccessKind, _DECISIONS, StateKey):
         name = _cell_name(kind, decision, key)
         try:
             lookup(kind, decision, key)
@@ -290,9 +291,7 @@ def _check_totality(report: ModelCheckReport) -> None:
                 f"{type(error).__name__} (must be total or ProtocolError)"
             )
     # First touch must be defined for every (kind, decision) pair too.
-    for kind, decision in product(
-        AccessKind, (PlacementDecision.LOCAL, PlacementDecision.GLOBAL)
-    ):
+    for kind, decision in product(AccessKind, _DECISIONS):
         try:
             first_touch_spec(kind, decision)
         except Exception as error:  # noqa: BLE001 - the check's point
@@ -304,11 +303,7 @@ def _check_totality(report: ModelCheckReport) -> None:
 
 def _check_cell_semantics(report: ModelCheckReport) -> None:
     """Layer 2b: structural rules every cell must obey."""
-    for kind, decision, key in product(
-        AccessKind,
-        (PlacementDecision.LOCAL, PlacementDecision.GLOBAL),
-        StateKey,
-    ):
+    for kind, decision, key in product(AccessKind, _DECISIONS, StateKey):
         try:
             spec = lookup(kind, decision, key)
         except KeyError:
@@ -360,10 +355,24 @@ def _check_cell_semantics(report: ModelCheckReport) -> None:
                  "GLOBAL_WRITABLE pages")
 
 
+#: Where every walk starts: a page nobody has touched (the four-field
+#: form carries a layer's extra, initially empty, CPU set).
+_START: Config = (PageState.UNTOUCHED, None, frozenset())
+_START4: TLBConfig = (PageState.UNTOUCHED, None, frozenset(), frozenset())
+
+#: What :func:`_apply_abstract` returns: the successor, the table cell
+#: the step exercised, and the cleanup it performed (whose invalidation
+#: edge layer 4 follows).
+Step = Tuple[Config, CellKey, Cleanup]
+
+#: Any layer's configuration, for the code every layer shares.
+C = TypeVar("C", bound=Tuple[Any, ...])
+
+
 def _apply_abstract(
     config: Config, cpu: int, kind: AccessKind,
     decision: PlacementDecision,
-) -> Tuple[Config, CellKey]:
+) -> Step:
     """One abstract protocol step (the model of Tables 1-2 + first touch)."""
     state, owner, copies = config
     if state is PageState.UNTOUCHED:
@@ -385,7 +394,7 @@ def _apply_abstract(
     if spec.copy_to_local:
         copies = copies | {cpu}
     new_owner = cpu if spec.new_state is PageState.LOCAL_WRITABLE else None
-    return (spec.new_state, new_owner, frozenset(copies)), cell
+    return (spec.new_state, new_owner, frozenset(copies)), cell, spec.cleanup
 
 
 def _config_invariant(config: Config) -> Optional[str]:
@@ -415,58 +424,114 @@ def _config_invariant(config: Config) -> Optional[str]:
     return None
 
 
-def _explore(report: ModelCheckReport, n_cpus: int) -> None:
-    """Layer 3: exhaustive reachability over abstract configurations."""
-    start: Config = (PageState.UNTOUCHED, None, frozenset())
-    seen: Set[Config] = {start}
-    frontier: List[Config] = [start]
-    exercised: Set[CellKey] = set()
+def _config_name(config: Tuple[Any, ...], fourth: str = "") -> str:
+    """Render a configuration; *fourth* names a layer's extra CPU set."""
+    state, owner, copies = config[:3]
+    extra = f", {fourth}={sorted(config[3])}" if fourth else ""
+    return f"({state.value}, owner={owner}, copies={sorted(copies)}{extra})"
+
+
+def _walk(
+    start: C,
+    edges: Callable[[C], Iterable[Tuple[str, Union[C, Exception]]]],
+    invariant: Callable[[C], Optional[str]],
+    fourth: str = "",
+) -> Tuple[Set[C], List[Tuple[C, C]], List[str]]:
+    """The one exhaustive frontier walk every layer shares.
+
+    ``edges(config)`` yields ``(label, successor)`` pairs — the
+    exception itself as the successor when the step raised.  A
+    successor that breaks *invariant* is reported and not expanded.
+    Returns the reached configurations, the legal ``(source,
+    successor)`` edges, and one message per illegal edge.
+    """
+    seen = {start}
+    frontier = [start]
+    legal: List[Tuple[C, C]] = []
+    failures: List[str] = []
     while frontier:
         config = frontier.pop()
-        for cpu, kind, decision in product(
-            range(n_cpus),
-            AccessKind,
-            (PlacementDecision.LOCAL, PlacementDecision.GLOBAL),
-        ):
-            try:
-                nxt, cell = _apply_abstract(config, cpu, kind, decision)
-            except (ProtocolError, KeyError) as error:
-                report.invariant_failures.append(
-                    f"step from {_config_name(config)} with cpu={cpu} "
-                    f"{kind.value}/{decision.value} raised "
-                    f"{type(error).__name__}: {error}"
+        for label, nxt in edges(config):
+            if isinstance(nxt, Exception):
+                failures.append(
+                    f"step from {_config_name(config, fourth)} with "
+                    f"{label} raised {type(nxt).__name__}: {nxt}"
                 )
                 continue
-            if cell[0] != "first-touch":
-                exercised.add(cell)
-            problem = _config_invariant(nxt)
+            problem = invariant(nxt)
             if problem is not None:
-                report.invariant_failures.append(
-                    f"{_config_name(config)} --cpu{cpu} "
-                    f"{kind.value}/{decision.value}--> "
-                    f"{_config_name(nxt)}: {problem}"
+                failures.append(
+                    f"{_config_name(config, fourth)} --{label}--> "
+                    f"{_config_name(nxt, fourth)}: {problem}"
                 )
                 continue
+            legal.append((config, nxt))
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
+    return seen, legal, failures
+
+
+def _steps(
+    config: Config, n_cpus: int
+) -> Iterator[Tuple[int, AccessKind, PlacementDecision,
+                    Union[Step, Exception]]]:
+    """Every access to one protocol configuration.
+
+    Yields ``(cpu, kind, decision, outcome)``: the :data:`Step`, or the
+    ProtocolError/KeyError taking it raised.
+    """
+    for cpu, kind, decision in product(range(n_cpus), AccessKind, _DECISIONS):
+        outcome: Union[Step, Exception]
+        try:
+            outcome = _apply_abstract(config, cpu, kind, decision)
+        except (ProtocolError, KeyError) as error:
+            outcome = error
+        yield cpu, kind, decision, outcome
+
+
+def _label(cpu: int, kind: AccessKind, move: str) -> str:
+    return f"cpu{cpu} {kind.value}/{move}"
+
+
+# -- layer 3: reachability over (state, owner, copies) ------------------------
+
+
+def _protocol_edges(
+    config: Config, n_cpus: int, exercised: Set[CellKey]
+) -> Iterator[Tuple[str, Union[Config, Exception]]]:
+    """Layer 3's edges: the plain Tables 1-2 steps, raises included.
+
+    Every table cell a step goes through lands in *exercised*.
+    """
+    for cpu, kind, decision, outcome in _steps(config, n_cpus):
+        label = _label(cpu, kind, decision.value)
+        if isinstance(outcome, Exception):
+            yield label, outcome
+            continue
+        nxt, cell, _ = outcome
+        if cell[0] != "first-touch":
+            exercised.add(cell)
+        yield label, nxt
+
+
+def _explore(report: ModelCheckReport, n_cpus: int) -> None:
+    """Layer 3: exhaustive reachability over abstract configurations."""
+    exercised: Set[CellKey] = set()
+    seen, _, failures = _walk(
+        _START,
+        lambda config: _protocol_edges(config, n_cpus, exercised),
+        _config_invariant,
+    )
     report.n_configs = len(seen)
+    report.invariant_failures.extend(failures)
     # Every table cell must be reachable — a cell no walk exercises is
     # a dead transition (or the reachable space shrank by mistake).
-    for kind, decision, key in product(
-        AccessKind,
-        (PlacementDecision.LOCAL, PlacementDecision.GLOBAL),
-        StateKey,
-    ):
+    for kind, decision, key in product(AccessKind, _DECISIONS, StateKey):
         if (kind.value, decision, key) not in exercised:
             report.unreached_cells.append(
                 _cell_name(kind, decision, key)
             )
-
-
-def _config_name(config: Config) -> str:
-    state, owner, copies = config
-    return f"({state.value}, owner={owner}, copies={sorted(copies)})"
 
 
 # -- layer 4: TLB coherence over the same abstract walk ----------------------
@@ -513,8 +578,10 @@ def _tlb_invariant(config: TLBConfig) -> Optional[str]:
     return None
 
 
-def _explore_tlb(report: ModelCheckReport, n_cpus: int) -> None:
-    """Layer 4: exhaustive reachability with per-CPU TLB cache state.
+def _tlb_edges(
+    config: TLBConfig, n_cpus: int
+) -> Iterator[Tuple[str, TLBConfig]]:
+    """Layer 4's edges: protocol steps plus per-CPU TLB cache state.
 
     Successor configurations per access: the protocol step with its
     cleanup's invalidation edge applied, then the requester either
@@ -524,71 +591,28 @@ def _explore_tlb(report: ModelCheckReport, n_cpus: int) -> None:
     fault-injection frame offlining) shoots down every cached entry
     while leaving the protocol configuration alone.
     """
-    start: TLBConfig = (
-        PageState.UNTOUCHED, None, frozenset(), frozenset()
-    )
-    seen: Set[TLBConfig] = {start}
-    frontier: List[TLBConfig] = [start]
-    fail = report.tlb_failures.append
-
-    def visit(nxt: TLBConfig, source: TLBConfig, label: str) -> None:
-        problem = _tlb_invariant(nxt)
-        if problem is not None:
-            fail(
-                f"{_tlb_config_name(source)} --{label}--> "
-                f"{_tlb_config_name(nxt)}: {problem}"
-            )
-            return
-        if nxt not in seen:
-            seen.add(nxt)
-            frontier.append(nxt)
-
-    while frontier:
-        config = frontier.pop()
-        state, owner, copies, cached = config
-        # Spontaneous invalidation: pmap_remove_all drops every mapping
-        # (and so every cached translation); protocol state is untouched.
-        if cached:
-            visit(
-                (state, owner, copies, frozenset()),
-                config,
-                "pmap_remove_all",
-            )
-        for cpu, kind, decision in product(
-            range(n_cpus),
-            AccessKind,
-            (PlacementDecision.LOCAL, PlacementDecision.GLOBAL),
-        ):
-            try:
-                (new_state, new_owner, new_copies), _ = _apply_abstract(
-                    (state, owner, copies), cpu, kind, decision
-                )
-                if state is PageState.UNTOUCHED:
-                    spec_cleanup = Cleanup.NONE
-                else:
-                    key = classify_state(state, owner, cpu)
-                    spec_cleanup = lookup(kind, decision, key).cleanup
-            except (ProtocolError, KeyError):
-                continue  # layer 3 reports unexpected raises
-            survivors = _tlb_after_cleanup(
-                spec_cleanup, cpu, owner, cached
-            )
-            label = f"cpu{cpu} {kind.value}/{decision.value}"
-            for filled in (survivors | {cpu}, survivors - {cpu}):
-                visit(
-                    (new_state, new_owner, new_copies, filled),
-                    config,
-                    label,
-                )
-    report.n_tlb_configs = len(seen)
-
-
-def _tlb_config_name(config: TLBConfig) -> str:
     state, owner, copies, cached = config
-    return (
-        f"({state.value}, owner={owner}, copies={sorted(copies)}, "
-        f"cached={sorted(cached)})"
+    if cached:
+        yield "pmap_remove_all", (state, owner, copies, frozenset())
+    for cpu, kind, decision, outcome in _steps(config[:3], n_cpus):
+        if isinstance(outcome, Exception):
+            continue  # layer 3 reports unexpected raises
+        nxt, _, cleanup = outcome
+        survivors = _tlb_after_cleanup(cleanup, cpu, owner, cached)
+        for filled in (survivors | {cpu}, survivors - {cpu}):
+            yield _label(cpu, kind, decision.value), (*nxt, filled)
+
+
+def _explore_tlb(report: ModelCheckReport, n_cpus: int) -> None:
+    """Layer 4: exhaustive reachability with per-CPU TLB cache state."""
+    seen, _, failures = _walk(
+        _START4,
+        lambda config: _tlb_edges(config, n_cpus),
+        _tlb_invariant,
+        "cached",
     )
+    report.n_tlb_configs = len(seen)
+    report.tlb_failures.extend(failures)
 
 
 # -- layer 5: multi-level (socket-tier) reachability --------------------------
@@ -644,8 +668,10 @@ def _ml_invariant(config: MLConfig) -> Optional[str]:
     return None
 
 
-def _explore_multilevel(report: ModelCheckReport) -> None:
-    """Layer 5: reachability with the same-socket remote-mapping move.
+def _ml_edges(
+    config: MLConfig,
+) -> Iterator[Tuple[str, Union[MLConfig, Exception]]]:
+    """Layer 5's edges: Tables 1-2 plus the same-socket remote mapping.
 
     On a multi-level machine the NUMA manager turns a LOCAL decision for
     a ``LOCAL_WRITABLE`` page whose owner shares the requester's socket
@@ -655,71 +681,42 @@ def _explore_multilevel(report: ModelCheckReport) -> None:
     while the owner's frame does (any cleanup that flushes the owner
     tears them down, mirroring ``ActionExecutor.flush``).
     """
-    start: MLConfig = (PageState.UNTOUCHED, None, frozenset(), frozenset())
-    seen: Set[MLConfig] = {start}
-    frontier: List[MLConfig] = [start]
-    fail = report.ml_failures.append
-    while frontier:
-        config = frontier.pop()
-        state, owner, copies, remote = config
-        for cpu, kind, decision in product(
-            range(_ML_N_CPUS),
-            AccessKind,
-            (PlacementDecision.LOCAL, PlacementDecision.GLOBAL),
-        ):
-            if (
-                state is PageState.LOCAL_WRITABLE
-                and decision is PlacementDecision.LOCAL
-                and owner is not None
-                and owner != cpu
-                and _ml_same_socket(owner, cpu)
-            ):
-                # The distance-aware override: map, do not migrate.
-                nxt: MLConfig = (state, owner, copies, remote | {cpu})
-                label = f"cpu{cpu} {kind.value}/remote-map"
-            else:
-                try:
-                    (new_state, new_owner, new_copies), _ = _apply_abstract(
-                        (state, owner, copies), cpu, kind, decision
-                    )
-                except (ProtocolError, KeyError) as error:
-                    fail(
-                        f"step from {_ml_config_name(config)} with "
-                        f"cpu={cpu} {kind.value}/{decision.value} raised "
-                        f"{type(error).__name__}: {error}"
-                    )
-                    continue
-                keeps_owner_frame = (
-                    state is PageState.LOCAL_WRITABLE
-                    and new_state is PageState.LOCAL_WRITABLE
-                    and new_owner == owner
-                )
-                nxt = (
-                    new_state,
-                    new_owner,
-                    new_copies,
-                    remote if keeps_owner_frame else frozenset(),
-                )
-                label = f"cpu{cpu} {kind.value}/{decision.value}"
-            problem = _ml_invariant(nxt)
-            if problem is not None:
-                fail(
-                    f"{_ml_config_name(config)} --{label}--> "
-                    f"{_ml_config_name(nxt)}: {problem}"
-                )
-                continue
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    report.n_ml_configs = len(seen)
-
-
-def _ml_config_name(config: MLConfig) -> str:
     state, owner, copies, remote = config
-    return (
-        f"({state.value}, owner={owner}, copies={sorted(copies)}, "
-        f"remote={sorted(remote)})"
+    for cpu, kind, decision, outcome in _steps(config[:3], _ML_N_CPUS):
+        label = _label(cpu, kind, decision.value)
+        if (
+            state is PageState.LOCAL_WRITABLE
+            and decision is PlacementDecision.LOCAL
+            and owner is not None
+            and owner != cpu
+            and _ml_same_socket(owner, cpu)
+        ):
+            # The distance-aware override: map, do not migrate.
+            yield (
+                _label(cpu, kind, "remote-map"),
+                (state, owner, copies, remote | {cpu}),
+            )
+        elif isinstance(outcome, Exception):
+            yield label, outcome
+        else:
+            nxt = outcome[0]
+            keeps_owner_frame = (
+                state is PageState.LOCAL_WRITABLE
+                and nxt[0] is PageState.LOCAL_WRITABLE
+                and nxt[1] == owner
+            )
+            yield label, (
+                *nxt, remote if keeps_owner_frame else frozenset()
+            )
+
+
+def _explore_multilevel(report: ModelCheckReport) -> None:
+    """Layer 5: reachability with the same-socket remote-mapping move."""
+    seen, _, failures = _walk(
+        _START4, _ml_edges, _ml_invariant, "remote"
     )
+    report.n_ml_configs = len(seen)
+    report.ml_failures.extend(failures)
 
 
 def run_model_check(
@@ -750,14 +747,11 @@ def run_model_check(
 
 
 # -- race realizability (the detector's interleaving cross-check) ------------
-
-#: Process-wide memo for :func:`legal_transition_pairs` /
-#: :func:`stale_tlb_reachable` — the state space is fixed per process,
-#: so each exploration runs at most once.
-_LEGAL_PAIRS: Dict[int, FrozenSet[Tuple[PageState, PageState]]] = {}
-_STALE_REACHABLE: Dict[int, bool] = {}
+#
+# The state space is fixed per process, so each exploration is memoized.
 
 
+@lru_cache(maxsize=None)
 def legal_transition_pairs(
     n_cpus: int = 3,
 ) -> FrozenSet[Tuple[PageState, PageState]]:
@@ -770,92 +764,31 @@ def legal_transition_pairs(
     transition the detector somehow missed — it is an out-of-protocol
     write.
     """
-    cached = _LEGAL_PAIRS.get(n_cpus)
-    if cached is not None:
-        return cached
-    start: Config = (PageState.UNTOUCHED, None, frozenset())
-    seen: Set[Config] = {start}
-    frontier: List[Config] = [start]
-    pairs: Set[Tuple[PageState, PageState]] = set()
-    while frontier:
-        config = frontier.pop()
-        for cpu, kind, decision in product(
-            range(n_cpus),
-            AccessKind,
-            (PlacementDecision.LOCAL, PlacementDecision.GLOBAL),
-        ):
-            try:
-                nxt, _ = _apply_abstract(config, cpu, kind, decision)
-            except (ProtocolError, KeyError):
-                continue
-            if _config_invariant(nxt) is not None:
-                continue
-            pairs.add((config[0], nxt[0]))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    result = frozenset(pairs)
-    _LEGAL_PAIRS[n_cpus] = result
-    return result
+    _, legal, _ = _walk(
+        _START,
+        lambda config: _protocol_edges(config, n_cpus, set()),
+        _config_invariant,
+    )
+    return frozenset((source[0], nxt[0]) for source, nxt in legal)
 
 
+@lru_cache(maxsize=None)
 def stale_tlb_reachable(n_cpus: int = 2) -> bool:
     """Whether dropping one shootdown edge can reach a stale-TLB config.
 
-    Re-walks the layer-4 space along *legal* edges, and at every step
-    additionally asks: if this step's invalidation edge were suppressed
-    (the MMU mutated but no shootdown followed — the exact fault the
-    fixtures plant), would the successor violate the TLB cache
-    invariant?  ``True`` means a single missed shootdown is enough to
-    corrupt coherence, i.e. a ``missed-shootdown`` report is realizable
-    in the protocol's own state space, not an artifact of the detector.
+    Walks the layer-4 space along *legal* edges, and for every one asks:
+    if this step's invalidation edge were suppressed (the MMU mutated —
+    protocol state advanced — but no TLB entry was shot down, the exact
+    fault the fixtures plant), would the successor violate the TLB
+    cache invariant?  ``True`` means a single missed shootdown is enough
+    to corrupt coherence, i.e. a ``missed-shootdown`` report is
+    realizable in the protocol's own state space, not an artifact of
+    the detector.
     """
-    cached_result = _STALE_REACHABLE.get(n_cpus)
-    if cached_result is not None:
-        return cached_result
-    start: TLBConfig = (
-        PageState.UNTOUCHED, None, frozenset(), frozenset()
+    _, legal, _ = _walk(
+        _START4, lambda config: _tlb_edges(config, n_cpus), _tlb_invariant
     )
-    seen: Set[TLBConfig] = {start}
-    frontier: List[TLBConfig] = [start]
-    reachable = False
-    while frontier:
-        config = frontier.pop()
-        state, owner, copies, cached = config
-        for cpu, kind, decision in product(
-            range(n_cpus),
-            AccessKind,
-            (PlacementDecision.LOCAL, PlacementDecision.GLOBAL),
-        ):
-            try:
-                (new_state, new_owner, new_copies), _ = _apply_abstract(
-                    (state, owner, copies), cpu, kind, decision
-                )
-                if state is PageState.UNTOUCHED:
-                    cleanup = Cleanup.NONE
-                else:
-                    key = classify_state(state, owner, cpu)
-                    cleanup = lookup(kind, decision, key).cleanup
-            except (ProtocolError, KeyError):
-                continue
-            survivors = _tlb_after_cleanup(cleanup, cpu, owner, cached)
-            if survivors != cached:
-                # The suppressed-edge successor: the cleanup's MMU work
-                # happened (protocol state advanced) but no TLB entry
-                # was shot down.
-                stale: TLBConfig = (
-                    new_state, new_owner, new_copies, cached
-                )
-                if _tlb_invariant(stale) is not None:
-                    reachable = True
-            for filled in (survivors | {cpu}, survivors - {cpu}):
-                nxt: TLBConfig = (
-                    new_state, new_owner, new_copies, filled
-                )
-                if _tlb_invariant(nxt) is not None:
-                    continue
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    _STALE_REACHABLE[n_cpus] = reachable
-    return reachable
+    return any(
+        _tlb_invariant((*nxt[:3], source[3])) is not None
+        for source, nxt in legal
+    )

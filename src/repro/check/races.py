@@ -56,7 +56,6 @@ import ast
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Deque,
     Dict,
     Iterator,
@@ -66,9 +65,6 @@ from typing import (
     Set,
     Tuple,
 )
-
-if TYPE_CHECKING:
-    from repro.machine.config import MachineConfig
 
 from repro.core.state import PageState
 from repro.errors import ProtocolViolation
@@ -404,18 +400,15 @@ class RaceDetector:
     byte-identical run to run.
     """
 
-    def __init__(
-        self,
-        raise_on_race: bool = True,
-        max_trail: int = 32,
-        max_reports: int = 64,
-        check_realizability: bool = True,
-    ) -> None:
+    #: Recent events kept for a report's trail.
+    MAX_TRAIL = 32
+    #: Reports kept (the ``reported`` counter keeps counting past it).
+    MAX_REPORTS = 64
+
+    def __init__(self, raise_on_race: bool = True) -> None:
         self._raise_on_race = raise_on_race
-        self._max_reports = max_reports
-        self._check_realizability = check_realizability
-        self._trail: Deque[Dict[str, object]] = deque(maxlen=max_trail)
-        #: Candidate races found so far (bounded by *max_reports*).
+        self._trail: Deque[Dict[str, object]] = deque(maxlen=self.MAX_TRAIL)
+        #: Candidate races found so far (bounded by ``MAX_REPORTS``).
         self.reports: List[RaceReport] = []
         # Vector clocks: per thread, per lock, per page funnel.
         self._clocks: Dict[str, VectorClock] = {}
@@ -460,8 +453,7 @@ class RaceDetector:
     ) -> None:
         self.reported += 1
         info: Dict[str, object] = dict(details or {})
-        if self._check_realizability:
-            info["realizable"] = self._realizable(kind, info)
+        info["realizable"] = self._realizable(kind, info)
         report = RaceReport(
             kind=kind,
             message=message,
@@ -471,7 +463,7 @@ class RaceDetector:
             events=tuple(dict(e) for e in self._trail),
             details=info,
         )
-        if len(self.reports) < self._max_reports:
+        if len(self.reports) < self.MAX_REPORTS:
             self.reports.append(report)
         if self._raise_on_race:
             raise report.to_violation()
@@ -940,17 +932,14 @@ def run_race_check(
     *machine* names a registry machine
     (:data:`~repro.machine.topology.MACHINE_REGISTRY`) for the dynamic
     runs, so the detector also observes the same-socket remote-mapping
-    and page-table-update paths of multi-level machines; ``None`` (and
-    ``"ace"``) keeps the classic flat machine, with ``n_processors``
-    honored as before.
+    and page-table-update paths of multi-level machines; ``None`` is
+    the flat ``"ace"``, the one machine that honours ``n_processors``.
     """
-    report = RaceCheckReport()
-    machine_config: Optional[MachineConfig] = None
-    if machine is not None and machine.lower() != "ace":
-        from repro.machine.topology import resolve_machine
+    from repro.machine.topology import resolve_machine
 
-        machine_config = resolve_machine(machine)
-        n_processors = machine_config.n_processors
+    report = RaceCheckReport()
+    machine_config = resolve_machine(machine or "ace", n_processors)
+    n_processors = machine_config.n_processors
     if static:
         report.static = lint_races()
         report.guard_model = infer_guards()

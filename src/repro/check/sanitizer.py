@@ -67,15 +67,13 @@ class ProtocolSanitizer:
     the end-of-run sweep always happens).
     """
 
-    def __init__(
-        self,
-        numa,
-        max_trail: int = 32,
-        full_sweep_interval: int = 64,
-    ) -> None:
+    #: Recent events kept for a violation's trail.
+    MAX_TRAIL = 32
+
+    def __init__(self, numa, full_sweep_interval: int = 64) -> None:
         self._numa = numa
         self._policy = numa.policy
-        self._trail: Deque[Dict[str, Any]] = deque(maxlen=max_trail)
+        self._trail: Deque[Dict[str, Any]] = deque(maxlen=self.MAX_TRAIL)
         self._move_counts: Dict[int, int] = {}
         self._pinned_seen: set = set()
         self._full_sweep_interval = full_sweep_interval

@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis import model as eqs
 from repro.analysis.diagrams import figure1, figure2, wiring_report
@@ -54,6 +55,7 @@ from repro.analysis.report import (
 from repro.core.state import AccessKind, PlacementDecision
 from repro.core.transitions import READ_TABLE, WRITE_TABLE, StateKey
 from repro.errors import ConfigurationError, ReproError
+from repro.exp.grid import GRIDS
 from repro.exp.spec import resolve_workload
 from repro.machine.config import TimingParameters, ace_config
 from repro.obs.exporters import JsonSink
@@ -116,25 +118,16 @@ def _sink_evaluation(args: argparse.Namespace, evaluation) -> None:
         )
 
 
-def cmd_table3(args: argparse.Namespace) -> None:
-    """Regenerate Table 3."""
-    evaluation = _evaluation_from_args(args)
-    _sink_evaluation(args, evaluation)
-    print(format_table3(evaluation))
+def _evaluation_command(formatter, doc: str):
+    """An evaluation-shaped command: run Tables 3–4, print one view."""
 
+    def run(args: argparse.Namespace) -> None:
+        evaluation = _evaluation_from_args(args)
+        _sink_evaluation(args, evaluation)
+        print(formatter(evaluation))
 
-def cmd_table4(args: argparse.Namespace) -> None:
-    """Regenerate Table 4."""
-    evaluation = _evaluation_from_args(args)
-    _sink_evaluation(args, evaluation)
-    print(format_table4(evaluation))
-
-
-def cmd_alpha(args: argparse.Namespace) -> None:
-    """Model-recovered versus directly measured α."""
-    evaluation = _evaluation_from_args(args)
-    _sink_evaluation(args, evaluation)
-    print(format_measured_alpha(evaluation))
+    run.__doc__ = doc
+    return run
 
 
 def cmd_metrics(args: argparse.Namespace) -> None:
@@ -233,36 +226,29 @@ def cmd_latency(args: argparse.Namespace) -> None:
 def cmd_sweep(args: argparse.Namespace) -> None:
     """Move-threshold ablation: γ and overhead versus the threshold."""
     from repro.exp.batch import run_batch
-    from repro.exp.grid import threshold_grid
 
-    thresholds = args.thresholds or [0, 1, 2, 4, 8, 16]
-    names = args.apps or ["Primes3", "IMatMult"]
-    sweeps = threshold_grid(
-        names,
-        thresholds,
-        n_processors=args.processors,
-        quick=args.quick,
-    )
-    batch = run_batch(
-        [spec for sweep in sweeps for spec in sweep.specs],
-        jobs=args.jobs,
-        cache=_cache_from(args),
-    )
+    specs = GRIDS["sweep"](args)
+    batch = run_batch(specs, jobs=args.jobs, cache=_cache_from(args))
     by_fp = {row.spec.fingerprint(): row.outcome for row in batch.rows}
-    for sweep in sweeps:
-        base_local = by_fp[sweep.tlocal.fingerprint()].result.user_time_s
+    tnuma = []
+    for spec in specs:
+        if spec.policy != "all-local":
+            tnuma.append(spec)
+            continue
+        # The Tlocal spec closes one application's sweep.
+        base_local = by_fp[spec.fingerprint()].result.user_time_s
         print(
-            f"{sweep.application}: threshold sweep "
+            f"{spec.workload}: threshold sweep "
             f"({args.processors} processors)"
         )
         print("  thresh   Tnuma    Snuma   moves   gamma")
-        for threshold, spec in sweep.tnuma.items():
-            numa = by_fp[spec.fingerprint()].result
+        for point in tnuma:
+            numa = by_fp[point.fingerprint()].result
             args.sink.add(
                 {
                     "t": "sweep_point",
-                    "application": sweep.application,
-                    "threshold": threshold,
+                    "application": spec.workload,
+                    "threshold": point.threshold,
                     "t_numa_s": numa.user_time_s,
                     "s_numa_s": numa.system_time_s,
                     "moves": numa.stats.moves,
@@ -270,11 +256,12 @@ def cmd_sweep(args: argparse.Namespace) -> None:
                 }
             )
             print(
-                f"  {threshold:>6d}  {numa.user_time_s:>6.2f}  "
+                f"  {point.threshold:>6d}  {numa.user_time_s:>6.2f}  "
                 f"{numa.system_time_s:>7.2f}  {numa.stats.moves:>6d}  "
                 f"{numa.user_time_s / base_local:>6.3f}"
             )
         print()
+        tnuma = []
 
 
 def cmd_false_sharing(args: argparse.Namespace) -> None:
@@ -457,20 +444,6 @@ def cmd_mix(args: argparse.Namespace) -> None:
         )
 
 
-def _resolve_cli_machine(args: argparse.Namespace):
-    """The ``--machine`` selection as a MachineConfig, or None for ace.
-
-    Unknown names raise :class:`~repro.errors.ConfigurationError`, which
-    :func:`main` maps to the usage exit code 2.
-    """
-    name = getattr(args, "machine", "ace") or "ace"
-    if name.lower() == "ace":
-        return None
-    from repro.machine.topology import resolve_machine
-
-    return resolve_machine(name)
-
-
 def cmd_topologies(args: argparse.Namespace) -> int:
     """List the named machines in the topology registry.
 
@@ -536,16 +509,16 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     protocol invariant.
     """
     from repro.faults import run_chaos
+    from repro.machine.topology import resolve_machine
 
     workload = resolve_workload(args.workload, quick=args.quick)
-    machine_config = _resolve_cli_machine(args)
     report = run_chaos(
         workload,
         profile_name=args.profile,
         seed=args.seed,
         n_processors=args.processors,
         sanitize=not args.no_sanitize,
-        machine_config=machine_config,
+        machine_config=resolve_machine(args.machine, args.processors),
     )
     args.sink.add({"t": "chaos_report", **report.as_dict()})
     print(report.to_json())
@@ -583,14 +556,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
     from repro.errors import SimulationError
     from repro.exp.batch import require_cache_ratio, resume_batch, run_batch
-    from repro.exp.grid import (
-        DEFAULT_TOURNAMENT_POLICIES,
-        flatten,
-        policy_tournament,
-        seed_fan,
-        table3_grid,
-        threshold_grid,
-    )
     from repro.exp.cache import DEFAULT_CACHE_DIR
     from repro.exp.journal import BatchJournal, journal_path_for
     from repro.exp.supervise import SupervisorPolicy
@@ -634,55 +599,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
             policy=policy,
         )
     else:
-        if args.grid == "table3":
-            specs = flatten(
-                table3_grid(
-                    apps=args.apps,
-                    n_processors=args.processors,
-                    threshold=args.threshold,
-                    quick=args.quick,
-                )
-            )
-        elif args.grid == "sweep":
-            specs = flatten(
-                threshold_grid(
-                    args.apps or ["Primes3", "IMatMult"],
-                    args.thresholds or [0, 1, 2, 4, 8, 16],
-                    n_processors=args.processors,
-                    quick=args.quick,
-                )
-            )
-        elif args.grid == "tournament":
-            if args.policies:
-                from repro.core.policies.registry import parse_policy_arg
-
-                entrants = []
-                for text in args.policies:
-                    name, params = parse_policy_arg(text)
-                    entrants.append((name, tuple(sorted(params.items()))))
-            else:
-                entrants = list(DEFAULT_TOURNAMENT_POLICIES)
-            specs = flatten(
-                policy_tournament(
-                    apps=args.apps or ["Gfetch", "ParMult"],
-                    policies=entrants,
-                    n_processors=args.processors,
-                    threshold=args.threshold,
-                    quick=args.quick,
-                )
-            )
-        else:  # chaos seed fan
-            specs = flatten(
-                seed_fan(
-                    name,
-                    args.profile,
-                    args.seeds or [0, 1, 2],
-                    n_processors=args.processors,
-                    threshold=args.threshold,
-                    quick=args.quick,
-                )
-                for name in (args.apps or ["ParMult"])
-            )
+        specs = GRIDS[args.grid](args)
         journal = None
         if cache is not None and not args.no_journal:
             journal = BatchJournal(journal_path_for(cache.root))
@@ -791,9 +708,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
 def cmd_modelcheck(args: argparse.Namespace) -> int:
     """Cross-check the live transition tables against the paper."""
     from repro.check import run_model_check
+    from repro.machine.topology import resolve_machine
 
-    machine_config = _resolve_cli_machine(args)
-    topology = machine_config.topology if machine_config is not None else None
+    topology = resolve_machine(args.machine).topology
     report = run_model_check(n_cpus=args.cpus, topology=topology)
     return _print_check_report(args, report)
 
@@ -821,7 +738,7 @@ def cmd_races(args: argparse.Namespace) -> int:
         profiles=tuple(args.profiles or ("none", "transient")),
         seed=args.seed,
         n_processors=args.processors,
-        machine=getattr(args, "machine", None),
+        machine=args.machine,
     )
     return _print_check_report(args, report)
 
@@ -843,29 +760,19 @@ def cmd_report(args: argparse.Namespace) -> int:
     """
     import pathlib
 
-    from repro.analysis.cachereport import (
-        CacheDataset,
-        missing_lines,
-        placement_triples,
-    )
+    from repro.analysis.cachereport import CacheDataset, missing_lines
     from repro.analysis.repro_report import (
         emit_tables,
         generate_cache_report,
     )
     from repro.exp.batch import run_batch
     from repro.exp.cache import DEFAULT_CACHE_DIR
-    from repro.exp.grid import flatten
 
     if args.cache_dir is None:
         args.cache_dir = DEFAULT_CACHE_DIR
-    required = flatten(
-        placement_triples(
-            args.apps,
-            n_processors=args.processors,
-            threshold=args.threshold,
-            quick=args.quick,
-        )
-    )
+    # The report's required grid *is* ``batch --grid table3``: the specs
+    # a batch caches are the exact fingerprints looked up here.
+    required = GRIDS["table3"](args)
     progress = lambda message: print(message, file=sys.stderr)  # noqa: E731
     executed = 0
     if args.missing:
@@ -1059,386 +966,431 @@ def cmd_all(args: argparse.Namespace) -> None:
     cmd_latency(args)
 
 
-def _add_global_options(parser: argparse.ArgumentParser, root: bool) -> None:
-    """Options accepted both before and after the subcommand.
+# -- the command table --------------------------------------------------------
 
-    The root parser carries the real defaults; the per-command copies
-    use ``SUPPRESS`` so they only override the namespace when actually
-    given on the command line.
-    """
-    parser.add_argument(
+
+@dataclass(frozen=True)
+class Arg:
+    """One ``add_argument`` call, as data."""
+
+    flags: Tuple[str, ...]
+    kwargs: Dict[str, object]
+
+    def with_help(self, text: str) -> "Arg":
+        """This argument under a command's own help sentence."""
+        return Arg(self.flags, {**self.kwargs, "help": text})
+
+
+def arg(*flags: str, **kwargs: object) -> Arg:
+    """Record ``add_argument(*flags, **kwargs)`` for the command table."""
+    return Arg(flags, kwargs)
+
+
+def flag(name: str, help: str) -> Arg:
+    """An on/off switch (``store_true``)."""
+    return arg(name, action="store_true", help=help)
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its handler (whose docstring is its help) and the
+    arguments it takes beyond :data:`GLOBAL_OPTIONS`, in display order."""
+
+    name: str
+    run: Callable[[argparse.Namespace], Optional[int]]
+    args: Tuple[Arg, ...] = ()
+
+
+#: Options accepted both before and after the subcommand.  The root
+#: parser carries these defaults; the per-command copies use
+#: ``SUPPRESS`` so they only override the namespace when actually given
+#: on the command line.
+GLOBAL_OPTIONS: Tuple[Arg, ...] = (
+    arg(
         "--processors",
         type=int,
-        default=7 if root else argparse.SUPPRESS,
+        default=7,
         help="simulated processors (paper's Table 4 used 7)",
-    )
-    parser.add_argument(
+    ),
+    arg(
         "--threshold",
         type=int,
-        default=4 if root else argparse.SUPPRESS,
+        default=4,
         help="move threshold (the paper's boot-time parameter, default 4)",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        default=False if root else argparse.SUPPRESS,
-        help="use scaled-down workloads",
-    )
-    parser.add_argument(
+    ),
+    flag("--quick", "use scaled-down workloads"),
+    arg(
         "--json",
         metavar="PATH",
-        default=None if root else argparse.SUPPRESS,
         help="also dump the command's data as JSON lines to PATH",
-    )
-    parser.add_argument(
+    ),
+    arg(
         "--machine",
         metavar="NAME",
-        default="ace" if root else argparse.SUPPRESS,
+        default="ace",
         help="named machine from the topology registry (see the "
              "`topologies` command; default ace, the paper's machine; "
              "consumed by chaos, modelcheck, and races)",
-    )
-    parser.add_argument(
+    ),
+    arg(
         "--jobs",
         type=int,
-        default=1 if root else argparse.SUPPRESS,
+        default=1,
         help="worker processes for batched sweeps "
              "(default 1: serial, in-process)",
-    )
-    parser.add_argument(
+    ),
+    arg(
         "--cache-dir",
         metavar="PATH",
-        default=None if root else argparse.SUPPRESS,
         help="serve/store sweep results in an on-disk cache at PATH "
              "(the batch command defaults to .repro-cache)",
-    )
+    ),
+)
 
+# Arguments more than one command takes, defined once.  Where the
+# commands word the help differently the shared record carries the
+# flag, type and default and each command adds its sentence.
+APPS = arg("--apps", nargs="*", help="applications to analyze")
+THRESHOLDS = arg(
+    "--thresholds",
+    nargs="*",
+    type=int,
+    help="move thresholds to sweep (default 0 1 2 4 8 16)",
+)
+WORKLOAD = arg("workload")
+PROFILE = arg("--profile", default="transient")
+SEED = arg("--seed", type=int, default=0)
+REQUIRE_CACHE_RATIO = arg(
+    "--require-cache-ratio", type=float, metavar="RATIO"
+)
+CHECK_FORMAT = arg(
+    "--format",
+    choices=("text", "json", "table"),
+    default="text",
+    help="stdout rendering: classic text (default), one JSON "
+         "object per record, or a markdown table",
+)
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro-numa",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    _add_global_options(parser, root=True)
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "table3": cmd_table3,
-        "table4": cmd_table4,
-        "tables12": cmd_tables12,
-        "figures": cmd_figures,
-        "latency": cmd_latency,
-        "alpha": cmd_alpha,
-        "sweep": cmd_sweep,
-        "false-sharing": cmd_false_sharing,
-        "optimal": cmd_optimal,
-        "advise": cmd_advise,
-        "bus": cmd_bus,
-        "speedup": cmd_speedup,
-        "metrics": cmd_metrics,
-        "chaos": cmd_chaos,
-        "topologies": cmd_topologies,
-        "policies": cmd_policies,
-        "mix": cmd_mix,
-        "batch": cmd_batch,
-        "cache": cmd_cache,
-        "lint": cmd_lint,
-        "modelcheck": cmd_modelcheck,
-        "races": cmd_races,
-        "report": cmd_report,
-        "all": cmd_all,
-    }
-    for name, func in commands.items():
-        sub = subparsers.add_parser(name, help=func.__doc__)
-        sub.set_defaults(func=func)
-        _add_global_options(sub, root=False)
-        if name in ("sweep", "advise", "speedup", "mix", "batch", "report"):
-            sub.add_argument(
-                "--apps",
-                nargs="*",
-                default=None,
-                help="applications to analyze",
-            )
-        if name in ("sweep", "batch"):
-            sub.add_argument(
-                "--thresholds",
-                nargs="*",
+#: Every subcommand, in ``--help`` order.  A new command is one entry.
+COMMANDS: Tuple[Command, ...] = (
+    Command(
+        "table3", _evaluation_command(format_table3, "Regenerate Table 3.")
+    ),
+    Command(
+        "table4", _evaluation_command(format_table4, "Regenerate Table 4.")
+    ),
+    Command("tables12", cmd_tables12),
+    Command("figures", cmd_figures),
+    Command("latency", cmd_latency),
+    Command(
+        "alpha",
+        _evaluation_command(
+            format_measured_alpha,
+            "Model-recovered versus directly measured α.",
+        ),
+    ),
+    Command("sweep", cmd_sweep, (APPS, THRESHOLDS)),
+    Command("false-sharing", cmd_false_sharing),
+    Command("optimal", cmd_optimal),
+    Command("advise", cmd_advise, (APPS,)),
+    Command("bus", cmd_bus),
+    Command("speedup", cmd_speedup, (APPS,)),
+    Command(
+        "metrics",
+        cmd_metrics,
+        (
+            WORKLOAD.with_help(
+                "application to instrument (case-insensitive)"
+            ),
+            arg(
+                "--sample-interval",
                 type=int,
-                default=None,
-                help="move thresholds to sweep (default 0 1 2 4 8 16)",
-            )
-        if name == "batch":
-            sub.add_argument(
+                default=32,
+                help="scheduling rounds per telemetry sample (default 32)",
+            ),
+        ),
+    ),
+    Command(
+        "chaos",
+        cmd_chaos,
+        (
+            WORKLOAD.with_help(
+                "application to run under faults (case-insensitive)"
+            ),
+            PROFILE.with_help(
+                "fault profile: none, transient, frame-loss, storm "
+                "(default transient)"
+            ),
+            SEED.with_help(
+                "fault-plan RNG seed (default 0); same seed and "
+                "profile give byte-identical summaries"
+            ),
+            flag(
+                "--no-sanitize",
+                "skip the protocol sanitizer (overhead measurement)",
+            ),
+        ),
+    ),
+    Command("topologies", cmd_topologies),
+    Command(
+        "policies",
+        cmd_policies,
+        (
+            arg(
+                "--format",
+                choices=("table", "json"),
+                default="table",
+                help="stdout rendering: markdown table (default) or one "
+                     "JSON object per policy",
+            ),
+        ),
+    ),
+    Command("mix", cmd_mix, (APPS,)),
+    Command(
+        "batch",
+        cmd_batch,
+        (
+            APPS,
+            THRESHOLDS,
+            arg(
                 "--grid",
-                choices=("table3", "sweep", "chaos", "tournament"),
+                choices=tuple(GRIDS),
                 default="table3",
                 help="spec grid to run: the Tables 3-4 matrix (default), "
                      "the move-threshold ablation, a chaos seed fan, or "
                      "a policy tournament",
-            )
-            sub.add_argument(
+            ),
+            arg(
                 "--policies",
                 nargs="*",
-                default=None,
                 metavar="NAME[:K=V,...]",
                 help="tournament entrants, e.g. move-threshold "
                      "adaptive-threshold 'bandit:seed=7' (default: "
                      "move-threshold, adaptive-threshold, "
                      "bandwidth-aware, bandit; see 'repro-numa policies')",
-            )
-            sub.add_argument(
-                "--profile",
-                default="transient",
-                help="fault profile for --grid chaos (default transient)",
-            )
-            sub.add_argument(
+            ),
+            PROFILE.with_help(
+                "fault profile for --grid chaos (default transient)"
+            ),
+            arg(
                 "--seeds",
                 nargs="*",
                 type=int,
-                default=None,
                 help="fault-plan seeds for --grid chaos (default 0 1 2)",
-            )
-            sub.add_argument(
-                "--no-cache",
-                action="store_true",
-                help="run without the on-disk result cache",
-            )
-            sub.add_argument(
-                "--require-cache-ratio",
-                type=float,
-                default=None,
-                metavar="RATIO",
-                help="exit 1 unless at least RATIO of the unique specs "
-                     "came from the cache (CI resumability assertion)",
-            )
-            sub.add_argument(
+            ),
+            flag("--no-cache", "run without the on-disk result cache"),
+            REQUIRE_CACHE_RATIO.with_help(
+                "exit 1 unless at least RATIO of the unique specs "
+                "came from the cache (CI resumability assertion)"
+            ),
+            flag(
                 "--resume",
-                action="store_true",
-                help="rebuild and re-run the last batch from the crash "
-                     "journal beside the cache directory (finished work "
-                     "is served from the cache)",
-            )
-            sub.add_argument(
+                "rebuild and re-run the last batch from the crash "
+                "journal beside the cache directory (finished work "
+                "is served from the cache)",
+            ),
+            arg(
                 "--results",
-                default=None,
                 metavar="PATH",
                 help="write the canonical results document (host-time "
                      "free; byte-identical across crash/resume) to PATH",
-            )
-            sub.add_argument(
+            ),
+            arg(
                 "--max-attempts",
                 type=int,
                 default=3,
                 metavar="N",
                 help="supervised attempts per spec before quarantine "
                      "(default 3; 1 disables retry)",
-            )
-            sub.add_argument(
+            ),
+            arg(
                 "--timeout",
                 type=float,
-                default=None,
                 metavar="SECONDS",
                 help="per-spec wall-clock timeout; an overdue worker is "
                      "recycled and the spec retried (default: none)",
-            )
-            sub.add_argument(
+            ),
+            flag(
                 "--strict",
-                action="store_true",
-                help="fail fast: one attempt per spec, first "
-                     "failure aborts the batch (exit 2)",
-            )
-            sub.add_argument(
+                "fail fast: one attempt per spec, first "
+                "failure aborts the batch (exit 2)",
+            ),
+            flag(
                 "--no-journal",
-                action="store_true",
-                help="skip the crash journal (the batch cannot be "
-                     "--resume'd after a hard kill)",
-            )
-            sub.add_argument(
+                "skip the crash journal (the batch cannot be "
+                "--resume'd after a hard kill)",
+            ),
+            arg(
                 "--harness-chaos",
-                default=None,
                 metavar="PROFILE",
                 help="run under seeded orchestrator faults: none, "
                      "worker-kill, worker-hang, cache-corrupt, mayhem "
                      "(resilience testing)",
-            )
-            sub.add_argument(
+            ),
+            arg(
                 "--harness-seed",
                 type=int,
                 default=0,
                 metavar="N",
                 help="seed for harness chaos and retry-backoff jitter "
                      "(default 0)",
-            )
-        if name == "report":
-            sub.add_argument(
-                "--from-cache",
-                action="store_true",
-                help="render purely from the result cache: nothing "
-                     "simulates, missing specs are footnoted",
-            )
-            sub.add_argument(
-                "--fill",
-                action="store_true",
-                help="with --from-cache: simulate just the missing "
-                     "required specs first, then render",
-            )
-            sub.add_argument(
-                "--missing",
-                action="store_true",
-                help="list required specs absent from the cache "
-                     "(fingerprint + label) instead of writing the report",
-            )
-            sub.add_argument(
-                "--out",
-                default="REPORT.md",
-                metavar="PATH",
-                help="report output path (default REPORT.md)",
-            )
-            sub.add_argument(
-                "--tables",
-                default=None,
-                metavar="DIR",
-                help="also emit table3/table4 as CSV and LaTeX into DIR",
-            )
-            sub.add_argument(
-                "--require-cache-ratio",
-                type=float,
-                default=None,
-                metavar="RATIO",
-                help="exit 1 unless at least RATIO of the required specs "
-                     "were served from the cache (CI assertion)",
-            )
-        if name == "cache":
-            sub.add_argument(
+            ),
+        ),
+    ),
+    Command(
+        "cache",
+        cmd_cache,
+        (
+            arg(
                 "action",
                 choices=("ls", "stats", "gc"),
                 help="list entries, aggregate statistics, or prune "
                      "unusable files",
-            )
-            sub.add_argument(
+            ),
+            flag(
                 "--schema-mismatch",
-                action="store_true",
-                help="gc: remove entries written under an older cache "
-                     "schema",
-            )
-            sub.add_argument(
+                "gc: remove entries written under an older cache "
+                "schema",
+            ),
+            flag(
                 "--corrupt",
-                action="store_true",
-                help="gc: remove unparseable entries, fingerprint "
-                     "mismatches, and leftover temp files",
-            )
-            sub.add_argument(
+                "gc: remove unparseable entries, fingerprint "
+                "mismatches, and leftover temp files",
+            ),
+            flag(
                 "--foreign",
-                action="store_true",
-                help="gc: remove files that are not cache entries at all",
-            )
-            sub.add_argument(
+                "gc: remove files that are not cache entries at all",
+            ),
+            flag(
                 "--tmp",
-                action="store_true",
-                help="gc: remove stale .tmp-* files left by crashed "
-                     "atomic writes",
-            )
-            sub.add_argument(
+                "gc: remove stale .tmp-* files left by crashed "
+                "atomic writes",
+            ),
+            arg(
                 "--tmp-min-age",
                 type=float,
                 default=60.0,
                 metavar="SECONDS",
                 help="gc --tmp: keep temp files younger than this (a "
                      "live batch may still be writing them; default 60)",
-            )
-        if name == "metrics":
-            sub.add_argument(
-                "workload",
-                help="application to instrument (case-insensitive)",
-            )
-            sub.add_argument(
-                "--sample-interval",
-                type=int,
-                default=32,
-                help="scheduling rounds per telemetry sample (default 32)",
-            )
-        if name == "chaos":
-            sub.add_argument(
-                "workload",
-                help="application to run under faults (case-insensitive)",
-            )
-            sub.add_argument(
-                "--profile",
-                default="transient",
-                help="fault profile: none, transient, frame-loss, storm "
-                     "(default transient)",
-            )
-            sub.add_argument(
-                "--seed",
-                type=int,
-                default=0,
-                help="fault-plan RNG seed (default 0); same seed and "
-                     "profile give byte-identical summaries",
-            )
-            sub.add_argument(
-                "--no-sanitize",
-                action="store_true",
-                help="skip the protocol sanitizer (overhead measurement)",
-            )
-        if name == "lint":
-            sub.add_argument(
+            ),
+        ),
+    ),
+    Command(
+        "lint",
+        cmd_lint,
+        (
+            arg(
                 "paths",
                 nargs="*",
                 help="files or directories to lint "
                      "(default: the installed repro package)",
-            )
-        if name == "modelcheck":
-            sub.add_argument(
+            ),
+            CHECK_FORMAT,
+        ),
+    ),
+    Command(
+        "modelcheck",
+        cmd_modelcheck,
+        (
+            arg(
                 "--cpus",
                 type=int,
                 default=3,
                 help="abstract processors for reachability (default 3, "
                      "the smallest count with all owner relations)",
-            )
-        if name in ("lint", "modelcheck", "races"):
-            sub.add_argument(
-                "--format",
-                choices=("text", "json", "table"),
-                default="text",
-                help="stdout rendering: classic text (default), one JSON "
-                     "object per record, or a markdown table",
-            )
-        if name == "policies":
-            sub.add_argument(
-                "--format",
-                choices=("table", "json"),
-                default="table",
-                help="stdout rendering: markdown table (default) or one "
-                     "JSON object per policy",
-            )
-        if name == "races":
-            sub.add_argument(
+            ),
+            CHECK_FORMAT,
+        ),
+    ),
+    Command(
+        "races",
+        cmd_races,
+        (
+            CHECK_FORMAT,
+            flag(
                 "--static",
-                action="store_true",
-                help="static layer only: RN008-RN011 lint + guard "
-                     "inference, no simulation (fast CI mode)",
-            )
-            sub.add_argument(
+                "static layer only: RN008-RN011 lint + guard "
+                "inference, no simulation (fast CI mode)",
+            ),
+            arg(
                 "--profiles",
                 nargs="*",
-                default=None,
                 help="fault profiles for the dynamic layer "
                      "(default: none transient)",
-            )
-            sub.add_argument(
-                "--seed",
-                type=int,
-                default=0,
-                help="fault-plan RNG seed for the dynamic layer "
-                     "(default 0; same seed gives identical output)",
-            )
-            sub.add_argument(
+            ),
+            SEED.with_help(
+                "fault-plan RNG seed for the dynamic layer "
+                "(default 0; same seed gives identical output)"
+            ),
+            flag(
                 "--skip-fixtures",
-                action="store_true",
-                help="skip the seeded synthetic-race fixtures "
-                     "(they otherwise run with the dynamic layer)",
+                "skip the seeded synthetic-race fixtures "
+                "(they otherwise run with the dynamic layer)",
+            ),
+        ),
+    ),
+    Command(
+        "report",
+        cmd_report,
+        (
+            APPS,
+            flag(
+                "--from-cache",
+                "render purely from the result cache: nothing "
+                "simulates, missing specs are footnoted",
+            ),
+            flag(
+                "--fill",
+                "with --from-cache: simulate just the missing "
+                "required specs first, then render",
+            ),
+            flag(
+                "--missing",
+                "list required specs absent from the cache "
+                "(fingerprint + label) instead of writing the report",
+            ),
+            arg(
+                "--out",
+                default="REPORT.md",
+                metavar="PATH",
+                help="report output path (default REPORT.md)",
+            ),
+            arg(
+                "--tables",
+                metavar="DIR",
+                help="also emit table3/table4 as CSV and LaTeX into DIR",
+            ),
+            REQUIRE_CACHE_RATIO.with_help(
+                "exit 1 unless at least RATIO of the required specs "
+                "were served from the cache (CI assertion)"
+            ),
+        ),
+    ),
+    Command("all", cmd_all),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI argument parser: one loop over :data:`COMMANDS`."""
+    parser = argparse.ArgumentParser(
+        prog="repro-numa",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    for option in GLOBAL_OPTIONS:
+        parser.add_argument(*option.flags, **option.kwargs)
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for command in COMMANDS:
+        sub = subparsers.add_parser(command.name, help=command.run.__doc__)
+        sub.set_defaults(func=command.run)
+        for option in GLOBAL_OPTIONS:
+            sub.add_argument(
+                *option.flags,
+                **{**option.kwargs, "default": argparse.SUPPRESS},
             )
+        for argument in command.args:
+            sub.add_argument(*argument.flags, **argument.kwargs)
     return parser
 
 

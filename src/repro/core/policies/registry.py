@@ -53,6 +53,7 @@ from repro.core.policies.reconsider import (
 )
 from repro.core.policy import NUMAPolicy
 from repro.errors import ConfigurationError
+from repro.registry import Registry
 
 
 @dataclass(frozen=True)
@@ -101,10 +102,6 @@ class PolicyEntry:
     def schema_by_name(self) -> Dict[str, ParamSpec]:
         """The schema as an insertion-ordered name → spec mapping."""
         return {spec.name: spec for spec in self.param_schema}
-
-    def default_params(self) -> Dict[str, object]:
-        """Every parameter at its default."""
-        return {spec.name: spec.default for spec in self.param_schema}
 
     def validate_params(
         self, params: Mapping[str, object]
@@ -159,7 +156,7 @@ def _threshold_param() -> ParamSpec:
 
 #: Every policy the experiment layer can resolve by name.  Insertion
 #: order is display order for ``repro-numa policies``.
-POLICY_ENTRIES: Dict[str, PolicyEntry] = {
+POLICY_ENTRIES: Registry[PolicyEntry] = Registry("policy", {
     entry.name: entry
     for entry in (
         PolicyEntry(
@@ -309,18 +306,7 @@ POLICY_ENTRIES: Dict[str, PolicyEntry] = {
             "per page class from α/elapsed rewards",
         ),
     )
-}
-
-
-def get_entry(name: str) -> PolicyEntry:
-    """The registry entry for *name*, or :class:`ConfigurationError`."""
-    entry = POLICY_ENTRIES.get(name)
-    if entry is None:
-        raise ConfigurationError(
-            f"unknown policy {name!r}; "
-            f"choose from {', '.join(sorted(POLICY_ENTRIES))}"
-        )
-    return entry
+})
 
 
 def build_policy(
@@ -329,7 +315,9 @@ def build_policy(
     params: Mapping[str, object] = (),
 ) -> NUMAPolicy:
     """Construct a policy by registry name with validated parameters."""
-    return get_entry(name).build(threshold=threshold, params=params)
+    return POLICY_ENTRIES.resolve(name).build(
+        threshold=threshold, params=params
+    )
 
 
 def policy_registry_rows() -> List[Dict[str, object]]:
@@ -366,13 +354,14 @@ def _coerce_literal(text: str) -> object:
 def parse_policy_arg(text: str) -> Tuple[str, Dict[str, object]]:
     """Parse a CLI policy argument: ``name`` or ``name:k=v,k2=v2``.
 
-    The name must exist in the registry and the parameters must
-    validate against its schema — errors surface here, before any
-    simulation is queued.
+    The name must exist in the registry (it comes back in the
+    registry's spelling, so ``Bandit:seed=7`` and ``bandit:seed=7`` are
+    one spec) and the parameters must validate against its schema —
+    errors surface here, before any simulation is queued.
     """
     name, _, rest = text.partition(":")
-    name = name.strip()
-    entry = get_entry(name)
+    name = POLICY_ENTRIES.canonical(name)
+    entry = POLICY_ENTRIES[name]
     params: Dict[str, object] = {}
     if rest.strip():
         for piece in rest.split(","):

@@ -38,7 +38,7 @@ from repro.exp.cache import (
 )
 from repro.exp.grid import (
     DEFAULT_TOURNAMENT_POLICIES,
-    Matrix,
+    GRIDS,
     PlacementSpecs,
     PolicyTournament,
     ThresholdSweep,
@@ -46,7 +46,6 @@ from repro.exp.grid import (
     placement_specs,
     policy_label,
     policy_tournament,
-    registry_names,
     seed_fan,
     table3_grid,
     threshold_grid,
@@ -62,7 +61,6 @@ from repro.exp.supervise import (
     SupervisedRunner,
     SupervisorPolicy,
     SuperviseStats,
-    default_jobs,
 )
 from repro.exp.spec import (
     SPEC_SCHEMA,
@@ -96,7 +94,7 @@ __all__ = [
     "ResultCache",
     "SkippedFile",
     "DEFAULT_TOURNAMENT_POLICIES",
-    "Matrix",
+    "GRIDS",
     "PlacementSpecs",
     "PolicyTournament",
     "ThresholdSweep",
@@ -104,11 +102,9 @@ __all__ = [
     "placement_specs",
     "policy_label",
     "policy_tournament",
-    "registry_names",
     "seed_fan",
     "table3_grid",
     "threshold_grid",
-    "default_jobs",
     "SPEC_SCHEMA",
     "Outcome",
     "RunSpec",

@@ -15,36 +15,23 @@ orchestrator deduplicates whatever overlap remains by fingerprint.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
+from repro.core.policies.registry import parse_policy_arg
 from repro.exp.spec import Pairs, RunSpec
+from repro.registry import Registry
 from repro.workloads import TABLE_3_WORKLOADS
 
 
-def registry_names(apps: Optional[Iterable[str]] = None) -> List[str]:
-    """Canonical registry spellings for *apps* (default: all of Table 3).
-
-    Lookup is case-insensitive; unknown names raise through
-    :func:`~repro.exp.spec.resolve_workload` with the full menu.
-    """
-    if apps is None:
-        return list(TABLE_3_WORKLOADS)
-    canonical = []
-    for name in apps:
-        match = next(
-            (known for known in TABLE_3_WORKLOADS
-             if known.lower() == name.lower()),
-            None,
-        )
-        if match is None:
-            # Delegate for the standard error message.
-            from repro.exp.spec import resolve_workload
-
-            resolve_workload(name)
-        canonical.append(match)
-    return canonical
+def _canonical(apps: Optional[Iterable[str]]) -> Iterator[str]:
+    """Registry spellings for *apps* (default: all of Table 3)."""
+    return map(
+        TABLE_3_WORKLOADS.canonical,
+        TABLE_3_WORKLOADS if apps is None else apps,
+    )
 
 
 @dataclass(frozen=True)
@@ -121,7 +108,7 @@ def table3_grid(
             quick=quick,
             check_invariants=check_invariants,
         )
-        for name in registry_names(apps)
+        for name in _canonical(apps)
     ]
 
 
@@ -188,7 +175,7 @@ def policy_tournament(
     parameterized tournaments are usually single-application.
     """
     tournaments = []
-    for name in registry_names(apps):
+    for name in _canonical(apps):
         triple = placement_specs(
             name,
             n_processors=n_processors,
@@ -246,7 +233,7 @@ def threshold_grid(
 ) -> List[ThresholdSweep]:
     """The Section 3.2 ablation: Tnuma per threshold, one Tlocal per app."""
     sweeps = []
-    for name in registry_names(apps):
+    for name in _canonical(apps):
         per_threshold = {}
         tlocal = None
         for threshold in thresholds:
@@ -273,7 +260,7 @@ def seed_fan(
     threshold: int = 4,
     quick: bool = False,
 ) -> List[RunSpec]:
-    """A chaos seed fan: one spec per RNG seed, same fault profile."""
+    """A chaos seed fan: one spec per distinct seed, same fault profile."""
     return [
         RunSpec(
             workload=application,
@@ -284,76 +271,85 @@ def seed_fan(
             fault_profile=profile,
             fault_seed=seed,
         )
-        for seed in registry_seeds(seeds)
+        for seed in dict.fromkeys(seeds)
     ]
 
 
-def registry_seeds(seeds: Sequence[int]) -> List[int]:
-    """Normalize a seed list (deduplicated, order-preserving)."""
-    seen = set()
-    ordered = []
-    for seed in seeds:
-        if seed not in seen:
-            seen.add(seed)
-            ordered.append(int(seed))
-    return ordered
-
-
-class Matrix:
-    """A cartesian spec expander for ad-hoc sweeps.
-
-    Axes are :class:`~repro.exp.spec.RunSpec` field names mapped to the
-    values to sweep; :meth:`expand` yields one spec per point of the
-    cross product, in deterministic (row-major, insertion-ordered)
-    order::
-
-        Matrix(workload=["ParMult", "FFT"], threshold=[0, 4, 16],
-               quick=True).expand()
-        # 6 specs
-
-    Scalar keyword arguments are held fixed across the whole grid.
-    """
-
-    def __init__(self, **axes: object) -> None:
-        self._axes: Dict[str, List[object]] = {}
-        self._fixed: Dict[str, object] = {}
-        for name, value in axes.items():
-            if isinstance(value, (list, tuple, range)):
-                self._axes[name] = list(value)
-            else:
-                self._fixed[name] = value
-
-    def expand(self) -> List[RunSpec]:
-        """All points of the grid, as specs."""
-        if not self._axes:
-            return [RunSpec(**self._fixed)]
-        names = list(self._axes)
-        specs = []
-        for point in itertools.product(*(self._axes[n] for n in names)):
-            params: Dict[str, object] = dict(self._fixed)
-            params.update(zip(names, point))
-            specs.append(RunSpec(**params))
-        return specs
-
-    def __len__(self) -> int:
-        total = 1
-        for values in self._axes.values():
-            total *= len(values)
-        return total
-
-
 def flatten(groups: Iterable[object]) -> List[RunSpec]:
-    """Flatten grid helper outputs (PlacementSpecs/ThresholdSweep/specs)."""
+    """Flatten grid helper outputs: specs, ``.specs`` groups, iterables."""
     flat: List[RunSpec] = []
     for group in groups:
         if isinstance(group, RunSpec):
             flat.append(group)
-        elif isinstance(group, PlacementSpecs):
-            flat.extend(group.specs)
-        elif isinstance(group, ThresholdSweep):
-            flat.extend(group.specs)
-        elif isinstance(group, PolicyTournament):
-            flat.extend(group.specs)
         else:
-            flat.extend(group)  # an iterable of specs
+            flat.extend(getattr(group, "specs", group))
     return flat
+
+
+# -- the batch grids ----------------------------------------------------------
+#
+# One entry per ``batch --grid`` choice: a function from the parsed
+# command line to the flat spec list, owning its own defaults.
+
+
+def _table3_specs(args: Any) -> List[RunSpec]:
+    return flatten(
+        table3_grid(
+            apps=args.apps,
+            n_processors=args.processors,
+            threshold=args.threshold,
+            quick=args.quick,
+        )
+    )
+
+
+def _sweep_specs(args: Any) -> List[RunSpec]:
+    return flatten(
+        threshold_grid(
+            args.apps or ["Primes3", "IMatMult"],
+            args.thresholds or [0, 1, 2, 4, 8, 16],
+            n_processors=args.processors,
+            quick=args.quick,
+        )
+    )
+
+
+def _chaos_specs(args: Any) -> List[RunSpec]:
+    return flatten(
+        seed_fan(
+            name,
+            args.profile,
+            args.seeds or [0, 1, 2],
+            n_processors=args.processors,
+            threshold=args.threshold,
+            quick=args.quick,
+        )
+        for name in (args.apps or ["ParMult"])
+    )
+
+
+def _tournament_specs(args: Any) -> List[RunSpec]:
+    entrants: Sequence[PolicyChoice] = DEFAULT_TOURNAMENT_POLICIES
+    if args.policies:
+        entrants = [
+            (name, tuple(sorted(params.items())))
+            for name, params in map(parse_policy_arg, args.policies)
+        ]
+    return flatten(
+        policy_tournament(
+            apps=args.apps or ["Gfetch", "ParMult"],
+            policies=entrants,
+            n_processors=args.processors,
+            threshold=args.threshold,
+            quick=args.quick,
+        )
+    )
+
+
+#: The spec grids ``repro-numa batch --grid`` can run, in menu order.
+GRIDS: Registry[Callable[[Any], List[RunSpec]]] = Registry("grid", {
+    "table3": _table3_specs,
+    "sweep": _sweep_specs,
+    "chaos": _chaos_specs,
+    "tournament": _tournament_specs,
+})

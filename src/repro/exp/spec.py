@@ -33,7 +33,8 @@ from repro.core.policies import DEFAULT_MOVE_THRESHOLD
 from repro.core.policies.registry import build_policy
 from repro.core.policy import NUMAPolicy
 from repro.errors import ConfigurationError
-from repro.machine.config import MachineConfig, ace_config
+from repro.machine.config import MachineConfig
+from repro.machine.topology import resolve_machine
 from repro.sim import harness
 from repro.sim.result import RunResult
 from repro.workloads import TABLE_3_WORKLOADS
@@ -64,19 +65,9 @@ def resolve_workload(
 
     ``params`` (constructor keyword arguments) take precedence; with no
     params, ``quick`` selects the scaled-down ``.small()`` instance,
-    matching the CLI's ``--quick`` behaviour.  Lookup is
-    case-insensitive, like the CLI's.
+    matching the CLI's ``--quick`` behaviour.
     """
-    cls = None
-    for known, factory in TABLE_3_WORKLOADS.items():
-        if known.lower() == name.lower():
-            cls = factory
-            break
-    if cls is None:
-        raise ConfigurationError(
-            f"unknown workload {name!r}; "
-            f"choose from {', '.join(TABLE_3_WORKLOADS)}"
-        )
+    cls = TABLE_3_WORKLOADS.resolve(name)
     if params:
         return cls(**dict(params))
     if quick:
@@ -245,25 +236,19 @@ class RunSpec:
         """Instantiate the spec's policy from the registry."""
         return resolve_policy(self.policy, self.threshold, self.policy_params)
 
-    def resolve_machine_config(self) -> Optional[MachineConfig]:
-        """The spec's machine, or None for the harness default ACE.
+    def resolve_machine_config(self) -> MachineConfig:
+        """The spec's machine, from the topology registry.
 
-        A non-``ace`` :attr:`machine_name` resolves through the topology
-        registry (which pins its own processor count); ``machine`` pair
-        overrides and a non-default :attr:`page_tables` apply on top via
-        :meth:`MachineConfig.scaled` either way.
+        ``ace`` takes the spec's processor count (topology-bearing
+        machines pin their own); ``machine`` pair overrides and a
+        non-default :attr:`page_tables` apply on top via
+        :meth:`MachineConfig.scaled`.
         """
         overrides = dict(self.machine)
         if self.page_tables != "centralized":
             overrides["page_tables"] = self.page_tables
-        if self.machine_name.lower() != "ace":
-            from repro.machine.topology import resolve_machine
-
-            config = resolve_machine(self.machine_name)
-            return config.scaled(**overrides) if overrides else config
-        if not overrides:
-            return None
-        return ace_config(self.n_processors, **overrides)
+        config = resolve_machine(self.machine_name, self.n_processors)
+        return config.scaled(**overrides) if overrides else config
 
     def is_declarative(self) -> bool:
         """Whether the spec resolves from registries alone (cacheable)."""

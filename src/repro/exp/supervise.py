@@ -96,6 +96,10 @@ WORKLOAD_WEIGHTS: Dict[str, int] = {
 #: Default weight for workloads not in the table.
 _DEFAULT_WEIGHT = 25
 
+#: Specs kept in flight per pool worker: enough to hide submission
+#: latency, small enough that a recycled pool re-queues little.
+MAX_INFLIGHT_FACTOR = 2
+
 
 def spec_weight(spec: RunSpec) -> int:
     """Heuristic relative cost of one spec (for submission ordering)."""
@@ -116,11 +120,6 @@ def warm_worker() -> None:
     import repro.faults.chaos  # noqa: F401
     import repro.sim.engine  # noqa: F401
     import repro.workloads  # noqa: F401
-
-
-def default_jobs() -> int:
-    """A sensible ``--jobs`` default: the machine's CPU count."""
-    return max(1, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -272,7 +271,6 @@ class SupervisedRunner:
         self,
         jobs: int = 1,
         policy: Optional[SupervisorPolicy] = None,
-        max_inflight_factor: int = 2,
         journal: Optional["BatchJournal"] = None,
         bus: Optional["EventBus"] = None,
         prior_failures: Optional[Mapping[str, int]] = None,
@@ -288,7 +286,7 @@ class SupervisedRunner:
             self.jobs_effective = max(1, min(jobs, os.cpu_count() or 1))
         else:
             self.jobs_effective = jobs
-        self._window = max(1, max_inflight_factor) * self.jobs_effective
+        self._window = MAX_INFLIGHT_FACTOR * self.jobs_effective
         self._journal = journal
         self._bus = bus
         self.stats = SuperviseStats()

@@ -28,7 +28,6 @@ from repro.faults.harness import (
     HarnessChaosError,
     HarnessChaosPlan,
     HarnessChaosProfile,
-    get_harness_profile,
     make_harness_plan,
 )
 from repro.faults.injector import (
@@ -42,7 +41,6 @@ from repro.faults.plan import (
     FaultKind,
     FaultPlan,
     FaultProfile,
-    get_profile,
 )
 
 __all__ = [
@@ -52,7 +50,6 @@ __all__ = [
     "HarnessChaosError",
     "HarnessChaosPlan",
     "HarnessChaosProfile",
-    "get_harness_profile",
     "make_harness_plan",
     "FaultInjector",
     "FaultKind",
@@ -60,7 +57,6 @@ __all__ = [
     "FaultProfile",
     "FaultStats",
     "RetryPolicy",
-    "get_profile",
     "make_injector",
     "run_chaos",
 ]

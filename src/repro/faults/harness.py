@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.registry import Registry
 
 
 class HarnessChaosError(SimulationError):
@@ -77,7 +78,7 @@ class HarnessChaosProfile:
 #: The named harness-chaos profiles ``repro-numa batch --harness-chaos``
 #: exposes.  ``none`` wires the machinery but fires nothing (the
 #: overhead baseline).
-HARNESS_PROFILES: Dict[str, HarnessChaosProfile] = {
+HARNESS_PROFILES = Registry("harness-chaos profile", {
     "none": HarnessChaosProfile(name="none"),
     "worker-kill": HarnessChaosProfile(name="worker-kill", kill_rate=0.35),
     "worker-hang": HarnessChaosProfile(
@@ -93,19 +94,7 @@ HARNESS_PROFILES: Dict[str, HarnessChaosProfile] = {
         hang_s=30.0,
         corrupt_rate=0.3,
     ),
-}
-
-
-def get_harness_profile(name: str) -> HarnessChaosProfile:
-    """Look a harness profile up by name, case-insensitively."""
-    key = name.strip().lower()
-    profile = HARNESS_PROFILES.get(key)
-    if profile is None:
-        raise ConfigurationError(
-            f"unknown harness-chaos profile {name!r}; "
-            f"choose from {', '.join(sorted(HARNESS_PROFILES))}"
-        )
-    return profile
+})
 
 
 class HarnessChaosPlan:
@@ -210,4 +199,4 @@ def make_harness_plan(
     profile_name: str, seed: int = 0
 ) -> HarnessChaosPlan:
     """Build a plan for a named profile (the CLI's entry point)."""
-    return HarnessChaosPlan(get_harness_profile(profile_name), seed)
+    return HarnessChaosPlan(HARNESS_PROFILES.resolve(profile_name), seed)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.faults.plan import FaultKind, FaultPlan
+from repro.faults.plan import PROFILES, FaultKind, FaultPlan
 
 if TYPE_CHECKING:
     from repro.machine.machine import Machine
@@ -290,6 +290,6 @@ def make_injector(
     profile_name: str, seed: int = 0, retry: Optional[RetryPolicy] = None
 ) -> FaultInjector:
     """Build an injector for a named profile (the CLI's entry point)."""
-    from repro.faults.plan import get_profile
-
-    return FaultInjector(FaultPlan(get_profile(profile_name), seed), retry)
+    return FaultInjector(
+        FaultPlan(PROFILES.resolve(profile_name), seed), retry
+    )

@@ -18,9 +18,10 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, TypeVar
+from typing import Optional, Sequence, TypeVar
 
 from repro.errors import ConfigurationError
+from repro.registry import Registry
 
 T = TypeVar("T")
 
@@ -90,7 +91,7 @@ class FaultProfile:
 #: The named chaos profiles the CLI exposes.  ``none`` exists so the
 #: chaos harness can run with the full fault machinery wired but firing
 #: nothing — the overhead baseline bench_chaos.py measures.
-PROFILES: Dict[str, FaultProfile] = {
+PROFILES: Registry[FaultProfile] = Registry("fault profile", {
     "none": FaultProfile(name="none"),
     "transient": FaultProfile(
         name="transient",
@@ -116,19 +117,7 @@ PROFILES: Dict[str, FaultProfile] = {
         pressure_interval_us=4_000.0,
         pressure_duration_us=2_500.0,
     ),
-}
-
-
-def get_profile(name: str) -> FaultProfile:
-    """Look a profile up by name, case-insensitively."""
-    key = name.strip().lower()
-    profile = PROFILES.get(key)
-    if profile is None:
-        raise ConfigurationError(
-            f"unknown fault profile {name!r}; "
-            f"choose from {', '.join(sorted(PROFILES))}"
-        )
-    return profile
+})
 
 
 class FaultPlan:

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.registry import Registry
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,7 @@ def _four_socket_factory(n_processors: Optional[int]):
     )
 
 
-MACHINE_REGISTRY: Dict[str, MachineEntry] = {
+MACHINE_REGISTRY: Registry[MachineEntry] = Registry("machine", {
     "ace": MachineEntry(
         name="ace",
         description="the paper's flat two-level ACE (default; "
@@ -226,23 +227,17 @@ MACHINE_REGISTRY: Dict[str, MachineEntry] = {
         "backplane envelope (page-table placement studies)",
         factory=_four_socket_factory,
     ),
-}
+})
 
 
 def resolve_machine(name: str, n_processors: Optional[int] = None):
     """Build the named machine's :class:`MachineConfig` from the registry.
 
-    Lookup is case-insensitive, matching the workload registry; an
-    unknown name raises :class:`ConfigurationError`, which the CLI maps
-    to the established exit code 2.
+    ``n_processors`` is honoured only by machines whose processor count
+    is free (the flat ``ace``); an unknown name raises
+    :class:`ConfigurationError`, which the CLI maps to exit code 2.
     """
-    for known, entry in MACHINE_REGISTRY.items():
-        if known.lower() == name.lower():
-            return entry.factory(n_processors)
-    raise ConfigurationError(
-        f"unknown machine {name!r}; "
-        f"choose from {', '.join(MACHINE_REGISTRY)}"
-    )
+    return MACHINE_REGISTRY.resolve(name).factory(n_processors)
 
 
 def registry_rows() -> List[Dict[str, object]]:

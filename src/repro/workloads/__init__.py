@@ -8,6 +8,7 @@ Each module reproduces one Section 3.2 application: its memory layout
 
 from typing import Callable, Dict
 
+from repro.registry import Registry
 from repro.workloads.base import BuildContext, ThreadBody, Workload
 from repro.workloads.fft import FFT
 from repro.workloads.gfetch import Gfetch
@@ -26,7 +27,7 @@ from repro.workloads.primes import Primes1, Primes2, Primes3, primes_below
 
 #: The eight Table 3 applications, in the paper's row order, at the
 #: default (paper-shaped) problem sizes.
-TABLE_3_WORKLOADS: Dict[str, Callable[[], Workload]] = {
+TABLE_3_WORKLOADS: Registry[Callable[[], Workload]] = Registry("workload", {
     "ParMult": ParMult,
     "Gfetch": Gfetch,
     "IMatMult": IMatMult,
@@ -35,7 +36,7 @@ TABLE_3_WORKLOADS: Dict[str, Callable[[], Workload]] = {
     "Primes3": Primes3,
     "FFT": FFT,
     "PlyTrace": PlyTrace,
-}
+})
 
 #: The Table 4 subset (the paper reports system time for these five).
 TABLE_4_WORKLOADS = ("IMatMult", "Primes1", "Primes2", "Primes3", "FFT")

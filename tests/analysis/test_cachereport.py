@@ -16,7 +16,6 @@ from repro.analysis.cachereport import (
     evaluation_from_dataset,
     footnote,
     missing_lines,
-    placement_triples,
     policy_tournament_section,
     summary_section,
     table3_frame,
@@ -25,7 +24,7 @@ from repro.analysis.cachereport import (
 )
 from repro.analysis.repro_report import emit_tables, generate_cache_report
 from repro.exp.cache import CACHE_SCHEMA, ResultCache
-from repro.exp.grid import flatten, policy_tournament
+from repro.exp.grid import flatten, policy_tournament, table3_grid
 from repro.exp.spec import RunSpec
 
 APPS = ["ParMult", "FFT"]  # FFT also appears in Table 4
@@ -37,7 +36,7 @@ def cache_root(tmp_path_factory):
     """A cache warmed with both placement triples plus a chaos fan."""
     root = tmp_path_factory.mktemp("cache")
     cache = ResultCache(root)
-    for spec in flatten(placement_triples(APPS, **GRID)):
+    for spec in flatten(table3_grid(APPS, **GRID)):
         cache.put(spec, spec.execute())
     for seed in (0, 1):
         spec = RunSpec(
@@ -97,7 +96,7 @@ class TestDeriveRow:
 
 class TestCacheDataset:
     def test_lookup_and_table(self, dataset):
-        required = flatten(placement_triples(APPS, **GRID))
+        required = flatten(table3_grid(APPS, **GRID))
         assert all(dataset.has(spec) for spec in required)
         assert dataset.missing(required) == []
         assert dataset.get(required[0]).kind == "run"
@@ -109,7 +108,7 @@ class TestCacheDataset:
             RunSpec(workload="FFT", quick=True, n_processors=5),
         ]
         assert dataset.missing(absent + flatten(
-            placement_triples(APPS, **GRID)
+            table3_grid(APPS, **GRID)
         )) == absent
 
     def test_table_is_cached(self, dataset):
@@ -130,7 +129,7 @@ class TestEvaluationJoin:
 
     def test_partial_cache_degrades_to_partial_report(self, cache_root):
         cache = ResultCache(cache_root)
-        victim = placement_triples(["FFT"], **GRID)[0].tnuma
+        victim = table3_grid(["FFT"], **GRID)[0].tnuma
         entry_text = cache.path_for(victim).read_text()
         cache.invalidate(victim)
         try:
@@ -147,7 +146,7 @@ class TestEvaluationJoin:
             path.write_text(entry_text)
 
     def test_missing_lines_are_sorted_and_labelled(self):
-        specs = flatten(placement_triples(["ParMult"], **GRID))
+        specs = flatten(table3_grid(["ParMult"], **GRID))
         lines = missing_lines(specs)
         assert lines == sorted(lines)
         for line in lines:

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.analysis.cachereport import CacheDataset, placement_triples
+from repro.analysis.cachereport import CacheDataset
 from repro.analysis.repro_report import generate_cache_report
 from repro.cli import main
 from repro.exp.batch import run_batch
 from repro.exp.cache import ResultCache
-from repro.exp.grid import flatten
+from repro.exp.grid import flatten, table3_grid
 
 APPS = ("ParMult", "IMatMult")
 GRID = dict(n_processors=3, quick=True)
@@ -17,7 +17,7 @@ GRID = dict(n_processors=3, quick=True)
 def report_text(tmp_path_factory):
     """A live report: fill the cache, then render from it."""
     root = tmp_path_factory.mktemp("report-cache")
-    run_batch(flatten(placement_triples(APPS, **GRID)), cache=ResultCache(root))
+    run_batch(flatten(table3_grid(APPS, **GRID)), cache=ResultCache(root))
     return generate_cache_report(
         CacheDataset.load(root), apps=APPS, **GRID
     ).document

@@ -18,7 +18,6 @@ from repro.core.policies.adaptive import (
 )
 from repro.core.policies.registry import (
     POLICY_ENTRIES,
-    get_entry,
     parse_policy_arg,
 )
 from repro.core.state import AccessKind, PlacementDecision
@@ -342,15 +341,15 @@ class TestBanditPolicy:
 class TestPolicyRegistry:
     def test_unknown_name_lists_the_menu(self):
         with pytest.raises(ConfigurationError, match="move-threshold"):
-            get_entry("nosuch")
+            POLICY_ENTRIES.resolve("nosuch")
 
     def test_unknown_parameter_lists_the_schema(self):
-        entry = get_entry("bandit")
+        entry = POLICY_ENTRIES.resolve("bandit")
         with pytest.raises(ConfigurationError, match="epsilon"):
             entry.validate_params({"nosuch": 1})
 
     def test_parameter_types_are_enforced(self):
-        entry = get_entry("adaptive-threshold")
+        entry = POLICY_ENTRIES.resolve("adaptive-threshold")
         with pytest.raises(ConfigurationError, match="expects int"):
             entry.validate_params({"threshold": "four"})
         with pytest.raises(ConfigurationError, match="got bool"):
@@ -359,10 +358,10 @@ class TestPolicyRegistry:
         assert entry.validate_params({"backoff": 3}) == {"backoff": 3.0}
 
     def test_spec_threshold_fills_the_schema(self):
-        policy = get_entry("move-threshold").build(threshold=9)
+        policy = POLICY_ENTRIES.resolve("move-threshold").build(threshold=9)
         assert policy.threshold == 9
         # An explicit parameter wins over the spec-level threshold.
-        policy = get_entry("move-threshold").build(
+        policy = POLICY_ENTRIES.resolve("move-threshold").build(
             threshold=9, params={"threshold": 2}
         )
         assert policy.threshold == 2

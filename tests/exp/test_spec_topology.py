@@ -9,6 +9,7 @@ import pytest
 import repro
 from repro.errors import ConfigurationError
 from repro.exp.spec import RunSpec
+from repro.machine.config import ace_config
 
 #: Fingerprints captured before the topology fields existed.  The new
 #: ``machine_name``/``page_tables`` fields enter the key only when
@@ -87,8 +88,9 @@ class TestTopologySpecs:
         assert config.page_tables == "replicated"
         assert config.topology.name == "4socket32"
 
-    def test_ace_default_resolves_to_none(self):
-        assert RunSpec(workload="ParMult").resolve_machine_config() is None
+    def test_ace_default_resolves_to_the_harness_default(self):
+        spec = RunSpec(workload="ParMult", n_processors=5)
+        assert spec.resolve_machine_config() == ace_config(5)
 
     def test_unknown_machine_raises_and_is_not_declarative(self):
         spec = RunSpec(workload="ParMult", machine_name="nosuch")

@@ -9,7 +9,6 @@ from repro.faults.harness import (
     HARNESS_PROFILES,
     HarnessChaosPlan,
     HarnessChaosProfile,
-    get_harness_profile,
     make_harness_plan,
 )
 
@@ -20,12 +19,12 @@ class TestProfiles:
             profile.validate()
 
     def test_lookup_is_case_insensitive(self):
-        assert get_harness_profile("MAYHEM") is HARNESS_PROFILES["mayhem"]
-        assert get_harness_profile(" none ") is HARNESS_PROFILES["none"]
+        assert HARNESS_PROFILES.resolve("MAYHEM") is HARNESS_PROFILES["mayhem"]
+        assert HARNESS_PROFILES.resolve(" none ") is HARNESS_PROFILES["none"]
 
     def test_unknown_profile_names_every_choice(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            get_harness_profile("tornado")
+            HARNESS_PROFILES.resolve("tornado")
         message = str(excinfo.value)
         for name in HARNESS_PROFILES:
             assert name in message

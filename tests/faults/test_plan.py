@@ -7,7 +7,6 @@ from repro.faults.plan import (
     PROFILES,
     FaultPlan,
     FaultProfile,
-    get_profile,
 )
 
 
@@ -16,12 +15,12 @@ class TestProfiles:
         assert set(PROFILES) == {"none", "transient", "frame-loss", "storm"}
 
     def test_lookup_is_case_insensitive(self):
-        assert get_profile("TRANSIENT") is PROFILES["transient"]
-        assert get_profile("  Frame-Loss ") is PROFILES["frame-loss"]
+        assert PROFILES.resolve("TRANSIENT") is PROFILES["transient"]
+        assert PROFILES.resolve("  Frame-Loss ") is PROFILES["frame-loss"]
 
     def test_unknown_profile_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError, match="unknown fault profile"):
-            get_profile("tornado")
+            PROFILES.resolve("tornado")
 
     def test_all_shipped_profiles_validate(self):
         for profile in PROFILES.values():

@@ -1,10 +1,14 @@
 """The command-line interface."""
 
 import json
+import pathlib
+import re
 
 import pytest
 
-from repro.cli import build_parser, main
+import repro.cli
+from repro.cli import COMMANDS, build_parser, main
+from repro.exp.grid import GRIDS
 
 
 class TestParser:
@@ -51,6 +55,56 @@ class TestParser:
         )
         assert args.workload == "parmult"
         assert args.sample_interval == 8
+
+
+class TestCommandTable:
+    """The contract of ``COMMANDS``: the parser and the docs follow it."""
+
+    def test_names_are_unique_and_every_command_documents_itself(self):
+        names = [command.name for command in COMMANDS]
+        assert len(set(names)) == len(names)
+        for command in COMMANDS:
+            assert (command.run.__doc__ or "").strip(), command.name
+
+    @pytest.mark.parametrize(
+        "command", COMMANDS, ids=[command.name for command in COMMANDS]
+    )
+    def test_every_command_parses_and_prints_help(self, command, capsys):
+        # One placeholder per required positional, from the table itself.
+        minimal = [
+            argument.kwargs.get("choices", ("x",))[0]
+            for argument in command.args
+            if not argument.flags[0].startswith("-")
+            and "nargs" not in argument.kwargs
+        ]
+        parser = build_parser()
+        assert parser.parse_args([command.name, *minimal]).func is command.run
+        with pytest.raises(SystemExit) as exit_:
+            parser.parse_args([command.name, *minimal, "--help"])
+        assert exit_.value.code == 0
+        assert f"usage: repro-numa {command.name}" in capsys.readouterr().out
+
+    def test_grid_choices_are_the_grid_registry(self):
+        (batch,) = [c for c in COMMANDS if c.name == "batch"]
+        (grid,) = [a for a in batch.args if a.flags == ("--grid",)]
+        assert grid.kwargs["choices"] == tuple(GRIDS)
+
+    def test_the_readme_lists_exactly_the_command_table(self):
+        readme = pathlib.Path(__file__).parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split(
+            "## Running experiments"
+        )[1].split("\n## ")[0]
+        listed = re.findall(r"^\| `([a-z0-9-]+)` \|", section, re.MULTILINE)
+        assert listed == [command.name for command in COMMANDS]
+
+    def test_the_usage_docstring_names_only_real_commands(self):
+        # The docstring is the root ``--help`` text; it may abbreviate
+        # the table but must not drift from it.
+        used = set(
+            re.findall(r"^    repro-numa ([a-z0-9-]+)", repro.cli.__doc__,
+                       re.MULTILINE)
+        )
+        assert used and used <= {command.name for command in COMMANDS}
 
 
 class TestCommands:
