@@ -22,7 +22,7 @@ from typing import Dict, Optional
 
 from repro.exp.batch import BatchResult, run_batch
 from repro.exp.cache import ResultCache
-from repro.exp.grid import PolicyTournament, flatten, policy_tournament
+from repro.exp.grid import PlacementGroup, flatten, policy_tournament
 
 from conftest import once, save_artifact
 
@@ -37,11 +37,11 @@ ENTRANTS = (
 )
 
 _cache_dir = tempfile.mkdtemp(prefix="repro-tournament-")
-_tournament: Optional[PolicyTournament] = None
+_tournament: Optional[PlacementGroup] = None
 _cold: Optional[BatchResult] = None
 
 
-def _grid() -> PolicyTournament:
+def _grid() -> PlacementGroup:
     global _tournament
     if _tournament is None:
         [_tournament] = policy_tournament(

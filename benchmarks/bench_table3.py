@@ -71,7 +71,10 @@ def test_table3_row(benchmark, name):
         workload_g_over_l,
     )
     _rows[name] = EvaluationRow(
-        application=name, measurement=measurement, params=params
+        application=name,
+        measurement=measurement,
+        params=params,
+        entrant="move-threshold",
     )
     paper = TABLE_3[name]
     alpha_band, beta_band, gamma_band = BANDS[name]

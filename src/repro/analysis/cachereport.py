@@ -23,7 +23,9 @@ Layers, bottom up:
   :func:`~repro.analysis.report.join_evaluation`, the same joiner a
   live :func:`~repro.analysis.report.run_evaluation` uses;
 * section generators (:func:`threshold_versus_section`,
-  :func:`chaos_fan_section`, :func:`summary_section`) — slp-style
+  :func:`policy_tournament_section` — the same joiner over
+  :func:`~repro.exp.grid.policy_tournament` — :func:`chaos_fan_section`,
+  :func:`summary_section`) — slp-style
   summary and versus artifacts, each returning its text together with
   the contributing fingerprints so
   :mod:`repro.analysis.repro_report` can footnote provenance.
@@ -39,7 +41,6 @@ from repro.analysis.report import (
     Evaluation,
     EvaluationJoin,
     join_evaluation,
-    solve_row,
 )
 from repro.analysis.versus import versus_from_table
 from repro.exp.cache import (
@@ -363,96 +364,67 @@ def policy_tournament_section(
     """The policy tournament: α/β/γ per entrant, deltas vs the paper.
 
     For every application with cached Tglobal/Tlocal baselines, each
-    cached entrant's run is pushed through the Section 3.1 model
-    exactly as Table 3 is, and its α and γ are compared against the
-    ``move-threshold`` entrant of the same application (Δα > 0 means
-    more local references than the paper's policy; Δγ < 0 means closer
-    to uniprocessor time).  Entrants or baselines the cache cannot
-    serve are listed instead of silently dropped.
+    cached entrant's run goes through the joiner Table 3 goes through
+    (:func:`~repro.analysis.report.join_evaluation`), and its α, β and γ
+    are compared against the ``move-threshold`` entrant of the same
+    application (Δα > 0 means more local references than the paper's
+    policy; Δγ < 0 means closer to uniprocessor time).  Entrants or
+    baselines the cache cannot serve are listed instead of silently
+    dropped.
     """
-    points: List[Row] = []
-    fps: List[str] = []
-    absent: List[RunSpec] = []
-    for tournament in policy_tournament(
-        apps=apps,
-        policies=policies,
-        n_processors=n_processors,
-        threshold=threshold,
-        quick=quick,
-    ):
-        tglobal = dataset.get(tournament.tglobal)
-        tlocal = dataset.get(tournament.tlocal)
-        if tglobal is None or tlocal is None:
-            absent.extend(
-                spec
-                for spec, outcome in (
-                    (tournament.tglobal, tglobal),
-                    (tournament.tlocal, tlocal),
-                )
-                if outcome is None
-            )
-            continue
-        g_over_l = tournament.tglobal.resolve_workload().g_over_l
-        solved: Dict[str, Tuple[object, float, float]] = {}
-        for label, spec in tournament.entrants.items():
-            outcome = dataset.get(spec)
-            if outcome is None:
-                absent.append(spec)
-                continue
-            row = solve_row(
-                tournament.application,
-                g_over_l,
-                outcome.result,
-                tglobal.result,
-                tlocal.result,
-            )
-            solved[label] = (
-                row.params, row.measurement.t_numa_s, spec.fingerprint()
-            )
-        if not solved:
-            continue
-        baseline = solved.get("move-threshold")
-        for label, (params, t_numa_s, fingerprint) in solved.items():
-            d_alpha = d_beta = d_gamma = None
-            if baseline is not None and label != "move-threshold":
-                base_params = baseline[0]
-                if params.alpha is not None and base_params.alpha is not None:
-                    d_alpha = round(params.alpha - base_params.alpha, 4)
-                d_beta = round(params.beta - base_params.beta, 4)
-                d_gamma = round(params.gamma - base_params.gamma, 4)
-            points.append(
-                {
-                    "workload": tournament.application,
-                    "policy": label,
-                    "t_numa_s": round(t_numa_s, 3),
-                    "alpha": (
-                        None
-                        if params.alpha is None
-                        else round(params.alpha, 4)
-                    ),
-                    "beta": round(params.beta, 4),
-                    "gamma": round(params.gamma, 4),
-                    "d_alpha": d_alpha,
-                    "d_beta": d_beta,
-                    "d_gamma": d_gamma,
-                }
-            )
-            fps.append(fingerprint)
-        fps.append(tournament.tglobal.fingerprint())
-        fps.append(tournament.tlocal.fingerprint())
-    if not points:
-        body = "(no cached tournament runs)"
-        if absent:
-            body += "\n\nmissing specs:\n\n" + "\n".join(
-                f"- `{line}`" for line in missing_lines(absent)
-            )
-        return ("Policy tournament", body, [])
-    body = DataTable(points).sort_by("workload", "policy").to_markdown()
-    if absent:
+    join = join_evaluation(
+        policy_tournament(
+            apps=apps,
+            policies=policies,
+            n_processors=n_processors,
+            threshold=threshold,
+            quick=quick,
+        ),
+        dataset.get,
+        n_processors,
+        threshold,
+    )
+    rows = join.evaluation.rows
+    paper = {
+        row.application: row.params
+        for row in rows
+        if row.entrant == "move-threshold"
+    }
+
+    def delta(row, name: str) -> Optional[float]:
+        """Entrant minus the paper's policy, ``None`` where either is na."""
+        ours = getattr(row.params, name)
+        base = getattr(paper.get(row.application), name, None)
+        if row.entrant == "move-threshold" or ours is None or base is None:
+            return None
+        return round(ours - base, 4)
+
+    points: List[Row] = [
+        {
+            "workload": row.application,
+            "policy": row.entrant,
+            "t_numa_s": round(row.measurement.t_numa_s, 3),
+            "alpha": (
+                None
+                if row.params.alpha is None
+                else round(row.params.alpha, 4)
+            ),
+            "beta": round(row.params.beta, 4),
+            "gamma": round(row.params.gamma, 4),
+            "d_alpha": delta(row, "alpha"),
+            "d_beta": delta(row, "beta"),
+            "d_gamma": delta(row, "gamma"),
+        }
+        for row in rows
+    ]
+    body = "(no cached tournament runs)"
+    if points:
+        body = DataTable(points).sort_by("workload", "policy").to_markdown()
+    if join.missing:
         body += "\n\nmissing specs:\n\n" + "\n".join(
-            f"- `{line}`" for line in missing_lines(absent)
+            f"- `{line}`" for line in missing_lines(join.missing)
         )
-    return ("Policy tournament", body, fps)
+    return ("Policy tournament", body, join.fingerprints)
 
 
 def chaos_fan_section(dataset: CacheDataset) -> Section:
@@ -493,6 +465,15 @@ def missing_lines(missing: Sequence[RunSpec]) -> List[str]:
         f"{spec.fingerprint()}  {spec.label}"
         for spec in sorted(missing, key=lambda s: s.fingerprint())
     ]
+
+
+def report_missing_spec(spec: RunSpec) -> Dict[str, object]:
+    """The ``--json`` record for one required spec the cache cannot serve."""
+    return {
+        "t": "report_missing_spec",
+        "fingerprint": spec.fingerprint(),
+        "label": spec.label,
+    }
 
 
 def table3_frame(evaluation: Evaluation) -> DataTable:

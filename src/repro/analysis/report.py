@@ -2,21 +2,24 @@
 
 :func:`run_evaluation` performs the paper's three-run methodology for a
 set of applications through the batch orchestrator;
-:func:`join_evaluation` turns the three outcomes per application into
-model parameters, whether they come from a batch that just ran or from
-the result cache; the ``format_*`` functions print the same rows the
-paper reports, with the published numbers alongside for comparison.
+:func:`join_evaluation` turns each entrant of a
+:class:`~repro.exp.grid.PlacementGroup` plus the group's two baselines
+into model parameters — Table 3's one entrant per application or a
+tournament's several, from a batch that just ran or from the result
+cache; the ``format_*`` functions print the same rows the paper
+reports, with the published numbers alongside for comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis import model as eqs
+from repro.analysis.frames import DataTable
 from repro.analysis.paper import TABLE_3, TABLE_4
 from repro.exp.batch import run_batch
-from repro.exp.grid import PlacementSpecs, flatten, table3_grid
+from repro.exp.grid import PlacementGroup, flatten, table3_grid
 from repro.exp.spec import Outcome, RunSpec
 from repro.sim.harness import PlacementMeasurement
 from repro.sim.result import RunResult
@@ -25,11 +28,14 @@ from repro.workloads import TABLE_4_WORKLOADS
 
 @dataclass(frozen=True)
 class EvaluationRow:
-    """One application's measurements and derived model parameters."""
+    """One entrant's measurements and derived model parameters."""
 
     application: str
     measurement: PlacementMeasurement
     params: eqs.ModelParameters
+    #: The entrant's label within its application's placement group
+    #: (``move-threshold`` on every Table 3 row).
+    entrant: object
 
     @property
     def delta_s(self) -> Optional[float]:
@@ -67,10 +73,11 @@ class Evaluation:
 
 @dataclass
 class EvaluationJoin:
-    """A Tables 3–4 evaluation joined from per-spec outcomes."""
+    """Placement groups joined from per-spec outcomes."""
 
     evaluation: Evaluation
-    #: Applications whose full Tnuma/Tglobal/Tlocal triple was served.
+    #: Applications with at least one solved entrant (for Table 3: whose
+    #: full Tnuma/Tglobal/Tlocal triple was served).
     complete: List[str] = field(default_factory=list)
     #: Required specs the lookup could not serve.
     missing: List[RunSpec] = field(default_factory=list)
@@ -91,19 +98,15 @@ class EvaluationJoin:
 
 
 def solve_row(
-    application: str,
-    g_over_l: float,
-    numa: RunResult,
-    all_global: RunResult,
-    local: RunResult,
+    group: PlacementGroup, label: object, results: Mapping[RunSpec, RunResult]
 ) -> EvaluationRow:
-    """Solve the model for one application's three measured runs."""
+    """Solve the model for one entrant against its group's baselines."""
     measurement = PlacementMeasurement(
-        workload=application,
-        g_over_l=g_over_l,
-        numa=numa,
-        all_global=all_global,
-        local=local,
+        workload=group.application,
+        g_over_l=group.tlocal.resolve_workload().g_over_l,
+        numa=results[group.entrants[label]],
+        all_global=results[group.tglobal],
+        local=results[group.tlocal],
     )
     params = eqs.solve(
         measurement.t_global_s,
@@ -112,48 +115,55 @@ def solve_row(
         measurement.g_over_l,
     )
     return EvaluationRow(
-        application=application, measurement=measurement, params=params
+        application=group.application,
+        measurement=measurement,
+        params=params,
+        entrant=label,
     )
 
 
 def join_evaluation(
-    groups: Sequence[PlacementSpecs],
+    groups: Sequence[PlacementGroup],
     lookup: Callable[[RunSpec], Optional[Outcome]],
     n_processors: int,
     threshold: int,
 ) -> EvaluationJoin:
-    """Join each application's Tnuma/Tglobal/Tlocal outcomes into a row.
+    """Join every entrant with its group's Tglobal/Tlocal into a row.
 
     *lookup* maps a spec to its outcome, or ``None`` when there is none
-    (an uncached or quarantined spec).  Applications with an incomplete
-    triple are left out of the evaluation and reported via
-    :attr:`EvaluationJoin.missing`, so a partially warmed cache degrades
-    to a partial (still correct, still footnoted) report instead of an
-    error.
+    (an uncached or quarantined spec).  Table 3 is the one-entrant case:
+    one row per application.  Every spec the lookup cannot serve is
+    reported via :attr:`EvaluationJoin.missing`, and a group that yields
+    no row (a baseline or every entrant absent) contributes nothing to
+    ``fingerprints``, so a partially warmed cache degrades to a partial
+    (still correct, still footnoted) report instead of an error.
     """
     rows: List[EvaluationRow] = []
     complete: List[str] = []
     missing: List[RunSpec] = []
     fingerprints: List[str] = []
     for group in groups:
-        outcomes = [lookup(spec) for spec in group.specs]
-        absent = [
-            spec
-            for spec, outcome in zip(group.specs, outcomes)
-            if outcome is None
+        results: Dict[RunSpec, RunResult] = {}
+        for spec in group.specs:
+            outcome = lookup(spec)
+            if outcome is None:
+                missing.append(spec)
+            else:
+                results[spec] = outcome.result
+        solved = [
+            label
+            for label, spec in group.entrants.items()
+            if spec in results
         ]
-        if absent:
-            missing.extend(absent)
+        if not (
+            solved and group.tglobal in results and group.tlocal in results
+        ):
             continue
-        rows.append(
-            solve_row(
-                group.application,
-                group.tnuma.resolve_workload().g_over_l,
-                *(outcome.result for outcome in outcomes),
-            )
-        )
+        rows.extend(solve_row(group, label, results) for label in solved)
         complete.append(group.application)
-        fingerprints.extend(spec.fingerprint() for spec in group.specs)
+        fingerprints.extend(
+            spec.fingerprint() for spec in group.specs if spec in results
+        )
     return EvaluationJoin(
         evaluation=Evaluation(
             rows=rows, n_processors=n_processors, threshold=threshold
@@ -170,62 +180,24 @@ def run_evaluation(
     n_processors: int = 7,
     threshold: int = 4,
     quick: bool = False,
-    check_invariants: bool = False,
     jobs: int = 1,
     cache=None,
-    registry=None,
-    bus=None,
-    progress=None,
 ) -> Evaluation:
     """Measure Tnuma/Tglobal/Tlocal and solve the model for each app.
 
     The evaluation is the declarative :func:`~repro.exp.grid.table3_grid`
     executed by the batch orchestrator, which brings ``jobs`` worker
-    processes, the on-disk result ``cache``, and ``batch_*`` telemetry
-    (``registry``/``bus``/``progress`` pass straight through to
-    :func:`~repro.exp.batch.run_batch`).  ``apps`` restricts the grid
-    and ``quick`` selects the scaled-down workload instances.  Invariant
-    checking is off by default here purely for speed; the test suite
-    runs the same workloads with it on.
+    processes and the on-disk result ``cache``.  ``apps`` restricts the
+    grid and ``quick`` selects the scaled-down workload instances.
     """
     groups = table3_grid(
-        apps=apps,
-        n_processors=n_processors,
-        threshold=threshold,
-        quick=quick,
-        check_invariants=check_invariants,
+        apps=apps, n_processors=n_processors, threshold=threshold, quick=quick
     )
-    batch = run_batch(
-        flatten(groups),
-        jobs=jobs,
-        cache=cache,
-        registry=registry,
-        bus=bus,
-        progress=progress,
-    )
+    batch = run_batch(flatten(groups), jobs=jobs, cache=cache)
     outcomes = {row.spec: row.outcome for row in batch.rows}
     return join_evaluation(
         groups, outcomes.get, n_processors, threshold
     ).evaluation
-
-
-def _format_table(
-    headers: Sequence[str], rows: Iterable[Sequence[str]], title: str
-) -> str:
-    """Plain-text table with a title, sized to its contents."""
-    materialized = [list(headers)] + [list(r) for r in rows]
-    widths = [
-        max(len(row[col]) for row in materialized)
-        for col in range(len(headers))
-    ]
-    lines = [title]
-    for index, row in enumerate(materialized):
-        lines.append(
-            "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
-        )
-        if index == 0:
-            lines.append("  ".join("-" * width for width in widths))
-    return "\n".join(lines)
 
 
 def _fmt(value: Optional[float], digits: int = 2) -> str:
@@ -234,14 +206,16 @@ def _fmt(value: Optional[float], digits: int = 2) -> str:
     return f"{value:.{digits}f}"
 
 
-def format_table3(evaluation: Evaluation, include_paper: bool = True) -> str:
+def format_table3(evaluation: Evaluation) -> str:
     """Render Table 3: measured times and computed model parameters."""
-    headers = ["Application", "Tglobal", "Tnuma", "Tlocal", "α", "β", "γ"]
-    if include_paper:
-        headers += ["α(paper)", "β(paper)", "γ(paper)"]
+    columns = [
+        "Application", "Tglobal", "Tnuma", "Tlocal", "α", "β", "γ",
+        "α(paper)", "β(paper)", "γ(paper)",
+    ]
     rows = []
     for row in evaluation.rows:
         m = row.measurement
+        paper = TABLE_3.get(row.application.split("-")[0])
         cells = [
             row.application,
             f"{m.t_global_s:.1f}",
@@ -251,36 +225,30 @@ def format_table3(evaluation: Evaluation, include_paper: bool = True) -> str:
             _fmt(row.params.beta),
             _fmt(row.params.gamma),
         ]
-        if include_paper:
-            paper = TABLE_3.get(row.application.split("-")[0])
-            if paper is None:
-                cells += ["-", "-", "-"]
-            else:
-                cells += [
-                    _fmt(paper.alpha),
-                    _fmt(paper.beta),
-                    _fmt(paper.gamma),
-                ]
-        rows.append(cells)
-    return _format_table(
-        headers,
-        rows,
+        if paper is None:
+            cells += ["-", "-", "-"]
+        else:
+            cells += [_fmt(paper.alpha), _fmt(paper.beta), _fmt(paper.gamma)]
+        rows.append(dict(zip(columns, cells)))
+    return DataTable(rows, columns).to_text(
         "Table 3: measured user times (simulated seconds) and model "
         f"parameters ({evaluation.n_processors} processors, threshold "
-        f"{evaluation.threshold})",
+        f"{evaluation.threshold})"
     )
 
 
-def format_table4(evaluation: Evaluation, include_paper: bool = True) -> str:
+def format_table4(evaluation: Evaluation) -> str:
     """Render Table 4: system-time overhead of NUMA management."""
-    headers = ["Application", "Snuma", "Sglobal", "ΔS", "Tnuma", "ΔS/Tnuma"]
-    if include_paper:
-        headers += ["ΔS/Tnuma(paper)"]
+    columns = [
+        "Application", "Snuma", "Sglobal", "ΔS", "Tnuma", "ΔS/Tnuma",
+        "ΔS/Tnuma(paper)",
+    ]
     rows = []
     for row in evaluation.rows:
         if row.application not in TABLE_4_WORKLOADS:
             continue
         m = row.measurement
+        paper = TABLE_4.get(row.application)
         cells = [
             row.application,
             f"{m.numa.system_time_s:.2f}",
@@ -288,18 +256,12 @@ def format_table4(evaluation: Evaluation, include_paper: bool = True) -> str:
             _fmt(row.delta_s, 2),
             f"{m.t_numa_s:.1f}",
             f"{row.delta_over_t * 100:.1f}%",
+            f"{paper.delta_over_t * 100:.1f}%" if paper else "-",
         ]
-        if include_paper:
-            paper = TABLE_4.get(row.application)
-            cells += [
-                f"{paper.delta_over_t * 100:.1f}%" if paper else "-"
-            ]
-        rows.append(cells)
-    return _format_table(
-        headers,
-        rows,
+        rows.append(dict(zip(columns, cells)))
+    return DataTable(rows, columns).to_text(
         "Table 4: total system time (simulated seconds) on "
-        f"{evaluation.n_processors} processors",
+        f"{evaluation.n_processors} processors"
     )
 
 
@@ -310,19 +272,18 @@ def format_measured_alpha(evaluation: Evaluation) -> str:
     Table 3 can be validated against the directly measured fraction of
     local writable-data references.
     """
-    headers = ["Application", "α(model)", "α(measured)", "moves", "pinned-ish"]
+    columns = ["Application", "α(model)", "α(measured)", "moves", "pinned-ish"]
     rows = []
     for row in evaluation.rows:
         m = row.measurement.numa
-        rows.append(
-            [
-                row.application,
-                row.params.format_alpha(),
-                "na" if m.measured_alpha is None else f"{m.measured_alpha:.2f}",
-                str(m.stats.moves),
-                str(m.stats.local_memory_fallbacks),
-            ]
-        )
-    return _format_table(
-        headers, rows, "Model-recovered vs directly measured α"
+        cells = [
+            row.application,
+            row.params.format_alpha(),
+            _fmt(m.measured_alpha),
+            str(m.stats.moves),
+            str(m.stats.local_memory_fallbacks),
+        ]
+        rows.append(dict(zip(columns, cells)))
+    return DataTable(rows, columns).to_text(
+        "Model-recovered vs directly measured α"
     )

@@ -19,16 +19,18 @@ from __future__ import annotations
 import hashlib
 import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import __version__
 from repro.analysis.cachereport import (
     CacheDataset,
+    Section,
     chaos_fan_section,
     evaluation_from_dataset,
     footnote,
     missing_lines,
     policy_tournament_section,
+    report_missing_spec,
     summary_section,
     table3_frame,
     table4_frame,
@@ -164,15 +166,29 @@ class CacheReportBundle:
             }
         ]
         records.extend(artifact.as_record() for artifact in self.artifacts)
-        records.extend(
-            {
-                "t": "report_missing_spec",
-                "fingerprint": spec.fingerprint(),
-                "label": spec.label,
-            }
-            for spec in self.join.missing
-        )
+        records.extend(map(report_missing_spec, self.join.missing))
         return records
+
+
+#: The evaluation's three views: artifact name, section title, renderer.
+_EVALUATION_VIEWS = (
+    ("table3", "Table 3 — the evaluation (from cache)", format_table3),
+    (
+        "table4",
+        "Table 4 — NUMA-management overhead (from cache)",
+        format_table4,
+    ),
+    (
+        "alpha",
+        "Measured vs model-recovered alpha (from cache)",
+        format_measured_alpha,
+    ),
+)
+
+_NO_TRIPLE = (
+    "(no complete Tnuma/Tglobal/Tlocal triple in the cache; "
+    "run `repro-numa batch --grid table3` or pass `--fill`)"
+)
 
 
 def generate_cache_report(
@@ -199,68 +215,38 @@ def generate_cache_report(
         quick=quick,
     )
     evaluation = join.evaluation
+    shared = dict(n_processors=n_processors, quick=quick)
+    # The document's cache-derived part: (artifact name, section), in order.
+    if evaluation.rows:
+        table: List[Tuple[str, Section]] = [
+            (
+                name,
+                (title, f"```\n{render(evaluation)}\n```", join.fingerprints),
+            )
+            for name, title, render in _EVALUATION_VIEWS
+        ]
+    else:
+        table = [("table3", (_EVALUATION_VIEWS[0][1], _NO_TRIPLE, []))]
+    table += [
+        ("versus-threshold", threshold_versus_section(dataset, **shared)),
+        (
+            "policy-tournament",
+            policy_tournament_section(
+                dataset, apps=apps, threshold=threshold, **shared
+            ),
+        ),
+        ("chaos-fans", chaos_fan_section(dataset)),
+        ("cache-summary", summary_section(dataset)),
+    ]
     artifacts: List[ReportArtifact] = []
     sections = _header_sections(n_processors, threshold)
-
-    def add(name: str, title: str, body: str, fps: Sequence[str]) -> None:
+    for name, (title, body, fps) in table:
         fingerprints = sorted(set(str(fp) for fp in fps))
-        artifacts.append(
-            ReportArtifact(name=name, fingerprints=fingerprints)
-        )
-        sections.extend([title, body, ""])
+        artifacts.append(ReportArtifact(name=name, fingerprints=fingerprints))
+        note = "> derived from 0 cached spec(s)"
         if fingerprints:
-            sections.extend([footnote(fingerprints), ""])
-        else:
-            sections.extend(["> derived from 0 cached spec(s)", ""])
-
-    eval_fps = join.fingerprints
-    if evaluation.rows:
-        add(
-            "table3",
-            "## Table 3 — the evaluation (from cache)",
-            "```\n" + format_table3(evaluation) + "\n```",
-            eval_fps,
-        )
-        add(
-            "table4",
-            "## Table 4 — NUMA-management overhead (from cache)",
-            "```\n" + format_table4(evaluation) + "\n```",
-            eval_fps,
-        )
-        add(
-            "alpha",
-            "## Measured vs model-recovered alpha (from cache)",
-            "```\n" + format_measured_alpha(evaluation) + "\n```",
-            eval_fps,
-        )
-    else:
-        add(
-            "table3",
-            "## Table 3 — the evaluation (from cache)",
-            "(no complete Tnuma/Tglobal/Tlocal triple in the cache; "
-            "run `repro-numa batch --grid table3` or pass `--fill`)",
-            [],
-        )
-
-    title, body, fps = threshold_versus_section(
-        dataset, n_processors=n_processors, quick=quick
-    )
-    add("versus-threshold", f"## {title}", body, fps)
-
-    title, body, fps = policy_tournament_section(
-        dataset,
-        apps=apps,
-        n_processors=n_processors,
-        threshold=threshold,
-        quick=quick,
-    )
-    add("policy-tournament", f"## {title}", body, fps)
-
-    title, body, fps = chaos_fan_section(dataset)
-    add("chaos-fans", f"## {title}", body, fps)
-
-    title, body, fps = summary_section(dataset)
-    add("cache-summary", f"## {title}", body, fps)
+            note = footnote(fingerprints)
+        sections.extend([f"## {title}", body, "", note, ""])
 
     sections += _figure_sections(n_processors)
 
@@ -302,11 +288,9 @@ def generate_cache_report(
 
 
 def emit_tables(
-    evaluation: Evaluation,
-    directory: Union[str, pathlib.Path],
-    formats: Sequence[str] = ("csv", "latex"),
+    evaluation: Evaluation, directory: Union[str, pathlib.Path]
 ) -> List[pathlib.Path]:
-    """Write Table 3/4 data files (CSV and/or LaTeX) next to the report.
+    """Write Table 3/4 data files (CSV and LaTeX) next to the report.
 
     Returns the written paths; used by ``repro-numa report --tables``
     and the committed ``benchmarks/_artifacts`` bundle.
@@ -317,29 +301,13 @@ def emit_tables(
         "table3": table3_frame(evaluation),
         "table4": table4_frame(evaluation),
     }
-    suffixes = {"csv": ".csv", "latex": ".tex", "markdown": ".md"}
     written: List[pathlib.Path] = []
     for name, frame in frames.items():
-        for fmt in formats:
-            if fmt not in suffixes:
-                from repro.errors import ConfigurationError
-
-                raise ConfigurationError(
-                    f"unknown table format {fmt!r}; "
-                    f"choose from {', '.join(sorted(suffixes))}"
-                )
-            path = directory / f"{name}{suffixes[fmt]}"
-            if fmt == "csv":
-                path.write_text(frame.to_csv())
-            elif fmt == "latex":
-                path.write_text(
-                    frame.to_latex(
-                        caption=f"Regenerated {name} (from cache)",
-                        label=f"tab:{name}",
-                    )
-                    + "\n"
-                )
-            else:
-                path.write_text(frame.to_markdown() + "\n")
+        latex = frame.to_latex(
+            caption=f"Regenerated {name} (from cache)", label=f"tab:{name}"
+        )
+        for suffix, text in ((".csv", frame.to_csv()), (".tex", latex + "\n")):
+            path = directory / f"{name}{suffix}"
+            path.write_text(text)
             written.append(path)
     return written

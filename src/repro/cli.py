@@ -55,7 +55,7 @@ from repro.analysis.report import (
 from repro.core.state import AccessKind, PlacementDecision
 from repro.core.transitions import READ_TABLE, WRITE_TABLE, StateKey
 from repro.errors import ConfigurationError, ReproError
-from repro.exp.grid import GRIDS
+from repro.exp.grid import GRIDS, flatten, sweep_groups
 from repro.exp.spec import resolve_workload
 from repro.machine.config import TimingParameters, ace_config
 from repro.obs.exporters import JsonSink
@@ -227,28 +227,25 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     """Move-threshold ablation: γ and overhead versus the threshold."""
     from repro.exp.batch import run_batch
 
-    specs = GRIDS["sweep"](args)
-    batch = run_batch(specs, jobs=args.jobs, cache=_cache_from(args))
-    by_fp = {row.spec.fingerprint(): row.outcome for row in batch.rows}
-    tnuma = []
-    for spec in specs:
-        if spec.policy != "all-local":
-            tnuma.append(spec)
-            continue
-        # The Tlocal spec closes one application's sweep.
-        base_local = by_fp[spec.fingerprint()].result.user_time_s
+    groups = sweep_groups(args)
+    batch = run_batch(
+        flatten(groups), jobs=args.jobs, cache=_cache_from(args)
+    )
+    results = {row.spec: row.outcome.result for row in batch.rows}
+    for group in groups:
+        base_local = results[group.tlocal].user_time_s
         print(
-            f"{spec.workload}: threshold sweep "
+            f"{group.application}: threshold sweep "
             f"({args.processors} processors)"
         )
         print("  thresh   Tnuma    Snuma   moves   gamma")
-        for point in tnuma:
-            numa = by_fp[point.fingerprint()].result
+        for threshold, point in group.entrants.items():
+            numa = results[point]
             args.sink.add(
                 {
                     "t": "sweep_point",
-                    "application": spec.workload,
-                    "threshold": point.threshold,
+                    "application": group.application,
+                    "threshold": threshold,
                     "t_numa_s": numa.user_time_s,
                     "s_numa_s": numa.system_time_s,
                     "moves": numa.stats.moves,
@@ -256,12 +253,11 @@ def cmd_sweep(args: argparse.Namespace) -> None:
                 }
             )
             print(
-                f"  {point.threshold:>6d}  {numa.user_time_s:>6.2f}  "
+                f"  {threshold:>6d}  {numa.user_time_s:>6.2f}  "
                 f"{numa.system_time_s:>7.2f}  {numa.stats.moves:>6d}  "
                 f"{numa.user_time_s / base_local:>6.3f}"
             )
         print()
-        tnuma = []
 
 
 def cmd_false_sharing(args: argparse.Namespace) -> None:
@@ -760,7 +756,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     """
     import pathlib
 
-    from repro.analysis.cachereport import CacheDataset, missing_lines
+    from repro.analysis.cachereport import (
+        CacheDataset,
+        missing_lines,
+        report_missing_spec,
+    )
     from repro.analysis.repro_report import (
         emit_tables,
         generate_cache_report,
@@ -773,8 +773,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     # The report's required grid *is* ``batch --grid table3``: the specs
     # a batch caches are the exact fingerprints looked up here.
     required = GRIDS["table3"](args)
-    progress = lambda message: print(message, file=sys.stderr)  # noqa: E731
-    executed = 0
     if args.missing:
         # Pure inspection: list what the cache cannot serve, run nothing.
         dataset = CacheDataset.load(args.cache_dir)
@@ -786,33 +784,23 @@ def cmd_report(args: argparse.Namespace) -> int:
             f"{len(missing)} of {unique_required} required specs missing "
             f"from {args.cache_dir}"
         )
-        args.sink.extend(
-            {
-                "t": "report_missing_spec",
-                "fingerprint": spec.fingerprint(),
-                "label": spec.label,
-            }
-            for spec in missing
-        )
+        args.sink.extend(map(report_missing_spec, missing))
         return 0
-    if not args.from_cache:
-        batch = run_batch(
-            required,
+
+    def fill(specs) -> int:
+        """Simulate *specs* into the cache; how many actually executed."""
+        return run_batch(
+            specs,
             jobs=args.jobs,
             cache=_cache_from(args),
-            progress=progress,
-        )
-        executed = batch.executed
+            progress=lambda message: print(message, file=sys.stderr),
+        ).executed
+
+    executed = 0 if args.from_cache else fill(required)
     dataset = CacheDataset.load(args.cache_dir)
     missing = dataset.missing(required)
     if args.fill and missing:
-        batch = run_batch(
-            missing,
-            jobs=args.jobs,
-            cache=_cache_from(args),
-            progress=progress,
-        )
-        executed += batch.executed
+        executed += fill(missing)
         dataset = CacheDataset.load(args.cache_dir)
     bundle = generate_cache_report(
         dataset,

@@ -9,8 +9,7 @@ deduplication, an on-disk :class:`~repro.exp.cache.ResultCache`, and
 
 Quick start::
 
-    from repro.exp import ResultCache, run_batch, table3_grid
-    from repro.exp.grid import flatten
+    from repro.exp import ResultCache, flatten, run_batch, table3_grid
 
     grid = flatten(table3_grid(quick=True))
     batch = run_batch(grid, jobs=4, cache=ResultCache())
@@ -39,9 +38,7 @@ from repro.exp.cache import (
 from repro.exp.grid import (
     DEFAULT_TOURNAMENT_POLICIES,
     GRIDS,
-    PlacementSpecs,
-    PolicyTournament,
-    ThresholdSweep,
+    PlacementGroup,
     flatten,
     placement_specs,
     policy_label,
@@ -95,9 +92,7 @@ __all__ = [
     "SkippedFile",
     "DEFAULT_TOURNAMENT_POLICIES",
     "GRIDS",
-    "PlacementSpecs",
-    "PolicyTournament",
-    "ThresholdSweep",
+    "PlacementGroup",
     "flatten",
     "placement_specs",
     "policy_label",

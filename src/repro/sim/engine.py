@@ -25,11 +25,11 @@ splitting them exactly where the unbatched simulator would have faulted.
 
 Observation is fanned out through an :class:`~repro.obs.events.EventBus`:
 any number of observers (trace collectors, metrics, samplers) subscribe
-to the engine's bus, and the legacy single ``observer=`` kwarg is adapted
-onto the bus for compatibility.  When a :class:`PhaseProfiler` is
-installed, the engine times its own wall-clock hot phases — fault
-handling, policy ticks, and reference batches; neither the bus nor the
-profiler ever charges simulated time.
+to the engine's bus, and ``observer=`` subscribes one more at
+construction.  When a :class:`PhaseProfiler` is installed, the engine
+times its own wall-clock hot phases — fault handling, policy ticks, and
+reference batches; neither the bus nor the profiler ever charges
+simulated time.
 """
 
 from __future__ import annotations
@@ -113,21 +113,19 @@ class Engine:
         self._unix_master = unix_master or UnixMaster(master_cpu=0)
         self._bus = bus if bus is not None else EventBus()
         if observer is not None:
-            # Legacy single-observer path: adapt it onto the bus so old
-            # callers compose with new telemetry unchanged.
             self._bus.subscribe(observer)
         self._profiler = profiler
         self._injector = None
         self._pump_pending = False
         self._policy_tick_ops = policy_tick_ops
-        #: When False, every reference block takes the legacy slow path
-        #: (MMU translate + timing model per block).  The TLB is then
-        #: never consulted or filled; bench_hotpath uses this to measure
-        #: the fast path's speedup against identical simulated results.
+        #: When False, every reference block takes the slow path (MMU
+        #: translate + timing model per block).  The TLB is then never
+        #: consulted or filled; bench_hotpath and the fast-path tests use
+        #: this to assert identical simulated results.
         self._fast_path = fast_path
         self._round = 0
         self._ops_since_tick = 0
-        #: Operations executed, all kinds; bench_hotpath's ops/sec base.
+        #: Operations executed, all kinds; the ledger's ops/sec base.
         self.ops_executed = 0
         #: (task, vpage) -> (vm_object, offset, writable_data); regions
         #: are static once workloads finish building, so memoization is

@@ -261,13 +261,6 @@ class TestGenerateCacheReport:
             "application,"
         )
 
-    def test_emit_tables_rejects_unknown_format(self, dataset, tmp_path):
-        from repro.errors import ConfigurationError
-
-        join = evaluation_from_dataset(dataset, apps=APPS, **GRID)
-        with pytest.raises(ConfigurationError):
-            emit_tables(join.evaluation, tmp_path, formats=("xlsx",))
-
 
 class TestPolicyTournamentSection:
     POLICIES = (("move-threshold", ()), ("adaptive-threshold", ()))
@@ -297,6 +290,47 @@ class TestPolicyTournamentSection:
         assert "missing" not in body
         # Entrants plus the two shared baselines contribute.
         assert len(fps) == 4
+
+    def test_mixed_case_entrants_are_the_same_tournament(
+        self, tournament_root
+    ):
+        """Regression: ``Move-Threshold`` used to label its entrant by
+        the caller's spelling, so the Δ baseline lookup missed and every
+        delta rendered ``na`` (and the spec was fingerprinted twice)."""
+        dataset = CacheDataset.load(tournament_root)
+        shape = dict(apps=["ParMult"], n_processors=2, quick=True)
+        folded = policy_tournament_section(
+            dataset, policies=self.POLICIES, **shape
+        )
+        mixed = policy_tournament_section(
+            dataset,
+            policies=(("Move-Threshold", ()), ("Adaptive-Threshold", ())),
+            **shape,
+        )
+        assert mixed == folded
+        adaptive = next(
+            line for line in mixed[1].splitlines()
+            if "adaptive-threshold" in line
+        )
+        d_beta, d_gamma = adaptive.strip("| ").split(" | ")[-2:]
+        assert "na" not in (d_beta, d_gamma)
+
+    def test_absent_baselines_list_every_absent_spec(self, tmp_path):
+        """One joiner, one rule: like Table 3, a group whose baseline is
+        absent reports all of its absent specs, entrants included."""
+        [group] = policy_tournament(
+            apps=["ParMult"], policies=self.POLICIES,
+            n_processors=2, quick=True,
+        )
+        title, body, fps = policy_tournament_section(
+            CacheDataset.load(tmp_path),
+            apps=["ParMult"], policies=self.POLICIES,
+            n_processors=2, quick=True,
+        )
+        assert body.startswith("(no cached tournament runs)")
+        assert fps == []
+        for spec in group.specs:
+            assert spec.fingerprint() in body
 
     def test_missing_specs_are_listed_not_dropped(self, dataset):
         title, body, fps = policy_tournament_section(

@@ -85,9 +85,6 @@ class TestEvaluation:
 
     def test_format_table3_shows_paper_columns(self, small_evaluation):
         assert "α(paper)" in format_table3(small_evaluation)
-        assert "α(paper)" not in format_table3(
-            small_evaluation, include_paper=False
-        )
 
     def test_format_table4_filters_to_table4_apps(self, small_evaluation):
         text = format_table4(small_evaluation)

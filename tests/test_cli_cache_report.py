@@ -169,6 +169,42 @@ def dirty_cache(tmp_path, monkeypatch):
     return root
 
 
+class TestSweepAgreesWithTheReport:
+    def test_printed_gamma_equals_the_versus_section(self, tmp_path, capsys):
+        """``sweep`` computes γ from batch rows, the report's
+        move-threshold section from the cache table; same cache, same γ."""
+        from repro.analysis.cachereport import (
+            CacheDataset,
+            threshold_versus_section,
+        )
+
+        cache = tmp_path / "cache"
+        argv = [
+            "--quick", "--processors", "3", "--cache-dir", str(cache),
+            "sweep", "--apps", "ParMult", "Primes3", "--thresholds", "0", "4",
+        ]
+        assert main(argv) == 0
+        printed = {}
+        for line in capsys.readouterr().out.splitlines():
+            if line.endswith("processors)"):
+                application = line.split(":")[0]
+            elif line.startswith("  ") and "thresh" not in line:
+                cells = line.split()
+                printed[application, int(cells[0])] = float(cells[-1])
+        _, body, _ = threshold_versus_section(
+            CacheDataset.load(cache), n_processors=3, quick=True
+        )
+        section = {}
+        for line in body.splitlines():
+            cells = line.strip("| ").split(" | ")
+            if len(cells) == 6 and cells[1].isdigit():
+                section[cells[0], int(cells[1])] = float(cells[-1])
+        assert len(printed) == 4 and printed.keys() == section.keys()
+        for key, gamma in printed.items():
+            # Printed to 3 places, tabulated to 4.
+            assert gamma == pytest.approx(section[key], abs=6e-4), key
+
+
 class TestCacheCommand:
     def test_ls_lists_entries_and_skips(self, tmp_path, capsys, monkeypatch):
         root = _warm(monkeypatch, tmp_path)
