@@ -79,22 +79,24 @@ if TYPE_CHECKING:
     from repro.exp.journal import BatchJournal
     from repro.obs.events import EventBus
 
-#: Rough relative wall-clock weight per workload (measured once on the
-#: full-scale Table 3 matrix); only the *ordering* matters, for
-#: longest-first submission.  Unknown workloads sort mid-pack.
+#: Relative wall-clock weight per workload: milliseconds to build and run
+#: its ``table3_grid()`` move-threshold spec at the default size (median
+#: of three, serial, measured after PR 17 put the prime finders on sieve
+#: tables).  Only the *ordering* matters, for longest-first submission;
+#: unknown workloads sort mid-pack.
 WORKLOAD_WEIGHTS: Dict[str, int] = {
-    "Primes1": 100,
-    "FFT": 60,
-    "Primes3": 40,
-    "Primes2": 30,
-    "IMatMult": 20,
-    "PlyTrace": 15,
-    "Gfetch": 8,
-    "ParMult": 5,
+    "Primes3": 475,
+    "FFT": 170,
+    "PlyTrace": 67,
+    "IMatMult": 47,
+    "Primes2": 47,
+    "Primes1": 31,
+    "Gfetch": 4,
+    "ParMult": 2,
 }
 
 #: Default weight for workloads not in the table.
-_DEFAULT_WEIGHT = 25
+_DEFAULT_WEIGHT = 47
 
 #: Specs kept in flight per pool worker: enough to hide submission
 #: latency, small enough that a recycled pool re-queues little.

@@ -23,13 +23,21 @@ injector pumps), so a TLB hit guarantees the whole block is fault-free.
 A shootdown therefore never lands mid-batch; it lands between batches,
 splitting them exactly where the unbatched simulator would have faulted.
 
+:meth:`Engine.run` is the one dispatch loop (DESIGN.md §10.2): a TLB hit
+or a compute burst is consumed inside it, and it is left only for the
+slow arm (a miss, without a second lookup), the rare op kinds, and
+:meth:`Engine._after_op` when a pump is pending or the tick is due.  The
+calls that remain per op — the scheduler, ``CThread.next_op``,
+``SoftwareTLB.lookup``, ``CPU.charge_user`` — are other layers' entry
+points; the ledger wraps the middle two and compares their call counts.
+
 Observation is fanned out through an :class:`~repro.obs.events.EventBus`:
 any number of observers (trace collectors, metrics, samplers) subscribe
 to the engine's bus, and ``observer=`` subscribes one more at
 construction.  When a :class:`PhaseProfiler` is installed, the engine
 times its own wall-clock hot phases — fault handling, policy ticks, and
 reference batches; neither the bus nor the profiler ever charges
-simulated time.
+simulated time, and both are arms of the one loop the bare run takes.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from repro.machine.protection import PROT_READ, PROT_READ_WRITE
 from repro.machine.timing import MemoryLocation
 from repro.obs.events import EventBus
 from repro.obs.profiling import PhaseProfiler
-from repro.sim.ops import Barrier, Compute, FreeObjectPages, MemBlock, Op, Syscall
+from repro.sim.ops import Barrier, Compute, FreeObjectPages, MemBlock, Syscall
 from repro.threads.cthreads import CThread, ThreadState
 from repro.threads.scheduler import Scheduler
 from repro.threads.unix_master import UnixMaster
@@ -124,9 +132,10 @@ class Engine:
         #: this to assert identical simulated results.
         self._fast_path = fast_path
         self._round = 0
-        self._ops_since_tick = 0
         #: Operations executed, all kinds; the ledger's ops/sec base.
         self.ops_executed = 0
+        #: ``ops_executed`` at which the next policy tick falls due.
+        self._tick_due = policy_tick_ops
         #: (task, vpage) -> (vm_object, offset, writable_data); regions
         #: are static once workloads finish building, so memoization is
         #: safe.
@@ -182,21 +191,34 @@ class Engine:
     # -- main loop ---------------------------------------------------------
 
     def run(self, threads: List[CThread]) -> int:
-        """Run all *threads* to completion; returns rounds executed."""
+        """Run all *threads* to completion; returns rounds executed.
+
+        The one dispatch loop: each op is fetched, classified and — a
+        compute burst, or a reference block the TLB vouches for — charged
+        right here.  Profiling and reference events are arms of this same
+        loop, so an observed run takes the path a bare run takes.
+        """
         if not threads:
             self._bus.emit_run_end(self._round)
             return 0
-        # The loop body runs once per thread per round; enum members and
-        # bound methods are hoisted to locals to keep that overhead off
-        # the fast path's back.
+        # The loop body runs once per thread per round; enum members,
+        # bound methods and run-constant attributes are hoisted to locals
+        # to keep that overhead off the fast path's back.
         runnable = ThreadState.RUNNABLE
         finished = ThreadState.FINISHED
         cpu_for = self._scheduler.cpu_for
-        execute = self._execute
+        cpus = self._cpus
+        task_us = self.task_user_us
+        bus = self._bus
+        fast_path = self._fast_path
         while True:
             if all(t.state is finished for t in threads):
                 break
             progressed = False
+            # Observers and the profiler are installed between rounds at
+            # the latest, so one look per round serves every op in it.
+            profiler = self._profiler
+            emit = self._emit_reference_event if bus.wants_references else None
             for thread in threads:
                 if thread.state is not runnable:
                     continue
@@ -207,11 +229,67 @@ class Engine:
                     if self._release_barriers(threads):
                         progressed = True
                     continue
-                execute(thread, cpu, op)
+                task = thread.task
+                if isinstance(op, MemBlock):
+                    started = perf_counter() if profiler is not None else 0.0
+                    cpu_obj = cpus[cpu]
+                    vpage = op.vpage
+                    reads = op.reads
+                    writes = op.writes
+                    entry = cpu_obj.tlb.lookup(vpage, writes > 0) if fast_path else None
+                    if entry is None:
+                        self._mem_block(cpu, op, task)
+                    else:
+                        # FAST PATH: the cached entry proves the MMU would
+                        # translate both halves without faulting, so no
+                        # shootdown can land mid-block.  Charge the batch
+                        # off the cached per-word costs, read and write
+                        # halves as separate charges so the float sums
+                        # match the slow path bit for bit.  The counter
+                        # updates are ReferenceCounters.record with the
+                        # zero half dropped — same state, fewer calls.
+                        writable = entry.writable_data
+                        location = entry.location
+                        if reads:
+                            cost = reads * entry.fetch_us
+                            cpu_obj.charge_user(cost)
+                            task_us[task] = task_us.get(task, 0.0) + cost
+                            cpu_obj.all_refs.fetches[location] += reads
+                            if writable:
+                                cpu_obj.data_refs.fetches[location] += reads
+                            if emit:
+                                emit(cpu, vpage, reads, 0, location, writable, task)
+                        if writes:
+                            cost = writes * entry.store_us
+                            cpu_obj.charge_user(cost)
+                            task_us[task] = task_us.get(task, 0.0) + cost
+                            cpu_obj.all_refs.stores[location] += writes
+                            if writable:
+                                cpu_obj.data_refs.stores[location] += writes
+                            if emit:
+                                emit(cpu, vpage, 0, writes, location, writable, task)
+                    if profiler is not None:
+                        profiler.add("reference_batch", perf_counter() - started)
+                elif isinstance(op, Compute):
+                    us = op.us
+                    cpus[cpu].charge_user(us)
+                    task_us[task] = task_us.get(task, 0.0) + us
+                elif isinstance(op, Barrier):
+                    thread.state = ThreadState.WAITING
+                    thread.waiting_on = op.name
+                elif isinstance(op, Syscall):
+                    self._syscall(op, task)
+                elif isinstance(op, FreeObjectPages):
+                    self._free_object(cpu, op, task)
+                else:
+                    raise SimulationError(f"unknown operation {op!r}")
                 progressed = True
+                self.ops_executed = ops = self.ops_executed + 1
+                if ops >= self._tick_due or self._pump_pending:
+                    self._after_op()
             self._round += 1
-            if self._bus.wants_rounds:
-                self._bus.emit_round_end(self._round - 1)
+            if bus.wants_rounds:
+                bus.emit_round_end(self._round - 1)
             if not progressed:
                 if self._release_barriers(threads):
                     continue
@@ -228,31 +306,15 @@ class Engine:
                 raise SimulationError(
                     f"deadlock: threads waiting on barriers {waiting}"
                 )
-        self._bus.emit_run_end(self._round)
+        bus.emit_run_end(self._round)
         return self._round
 
     # -- op execution ------------------------------------------------------
 
-    def _execute(self, thread: CThread, cpu: int, op: Op) -> None:
-        task = thread.task
-        if isinstance(op, MemBlock):
-            self._mem_block(cpu, op, task)
-        elif isinstance(op, Compute):
-            us = op.us
-            self._cpus[cpu].charge_user(us)
-            task_us = self.task_user_us
-            task_us[task] = task_us.get(task, 0.0) + us
-        elif isinstance(op, Barrier):
-            thread.state = ThreadState.WAITING
-            thread.waiting_on = op.name
-        elif isinstance(op, Syscall):
-            self._syscall(op, task)
-        elif isinstance(op, FreeObjectPages):
-            self._free_object(cpu, op, task)
-        else:
-            raise SimulationError(f"unknown operation {op!r}")
-        self.ops_executed += 1
-        self._ops_since_tick += 1
+    def _after_op(self) -> None:
+        """The injector pump and the policy tick: protocol activity that
+        may invalidate translations, so it runs between ops.  Entered only
+        when a pump is pending or the tick is due."""
         if self._pump_pending:
             # Op granularity, not just policy ticks: local copies on
             # small workloads live shorter than a tick, and a scheduled
@@ -266,8 +328,8 @@ class Engine:
             # absorbing), so profiles with nothing time-scheduled pay
             # one plain attribute check per op, not a property chain.
             self._pump_pending = injector.wants_pump
-        if self._ops_since_tick >= self._policy_tick_ops:
-            self._ops_since_tick = 0
+        if self.ops_executed >= self._tick_due:
+            self._tick_due = self.ops_executed + self._policy_tick_ops
             profiler = self._profiler
             started = perf_counter() if profiler is not None else 0.0
             numa = self._faults.pmap.numa
@@ -279,64 +341,21 @@ class Engine:
                 profiler.add("policy_tick", perf_counter() - started)
 
     def _mem_block(self, cpu: int, op: MemBlock, task: int = 0) -> None:
-        profiler = self._profiler
-        started = perf_counter() if profiler is not None else 0.0
+        """SLOW PATH: translate through the MMU, faulting as needed.
+
+        Taken on a TLB miss (already counted: no second lookup here) and
+        for every block when the fast path is off.
+        """
         vpage = op.vpage
-        reads = op.reads
-        writes = op.writes
-        if self._fast_path:
-            cpu_obj = self._cpus[cpu]
-            entry = cpu_obj.tlb.lookup(vpage, writes > 0)
-            if entry is not None:
-                # FAST PATH: the cached entry proves the MMU would
-                # translate both halves of the block without faulting, so
-                # no protocol action — hence no shootdown — can land
-                # mid-block.  Charge the batch off the cached per-word
-                # costs; read then write halves stay separate charges so
-                # the float sums match the slow path bit for bit.  The
-                # counter updates are the body of ReferenceCounters.record
-                # with the zero half dropped — same state, fewer calls.
-                writable = entry.writable_data
-                location = entry.location
-                task_us = self.task_user_us
-                emit = self._bus.wants_references
-                if reads:
-                    cost = reads * entry.fetch_us
-                    cpu_obj.charge_user(cost)
-                    task_us[task] = task_us.get(task, 0.0) + cost
-                    cpu_obj.all_refs.fetches[location] += reads
-                    if writable:
-                        cpu_obj.data_refs.fetches[location] += reads
-                    if emit:
-                        self._emit_reference_event(
-                            cpu, vpage, reads, 0, location, writable, task
-                        )
-                if writes:
-                    cost = writes * entry.store_us
-                    cpu_obj.charge_user(cost)
-                    task_us[task] = task_us.get(task, 0.0) + cost
-                    cpu_obj.all_refs.stores[location] += writes
-                    if writable:
-                        cpu_obj.data_refs.stores[location] += writes
-                    if emit:
-                        self._emit_reference_event(
-                            cpu, vpage, 0, writes, location, writable, task
-                        )
-                if profiler is not None:
-                    profiler.add("reference_batch", perf_counter() - started)
-                return
-        # SLOW PATH: translate through the MMU, faulting as needed.
         _, _, writable = self._info_for(vpage, task)
-        if reads:
+        if op.reads:
             frame = self._resolve(cpu, vpage, AccessKind.READ, task)
-            self._charge_refs(cpu, vpage, frame, reads, 0, writable, task)
-        if writes:
+            self._charge_refs(cpu, vpage, frame, op.reads, 0, writable, task)
+        if op.writes:
             frame = self._resolve(cpu, vpage, AccessKind.WRITE, task)
-            self._charge_refs(cpu, vpage, frame, 0, writes, writable, task)
+            self._charge_refs(cpu, vpage, frame, 0, op.writes, writable, task)
         if self._fast_path:
             self._fill_tlb(cpu, vpage, writable)
-        if profiler is not None:
-            profiler.add("reference_batch", perf_counter() - started)
 
     def _syscall(self, op: Syscall, task: int = 0) -> None:
         call = self._unix_master.effective_syscall(op)

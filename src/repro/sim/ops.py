@@ -5,12 +5,17 @@ the engine executes each one against the machine, charging time and
 driving faults.  Reference *blocks* rather than single references keep the
 event count tractable while preserving exact per-word costs (DESIGN.md
 §5.1).
+
+Ops are frozen values and nothing downstream depends on an op's
+identity, so a body re-yields the instance it already has instead of
+constructing an equal one (:func:`reuse_ops`, DESIGN.md §5.7).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from functools import lru_cache
+from typing import Callable, Tuple, Union
 
 from repro.vm.vm_object import VMObject
 
@@ -90,3 +95,13 @@ class FreeObjectPages:
 
 
 Op = Union[Compute, MemBlock, Barrier, Syscall, FreeObjectPages]
+
+
+def reuse_ops(op_type: type) -> Callable[..., Op]:
+    """A constructor for *op_type* that re-yields what it already built.
+
+    Equal arguments return the one frozen instance built the first time.
+    A workload build makes its own and drops it with the bodies, so the
+    memo holds a build's *distinct* ops — never a stream, never a process.
+    """
+    return lru_cache(maxsize=None)(op_type)

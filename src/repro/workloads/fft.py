@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import List
 
-from repro.sim.ops import Barrier, Compute, MemBlock
+from repro.sim.ops import Barrier, Compute, MemBlock, reuse_ops
 from repro.workloads.base import BuildContext, ThreadBody, Workload
 from repro.workloads.layout import FractionalRefs, LayoutBuilder
 
@@ -80,9 +80,14 @@ class FFT(Workload):
         butterflies_per_line = (m // 2) * passes
         private_refs = butterflies_per_line * BUTTERFLY_REFS
         page_words = ctx.page_size_words
+        mem = reuse_ops(MemBlock)
 
         def line_compute(thread: int) -> ThreadBody:
-            """Butterfly passes over one line held in private workspace."""
+            """Butterfly passes over one line held in private workspace.
+
+            The carries start from zero, so every line of a thread is the
+            same sequence: generated once per body, re-yielded per line.
+            """
             work_page = workspaces[thread].vpage_at(0)
             stack_page = stacks[thread].vpage_at(0)
             remaining = private_refs
@@ -107,6 +112,7 @@ class FFT(Workload):
             return layout.page_of_word(matrix, row * row_words)
 
         def body(thread: int) -> ThreadBody:
+            line_ops = tuple(line_compute(thread))
             # Thread 0 fills the input matrix (EPEX reads it from a file
             # into shared memory before the parallel section).
             if thread == 0:
@@ -120,7 +126,7 @@ class FFT(Workload):
             # back for the transpose.
             for row in range(thread, m, ctx.n_threads):
                 yield MemBlock(row_page(row), reads=row_words * SHARED_XFER_REFS)
-                yield from line_compute(thread)
+                yield from line_ops
                 yield MemBlock(
                     row_page(row), reads=0, writes=row_words * SHARED_XFER_REFS
                 )
@@ -137,20 +143,21 @@ class FFT(Workload):
                     elems = min(rows_per_page, m - page_index * rows_per_page)
                     if elems <= 0:
                         break
-                    yield MemBlock(
+                    yield mem(
                         matrix.vpage_at(page_index),
-                        reads=2 * elems * len(batch) * SHARED_XFER_REFS,
+                        2 * elems * len(batch) * SHARED_XFER_REFS,
+                        0,
                     )
                 for _ in batch:
-                    yield from line_compute(thread)
+                    yield from line_ops
                 for page_index in range(matrix_pages):
                     elems = min(rows_per_page, m - page_index * rows_per_page)
                     if elems <= 0:
                         break
-                    yield MemBlock(
+                    yield mem(
                         matrix.vpage_at(page_index),
-                        reads=0,
-                        writes=2 * elems * len(batch) * SHARED_XFER_REFS,
+                        0,
+                        2 * elems * len(batch) * SHARED_XFER_REFS,
                     )
 
         return [body(t) for t in range(ctx.n_threads)]

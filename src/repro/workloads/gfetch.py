@@ -64,9 +64,9 @@ class Gfetch(Workload):
             # just declaration).
             stripe = max(1, page_words // max(1, ctx.n_threads))
             vpages = [buffer.vpage_at(i) for i in range(self.buffer_pages)]
+            stores = [MemBlock(vpage, reads=0, writes=stripe) for vpage in vpages]
             for _ in range(self.init_rounds):
-                for vpage in vpages:
-                    yield MemBlock(vpage, reads=0, writes=stripe)
+                yield from stores
             yield Barrier("gfetch.init")
             # Steady state.  Ops are frozen value objects, so the per-page
             # fetch blocks are built once and re-yielded: the generator

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.sim.ops import Barrier, Compute, MemBlock
+from repro.sim.ops import Barrier, Compute, MemBlock, reuse_ops
 from repro.workloads.base import BuildContext, ThreadBody, Workload
 from repro.workloads.layout import FractionalRefs, LayoutBuilder
 
@@ -56,6 +56,9 @@ class IMatMult(Workload):
         b = layout.read_mostly("matrix.B", words)
         c = layout.shared("matrix.C", words)
         page_words = ctx.page_size_words
+        # Every row sweeps the same pages with the same few counts.
+        mem = reuse_ops(MemBlock)
+        multiply = Compute(n * n * ELEMENT_US)
 
         def body(thread: int) -> ThreadBody:
             # Thread 0 initializes both inputs (stores every element);
@@ -74,7 +77,7 @@ class IMatMult(Workload):
                 # element, no data cache), n^2 fetches spread over all of
                 # B (column walks), n stores into C's row.
                 a_page = layout.page_of_word(a, row * n)
-                yield MemBlock(a_page, reads=n * n, writes=0)
+                yield mem(a_page, n * n, 0)
                 # Column walks touch B's pages uniformly.
                 b_pages = b.n_pages
                 for page_index in range(b_pages):
@@ -83,10 +86,10 @@ class IMatMult(Workload):
                     share = words_here / words
                     reads, _ = b_frac.take(n * n * share, 0.0)
                     if reads:
-                        yield MemBlock(b.vpage_at(page_index), reads=reads)
-                yield Compute(n * n * ELEMENT_US)
+                        yield mem(b.vpage_at(page_index), reads, 0)
+                yield multiply
                 c_page = layout.page_of_word(c, row * n)
-                yield MemBlock(c_page, reads=0, writes=n)
+                yield mem(c_page, 0, n)
 
         return [body(t) for t in range(ctx.n_threads)]
 

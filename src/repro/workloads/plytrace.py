@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.sim.ops import Barrier, Compute, MemBlock
+from repro.sim.ops import Barrier, Compute, MemBlock, reuse_ops
 from repro.workloads.base import BuildContext, ThreadBody, Workload
 from repro.workloads.layout import LayoutBuilder
 
@@ -93,6 +93,11 @@ class PlyTrace(Workload):
                 words=PACKED_ROWS * PACKED_ROW_WORDS,
             )
 
+        # Six ops per polygon over a handful of pages: built once, re-yielded.
+        mem = reuse_ops(MemBlock)
+        grab = MemBlock(queue_page, reads=1, writes=1)
+        shade = Compute(SHADE_US)
+
         def body(thread: int) -> ThreadBody:
             # Thread 0 loads the scene: writes the polygon store once.
             if thread == 0:
@@ -103,28 +108,23 @@ class PlyTrace(Workload):
                 yield Compute(geometry_words * 0.3)
             yield Barrier("plytrace.scene")
 
-            stack_page = stacks[thread].vpage_at(0)
+            workspace = MemBlock(
+                stacks[thread].vpage_at(0), WORKSPACE_READS, WORKSPACE_WRITES
+            )
             band = bands[thread]
             for index in range(thread, self.n_polygons, ctx.n_threads):
                 # Pull the next polygon list off the work pile.
-                yield MemBlock(queue_page, reads=1, writes=1)
+                yield grab
                 geo_word = (index * 8) % geometry_words
-                yield MemBlock(
-                    layout.page_of_word(geometry, geo_word),
-                    reads=GEOMETRY_READS,
+                yield mem(
+                    layout.page_of_word(geometry, geo_word), GEOMETRY_READS, 0
                 )
-                yield Compute(SHADE_US)
-                yield MemBlock(
-                    stack_page,
-                    reads=WORKSPACE_READS,
-                    writes=WORKSPACE_WRITES,
-                )
+                yield shade
+                yield workspace
                 if self.padded_framebuffer:
                     pixel_page = band.vpage_at(index % band.n_pages)
-                    yield MemBlock(pixel_page, reads=0, writes=PIXEL_WRITES)
-                    yield MemBlock(
-                        boundary.vpage_at(0), reads=0, writes=BOUNDARY_WRITES
-                    )
+                    yield mem(pixel_page, 0, PIXEL_WRITES)
+                    yield mem(boundary.vpage_at(0), 0, BOUNDARY_WRITES)
                 else:
                     # Each thread renders a contiguous band of scanlines,
                     # but the bands are packed back-to-back with no
@@ -136,10 +136,6 @@ class PlyTrace(Workload):
                     pixel_page = layout.page_of_word(
                         boundary, (row % PACKED_ROWS) * PACKED_ROW_WORDS
                     )
-                    yield MemBlock(
-                        pixel_page,
-                        reads=0,
-                        writes=PIXEL_WRITES + BOUNDARY_WRITES,
-                    )
+                    yield mem(pixel_page, 0, PIXEL_WRITES + BOUNDARY_WRITES)
 
         return [body(t) for t in range(ctx.n_threads)]

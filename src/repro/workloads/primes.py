@@ -24,14 +24,23 @@ division counts are computed exactly for the scaled problem.
   Table 3: α = .17, β = .36, γ = 1.30; it is also the Table 4 outlier
   (ΔS/Tnuma = 24.9%) because a large amount of memory is copied from
   local memory to local memory several times before being pinned.
+
+Streams come from tables, not recomputation (DESIGN.md §5.7): the two
+``trial_divisions_*`` functions are the *specification* of Primes1 and
+Primes2's per-candidate work; :func:`division_counts` (one sieve per
+build, reduced per work chunk by :func:`chunk_work`) is the implementation.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List
+from array import array
+from bisect import bisect_left, bisect_right
+from itertools import compress
+from typing import List, Sequence, Tuple
 
-from repro.sim.ops import Barrier, Compute, MemBlock
+from repro.core.policies.pragma import Pragma
+from repro.sim.ops import Barrier, Compute, MemBlock, reuse_ops
 from repro.workloads.base import BuildContext, ThreadBody, Workload
 from repro.workloads.layout import FractionalRefs, LayoutBuilder
 
@@ -80,7 +89,8 @@ def primes_below(limit: int) -> List[int]:
             sieve[value * value :: value] = bytearray(
                 len(range(value * value, limit, value))
             )
-    return [i for i, flag in enumerate(sieve) if flag]
+    # Odd flags only, through a view: no second copy of sieve or list.
+    return [2, *compress(range(3, limit, 2), memoryview(sieve)[3::2])]
 
 
 def trial_divisions_all_odds(candidate: int) -> int:
@@ -115,6 +125,56 @@ def trial_divisions_primes(candidate: int, primes: List[int]) -> int:
     return count
 
 
+def division_counts(
+    limit: int, found: Sequence[int], primes_only: bool
+) -> array:
+    """Trial divisions for every odd ``c < limit``, indexed by ``c >> 1``.
+
+    The table form of :func:`trial_divisions_all_odds` (*primes_only*: of
+    :func:`trial_divisions_primes` over *found* = ``primes_below(limit)``).
+    A prime is divided by everything up to its root: ``(isqrt(c) - 1) // 2``
+    odd numbers, π_odd(isqrt(c)) odd primes.  An odd composite stops at its
+    least odd prime factor ``p``: ``(p - 1) // 2`` odd numbers, or ``p``'s
+    rank among the odd primes.  Sieving primes run largest first, so each
+    composite's smallest factor writes its entry last.
+    """
+    half = limit // 2
+    root = math.isqrt(limit - 1)
+    odd_primes = [p for p in found[1:] if p <= root]
+    counts = array("I", [0]) * half
+    for r in range(1, root + 1):
+        # Candidates with isqrt(c) == r: the odd numbers in [r², (r+1)²).
+        lo, hi = (r * r) >> 1, min(half, ((r + 1) * (r + 1)) >> 1)
+        value = bisect_right(odd_primes, r) if primes_only else (r - 1) // 2
+        counts[lo:hi] = array("I", [value]) * (hi - lo)
+    for rank in range(len(odd_primes), 0, -1):
+        p = odd_primes[rank - 1]
+        # Odd multiples p², p² + 2p, ... sit p apart when indexed by c >> 1.
+        first = (p * p) >> 1
+        value = rank if primes_only else (p - 1) // 2
+        counts[first::p] = array("I", [value]) * len(range(first, half, p))
+    return counts
+
+
+def chunk_work(
+    limit: int, found: Sequence[int], primes_only: bool
+) -> List[Tuple[int, int, int]]:
+    """Per work chunk: (divisions, deepest divisor index, primes found).
+
+    Chunk *k* is the ``CHUNK_CANDIDATES`` odd candidates from
+    ``3 + 2 * CHUNK_CANDIDATES * k``; the table dies with this reduction.
+    """
+    counts = division_counts(limit, found, primes_only)
+    chunks = []
+    for lo in range(1, len(counts), CHUNK_CANDIDATES):
+        part = counts[lo : lo + CHUNK_CANDIDATES]
+        first = 2 * lo + 1
+        beyond = first + 2 * len(part)
+        primes_found = bisect_left(found, beyond) - bisect_left(found, first)
+        chunks.append((sum(part), max(part), primes_found))
+    return chunks
+
+
 class Primes1(Workload):
     """Trial division by all odd numbers (Beck & Olien structure)."""
 
@@ -140,24 +200,14 @@ class Primes1(Workload):
         output = layout.shared("primes.output", words=max(4, len(found)))
         stacks = [layout.stack(t) for t in range(ctx.n_threads)]
 
-        candidates = list(range(3, self.limit, 2))
-        chunks = [
-            candidates[i : i + CHUNK_CANDIDATES]
-            for i in range(0, len(candidates), CHUNK_CANDIDATES)
-        ]
-        prime_set = set(found)
+        chunks = chunk_work(self.limit, found, primes_only=False)
+        grab = MemBlock(counter_page, reads=1, writes=1)
 
         def body(thread: int) -> ThreadBody:
             stack_page = stacks[thread].vpage_at(0)
-            out_index = 0
             for chunk_index in range(thread, len(chunks), ctx.n_threads):
-                yield MemBlock(counter_page, reads=1, writes=1)
-                divisions = 0
-                primes_found = 0
-                for candidate in chunks[chunk_index]:
-                    divisions += trial_divisions_all_odds(candidate)
-                    if candidate in prime_set:
-                        primes_found += 1
+                yield grab
+                divisions, _, primes_found = chunks[chunk_index]
                 if divisions:
                     yield Compute(divisions * DIV1_US)
                     yield MemBlock(
@@ -174,7 +224,6 @@ class Primes1(Workload):
                         reads=0,
                         writes=primes_found,
                     )
-                out_index += primes_found
 
         return [body(t) for t in range(ctx.n_threads)]
 
@@ -218,27 +267,15 @@ class Primes2(Workload):
             for t in range(ctx.n_threads)
         ]
 
-        candidates = list(range(3, self.limit, 2))
-        chunks = [
-            candidates[i : i + CHUNK_CANDIDATES]
-            for i in range(0, len(candidates), CHUNK_CANDIDATES)
-        ]
-        prime_set = set(found)
+        chunks = chunk_work(self.limit, found, primes_only=True)
+        grab = MemBlock(counter_page, reads=1, writes=1)
 
         def body(thread: int) -> ThreadBody:
             stack_page = stacks[thread].vpage_at(0)
             copied = 0  # divisors copied into the private vector so far
             for chunk_index in range(thread, len(chunks), ctx.n_threads):
-                yield MemBlock(counter_page, reads=1, writes=1)
-                divisions = 0
-                primes_found = 0
-                max_divisor_index = 0
-                for candidate in chunks[chunk_index]:
-                    d = trial_divisions_primes(candidate, found)
-                    divisions += d
-                    max_divisor_index = max(max_divisor_index, d)
-                    if candidate in prime_set:
-                        primes_found += 1
+                yield grab
+                divisions, max_divisor_index, primes_found = chunks[chunk_index]
                 if divisions == 0:
                     continue
                 yield Compute(divisions * DIV2_US)
@@ -327,8 +364,6 @@ class Primes3(Workload):
         return cls(limit=40_000)
 
     def build(self, ctx: BuildContext) -> List[ThreadBody]:
-        from repro.core.policies.pragma import Pragma
-
         layout = LayoutBuilder(ctx)
         layout.code("primes3.text", pages=3)
         page_words = ctx.page_size_words
@@ -348,13 +383,17 @@ class Primes3(Workload):
         root = math.isqrt(self.limit)
         sieving_primes = [p for p in found if p != 2 and p <= root]
         sieve_pages = sieve.n_pages
+        # A thousand distinct ops, 176 k yields: built once, re-yielded.
+        mem = reuse_ops(MemBlock)
+        compute = reuse_ops(Compute)
+        grab = MemBlock(counter_page, reads=1, writes=1)
 
         def mask_ops(thread: int) -> ThreadBody:
             stack_page = stacks[thread].vpage_at(0)
             stack_frac = FractionalRefs()
             for index in range(thread, len(sieving_primes), ctx.n_threads):
                 p = sieving_primes[index]
-                yield MemBlock(counter_page, reads=1, writes=1)
+                yield grab
                 # Composites p*p, p*(p+2), ... — one read-modify-write
                 # per odd multiple, spread across the sieve's pages.
                 first = p * p
@@ -374,16 +413,14 @@ class Primes3(Workload):
                     vpage = sieve.vpage_at(page_index)
                     while rmw > 0:
                         block = min(rmw, MASK_BLOCK_REFS)
-                        yield MemBlock(vpage, reads=block, writes=block)
-                        yield Compute(block * MASK_US)
+                        yield mem(vpage, block, block)
+                        yield compute(block * MASK_US)
                         s_reads, s_writes = stack_frac.take(
                             block * STACK_REFS_PER_OP * 0.6,
                             block * STACK_REFS_PER_OP * 0.4,
                         )
                         if s_reads or s_writes:
-                            yield MemBlock(
-                                stack_page, reads=s_reads, writes=s_writes
-                            )
+                            yield mem(stack_page, s_reads, s_writes)
                         rmw -= block
 
         # The output vector is compacted: each thread appends the primes
@@ -404,29 +441,25 @@ class Primes3(Workload):
                 if words_here <= 0:
                     continue
                 yield MemBlock(sieve.vpage_at(page_index), reads=words_here)
-                yield Compute(words_here * SCAN_WORD_US)
+                yield compute(words_here * SCAN_WORD_US)
                 s_reads, s_writes = stack_frac.take(
                     words_here * STACK_REFS_PER_OP * 0.6,
                     words_here * STACK_REFS_PER_OP * 0.4,
                 )
                 if s_reads or s_writes:
-                    yield MemBlock(stack_page, reads=s_reads, writes=s_writes)
+                    yield mem(stack_page, s_reads, s_writes)
                 stores, _ = out_frac.take(words_here * density, 0.0)
                 while stores > 0:
                     block = min(stores, OUT_BLOCK_WORDS)
                     # Claim a chunk of the shared output tail, then fill
                     # it.  Interleaved claims from different threads put
                     # alternating writers on each output page.
-                    yield MemBlock(counter_page, reads=1, writes=1)
+                    yield grab
                     out_word = min(output_tail[0], max(0, len(found) - 1))
                     output_tail[0] = (output_tail[0] + block) % max(
                         1, len(found)
                     )
-                    yield MemBlock(
-                        layout.page_of_word(output, out_word),
-                        reads=0,
-                        writes=block,
-                    )
+                    yield mem(layout.page_of_word(output, out_word), 0, block)
                     stores -= block
 
         def body(thread: int) -> ThreadBody:

@@ -14,6 +14,7 @@ from repro.exp.grid import flatten, table3_grid, threshold_grid
 from repro.exp.journal import BatchJournal, journal_path_for
 from repro.exp.spec import RunSpec
 from repro.exp.supervise import (
+    WORKLOAD_WEIGHTS,
     SupervisedRunner,
     SupervisorPolicy,
     spec_weight,
@@ -66,8 +67,9 @@ class TestRunner:
         assert "nope" in str(excinfo.value)
 
     def test_spec_weight_orders_heavy_workloads_first(self):
-        heavy = RunSpec(workload="Primes1")
+        heavy = RunSpec(workload="Primes3")
         light = RunSpec(workload="ParMult")
+        assert spec_weight(heavy) == max(WORKLOAD_WEIGHTS.values())
         assert spec_weight(heavy) > spec_weight(light)
         chaotic = RunSpec(workload="ParMult", fault_profile="transient")
         assert spec_weight(chaotic) > spec_weight(light)

@@ -5,8 +5,9 @@ import pytest
 from repro.core.policies import MoveThresholdPolicy
 from repro.errors import FaultResolutionError
 from repro.machine.timing import MemoryLocation
+from repro.obs.profiling import PhaseProfiler
 from repro.sim.engine import MAX_FAULT_RESOLUTION_ATTEMPTS, Engine
-from repro.sim.harness import build_simulation
+from repro.sim.harness import build_simulation, collect_result
 from repro.sim.ops import MemBlock
 from repro.threads.cthreads import CThread
 from repro.threads.scheduler import AffinityScheduler
@@ -61,6 +62,91 @@ class TestEquivalence:
         counters = slow.machine.tlb_counters()
         for key in ("hits", "misses", "fills", "evictions"):
             assert counters[key] == 0, counters
+
+
+class ReferenceLog:
+    """An ``on_reference`` observer that keeps what it was told."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_reference(
+        self, round_index, cpu, vpage, page_id, reads, writes, location,
+        writable_data,
+    ):
+        self.events.append((reads, writes))
+
+
+def run_counted(name, *, profiler=None, observer=None, fast_path=True):
+    """Run small *name*; returns (sim, MemBlock tally, simulated outputs)."""
+    sim = build_simulation(
+        [small_workloads()[name]],
+        MoveThresholdPolicy(threshold=4),
+        n_processors=4,
+        observer=observer,
+        fast_path=fast_path,
+    )
+    if profiler is not None:
+        sim.engine.profiler = profiler
+    tally = {"blocks": 0, "halves": 0}
+
+    def counted(body):
+        for op in body:
+            if isinstance(op, MemBlock):
+                tally["blocks"] += 1
+                tally["halves"] += (op.reads > 0) + (op.writes > 0)
+            yield op
+
+    for thread in sim.threads:
+        thread.body = counted(thread.body)
+    rounds = sim.engine.run(sim.threads)
+    outputs = (
+        collect_result(sim, rounds).as_dict(),
+        sim.machine.tlb_counters(),
+    )
+    return sim, tally, outputs
+
+
+@pytest.mark.parametrize("name", ["Primes3", "FFT", "PlyTrace"])
+class TestOneDispatchLoop:
+    """Profiling and observing are arms of the loop the bare run takes."""
+
+    def test_profiled_run_is_the_bare_run(self, name):
+        _, _, bare = run_counted(name)
+        profiler = PhaseProfiler()
+        _, tally, profiled = run_counted(name, profiler=profiler)
+        assert profiled == bare
+        # One reference_batch span per MemBlock, hit or miss.
+        assert profiler.phase("reference_batch").calls == tally["blocks"]
+
+    def test_observed_run_is_the_bare_run(self, name):
+        _, _, bare = run_counted(name)
+        log = ReferenceLog()
+        _, tally, observed = run_counted(name, observer=log)
+        assert observed == bare
+        # One event per non-empty half-block, never a merged one.
+        assert len(log.events) == tally["halves"]
+        assert all((r == 0) != (w == 0) for r, w in log.events)
+
+    def test_observed_slow_path_sees_the_same_events(self, name):
+        fast_log, slow_log = ReferenceLog(), ReferenceLog()
+        run_counted(name, observer=fast_log)
+        run_counted(name, observer=slow_log, fast_path=False)
+        assert fast_log.events == slow_log.events
+
+    def test_each_block_is_looked_up_exactly_once(self, name):
+        sim, tally, _ = run_counted(name)
+        counters = sim.machine.tlb_counters()
+        # A miss falls through to the slow arm without a second lookup.
+        assert counters["hits"] + counters["misses"] == tally["blocks"]
+        assert counters["hits"] > counters["misses"] > 0
+
+    def test_ops_are_counted_once_per_thread_and_engine(self, name):
+        sim, _, _ = run_counted(name)
+        assert (
+            sum(thread.ops_executed for thread in sim.threads)
+            == sim.engine.ops_executed
+        )
 
 
 class TestFillBehavior:

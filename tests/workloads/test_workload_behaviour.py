@@ -1,6 +1,8 @@
 """Per-application behaviour: the sharing patterns the paper describes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.policies import MoveThresholdPolicy
 from repro.core.state import PageState
@@ -11,9 +13,12 @@ from repro.workloads.imatmult import IMatMult
 from repro.workloads.parmult import ParMult
 from repro.workloads.plytrace import PlyTrace
 from repro.workloads.primes import (
+    CHUNK_CANDIDATES,
     Primes1,
     Primes2,
     Primes3,
+    chunk_work,
+    division_counts,
     primes_below,
     trial_divisions_all_odds,
     trial_divisions_primes,
@@ -43,6 +48,13 @@ class TestPrimesHelpers:
         assert len(primes_below(1000)) == 168
         assert primes_below(2) == []
 
+    def test_primes_below_agrees_with_naive_trial_division(self):
+        def is_prime(n):
+            return n >= 2 and all(n % d for d in range(2, n))
+
+        for n in range(501):
+            assert primes_below(n) == [k for k in range(n) if is_prime(k)]
+
     def test_trial_divisions_all_odds(self):
         # 9: divides by 3 -> 1 division, exits early.
         assert trial_divisions_all_odds(9) == 1
@@ -60,6 +72,58 @@ class TestPrimesHelpers:
         # 121 = 11^2: tries 3,5,7,11 -> 4 (odds would try 9 too -> 5).
         assert trial_divisions_primes(121, primes) == 4
         assert trial_divisions_all_odds(121) == 5
+
+
+def assert_tables_match_the_definition(limit):
+    """Every odd candidate's table entry equals its trial-division count."""
+    found = primes_below(limit)
+    all_odds = division_counts(limit, found, primes_only=False)
+    primes_only = division_counts(limit, found, primes_only=True)
+    candidates = range(3, limit, 2)
+    assert len(all_odds) == len(primes_only) == len(candidates) + 1
+    for c in candidates:
+        assert all_odds[c >> 1] == trial_divisions_all_odds(c), (limit, c)
+        assert primes_only[c >> 1] == trial_divisions_primes(c, found), (
+            limit,
+            c,
+        )
+
+
+class TestDivisionTables:
+    """The sieve is the implementation; trial division is the definition."""
+
+    @pytest.mark.parametrize("limit", [10, 11, 100, 4_000, 40_000])
+    def test_every_candidate_matches_trial_division(self, limit):
+        # 10 is the smallest legal limit; 10/11 put c = limit - 1 on a
+        # square of a prime (9) and just past it; 4 000 and 40 000 are
+        # the small() sizes of Primes1/2 and Primes3.
+        assert_tables_match_the_definition(limit)
+
+    @settings(max_examples=25, deadline=None)
+    @given(limit=st.integers(min_value=10, max_value=20_000))
+    def test_any_limit_matches_trial_division(self, limit):
+        assert_tables_match_the_definition(limit)
+
+    @pytest.mark.parametrize("limit", [10, 139, 4_000])
+    @pytest.mark.parametrize("primes_only", [False, True])
+    def test_chunks_reduce_the_candidates_in_order(self, limit, primes_only):
+        """(divisions, deepest divisor, primes) per 64-candidate chunk."""
+        found = primes_below(limit)
+        prime_set = set(found)
+        candidates = list(range(3, limit, 2))
+        expected = []
+        for i in range(0, len(candidates), CHUNK_CANDIDATES):
+            chunk = candidates[i : i + CHUNK_CANDIDATES]
+            counts = [
+                trial_divisions_primes(c, found)
+                if primes_only
+                else trial_divisions_all_odds(c)
+                for c in chunk
+            ]
+            expected.append(
+                (sum(counts), max(counts), len(prime_set.intersection(chunk)))
+            )
+        assert chunk_work(limit, found, primes_only) == expected
 
 
 class TestParMult:
