@@ -15,11 +15,15 @@ Cost model (documented per DESIGN.md §5):
   processor, or ``shootdown_us`` when another processor's MMU must be
   touched.
 * Zero-filling is a store per word to the destination memory.
+
+A machine's CPUs, memory and timing model are fixed at construction, so
+the executor holds those parts (and the two fixed mapping prices) instead
+of re-fetching them through the machine on every action.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 
 from repro.core.directory import DirectoryEntry
 from repro.core.stats import NUMAStats
@@ -33,19 +37,12 @@ class ActionExecutor:
     """Executes protocol actions and accounts for their cost."""
 
     def __init__(self, machine: Machine, stats: NUMAStats) -> None:
-        self._machine = machine
+        self._cpus = machine.cpus
+        self._memory = machine.memory
+        self._timing = machine.timing
+        self._mapping_op_us = machine.timing.mapping_op_us
+        self._shootdown_us = machine.timing.shootdown_us
         self._stats = stats
-
-    # -- cost helpers ------------------------------------------------------
-
-    def _charge(self, acting_cpu: int, microseconds: float) -> None:
-        self._machine.cpu(acting_cpu).charge_system(microseconds)
-
-    def _mapping_cost(self, acting_cpu: int, target_cpu: int) -> float:
-        timing = self._machine.timing
-        if acting_cpu == target_cpu:
-            return timing.mapping_op_us
-        return timing.shootdown_us
 
     # -- primitive actions -------------------------------------------------
 
@@ -70,11 +67,11 @@ class ActionExecutor:
             )
         # Frame-aware: a sync of a same-socket neighbour's copy reads at
         # socket speed on multi-level machines (flat: identical floats).
-        cost = self._machine.timing.page_copy_us_for(
+        cost = self._timing.page_copy_us_for(
             acting_cpu, local, MemoryLocation.GLOBAL
         )
-        self._charge(acting_cpu, cost * cost_factor)
-        self._machine.memory.copy(local, entry.global_frame)
+        self._cpus[acting_cpu].charge_system(cost * cost_factor)
+        self._memory.copy(local, entry.global_frame)
         self._stats.syncs += 1
 
     def flush(
@@ -94,7 +91,7 @@ class ActionExecutor:
                 for mapper in list(entry.mappings):
                     if entry.mappings[mapper].frame == local:
                         self.drop_mapping(entry, mapper, acting_cpu)
-                self._machine.memory.free(local)
+                self._memory.free(local)
                 self._stats.flushes += 1
 
     def unmap_all(self, entry: DirectoryEntry, acting_cpu: int) -> None:
@@ -110,10 +107,12 @@ class ActionExecutor:
         mapping = entry.drop_mapping(cpu)
         if mapping is None:
             return
-        self._machine.cpu(cpu).remove_translation(
+        self._cpus[cpu].remove_translation(
             mapping.vpage, acting_cpu=acting_cpu
         )
-        self._charge(acting_cpu, self._mapping_cost(acting_cpu, cpu))
+        self._cpus[acting_cpu].charge_system(
+            self._mapping_op_us if acting_cpu == cpu else self._shootdown_us
+        )
 
     def copy_to_local(
         self, entry: DirectoryEntry, cpu: int, acting_cpu: int
@@ -125,12 +124,12 @@ class ActionExecutor:
         """
         if cpu in entry.local_copies:
             return entry.local_copies[cpu]
-        frame = self._machine.memory.allocate_local(cpu)
-        cost = self._machine.timing.page_copy_us_for(
+        frame = self._memory.allocate_local(cpu)
+        cost = self._timing.page_copy_us_for(
             acting_cpu, MemoryLocation.GLOBAL, frame
         )
-        self._charge(acting_cpu, cost)
-        self._machine.memory.copy(entry.global_frame, frame)
+        self._cpus[acting_cpu].charge_system(cost)
+        self._memory.copy(entry.global_frame, frame)
         entry.local_copies[cpu] = frame
         self._stats.copies_to_local += 1
         return frame
@@ -142,31 +141,19 @@ class ActionExecutor:
         written straight into the memory the policy chose, avoiding a
         write to global memory followed by an immediate copy.
         """
-        frame = self._machine.memory.allocate_local(cpu)
-        cost = self._machine.timing.zero_fill_us(frame.location_for(cpu))
-        self._charge(cpu, cost)
-        self._machine.memory.write_token(frame, 0)
+        frame = self._memory.allocate_local(cpu)
+        cost = self._timing.zero_fill_us(frame.location_for(cpu))
+        self._cpus[cpu].charge_system(cost)
+        self._memory.write_token(frame, 0)
         entry.local_copies[cpu] = frame
         self._stats.zero_fills += 1
         return frame
 
     def zero_fill_global(self, entry: DirectoryEntry, cpu: int) -> Frame:
         """Zero-fill the page's global frame (policy said GLOBAL)."""
-        cost = self._machine.timing.zero_fill_us(MemoryLocation.GLOBAL)
-        self._charge(cpu, cost)
-        self._machine.memory.write_token(entry.global_frame, 0)
+        cost = self._timing.zero_fill_us(MemoryLocation.GLOBAL)
+        self._cpus[cpu].charge_system(cost)
+        self._memory.write_token(entry.global_frame, 0)
         self._stats.zero_fills += 1
         self._stats.global_zero_fills += 1
         return entry.global_frame
-
-    def free_local_copies(self, entry: DirectoryEntry) -> List[Frame]:
-        """Release all local frames of a dying page without cost.
-
-        Used by the lazy page-free path, whose cleanup cost is charged
-        when ``pmap_free_page_sync`` runs, not here.
-        """
-        frames = list(entry.local_copies.values())
-        for frame in frames:
-            self._machine.memory.free(frame)
-        entry.local_copies.clear()
-        return frames

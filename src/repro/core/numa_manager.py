@@ -81,6 +81,11 @@ class NUMAManager:
         check_invariants: bool = True,
     ) -> None:
         self._machine = machine
+        # Fixed at the machine's construction, so held rather than
+        # re-fetched through ``machine`` on every fault.
+        self._cpus = machine.cpus
+        self._memory = machine.memory
+        self._mapping_op_us = machine.timing.mapping_op_us
         self._policy = policy
         self._stats = stats if stats is not None else NUMAStats()
         self._executor = ActionExecutor(machine, self._stats)
@@ -165,7 +170,7 @@ class NUMAManager:
 
     def _now(self) -> float:
         """Current simulated time (the engine's clock definition)."""
-        return max(c.total_time_us for c in self._machine.cpus)
+        return max(c.total_time_us for c in self._cpus)
 
     # -- page lifecycle ----------------------------------------------------
 
@@ -212,10 +217,8 @@ class NUMAManager:
         if tag.completed:
             return
         for frame in tag.deferred_frames:
-            self._machine.memory.free(frame)
-            self._machine.cpu(acting_cpu).charge_system(
-                self._machine.timing.mapping_op_us
-            )
+            self._memory.free(frame)
+            self._cpus[acting_cpu].charge_system(self._mapping_op_us)
         tag.deferred_frames.clear()
         tag.completed = True
         self._stats.free_syncs += 1
@@ -257,7 +260,7 @@ class NUMAManager:
                 cpu, page.page_id, self._now
             )
             if delay > 0.0:
-                self._machine.cpu(cpu).charge_system(delay)
+                self._cpus[cpu].charge_system(delay)
         decision = self._policy.cache_policy(page, kind, cpu)
         if page.page_id in self._degraded_pins:
             # Degradation outranks the policy: a page whose transfers
@@ -368,18 +371,15 @@ class NUMAManager:
             raise ProtocolError(
                 f"remote fault wants {wanted!r} but region allows {max_prot!r}"
             )
-        target = self._machine.cpu(cpu)
+        target = self._cpus[cpu]
         existing = target.mmu.lookup(vpage)
-        if existing is not None and existing.frame != frame:
-            target.remove_translation(vpage, acting_cpu=cpu)
-        if (
-            existing is not None
-            and existing.frame == frame
-            and existing.protection.allows(wanted)
-        ):
-            wanted = existing.protection
+        if existing is not None:
+            if existing.frame != frame:
+                target.remove_translation(vpage, acting_cpu=cpu)
+            elif existing.protection.allows(wanted):
+                wanted = existing.protection
         target.enter_translation(vpage, frame, wanted, acting_cpu=cpu)
-        target.charge_system(self._machine.timing.mapping_op_us)
+        target.charge_system(self._mapping_op_us)
         entry.record_mapping(cpu, vpage, wanted, frame)
         self._stats.remote_mappings += 1
         pagetables = self._machine.pagetables
@@ -415,7 +415,7 @@ class NUMAManager:
             self._stats.local_memory_fallbacks += 1
             self._injector.note_pressure_fallback(cpu, entry.page_id)
             return PlacementDecision.GLOBAL
-        if self._machine.memory.local_available(cpu) > 0:
+        if self._memory.local_available(cpu) > 0:
             return decision
         if self._evict_one(cpu, protect=entry.page_id):
             return decision
@@ -474,7 +474,7 @@ class NUMAManager:
             if attempt >= retry.max_attempts:
                 return False
             backoff = retry.backoff_us(attempt)
-            self._machine.cpu(cpu).charge_system(backoff)
+            self._cpus[cpu].charge_system(backoff)
             self._stats.transfer_retries += 1
             injector.note_retry(page_id, cpu, backoff)
             attempt += 1
@@ -496,7 +496,9 @@ class NUMAManager:
         and ``False`` is returned; the caller's table cell is moot
         because the page is already ``GLOBAL_WRITABLE``.
         """
-        if self.transfer_envelope(entry.page_id, acting_cpu):
+        if not self._inj_transfers or self.transfer_envelope(
+            entry.page_id, acting_cpu
+        ):
             self._executor.sync(entry, copy_cpu, acting_cpu)
             return True
         self._degrade(entry, acting_cpu, page)
@@ -579,7 +581,7 @@ class NUMAManager:
             refaulted = True
             if self._check:
                 entry.check_invariants()
-        self._machine.memory.take_offline(frame)
+        self._memory.take_offline(frame)
         self._stats.frames_offlined += 1
         if self._injector is not None:
             self._injector.frame_recovered(frame, page_id, refaulted)
@@ -606,7 +608,11 @@ class NUMAManager:
         # permanent failure degrades the page while its dirty copy is
         # still in place to be written back.
         will_copy = spec.copy_to_local and cpu not in entry.local_copies
-        if will_copy and not self.transfer_envelope(entry.page_id, cpu):
+        if (
+            will_copy
+            and self._inj_transfers
+            and not self.transfer_envelope(entry.page_id, cpu)
+        ):
             self._degrade(entry, cpu, page)
             return
 
@@ -728,18 +734,15 @@ class NUMAManager:
         else:
             prot = wanted
         frame = entry.frame_for(cpu)
-        target = self._machine.cpu(cpu)
+        target = self._cpus[cpu]
         existing = target.mmu.lookup(vpage)
-        if existing is not None and existing.frame != frame:
-            target.remove_translation(vpage, acting_cpu=cpu)
-        if (
-            existing is not None
-            and existing.frame == frame
-            and existing.protection.allows(prot)
-        ):
-            prot = existing.protection  # keep the stronger mapping
+        if existing is not None:
+            if existing.frame != frame:
+                target.remove_translation(vpage, acting_cpu=cpu)
+            elif existing.protection.allows(prot):
+                prot = existing.protection  # keep the stronger mapping
         target.enter_translation(vpage, frame, prot, acting_cpu=cpu)
-        target.charge_system(self._machine.timing.mapping_op_us)
+        target.charge_system(self._mapping_op_us)
         entry.record_mapping(cpu, vpage, prot, frame)
         return frame
 

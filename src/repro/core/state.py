@@ -66,6 +66,8 @@ class PlacementDecision(enum.Enum):
     GLOBAL = "global"
     REMOTE = "remote"
 
+    __hash__ = object.__hash__  # identity hash: see PageState
+
 
 class PageLike(Protocol):
     """What the NUMA manager needs to know about a logical page.

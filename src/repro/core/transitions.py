@@ -43,6 +43,8 @@ class Cleanup(enum.Enum):
     FLUSH_OTHER = "flush other"
     UNMAP_ALL = "unmap all"
 
+    __hash__ = object.__hash__  # identity hash: see PageState
+
 
 @dataclass(frozen=True)
 class ActionSpec:
@@ -69,6 +71,8 @@ class StateKey(enum.Enum):
     GLOBAL_WRITABLE = "Global-Writable"
     LOCAL_WRITABLE_OWN = "Local-Writable on own node"
     LOCAL_WRITABLE_OTHER = "Local-Writable on other node"
+
+    __hash__ = object.__hash__  # identity hash: see PageState
 
 
 def classify_state(state: PageState, owner: int | None, cpu: int) -> StateKey:

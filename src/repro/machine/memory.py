@@ -5,6 +5,8 @@ Frames are identified by :class:`Frame` values and handed out by
 an opaque integer standing in for the page's data — so tests can verify
 that the consistency protocol's syncs and copies never lose or duplicate
 writes (a read must always observe the most recently written token).
+Frames are immutable values and each pool interns its own: one ``Frame``
+object per index, equal to any other built from the same triple.
 """
 
 from __future__ import annotations
@@ -93,6 +95,9 @@ class _FramePool:
         self._kind = kind
         self._node = node
         self._capacity = capacity
+        #: The one ``Frame`` per index ever handed out: validated and
+        #: hashed once, the same object again on reallocation.
+        self._frames: Dict[int, Frame] = {}
         self._free = list(range(capacity - 1, -1, -1))
         self._allocated: set[int] = set()
         #: Frames retired from circulation (simulated ECC failure); they
@@ -133,7 +138,10 @@ class _FramePool:
             )
         index = self._free.pop()
         self._allocated.add(index)
-        return Frame(self._kind, self._node, index)
+        frame = self._frames.get(index)
+        if frame is None:
+            frame = self._frames[index] = Frame(self._kind, self._node, index)
+        return frame
 
     def free(self, frame: Frame) -> None:
         if frame.index not in self._allocated:
@@ -229,7 +237,14 @@ class PhysicalMemory:
 
     def copy(self, source: Frame, destination: Frame) -> None:
         """Copy page contents (the token) from *source* to *destination*."""
-        self.write_token(destination, self.read_token(source))
+        tokens = self._tokens
+        if source not in tokens:
+            raise OutOfMemoryError(f"read from unallocated frame {source}")
+        if destination not in tokens:
+            raise OutOfMemoryError(
+                f"write to unallocated frame {destination}"
+            )
+        tokens[destination] = tokens[source]
 
     # -- fault injection -------------------------------------------------
 
@@ -292,10 +307,6 @@ class PhysicalMemory:
     def socket_available(self, socket: int) -> int:
         """Free socket-shared frames remaining on *socket*."""
         return self._socket[socket].available
-
-    def socket_in_use(self, socket: int) -> int:
-        """Socket-shared frames currently allocated on *socket*."""
-        return self._socket[socket].in_use
 
     def global_in_use(self) -> int:
         """Global frames currently allocated."""

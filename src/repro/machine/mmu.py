@@ -35,10 +35,17 @@ class MMUFault(Exception):
     """
 
     def __init__(self, cpu: int, vpage: int, wanted: Protection) -> None:
-        super().__init__(f"cpu {cpu} faulted on vpage {vpage} wanting {wanted!r}")
+        super().__init__(cpu, vpage, wanted)
         self.cpu = cpu
         self.vpage = vpage
         self.wanted = wanted
+
+    def __str__(self) -> str:
+        # Built only if someone prints the fault; the engine never does.
+        return (
+            f"cpu {self.cpu} faulted on vpage {self.vpage} "
+            f"wanting {self.wanted!r}"
+        )
 
 
 @dataclass

@@ -3,7 +3,9 @@
 All simulated time in the library flows through :class:`TimingModel`: word
 fetch/store costs by memory location, block reference costs, and the
 word-by-word page copy costs the NUMA manager pays for ``sync`` and
-``copy-to-local`` actions.
+``copy-to-local`` actions.  The per-location word prices are one table
+built once per model; every derived cost keeps its documented operand
+order, so charged floats do not depend on how the price was looked up.
 """
 
 from __future__ import annotations
@@ -136,21 +138,28 @@ class TimingModel:
     #: always means a socket tier exists).
     topology: Optional[SocketTopology] = None
 
+    def __post_init__(self) -> None:
+        # The price table, built once per machine: location -> the
+        # ``ref_costs`` row of a flat-priced reference.  A plain
+        # attribute, not a field: ``==``, ``hash`` and ``repr`` ignore it
+        # and ``dataclasses.replace`` rebuilds it from its params.
+        p = self.params
+        rows = {
+            MemoryLocation.LOCAL: (p.local_fetch_us, p.local_store_us),
+            MemoryLocation.GLOBAL: (p.global_fetch_us, p.global_store_us),
+            MemoryLocation.REMOTE: (p.remote_fetch_us, p.remote_store_us),
+        }
+        object.__setattr__(
+            self, "_rows", {loc: (loc, *row) for loc, row in rows.items()}
+        )
+
     def fetch_us(self, location: MemoryLocation) -> float:
         """Cost of one 32-bit fetch from *location*."""
-        if location is MemoryLocation.LOCAL:
-            return self.params.local_fetch_us
-        if location is MemoryLocation.GLOBAL:
-            return self.params.global_fetch_us
-        return self.params.remote_fetch_us
+        return self._rows[location][1]  # type: ignore[attr-defined]
 
     def store_us(self, location: MemoryLocation) -> float:
         """Cost of one 32-bit store to *location*."""
-        if location is MemoryLocation.LOCAL:
-            return self.params.local_store_us
-        if location is MemoryLocation.GLOBAL:
-            return self.params.global_store_us
-        return self.params.remote_store_us
+        return self._rows[location][2]  # type: ignore[attr-defined]
 
     def block_us(self, location: MemoryLocation, reads: int, writes: int) -> float:
         """Cost of a block of *reads* fetches and *writes* stores."""
@@ -210,7 +219,7 @@ class TimingModel:
                 topology.socket_fetch_us,
                 topology.socket_store_us,
             )
-        return location, self.fetch_us(location), self.store_us(location)
+        return self._rows[location]  # type: ignore[attr-defined]
 
     def block_us_for(
         self, cpu: int, frame, reads: int, writes: int
@@ -226,7 +235,7 @@ class TimingModel:
     ) -> Tuple[MemoryLocation, float, float]:
         """Per-word costs for a :class:`Frame` or a bare location."""
         if isinstance(place, MemoryLocation):
-            return place, self.fetch_us(place), self.store_us(place)
+            return self._rows[place]  # type: ignore[attr-defined]
         return self.ref_costs(cpu, place)
 
     def page_copy_us_for(self, cpu: int, source, destination) -> float:
@@ -279,19 +288,6 @@ class TimingModel:
         """:meth:`fetch_us` with the edge's queueing stretch applied."""
         cost = self.fetch_us(location)
         if contention is None or location is MemoryLocation.LOCAL:
-            return cost
-        return cost * contention.factor(edge if edge is not None else BUS_EDGE)
-
-    def contended_page_copy_us(
-        self,
-        source: MemoryLocation,
-        destination: MemoryLocation,
-        contention: Optional[InterconnectContention],
-        edge: Optional[Edge] = None,
-    ) -> float:
-        """:meth:`page_copy_us` with the edge's queueing stretch applied."""
-        cost = self.page_copy_us(source, destination)
-        if contention is None:
             return cost
         return cost * contention.factor(edge if edge is not None else BUS_EDGE)
 

@@ -109,9 +109,11 @@ class Engine:
         fast_path: bool = True,
     ) -> None:
         self._machine = machine
-        #: The live CPU list, cached: the reference path indexes it on
-        #: every operation and ``Machine.cpu`` is a method call away.
+        #: The live CPU list and the timing model, held: the reference
+        #: path uses them on every operation, ``Machine.cpu`` is a method
+        #: call away, and a machine never replaces either.
         self._cpus = machine.cpus
+        self._timing = machine.timing
         self._faults = fault_handler
         #: Fault handler per Mach task; single-task runs use only task 0.
         self._handlers: Dict[int, FaultHandler] = {0: fault_handler}
@@ -367,15 +369,11 @@ class Engine:
             # charged as system time and kept out of the user α counters.
             if reads:
                 frame = self._resolve(master, vpage, AccessKind.READ, task)
-                _, cost = self._machine.timing.block_us_for(
-                    master, frame, reads, 0
-                )
+                _, cost = self._timing.block_us_for(master, frame, reads, 0)
                 self._machine.cpu(master).charge_system(cost)
             if writes:
                 frame = self._resolve(master, vpage, AccessKind.WRITE, task)
-                _, cost = self._machine.timing.block_us_for(
-                    master, frame, 0, writes
-                )
+                _, cost = self._timing.block_us_for(master, frame, 0, writes)
                 self._machine.cpu(master).charge_system(cost)
 
     def _free_object(self, cpu: int, op: FreeObjectPages, task: int = 0) -> None:
@@ -449,7 +447,7 @@ class Engine:
         # Distance-aware: on multi-level machines a same-socket remote
         # frame is charged at socket rates; on the flat ACE this is the
         # classic block_us expression, float for float.
-        location, cost = self._machine.timing.block_us_for(
+        location, cost = self._timing.block_us_for(
             cpu_id, frame, reads, writes
         )
         cpu = self._cpus[cpu_id]
@@ -504,9 +502,7 @@ class Engine:
         # edge — on multi-level machines a same-socket remote frame gets
         # socket rates, and the cached entry then charges them on every
         # fast-path block, bit-identical to the slow path.
-        location, fetch_us, store_us = self._machine.timing.ref_costs(
-            cpu_id, frame
-        )
+        location, fetch_us, store_us = self._timing.ref_costs(cpu_id, frame)
         self._cpus[cpu_id].tlb.fill(
             vpage,
             frame,

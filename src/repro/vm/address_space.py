@@ -3,12 +3,15 @@
 C-Threads programs share a single task (one address space, many threads),
 which is the model all the paper's applications except FFT use; EPEX
 FORTRAN's private/shared split is expressed as distinct VM objects within
-the same space.  Regions are page-granular and never overlap.
+the same space.  Regions are page-granular, never overlap and are never
+unmapped, so :meth:`AddressSpace.resolve` bisects a sorted index of them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
@@ -71,8 +74,15 @@ class SegmentationFault(SimulationError):
     """
 
     def __init__(self, vpage: int) -> None:
-        super().__init__(f"no region maps virtual page {vpage}")
+        super().__init__(vpage)
         self.vpage = vpage
+
+    def __str__(self) -> str:
+        return f"no region maps virtual page {self.vpage}"
+
+
+#: Sort key of a ``(start, end, region)`` span.
+_START = itemgetter(0)
 
 
 class AddressSpace:
@@ -93,6 +103,10 @@ class AddressSpace:
             )
         self.name = name
         self._regions: List[VMRegion] = []
+        #: ``(start, end, region)`` sorted by start, for :meth:`resolve`
+        #: to bisect.  Regions never overlap, are never unmapped and never
+        #: change length, so an insert per mapping keeps it exact.
+        self._spans: List[Tuple[int, int, VMRegion]] = []
         self._by_object: Dict[int, VMRegion] = {}
         self._next_vpage = first_vpage  # unmapped guard below
 
@@ -122,6 +136,9 @@ class AddressSpace:
                     f"{existing.vm_object.name!r}"
                 )
         self._regions.append(region)
+        insort_right(
+            self._spans, (at_vpage, region.end_vpage, region), key=_START
+        )
         self._by_object[vm_object.object_id] = region
         self._next_vpage = max(self._next_vpage, region.end_vpage + 1)
         return region
@@ -131,9 +148,11 @@ class AddressSpace:
 
         Raises :class:`SegmentationFault` when nothing maps the page.
         """
-        for region in self._regions:
-            if region.contains(vpage):
-                return region, region.offset_of(vpage)
+        index = bisect_right(self._spans, vpage, key=_START) - 1
+        if index >= 0:
+            start, end, region = self._spans[index]
+            if vpage < end:
+                return region, vpage - start
         raise SegmentationFault(vpage)
 
     def region_of(self, vm_object: VMObject) -> VMRegion:

@@ -23,8 +23,11 @@ class ProtectionViolation(SimulationError):
     """A write touched a region whose max protection is read-only."""
 
     def __init__(self, vpage: int) -> None:
-        super().__init__(f"write to read-only virtual page {vpage}")
+        super().__init__(vpage)
         self.vpage = vpage
+
+    def __str__(self) -> str:
+        return f"write to read-only virtual page {self.vpage}"
 
 
 class FaultHandler:
@@ -39,7 +42,10 @@ class FaultHandler:
         pageout_daemon=None,
         pageout_target: int = 4,
     ) -> None:
-        self._machine = machine
+        # Fixed at the machine's construction: read once, not per fault.
+        self._cpus = machine.cpus
+        self._fault_overhead_us = machine.timing.fault_overhead_us
+        self._pagetables = machine.pagetables
         self._space = space
         self._pool = pool
         self._pmap = pmap
@@ -79,19 +85,17 @@ class FaultHandler:
         the NUMA manager then does is charged by the action executor.
         """
         self._fault_count += 1
-        self._machine.cpu(cpu).charge_system(
-            self._machine.timing.fault_overhead_us
-        )
+        self._cpus[cpu].charge_system(self._fault_overhead_us)
         # On multi-level machines the hardware walks the page table on
         # the way into the fault; where that table lives (centralized
         # global vs. per-socket replica) prices the walk.  TLB misses
         # that re-fill from a live MMU entry are the simulator's own
         # cache and charge no walk, keeping fast/slow paths identical.
-        pagetables = self._machine.pagetables
-        if pagetables is not None:
-            pagetables.charge_walk(cpu)
+        if self._pagetables is not None:
+            self._pagetables.charge_walk(cpu)
         region, offset = self._space.resolve(vpage)
-        if kind is AccessKind.WRITE and not region.max_prot.writable:
+        max_prot = region.max_prot
+        if kind is AccessKind.WRITE and not max_prot.writable:
             raise ProtectionViolation(vpage)
         try:
             page = self._pool.resident_or_allocate(
@@ -109,6 +113,4 @@ class FaultHandler:
                 region.vm_object, offset, cpu
             )
         min_prot = PROT_READ_WRITE if kind is AccessKind.WRITE else PROT_READ
-        return self._pmap.pmap_enter(
-            vpage, page, min_prot, region.max_prot, cpu
-        )
+        return self._pmap.pmap_enter(vpage, page, min_prot, max_prot, cpu)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import abc
 
 from repro.core.numa_manager import FreeTag, NUMAManager
-from repro.core.state import AccessKind
+from repro.core.state import AccessKind, PageState
 from repro.errors import ProtocolError
 from repro.machine.memory import Frame
 from repro.machine.protection import Protection
@@ -148,8 +148,6 @@ class ACEPmap(PmapInterface):
         no-op.  On a resident page it zeroes the authoritative copy —
         the semantics machine-independent code expects.
         """
-        from repro.core.state import PageState
-
         entry = self._numa.directory.get(page.page_id)
         if entry.state is PageState.UNTOUCHED:
             return  # deferred: the first touch will zero-fill correctly
@@ -168,8 +166,6 @@ class ACEPmap(PmapInterface):
         and writes the destination's; the destination must not be cached
         anywhere (freshly allocated), or its replicas would go stale.
         """
-        from repro.core.state import PageState
-
         src_entry = self._numa.directory.get(source.page_id)
         dst_entry = self._numa.directory.get(destination.page_id)
         if dst_entry.local_copies:

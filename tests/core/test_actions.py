@@ -141,13 +141,3 @@ class TestCopyAndZeroFill:
         frame = executor.zero_fill_global(entry, cpu=1)
         assert frame == entry.global_frame
         assert machine.memory.read_token(frame) == 0
-
-    def test_free_local_copies_releases_everything(self, machine, executor):
-        entry = make_entry(machine)
-        entry.local_copies[0] = machine.memory.allocate_local(0)
-        entry.local_copies[1] = machine.memory.allocate_local(1)
-        freed = executor.free_local_copies(entry)
-        assert len(freed) == 2
-        assert entry.local_copies == {}
-        assert machine.memory.local_in_use(0) == 0
-        assert machine.memory.local_in_use(1) == 0

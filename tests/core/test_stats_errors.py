@@ -1,10 +1,17 @@
 """NUMAStats bookkeeping and the exception hierarchy."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro import errors
 from repro.core.state import AccessKind
 from repro.core.stats import NUMAStats
+from repro.machine.mmu import MMUFault
+from repro.machine.protection import PROT_READ
+from repro.vm.address_space import SegmentationFault
+from repro.vm.fault import ProtectionViolation
 
 
 class TestNUMAStats:
@@ -71,17 +78,50 @@ class TestErrorHierarchy:
             raise exc("boom")
 
     def test_segfault_is_a_simulation_error(self):
-        from repro.vm.address_space import SegmentationFault
-
         assert issubclass(SegmentationFault, errors.SimulationError)
 
     def test_protection_violation_is_a_simulation_error(self):
-        from repro.vm.fault import ProtectionViolation
-
         assert issubclass(ProtectionViolation, errors.SimulationError)
 
     def test_mmu_fault_is_not_an_error(self):
         """Faults are control flow, not failures."""
-        from repro.machine.mmu import MMUFault
-
         assert not issubclass(MMUFault, errors.ReproError)
+
+    @pytest.mark.parametrize(
+        "original, fields, message",
+        [
+            pytest.param(
+                SegmentationFault(5),
+                {"vpage": 5},
+                "no region maps virtual page 5",
+                id="SegmentationFault",
+            ),
+            pytest.param(
+                ProtectionViolation(5),
+                {"vpage": 5},
+                "write to read-only virtual page 5",
+                id="ProtectionViolation",
+            ),
+            pytest.param(
+                MMUFault(1, 2, PROT_READ),
+                {"cpu": 1, "vpage": 2, "wanted": PROT_READ},
+                f"cpu 1 faulted on vpage 2 wanting {PROT_READ!r}",
+                id="MMUFault",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda e: pickle.loads(pickle.dumps(e)), copy.copy],
+        ids=["pickle", "copy"],
+    )
+    def test_field_carrying_exceptions_survive_a_round_trip(
+        self, original, fields, message, clone
+    ):
+        """A pool worker's failure reaches the parent pickled; it must
+        read there as it reads in the serial path, message said once."""
+        copied = clone(original)
+        assert type(copied) is type(original)
+        assert vars(copied) == vars(original) == fields
+        assert copied.args == original.args == tuple(fields.values())
+        assert str(copied) == str(original) == message

@@ -118,3 +118,67 @@ class TestContentTokens:
         ghost = Frame(FrameKind.GLOBAL, None, 3)
         with pytest.raises(OutOfMemoryError):
             memory.write_token(ghost, 1)
+
+    def test_copy_checks_source_then_destination(self, memory):
+        ghost = Frame(FrameKind.GLOBAL, None, 3)
+        live = memory.allocate_local(0)
+        with pytest.raises(OutOfMemoryError, match="read from unallocated"):
+            memory.copy(ghost, live)
+        with pytest.raises(OutOfMemoryError, match="write to unallocated"):
+            memory.copy(live, ghost)
+        with pytest.raises(OutOfMemoryError, match="read from unallocated"):
+            memory.copy(ghost, Frame(FrameKind.LOCAL, 1, 2))
+
+
+class TestInternedFrames:
+    """A pool hands out one ``Frame`` value per index, again and again;
+    nothing about a frame's value or the pool's bookkeeping may show it."""
+
+    def test_reallocation_yields_an_equal_zeroed_frame(self, memory):
+        first = memory.allocate_local(0)
+        memory.write_token(first, 9)
+        memory.free(first)
+        again = memory.allocate_local(0)
+        assert again == first and hash(again) == hash(first)
+        assert memory.read_token(again) == 0
+
+    def test_pool_frames_equal_hand_built_ones(self, memory):
+        for frame in (memory.allocate_global(), memory.allocate_local(1)):
+            built = Frame(frame.kind, frame.node, frame.index)
+            assert frame == built and hash(frame) == hash(built)
+            assert {frame: "token"}[built] == "token"
+            assert memory.read_token(built) == 0
+
+    def test_frame_retired_while_free_is_never_handed_out(self, memory):
+        dead = Frame(FrameKind.LOCAL, 0, 0)
+        memory.take_offline(dead)
+        handed = [memory.allocate_local(0) for _ in range(3)]
+        assert dead not in handed
+        assert memory.local_offline(0) == 1
+        with pytest.raises(OutOfMemoryError):
+            memory.allocate_local(0)
+
+    def test_frame_retired_while_allocated_is_never_handed_out(self, memory):
+        dead = memory.allocate_local(0)
+        memory.take_offline(dead)
+        memory.free(dead)
+        handed = [memory.allocate_local(0) for _ in range(3)]
+        assert dead not in handed
+        with pytest.raises(OutOfMemoryError):
+            memory.allocate_local(0)
+
+    def test_local_frame_listings_sort_and_compare_as_values(self, memory):
+        b = memory.allocate_local(1)
+        a = memory.allocate_local(0)
+        memory.allocate_global()
+        assert memory.allocated_local_frames() == [a, b]
+        everything = [
+            Frame(FrameKind.LOCAL, cpu, index)
+            for cpu in range(2)
+            for index in range(4)
+        ]
+        assert memory.online_local_frames() == everything
+        memory.take_offline(a)
+        everything.remove(a)
+        assert memory.online_local_frames() == everything
+        assert memory.allocated_local_frames() == [a, b]  # until freed

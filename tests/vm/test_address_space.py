@@ -1,6 +1,8 @@
 """Address spaces: region mapping, resolution, faults on holes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.machine.protection import PROT_READ, PROT_READ_WRITE
@@ -67,6 +69,50 @@ class TestResolution:
     def test_resolve_unmapped_low_memory(self):
         with pytest.raises(SegmentationFault):
             AddressSpace().resolve(0)
+
+    @given(
+        placements=st.lists(
+            st.tuples(
+                st.one_of(st.none(), st.integers(min_value=1, max_value=60)),
+                st.integers(min_value=1, max_value=5),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_resolve_is_the_linear_scan(self, placements):
+        """The bisected index against its definition: objects mapped in
+        any order, explicitly placed (``at_vpage``) or sequential, resolve
+        as a scan over the regions would — guard gaps and page 0 fault —
+        and an overlapping placement is rejected exactly when a scan
+        finds the overlap."""
+        space = AddressSpace(first_vpage=20)
+        mapped = []
+        for index, (at_vpage, n_pages) in enumerate(placements):
+            vm_object = shared_object(f"o{index}", n_pages)
+            if at_vpage is not None and any(
+                at_vpage < region.end_vpage
+                and region.start_vpage < at_vpage + n_pages
+                for region in mapped
+            ):
+                with pytest.raises(ConfigurationError):
+                    space.map_object(vm_object, at_vpage=at_vpage)
+            else:
+                mapped.append(space.map_object(vm_object, at_vpage=at_vpage))
+        assert space.regions == mapped
+        low = min(region.start_vpage for region in mapped)
+        high = max(region.end_vpage for region in mapped)
+        for vpage in [0, *range(max(0, low - 2), high + 2)]:
+            covering = [r for r in mapped if r.contains(vpage)]
+            if not covering:
+                with pytest.raises(SegmentationFault):
+                    space.resolve(vpage)
+                continue
+            (expected,) = covering
+            region, offset = space.resolve(vpage)
+            assert region is expected
+            assert offset == expected.offset_of(vpage)
 
 
 class TestVMRegion:
