@@ -18,7 +18,7 @@ from repro.threads.scheduler import GlobalQueueScheduler
 from repro.workloads.fft import FFT
 from repro.workloads.primes import Primes1, Primes2
 
-from conftest import once, save_artifact
+from conftest import save_artifact
 
 
 def _pair(workload_factory, migration_period=40):
@@ -47,8 +47,8 @@ def _pair(workload_factory, migration_period=40):
     ],
     ids=["Primes1", "Primes2", "FFT"],
 )
-def test_migration_destroys_locality(benchmark, factory):
-    bound, migratory = once(benchmark, lambda: _pair(factory))
+def test_migration_destroys_locality(factory):
+    bound, migratory = _pair(factory)
     assert migratory.migrations > 0
     assert bound.migrations == 0
     # Migration moves private pages around: more ownership transfers,
@@ -60,12 +60,8 @@ def test_migration_destroys_locality(benchmark, factory):
     assert total_migr > total_bound
 
 
-def test_affinity_report(benchmark):
-    def run():
-        bound, migratory = _pair(lambda: Primes1(limit=60_000))
-        return bound, migratory
-
-    bound, migratory = once(benchmark, run)
+def test_affinity_report():
+    bound, migratory = _pair(lambda: Primes1(limit=60_000))
     text = (
         "Scheduler affinity ablation (Section 4.7), Primes1\n"
         f"  bound   : alpha {bound.measured_alpha:.2f} "
@@ -78,24 +74,18 @@ def test_affinity_report(benchmark):
         f"({migratory.migrations} migrations)"
     )
     save_artifact("affinity.txt", text)
-    print(f"\n{text}")
 
 
-def test_faster_migration_is_worse(benchmark):
+def test_faster_migration_is_worse():
     """The damage scales with migration frequency."""
-
-    def run():
-        results = {}
-        for period in (200, 50, 15):
-            results[period] = run_once(
-                Primes2(limit=40_000),
-                MoveThresholdPolicy(threshold=4),
-                n_processors=7,
-                scheduler_factory=lambda n, p=period: GlobalQueueScheduler(n, p),
-                check_invariants=False,
-            )
-        return results
-
-    results = once(benchmark, run)
-    moves = [results[p].stats.moves for p in (200, 50, 15)]
+    moves = [
+        run_once(
+            Primes2(limit=40_000),
+            MoveThresholdPolicy(threshold=4),
+            n_processors=7,
+            scheduler_factory=lambda n, p=period: GlobalQueueScheduler(n, p),
+            check_invariants=False,
+        ).stats.moves
+        for period in (200, 50, 15)
+    ]
     assert moves[0] <= moves[1] <= moves[2]

@@ -3,10 +3,11 @@
 The paper's methodology "required that measurements ... be relatively
 free of lock, bus or memory contention", which the authors ensured by
 choosing applications; the simulator's exact traffic counts let us verify
-it.  The bench computes IPC-bus utilization for every Table 3 application
-at 7 processors (all should be comfortably below saturation except the
-deliberately pathological Gfetch) and sweeps Gfetch across machine sizes
-to show where the 80 MB/s bus would start to bite.
+it.  ``repro-numa bus`` computes IPC-bus utilization for every Table 3
+application at 7 processors (all should be comfortably below saturation
+except the deliberately pathological Gfetch); the bench then sweeps
+Gfetch across machine sizes to show where the 80 MB/s bus would start to
+bite.
 """
 
 from __future__ import annotations
@@ -15,79 +16,48 @@ from typing import Dict
 
 import pytest
 
-from repro.analysis.bus import BusReport, analyze_bus
+from repro.analysis.bus import analyze_bus
 from repro.core.policies import MoveThresholdPolicy
 from repro.machine.config import ace_config
 from repro.sim.harness import run_once
 from repro.workloads import TABLE_3_WORKLOADS
 from repro.workloads.gfetch import Gfetch
 
-from conftest import once, save_artifact
+from conftest import repro_numa, save_artifact
 
-_reports: Dict[str, BusReport] = {}
+
+@pytest.fixture(scope="module")
+def utilization() -> Dict[str, float]:
+    """``bus``'s ρ per application; its stdout is A9."""
+    stdout, records = repro_numa("bus")
+    save_artifact("bus.txt", stdout)
+    return {r["application"]: r["utilization"] for r in records}
 
 
 @pytest.mark.parametrize("name", list(TABLE_3_WORKLOADS))
-def test_bus_utilization_per_application(benchmark, name):
-    def run() -> BusReport:
-        config = ace_config(7)
-        result = run_once(
-            TABLE_3_WORKLOADS[name](),
-            MoveThresholdPolicy(threshold=4),
-            n_processors=7,
-            check_invariants=False,
-        )
-        return analyze_bus(result, config)
-
-    report = once(benchmark, run)
-    _reports[name] = report
+def test_bus_utilization_per_application(utilization, name):
     if name == "Gfetch":
         # Seven processors doing nothing but global fetches: the one
         # workload that genuinely loads the bus.
-        assert report.utilization > 0.15
+        assert utilization[name] > 0.15
     else:
-        assert report.utilization < 0.15, (
-            f"{name}: bus utilization {report.utilization:.2f} breaks the "
+        assert utilization[name] < 0.15, (
+            f"{name}: bus utilization {utilization[name]:.2f} breaks the "
             "paper's contention-free assumption"
         )
 
 
-def test_bus_report(benchmark):
-    assert len(_reports) == len(TABLE_3_WORKLOADS)
-
-    def render() -> str:
-        lines = [
-            "IPC-bus utilization at 7 processors (Section 3.1 assumption)"
-        ]
-        for name, report in _reports.items():
-            verdict = "ok" if report.contention_free else "LOADED"
-            lines.append(
-                f"  {name:10s} rho={report.utilization:5.3f}  "
-                f"x{report.contention_factor:4.2f} est. stretch  {verdict}"
-            )
-        return "\n".join(lines)
-
-    text = once(benchmark, render)
-    save_artifact("bus.txt", text)
-    print(f"\n{text}")
-
-
-def test_gfetch_scaling_loads_the_bus(benchmark):
-    """Utilization grows with processor count for a bus-bound program."""
-
-    def sweep() -> Dict[int, float]:
-        rhos = {}
-        for n in (2, 4, 8):
-            config = ace_config(n, enforce_backplane=True)
-            result = run_once(
-                Gfetch(total_fetches=240_000),
-                MoveThresholdPolicy(threshold=4),
-                machine_config=config,
-                check_invariants=False,
-            )
-            rhos[n] = analyze_bus(result, config).utilization
-        return rhos
-
-    rhos = once(benchmark, sweep)
+def test_gfetch_scaling_loads_the_bus():
+    """Utilization grows with processor count for a bus-bound program
+    (the command fixes the machine size; this sweep is bench-only)."""
+    rhos = {}
+    for n in (2, 4, 8):
+        config = ace_config(n, enforce_backplane=True)
+        result = run_once(
+            Gfetch(total_fetches=240_000),
+            MoveThresholdPolicy(threshold=4),
+            machine_config=config,
+            check_invariants=False,
+        )
+        rhos[n] = analyze_bus(result, config).utilization
     assert rhos[2] < rhos[4] < rhos[8]
-    print(f"\nGfetch bus utilization by machine size: {rhos}")

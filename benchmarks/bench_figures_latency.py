@@ -1,112 +1,69 @@
-"""Experiments E5/E6/E7 — Figures 1-2 and the Section 2.2 latency table.
+"""Experiments E1/E2 and E5/E6/E7 — Tables 1-2, Figures 1-2, latencies.
 
 The figures are architecture diagrams, so "reproducing" them means
-regenerating them from the live configuration and module wiring and
-checking the structural facts they encode.  The latency experiment checks
-the quoted G/L ratios against the timing model.
+regenerating them from the live configuration and module wiring
+(``repro-numa figures``) and checking the structural facts they encode.
+The latency experiment (``repro-numa latency``) checks the quoted G/L
+ratios against the timing model.  Tables 1-2 are printed from the live
+transition structures by ``repro-numa tables12``; that their sixteen
+cells match the paper is ``repro-numa modelcheck``'s job, so here the
+command's output is only kept as the E1/E2 artifact.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.diagrams import figure1, figure2, wiring_report
-from repro.analysis.paper import ACE_LATENCIES, ACE_RATIOS
-from repro.machine.config import TimingParameters, ace_config
+from repro.analysis.paper import ACE_RATIOS
+from repro.machine.config import TimingParameters
 
-from conftest import once, save_artifact
-
-
-def test_figure1_memory_architecture(benchmark):
-    def render() -> str:
-        config = ace_config(7)
-        text = figure1(config)
-        assert "7 processor modules" in text
-        assert "IPC bus" in text
-        assert "8MB local" in text  # per-module local memory
-        assert "16MB" in text  # global memory
-        return text
-
-    text = once(benchmark, render)
-    save_artifact("figure1.txt", text)
-    print(f"\n{text}")
+from conftest import repro_numa, save_artifact
 
 
-def test_figure1_scales_with_configuration(benchmark):
-    def render():
-        small = figure1(ace_config(2))
-        large = figure1(ace_config(8, global_pages=8192))
-        assert "2 processor modules" in small
-        assert "8 processor modules" in large
-        assert "32MB" in large
-        return small
-
-    once(benchmark, render)
-
-
-def test_figure2_pmap_layer(benchmark):
-    def render() -> str:
-        text = figure2()
-        # The four modules of the paper's Figure 2, wired as drawn.
-        for module in (
-            "Mach machine-independent VM",
-            "pmap manager",
-            "MMU interface",
-            "NUMA manager",
-            "NUMA policy",
-            "cache_policy",
-        ):
-            assert module in text
-        wiring = wiring_report()
-        assert "repro.vm.pmap" in wiring
-        assert "repro.core.numa_manager" in wiring
-        return text + "\n\n" + wiring
-
-    text = once(benchmark, render)
-    save_artifact("figure2.txt", text)
-    print(f"\n{text}")
+def test_figures():
+    text, _ = repro_numa("figures")
+    save_artifact("figures.txt", text)
+    # Figure 1: the paper's 7-processor ACE.
+    assert "7 processor modules" in text
+    assert "IPC bus" in text
+    assert "8MB local" in text  # per-module local memory
+    assert "16MB" in text  # global memory
+    # Figure 2: the four modules of the pmap layer, wired as drawn.
+    for module in (
+        "Mach machine-independent VM",
+        "pmap manager",
+        "MMU interface",
+        "NUMA manager",
+        "NUMA policy",
+        "cache_policy",
+        "repro.vm.pmap",
+        "repro.core.numa_manager",
+    ):
+        assert module in text
 
 
-def test_latency_table(benchmark):
+@pytest.mark.parametrize("processors", [2, 8])
+def test_figure1_scales_with_configuration(processors):
+    text, _ = repro_numa("figures", "--processors", str(processors))
+    assert f"{processors} processor modules" in text
+
+
+def test_latency_table():
     """Section 2.2's measured latencies and the quoted ratios."""
-
-    def check() -> str:
-        timing = TimingParameters()
-        for name, value in ACE_LATENCIES.items():
-            assert getattr(timing, name) == value
-        assert timing.fetch_ratio == pytest.approx(
-            ACE_RATIOS["fetch"], abs=0.02
-        )
-        assert timing.store_ratio == pytest.approx(
-            ACE_RATIOS["store"], abs=0.05
-        )
-        assert timing.mix_ratio(0.45) == pytest.approx(
-            ACE_RATIOS["mix_45pct_stores"], abs=0.05
-        )
-        lines = ["Section 2.2 latencies (µs) and ratios:"]
-        for name, value in ACE_LATENCIES.items():
-            lines.append(f"  {name:18s} {value}")
-        lines.append(f"  G/L fetch          {timing.fetch_ratio:.2f}")
-        lines.append(f"  G/L store          {timing.store_ratio:.2f}")
-        lines.append(f"  G/L 45% stores     {timing.mix_ratio(0.45):.2f}")
-        return "\n".join(lines)
-
-    text = once(benchmark, check)
+    text, records = repro_numa("latency")
     save_artifact("latency.txt", text)
-    print(f"\n{text}")
+    assert len(records) == 4
+    for record in records:
+        assert record["model"] == record["paper"], record["name"]
+    timing = TimingParameters()
+    assert timing.fetch_ratio == pytest.approx(ACE_RATIOS["fetch"], abs=0.02)
+    assert timing.store_ratio == pytest.approx(ACE_RATIOS["store"], abs=0.05)
+    assert timing.mix_ratio(0.45) == pytest.approx(
+        ACE_RATIOS["mix_45pct_stores"], abs=0.05
+    )
 
 
-def test_reference_cost_throughput(benchmark):
-    """Microbenchmark: block cost computation (the simulator's hot path)."""
-    from repro.machine.timing import MemoryLocation, TimingModel
-
-    timing = TimingModel(TimingParameters(), 1024)
-
-    def hot():
-        total = 0.0
-        for _ in range(2000):
-            total += timing.block_us(MemoryLocation.LOCAL, 7, 3)
-            total += timing.block_us(MemoryLocation.GLOBAL, 7, 3)
-        return total
-
-    benchmark(hot)
+def test_tables12_artifact():
+    text, _ = repro_numa("tables12")
+    save_artifact("tables12.txt", text)
+    assert "Table 1" in text and "Table 2" in text

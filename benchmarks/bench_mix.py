@@ -2,35 +2,25 @@
 
 The paper's introduction: OS-level management "address[es] the locality
 needs of the entire application mix, a task that cannot be accomplished
-through independent modification of individual applications."  The bench
-runs pairs of applications *simultaneously* — separate Mach tasks sharing
-the processors, local memories, and one NUMA manager — and compares each
-application's attributed user time against its standalone run.  Automatic
-placement keeps each application's locality intact in the mix; placing
-everything in global memory hurts the mix exactly as much as it hurts the
-applications alone.
+through independent modification of individual applications."
+``repro-numa mix`` runs a pair of applications *simultaneously* —
+separate Mach tasks sharing the processors, local memories, and one NUMA
+manager — and compares each application's attributed user time against
+its standalone run.  Automatic placement keeps each application's
+locality intact in the mix; placing everything in global memory hurts
+the mix exactly as much as it hurts the applications alone.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
 import pytest
 
 from repro.core.policies import AllGlobalPolicy, MoveThresholdPolicy
-from repro.sim.harness import run_once
 from repro.sim.mix import run_mix
 from repro.workloads.imatmult import IMatMult
-from repro.workloads.primes import Primes1, Primes2, Primes3
+from repro.workloads.primes import Primes3
 
-from conftest import once, save_artifact
-
-FACTORIES = {
-    "IMatMult": lambda: IMatMult(n=96),
-    "Primes1": lambda: Primes1(limit=40_000),
-    "Primes2": lambda: Primes2(limit=40_000),
-    "Primes3": lambda: Primes3(limit=200_000),
-}
+from conftest import repro_numa, save_artifact
 
 PAIRS = [
     ("IMatMult", "Primes3"),
@@ -38,75 +28,33 @@ PAIRS = [
     ("IMatMult", "Primes1"),
 ]
 
-_ratios: Dict[str, float] = {}
-
 
 @pytest.mark.parametrize("pair", PAIRS, ids=["+".join(p) for p in PAIRS])
-def test_mix_preserves_each_applications_locality(benchmark, pair):
-    def run():
-        standalone = {
-            name: run_once(
-                FACTORIES[name](),
-                MoveThresholdPolicy(threshold=4),
-                n_processors=7,
-                check_invariants=False,
-            ).user_time_us
-            for name in pair
-        }
-        mix = run_mix(
-            [FACTORIES[name]() for name in pair],
-            MoveThresholdPolicy(threshold=4),
-            n_processors=7,
-            check_invariants=False,
-        )
-        return standalone, mix
-
-    standalone, mix = once(benchmark, run)
-    for name in pair:
-        mixed = mix.task_named(name).user_time_us
-        ratio = mixed / standalone[name]
-        _ratios[f"{name} in {'+'.join(pair)}"] = ratio
+def test_mix_preserves_each_applications_locality(pair):
+    stdout, records = repro_numa("mix", "--apps", *pair)
+    save_artifact(f"mix_{'_'.join(pair)}.txt", stdout)
+    assert [record["application"] for record in records] == list(pair)
+    for record in records:
         # Sharing the machine must not destroy placement: attributed
         # user time within a few percent of the standalone run.
-        assert ratio == pytest.approx(1.0, abs=0.06), (
-            f"{name} degraded {ratio:.2f}x when mixed with {pair}"
+        assert record["ratio"] == pytest.approx(1.0, abs=0.06), (
+            f"{record['application']} degraded {record['ratio']:.2f}x "
+            f"when mixed with {pair}"
         )
 
 
-def test_global_placement_hurts_the_mix_too(benchmark):
-    """The comparison that shows placement is doing the work."""
+def test_global_placement_hurts_the_mix_too():
+    """The comparison that shows placement is doing the work (the
+    command always mixes under move-threshold; this one is bench-only)."""
 
-    def run():
-        pair = ("IMatMult", "Primes3")
-        numa = run_mix(
-            [FACTORIES[name]() for name in pair],
-            MoveThresholdPolicy(threshold=4),
+    def mix(policy):
+        return run_mix(
+            [IMatMult(n=96), Primes3(limit=200_000)],
+            policy,
             n_processors=7,
             check_invariants=False,
         )
-        all_global = run_mix(
-            [FACTORIES[name]() for name in pair],
-            AllGlobalPolicy(),
-            n_processors=7,
-            check_invariants=False,
-        )
-        return numa, all_global
 
-    numa, all_global = once(benchmark, run)
+    numa = mix(MoveThresholdPolicy(threshold=4))
+    all_global = mix(AllGlobalPolicy())
     assert all_global.total_user_us > numa.total_user_us * 1.15
-
-
-def test_mix_report(benchmark):
-    assert _ratios
-
-    def render() -> str:
-        lines = [
-            "Application mix: attributed user time relative to standalone"
-        ]
-        for label, ratio in _ratios.items():
-            lines.append(f"  {label:30s} {ratio:5.3f}x")
-        return "\n".join(lines)
-
-    text = once(benchmark, render)
-    save_artifact("mix.txt", text)
-    print(f"\n{text}")

@@ -1,4 +1,4 @@
-"""Ablation A2 — Tnuma versus the offline optimum (Toptimal).
+"""Ablation A2 — Tnuma versus the offline optimum (``repro-numa optimal``).
 
 Section 3.1: "We would have liked to compare Tnuma to Toptimal but had no
 way to measure the latter."  The simulator can: the per-page dynamic
@@ -17,19 +17,7 @@ from typing import Dict
 
 import pytest
 
-from repro.analysis.optimal import (
-    OptimalComparison,
-    compare_to_optimal,
-    protocol_cost_us,
-)
-from repro.analysis.tracing import TraceCollector
-from repro.core.policies import MoveThresholdPolicy
-from repro.machine.config import ace_config
-from repro.machine.timing import TimingModel
-from repro.sim.harness import run_once
-from repro.workloads import small_workloads
-
-from conftest import once, save_artifact
+from conftest import repro_numa, save_artifact
 
 #: Acceptable actual/optimal ratios.  The bound is generous: the DP can
 #: replicate without protocol overhead, so even perfect online play shows
@@ -46,53 +34,25 @@ RATIO_LIMITS = {
     "PlyTrace": 2.0,
 }
 
-_ratios: Dict[str, float] = {}
 
-
-def _compare(name: str) -> OptimalComparison:
-    workload = small_workloads()[name]
-    trace = TraceCollector(keep_faults=False)
-    result = run_once(
-        workload,
-        MoveThresholdPolicy(threshold=4),
-        n_processors=7,
-        observer=trace,
-        check_invariants=False,
-    )
-    config = ace_config(7)
-    timing = TimingModel(config.timing, config.page_size_words)
-    return compare_to_optimal(
-        trace, timing, protocol_cost_us(result.stats, timing)
-    )
+@pytest.fixture(scope="module")
+def comparisons() -> Dict[str, Dict[str, object]]:
+    """``optimal``'s rows by application; its stdout is A2."""
+    stdout, records = repro_numa("optimal")
+    save_artifact("optimal.txt", stdout)
+    return {record["application"]: record for record in records}
 
 
 @pytest.mark.parametrize("name", sorted(RATIO_LIMITS))
-def test_policy_vs_offline_optimum(benchmark, name):
-    comparison = once(benchmark, lambda: _compare(name))
-    _ratios[name] = comparison.ratio
-    assert comparison.ratio >= 0.99, "optimal must lower-bound actual"
-    assert comparison.ratio <= RATIO_LIMITS[name], (
-        f"{name}: actual/optimal {comparison.ratio:.2f}"
-    )
+def test_policy_vs_offline_optimum(comparisons, name):
+    ratio = comparisons[name]["ratio"]
+    assert ratio >= 0.99, "optimal must lower-bound actual"
+    assert ratio <= RATIO_LIMITS[name], f"{name}: actual/optimal {ratio:.2f}"
 
 
-def test_parmult_gap_is_absolutely_tiny(benchmark):
+def test_parmult_gap_is_absolutely_tiny(comparisons):
     """ParMult's placement cost is negligible in absolute terms, so the
     ratio is meaningless; what matters is that the total gap is tiny
     compared to the run (67 simulated seconds in the paper)."""
-    comparison = once(benchmark, lambda: _compare("ParMult"))
-    assert comparison.actual_us - comparison.optimal_us < 50_000  # 50 ms
-
-
-def test_render_optimal_table(benchmark):
-    assert _ratios
-
-    def render() -> str:
-        lines = ["Tnuma placement cost vs offline optimum (scaled workloads)"]
-        for name in sorted(_ratios):
-            lines.append(f"  {name:10s} actual/optimal = {_ratios[name]:5.2f}")
-        return "\n".join(lines)
-
-    text = once(benchmark, render)
-    save_artifact("optimal.txt", text)
-    print(f"\n{text}")
+    row = comparisons["ParMult"]
+    assert row["actual_us"] - row["optimal_us"] < 50_000  # 50 ms

@@ -17,8 +17,11 @@ from __future__ import annotations
 
 from typing import List
 
+import pytest
+
 from repro.core.numa_manager import NUMAManager
 from repro.core.policies import MoveThresholdPolicy
+from repro.errors import OutOfMemoryError
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 from repro.sim.engine import Engine
@@ -33,7 +36,7 @@ from repro.vm.pmap import ACEPmap
 from repro.workloads.base import BuildContext, ThreadBody, Workload
 from repro.workloads.layout import LayoutBuilder
 
-from conftest import once, save_artifact
+from conftest import save_artifact
 
 POOL_PAGES = 48
 FOOTPRINT_PAGES = 96  # 2x the pool
@@ -67,7 +70,9 @@ class Streaming(Workload):
         return [body(t) for t in range(ctx.n_threads)]
 
 
-def run_under_pressure(n_processors: int = 4):
+def run_under_pressure(
+    n_processors: int = 4, passes: int = 2, with_daemon: bool = True
+):
     config = MachineConfig(
         n_processors=n_processors,
         local_pages_per_cpu=16,
@@ -81,11 +86,10 @@ def run_under_pressure(n_processors: int = 4):
     pool = PagePool(numa, backing_store=store)
     pmap = ACEPmap(numa)
     space = AddressSpace()
-    daemon = PageoutDaemon(pool, store, io_us=5_000.0)
+    daemon = PageoutDaemon(pool, store, io_us=5_000.0) if with_daemon else None
     faults = FaultHandler(
         machine, space, pool, pmap, pageout_daemon=daemon, pageout_target=8
     )
-    workload = Streaming()
     ctx = BuildContext(
         space=space,
         n_threads=n_processors,
@@ -94,15 +98,20 @@ def run_under_pressure(n_processors: int = 4):
     )
     threads = [
         CThread(name=f"s{i}", index=i, body=body)
-        for i, body in enumerate(workload.build(ctx))
+        for i, body in enumerate(Streaming(passes).build(ctx))
     ]
     engine = Engine(machine, faults, AffinityScheduler(n_processors))
     engine.run(threads)
     return machine, numa, pool, store
 
 
-def test_streaming_through_a_small_pool(benchmark):
-    machine, numa, pool, store = once(benchmark, run_under_pressure)
+@pytest.fixture(scope="module")
+def pressure():
+    return run_under_pressure()
+
+
+def test_streaming_through_a_small_pool(pressure):
+    machine, numa, pool, store = pressure
     # The dataset never fits, so the daemon must have cycled pages.
     assert store.pageouts >= FOOTPRINT_PAGES - POOL_PAGES
     assert store.pageins > 0
@@ -111,8 +120,8 @@ def test_streaming_through_a_small_pool(benchmark):
     assert numa.stats.pages_freed >= store.pageouts
 
 
-def test_pressure_cost_lands_in_system_time(benchmark):
-    machine, numa, pool, store = once(benchmark, run_under_pressure)
+def test_pressure_cost_lands_in_system_time(pressure):
+    machine, numa, pool, store = pressure
     total_user = machine.total_user_time_us()
     total_system = machine.total_system_time_us()
     # I/O at 5 ms per transfer dominates the kernel side.
@@ -123,41 +132,9 @@ def test_pressure_cost_lands_in_system_time(benchmark):
         f"  user {total_user / 1e6:.3f}s, system {total_system / 1e6:.3f}s"
     )
     save_artifact("pageout.txt", text)
-    print(f"\n{text}")
 
 
-def test_without_a_daemon_the_pool_overflows(benchmark):
-    def run() -> bool:
-        from repro.errors import OutOfMemoryError
-
-        config = MachineConfig(
-            n_processors=2, local_pages_per_cpu=16, global_pages=POOL_PAGES
-        )
-        machine = Machine(config)
-        numa = NUMAManager(
-            machine, MoveThresholdPolicy(threshold=4), check_invariants=False
-        )
-        pool = PagePool(numa)
-        pmap = ACEPmap(numa)
-        space = AddressSpace()
-        faults = FaultHandler(machine, space, pool, pmap)  # no daemon
-        workload = Streaming(passes=1)
-        ctx = BuildContext(
-            space=space,
-            n_threads=2,
-            n_processors=2,
-            machine_config=config,
-        )
-        threads = [
-            CThread(name=f"s{i}", index=i, body=body)
-            for i, body in enumerate(workload.build(ctx))
-        ]
-        engine = Engine(machine, faults, AffinityScheduler(2))
-        try:
-            engine.run(threads)
-        except OutOfMemoryError:
-            return True
-        return False
-
-    overflowed = once(benchmark, run)
-    assert overflowed, "a fixed pool without pageout must overflow"
+def test_without_a_daemon_the_pool_overflows():
+    # A fixed pool without pageout must overflow.
+    with pytest.raises(OutOfMemoryError):
+        run_under_pressure(n_processors=2, passes=1, with_daemon=False)

@@ -32,7 +32,7 @@ from repro.workloads.handoff import Handoff
 from repro.workloads.imatmult import IMatMult
 from repro.workloads.primes import Primes3
 
-from conftest import once, save_artifact
+from conftest import save_artifact
 
 POLICY_FACTORIES = {
     "move-threshold(4)": lambda: MoveThresholdPolicy(threshold=4),
@@ -49,71 +49,55 @@ WORKLOAD_FACTORIES = {
     "Handoff": lambda: Handoff(),
 }
 
-#: totals[workload][policy] = user + system simulated µs.
-_totals: Dict[str, Dict[str, float]] = {}
+PAPER = "move-threshold(4)"
 
 
-@pytest.mark.parametrize("workload_name", list(WORKLOAD_FACTORIES))
-def test_policy_race(benchmark, workload_name):
-    def race() -> Dict[str, float]:
-        row = {}
+@pytest.fixture(scope="module")
+def totals() -> Dict[str, Dict[str, float]]:
+    """totals[workload][policy] = user + system simulated µs."""
+    totals: Dict[str, Dict[str, float]] = {}
+    for workload_name, workload_factory in WORKLOAD_FACTORIES.items():
+        row = totals[workload_name] = {}
         for policy_name, policy_factory in POLICY_FACTORIES.items():
             result = run_once(
-                WORKLOAD_FACTORIES[workload_name](),
+                workload_factory(),
                 policy_factory(),
                 n_processors=7,
                 check_invariants=False,
             )
             row[policy_name] = result.user_time_us + result.system_time_us
-        return row
-
-    _totals[workload_name] = once(benchmark, race)
+    return totals
 
 
-def test_every_extreme_policy_has_a_catastrophe(benchmark):
-    assert len(_totals) == len(WORKLOAD_FACTORIES)
-
-    def check() -> None:
-        paper = "move-threshold(4)"
-        # Unbounded migration melts down on the sieve's writable sharing.
-        for loser in ("migration-only", "all-local"):
-            assert _totals["Primes3"][loser] > 3 * _totals["Primes3"][paper]
-        # Pin-on-first-move loses the handoff.
-        assert (
-            _totals["Handoff"]["replication-only"]
-            > 1.3 * _totals["Handoff"][paper]
-        )
-        # No NUMA management loses wherever replication matters.
-        assert (
-            _totals["IMatMult"]["all-global"]
-            > 1.2 * _totals["IMatMult"][paper]
-        )
-
-    once(benchmark, check)
+def test_every_extreme_policy_has_a_catastrophe(totals):
+    # Unbounded migration melts down on the sieve's writable sharing.
+    for loser in ("migration-only", "all-local"):
+        assert totals["Primes3"][loser] > 3 * totals["Primes3"][PAPER]
+    # Pin-on-first-move loses the handoff.
+    assert (
+        totals["Handoff"]["replication-only"]
+        > 1.3 * totals["Handoff"][PAPER]
+    )
+    # No NUMA management loses wherever replication matters.
+    assert (
+        totals["IMatMult"]["all-global"] > 1.2 * totals["IMatMult"][PAPER]
+    )
 
 
-def test_simple_policy_is_robust(benchmark):
+def test_simple_policy_is_robust(totals):
     """Never catastrophic: within 1.35x of every per-workload winner."""
-    assert len(_totals) == len(WORKLOAD_FACTORIES)
-
-    def check() -> str:
-        paper = "move-threshold(4)"
-        lines = ["Policy comparison: total (user+system) simulated seconds"]
-        header = f"  {'workload':>10s}" + "".join(
-            f" {name:>18s}" for name in POLICY_FACTORIES
+    lines = ["Policy comparison: total (user+system) simulated seconds"]
+    header = f"  {'workload':>10s}" + "".join(
+        f" {name:>18s}" for name in POLICY_FACTORIES
+    )
+    lines.append(header)
+    for workload_name, row in totals.items():
+        best = min(row.values())
+        assert row[PAPER] <= best * 1.35, (
+            f"{workload_name}: paper policy {row[PAPER] / best:.2f}x best"
         )
-        lines.append(header)
-        for workload_name, row in _totals.items():
-            best = min(row.values())
-            assert row[paper] <= best * 1.35, (
-                f"{workload_name}: paper policy {row[paper] / best:.2f}x best"
-            )
-            cells = "".join(
-                f" {row[name] / 1e6:>18.2f}" for name in POLICY_FACTORIES
-            )
-            lines.append(f"  {workload_name:>10s}{cells}")
-        return "\n".join(lines)
-
-    text = once(benchmark, check)
-    save_artifact("policy_comparison.txt", text)
-    print(f"\n{text}")
+        cells = "".join(
+            f" {row[name] / 1e6:>18.2f}" for name in POLICY_FACTORIES
+        )
+        lines.append(f"  {workload_name:>10s}{cells}")
+    save_artifact("policy_comparison.txt", "\n".join(lines))

@@ -17,14 +17,13 @@ path relies on, asserted here against real (non-quick) runs.
 
 from __future__ import annotations
 
-import tempfile
-from typing import Dict, Optional
+import pytest
 
-from repro.exp.batch import BatchResult, run_batch
+from repro.exp.batch import run_batch
 from repro.exp.cache import ResultCache
-from repro.exp.grid import PlacementGroup, flatten, policy_tournament
+from repro.exp.grid import flatten, policy_tournament
 
-from conftest import once, save_artifact
+from conftest import save_artifact
 
 #: The bench_reconsider Gfetch configuration: long enough for expired
 #: pins to pay off, skewed enough that fixed pinning visibly loses.
@@ -36,76 +35,59 @@ ENTRANTS = (
     ("bandit", (("seed", 0),)),
 )
 
-_cache_dir = tempfile.mkdtemp(prefix="repro-tournament-")
-_tournament: Optional[PlacementGroup] = None
-_cold: Optional[BatchResult] = None
+
+@pytest.fixture(scope="module")
+def tournament():
+    [group] = policy_tournament(
+        apps=["Gfetch"],
+        policies=ENTRANTS,
+        n_processors=7,
+        workload_params=WORKLOAD_PARAMS,
+    )
+    return group
 
 
-def _grid() -> PlacementGroup:
-    global _tournament
-    if _tournament is None:
-        [_tournament] = policy_tournament(
-            apps=["Gfetch"],
-            policies=ENTRANTS,
-            n_processors=7,
-            workload_params=WORKLOAD_PARAMS,
-        )
-    return _tournament
+@pytest.fixture(scope="module")
+def cache(tmp_path_factory) -> ResultCache:
+    return ResultCache(tmp_path_factory.mktemp("tournament-cache"))
 
 
-def test_tournament_cold_run(benchmark):
+@pytest.fixture(scope="module")
+def cold(tournament, cache):
+    """The tournament's one cold run, into the module's cache."""
+    return run_batch(flatten([tournament]), cache=cache)
+
+
+def test_tournament_cold_run(cold):
     """Cold: every unique spec executes exactly once, into the cache."""
-
-    def cold() -> BatchResult:
-        return run_batch(
-            flatten([_grid()]), cache=ResultCache(_cache_dir)
-        )
-
-    global _cold
-    _cold = once(benchmark, cold)
-    assert _cold.executed == _cold.unique
-    assert _cold.cache_hits == 0
-    save_artifact("policy_tournament.json", _cold.results_json())
+    assert cold.executed == cold.unique
+    assert cold.cache_hits == 0
+    save_artifact("policy_tournament.json", cold.results_json())
 
 
-def test_tournament_warm_executes_nothing(benchmark):
+def test_tournament_warm_executes_nothing(tournament, cache, cold):
     """Warm: the same grid is served entirely from the cache."""
-    assert _cold is not None
-
-    def warm() -> BatchResult:
-        return run_batch(
-            flatten([_grid()]), cache=ResultCache(_cache_dir)
-        )
-
-    batch = once(benchmark, warm)
-    assert batch.executed == 0
-    assert batch.cache_hits == batch.unique == _cold.unique
-    assert batch.results_json() == _cold.results_json()
+    warm = run_batch(flatten([tournament]), cache=cache)
+    assert warm.executed == 0
+    assert warm.cache_hits == warm.unique == cold.unique
+    assert warm.results_json() == cold.results_json()
 
 
-def test_adaptive_beats_fixed_threshold(benchmark):
+def test_adaptive_beats_fixed_threshold(tournament, cold):
     """The tentpole gate: adaptive > move-threshold(4) on Gfetch."""
-    assert _cold is not None
-    outcomes: Dict[str, object] = {}
-    by_fp = {row.spec.fingerprint(): row.outcome for row in _cold.rows}
-    for label, spec in _grid().entrants.items():
-        outcomes[label] = by_fp[spec.fingerprint()].result
-
-    def check() -> str:
-        baseline = outcomes["move-threshold"]
-        adaptive = outcomes["adaptive-threshold"]
-        assert adaptive.user_time_us < 0.9 * baseline.user_time_us
-        assert (
-            adaptive.measured_alpha > baseline.measured_alpha + 0.25
+    by_fp = {row.spec.fingerprint(): row.outcome for row in cold.rows}
+    outcomes = {
+        label: by_fp[spec.fingerprint()].result
+        for label, spec in tournament.entrants.items()
+    }
+    baseline = outcomes["move-threshold"]
+    adaptive = outcomes["adaptive-threshold"]
+    assert adaptive.user_time_us < 0.9 * baseline.user_time_us
+    assert adaptive.measured_alpha > baseline.measured_alpha + 0.25
+    lines = ["Policy tournament on Gfetch (skewed write-once buffer):"]
+    for label, result in outcomes.items():
+        lines.append(
+            f"  {label:24s} user {result.user_time_us / 1e6:7.3f}s  "
+            f"alpha {result.measured_alpha:.3f}"
         )
-        lines = ["Policy tournament on Gfetch (skewed write-once buffer):"]
-        for label, result in outcomes.items():
-            lines.append(
-                f"  {label:24s} user {result.user_time_us / 1e6:7.3f}s  "
-                f"alpha {result.measured_alpha:.3f}"
-            )
-        return "\n".join(lines)
-
-    text = once(benchmark, check)
-    save_artifact("policy_tournament.txt", text)
-    print(f"\n{text}")
+    save_artifact("policy_tournament.txt", "\n".join(lines))

@@ -15,16 +15,20 @@ global memory anyway.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.policies import MoveThresholdPolicy, PragmaPolicy
 from repro.sim.harness import run_once
 from repro.workloads.primes import Primes3
 
-from conftest import once, save_artifact
+from conftest import save_artifact
 
 LIMIT = 400_000
 
 
-def _run_pair():
+@pytest.fixture(scope="module")
+def pair():
+    """(automatic, pragma-driven) Primes3 runs."""
     automatic = run_once(
         Primes3(limit=LIMIT),
         MoveThresholdPolicy(threshold=4),
@@ -40,8 +44,8 @@ def _run_pair():
     return automatic, pragmatic
 
 
-def test_pragmas_eliminate_placement_thrash(benchmark):
-    automatic, pragmatic = once(benchmark, _run_pair)
+def test_pragmas_eliminate_placement_thrash(pair):
+    automatic, pragmatic = pair
     # The copy storm disappears...
     assert pragmatic.stats.syncs < automatic.stats.syncs * 0.2
     assert pragmatic.system_time_us < automatic.system_time_us * 0.5
@@ -57,36 +61,11 @@ def test_pragmas_eliminate_placement_thrash(benchmark):
         f"syncs {pragmatic.stats.syncs}"
     )
     save_artifact("pragmas.txt", text)
-    print(f"\n{text}")
 
 
-def test_pragma_pages_never_move(benchmark):
-    _, pragmatic = once(benchmark, _run_pair)
+def test_pragma_pages_never_move(pair):
+    _, pragmatic = pair
     # Only un-pragma'd pages (stacks, counter) may move; the sieve and
     # output account for nearly all moves in the automatic run.
     assert pragmatic.stats.moves < 30
 
-
-def test_cacheable_pragma_overrides_pinning(benchmark):
-    """The other direction: CACHEABLE keeps a page local despite moves."""
-    from repro.core.policies.pragma import Pragma
-    from repro.core.state import AccessKind
-    from repro.vm.vm_object import shared_object
-
-    from conftest import make_bench_rig
-
-    def run():
-        rig = make_bench_rig(
-            n_processors=2, policy=PragmaPolicy(MoveThresholdPolicy(threshold=1))
-        )
-        obj = shared_object("hot", 1)
-        obj.pragma = Pragma.CACHEABLE
-        region = rig.space.map_object(obj)
-        for i in range(20):
-            frame = rig.faults.handle(
-                i % 2, region.vpage_at(0), AccessKind.WRITE
-            )
-        return frame
-
-    frame = once(benchmark, run)
-    assert frame.kind.value == "local"  # still cached despite 19 moves

@@ -19,7 +19,7 @@ from repro.workloads.gfetch import Gfetch
 from repro.workloads.imatmult import IMatMult
 from repro.workloads.primes import Primes2, Primes3
 
-from conftest import once, save_artifact
+from conftest import save_artifact
 
 #: Pin lifetime chosen to expire between Gfetch's init and fetch phases.
 INTERVAL_US = 30_000.0
@@ -50,8 +50,8 @@ def _pair(workload_factory, n_processors=7):
     ],
     ids=["IMatMult", "Primes2", "Primes3"],
 )
-def test_reconsideration_does_not_help_the_paper_apps(benchmark, factory):
-    baseline, reconsidered = once(benchmark, lambda: _pair(factory))
+def test_reconsideration_does_not_help_the_paper_apps(factory):
+    baseline, reconsidered = _pair(factory)
     total_base = baseline.user_time_us + baseline.system_time_us
     total_reco = reconsidered.user_time_us + reconsidered.system_time_us
     # "No significant improvement" — and for Primes3 it actively hurts
@@ -64,13 +64,11 @@ def test_reconsideration_does_not_help_the_paper_apps(benchmark, factory):
     )
 
 
-def test_reconsideration_helps_the_imaginable_case(benchmark):
+def test_reconsideration_helps_the_imaginable_case():
     """Gfetch: written once, then read forever — unpinning wins."""
-
-    def run():
-        return _pair(lambda: Gfetch(total_fetches=400_000, buffer_pages=8))
-
-    baseline, reconsidered = once(benchmark, run)
+    baseline, reconsidered = _pair(
+        lambda: Gfetch(total_fetches=400_000, buffer_pages=8)
+    )
     assert reconsidered.user_time_us < baseline.user_time_us * 0.85, (
         "expiring the pin should let the read-only phase re-replicate"
     )
@@ -83,4 +81,3 @@ def test_reconsideration_helps_the_imaginable_case(benchmark):
         f"alpha {reconsidered.measured_alpha:.2f}"
     )
     save_artifact("reconsider.txt", text)
-    print(f"\n{text}")

@@ -25,67 +25,65 @@ from repro.core.policies.pragma import Pragma
 from repro.sim.harness import run_once
 from repro.workloads.lopsided import LopsidedSharing
 
-from conftest import once, save_artifact
+from conftest import save_artifact
 
 SHARES = (0.2, 0.35, 0.5, 0.7, 0.9)
 
-_totals: Dict[float, Dict[str, float]] = {}
 
-
-def _run(share: float):
-    automatic = run_once(
-        LopsidedSharing(dominant_share=share),
-        MoveThresholdPolicy(threshold=4),
-        n_processors=7,
-        check_invariants=False,
-    )
-    remote = run_once(
-        LopsidedSharing(dominant_share=share, pragma=Pragma.REMOTE),
-        HomeNodePolicy(MoveThresholdPolicy(threshold=4)),
-        n_processors=7,
-        check_invariants=False,
-    )
-    return automatic, remote
-
-
-@pytest.mark.parametrize("share", SHARES)
-def test_lopsidedness_sweep(benchmark, share):
-    automatic, remote = once(benchmark, lambda: _run(share))
-    assert remote.stats.remote_mappings > 0
-    assert remote.stats.moves == 0  # the home never changes
-    _totals[share] = {
-        "automatic": automatic.user_time_us + automatic.system_time_us,
-        "remote": remote.user_time_us + remote.system_time_us,
+@pytest.fixture(scope="module")
+def runs():
+    """(automatic, home-node) results per dominant share."""
+    return {
+        share: (
+            run_once(
+                LopsidedSharing(dominant_share=share),
+                MoveThresholdPolicy(threshold=4),
+                n_processors=7,
+                check_invariants=False,
+            ),
+            run_once(
+                LopsidedSharing(dominant_share=share, pragma=Pragma.REMOTE),
+                HomeNodePolicy(MoveThresholdPolicy(threshold=4)),
+                n_processors=7,
+                check_invariants=False,
+            ),
+        )
+        for share in SHARES
     }
 
 
-def test_crossover_shape(benchmark):
+@pytest.mark.parametrize("share", SHARES)
+def test_lopsidedness_sweep(runs, share):
+    _, remote = runs[share]
+    assert remote.stats.remote_mappings > 0
+    assert remote.stats.moves == 0  # the home never changes
+
+
+def test_crossover_shape(runs):
     """Remote placement must lose when balanced and win when lopsided."""
-    assert len(_totals) == len(SHARES)
-
-    def check() -> str:
-        # Balanced traffic: everyone pays the remote premium — automatic
-        # (global) placement wins.
-        assert _totals[0.2]["remote"] > _totals[0.2]["automatic"]
-        # Strongly lopsided: the dominant user's local references win.
-        assert _totals[0.7]["remote"] < _totals[0.7]["automatic"]
-        assert _totals[0.9]["remote"] < _totals[0.9]["automatic"]
-        # The advantage is monotone in the dominant share.
-        gains = [
-            _totals[s]["automatic"] - _totals[s]["remote"] for s in SHARES
-        ]
-        assert gains == sorted(gains)
-        lines = ["Remote references vs automatic placement (Section 4.4)"]
-        for share in SHARES:
-            auto = _totals[share]["automatic"] / 1e6
-            rem = _totals[share]["remote"] / 1e6
-            winner = "remote" if rem < auto else "automatic"
-            lines.append(
-                f"  dominant share {share:.0%}: automatic {auto:.3f}s  "
-                f"remote {rem:.3f}s  -> {winner}"
-            )
-        return "\n".join(lines)
-
-    text = once(benchmark, check)
-    save_artifact("remote.txt", text)
-    print(f"\n{text}")
+    totals: Dict[float, Dict[str, float]] = {
+        share: {
+            "automatic": automatic.user_time_us + automatic.system_time_us,
+            "remote": remote.user_time_us + remote.system_time_us,
+        }
+        for share, (automatic, remote) in runs.items()
+    }
+    # Balanced traffic: everyone pays the remote premium — automatic
+    # (global) placement wins.
+    assert totals[0.2]["remote"] > totals[0.2]["automatic"]
+    # Strongly lopsided: the dominant user's local references win.
+    assert totals[0.7]["remote"] < totals[0.7]["automatic"]
+    assert totals[0.9]["remote"] < totals[0.9]["automatic"]
+    # The advantage is monotone in the dominant share.
+    gains = [totals[s]["automatic"] - totals[s]["remote"] for s in SHARES]
+    assert gains == sorted(gains)
+    lines = ["Remote references vs automatic placement (Section 4.4)"]
+    for share in SHARES:
+        auto = totals[share]["automatic"] / 1e6
+        rem = totals[share]["remote"] / 1e6
+        winner = "remote" if rem < auto else "automatic"
+        lines.append(
+            f"  dominant share {share:.0%}: automatic {auto:.3f}s  "
+            f"remote {rem:.3f}s  -> {winner}"
+        )
+    save_artifact("remote.txt", "\n".join(lines))

@@ -20,7 +20,7 @@ from repro.exp.batch import run_batch
 from repro.exp.cache import ResultCache
 from repro.exp.grid import flatten, seed_fan, table3_grid, threshold_grid
 
-from conftest import ARTIFACTS, once, save_artifact
+from conftest import ARTIFACTS, save_artifact
 
 BUNDLE = "report_from_cache"
 
@@ -40,7 +40,7 @@ def _warm(cache: ResultCache):
     return run_batch(specs, cache=cache), specs
 
 
-def test_report_from_cache_is_pure_and_byte_identical(benchmark, tmp_path):
+def test_report_from_cache_is_pure_and_byte_identical(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     batch, specs = _warm(cache)
     assert batch.executed == len({s.fingerprint() for s in specs})
@@ -50,7 +50,7 @@ def test_report_from_cache_is_pure_and_byte_identical(benchmark, tmp_path):
         dataset = CacheDataset.load(cache.root)
         return generate_cache_report(dataset, quick=True)
 
-    first = once(benchmark, regenerate)
+    first = regenerate()
     second = regenerate()
 
     assert first.executed == 0, "report generation must simulate nothing"

@@ -17,14 +17,13 @@ HARNESS_PROFILES`) and holds it to that claim:
 * a journal resume after each chaos run re-executes only what the
   chaos corrupted (everything else serves from cache).
 
-The artifact records what actually fired per profile, so a seed that
+The artifact records which actions fired per profile, so a seed that
 stops exercising the recovery paths is visible in review.
 """
 
 from __future__ import annotations
 
 import json
-import os
 
 from repro.exp.batch import resume_batch, run_batch
 from repro.exp.cache import ResultCache
@@ -118,11 +117,11 @@ def test_every_profile_loses_nothing(tmp_path):
         )
 
         report[name] = {
-            "fired": dict(plan.fired),
-            "retries": batch.supervision.retries,
-            "timeouts": batch.supervision.timeouts,
-            "pool_recycles": batch.supervision.pool_recycles,
-            "serial_fallbacks": batch.supervision.serial_fallbacks,
+            # Which actions fired is a pure function of seed, profile
+            # and fingerprint; how often (and the retry, timeout and
+            # recycle tallies) depends on what was in flight when a
+            # worker died, so only the former is recorded.
+            "fired": sorted(kind for kind, n in plan.fired.items() if n),
             "quarantined": len(batch.quarantined),
             "lost_specs": len(batch.lost),
             "resume_executed": resumed.executed,
@@ -136,7 +135,6 @@ def test_every_profile_loses_nothing(tmp_path):
         "jobs": JOBS,
         "seed": SEED,
         "timeout_s": TIMEOUT_S,
-        "host_cpus": os.cpu_count() or 1,
         "results_sha256": reference.results_sha256,
         "profiles": report,
     }

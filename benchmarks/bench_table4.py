@@ -1,4 +1,4 @@
-"""Experiment E4 — Table 4: system-time overhead of NUMA management.
+"""Experiment E4 — Table 4: system-time overhead (``repro-numa table4``).
 
 ΔS = Snuma − Sglobal isolates the protocol's page movement and
 bookkeeping, since "the all global case moves no pages" while syscall and
@@ -14,13 +14,9 @@ from typing import Dict
 
 import pytest
 
-from repro.analysis.paper import TABLE_4
-from repro.sim.harness import PlacementMeasurement, measure_placement
-from repro.workloads import TABLE_3_WORKLOADS, TABLE_4_WORKLOADS
+from repro.workloads import TABLE_4_WORKLOADS
 
-from conftest import once, save_artifact
-
-_measurements: Dict[str, PlacementMeasurement] = {}
+from conftest import repro_numa, save_artifact
 
 #: Upper bounds on ΔS/Tnuma for the well-behaved applications, and a
 #: range for the outlier.
@@ -28,23 +24,22 @@ SMALL_OVERHEAD_LIMIT = 0.10
 PRIMES3_RANGE = (0.12, 0.45)
 
 
-def _delta_over_t(m: PlacementMeasurement) -> float:
-    delta = m.numa.system_time_s - m.all_global.system_time_s
-    if delta <= 0:
-        return 0.0
-    return delta / m.t_numa_s
+@pytest.fixture(scope="module")
+def rows(evaluation_cache) -> Dict[str, Dict[str, object]]:
+    """``table4``'s evaluation rows by application; its stdout is E4."""
+    stdout, records = repro_numa("table4", "--cache-dir", evaluation_cache)
+    save_artifact("table4.txt", stdout)
+    return {record["application"]: record for record in records}
 
 
-@pytest.mark.parametrize("name", list(TABLE_4_WORKLOADS))
-def test_table4_row(benchmark, name):
-    measurement = once(
-        benchmark,
-        lambda: measure_placement(
-            TABLE_3_WORKLOADS[name](), n_processors=7, check_invariants=False
-        ),
-    )
-    _measurements[name] = measurement
-    ratio = _delta_over_t(measurement)
+def _delta_over_t(row: Dict[str, object]) -> float:
+    """ΔS / Tnuma, 0 where ΔS is the paper's na (``delta_s`` is null)."""
+    return (row["delta_s"] or 0.0) / row["t_numa_s"]
+
+
+@pytest.mark.parametrize("name", TABLE_4_WORKLOADS)
+def test_table4_row(rows, name):
+    ratio = _delta_over_t(rows[name])
     if name == "Primes3":
         low, high = PRIMES3_RANGE
         assert low <= ratio <= high, f"Primes3 ΔS/Tnuma {ratio:.1%}"
@@ -52,48 +47,13 @@ def test_table4_row(benchmark, name):
         assert ratio <= SMALL_OVERHEAD_LIMIT, f"{name} ΔS/Tnuma {ratio:.1%}"
 
 
-def test_table4_shape(benchmark):
+def test_table4_shape(rows):
     """Primes3 must be the outlier, by a wide margin."""
-    assert len(_measurements) == len(TABLE_4_WORKLOADS)
-
-    def check():
-        ratios = {n: _delta_over_t(m) for n, m in _measurements.items()}
-        worst = max(ratios, key=ratios.get)
-        assert worst == "Primes3"
-        others = [r for n, r in ratios.items() if n != "Primes3"]
-        assert ratios["Primes3"] > 2.5 * max(others)
-        # Snuma >= Sglobal for the applications with real page movement
-        # (the paper's Primes1 is the exception: ΔS is na there).
-        for name in ("IMatMult", "Primes3", "FFT"):
-            m = _measurements[name]
-            assert m.numa.system_time_s > m.all_global.system_time_s
-        return ratios
-
-    once(benchmark, check)
-
-
-def test_table4_render(benchmark):
-    assert _measurements
-
-    def render() -> str:
-        lines = [
-            "Table 4: total system time (simulated seconds) on 7 processors",
-            f"{'Application':>12s} {'Snuma':>8s} {'Sglobal':>8s} {'dS':>8s} "
-            f"{'Tnuma':>9s} {'dS/Tnuma':>9s} {'paper':>7s}",
-        ]
-        for name in TABLE_4_WORKLOADS:
-            m = _measurements[name]
-            delta = m.numa.system_time_s - m.all_global.system_time_s
-            delta_text = f"{delta:.2f}" if delta > 0 else "na"
-            ratio = _delta_over_t(m)
-            paper = TABLE_4[name].delta_over_t
-            lines.append(
-                f"{name:>12s} {m.numa.system_time_s:>8.2f} "
-                f"{m.all_global.system_time_s:>8.2f} {delta_text:>8s} "
-                f"{m.t_numa_s:>9.1f} {ratio:>8.1%} {paper:>7.1%}"
-            )
-        return "\n".join(lines)
-
-    text = once(benchmark, render)
-    path = save_artifact("table4.txt", text)
-    print(f"\n{text}\nsaved to {path}")
+    ratios = {name: _delta_over_t(rows[name]) for name in TABLE_4_WORKLOADS}
+    assert max(ratios, key=ratios.get) == "Primes3"
+    others = [r for n, r in ratios.items() if n != "Primes3"]
+    assert ratios["Primes3"] > 2.5 * max(others)
+    # Snuma >= Sglobal for the applications with real page movement
+    # (the paper's Primes1 is the exception: ΔS is na there).
+    for name in ("IMatMult", "Primes3", "FFT"):
+        assert rows[name]["s_numa_s"] > rows[name]["s_global_s"]

@@ -12,61 +12,77 @@ which is why a simple policy suffices.
 
 from __future__ import annotations
 
+import json
 from typing import Dict, List
 
 import pytest
 
-from repro.sim.harness import RunResult, run_once
 from repro.core.policies import MoveThresholdPolicy
+from repro.sim.harness import run_once
 from repro.workloads.handoff import Handoff
-from repro.workloads.imatmult import IMatMult
-from repro.workloads.primes import Primes3
 
-from conftest import maybe_telemetry, once, save_artifact, save_telemetry
+from conftest import repro_numa, save_artifact
 
 THRESHOLDS = [0, 1, 2, 4, 8, 16, 64]
 
-_results: Dict[str, Dict[int, RunResult]] = {}
+
+@pytest.fixture(scope="module")
+def sweep_cache(tmp_path_factory) -> str:
+    """The ``--cache-dir`` ``sweep`` fills and ``batch --grid sweep`` reads."""
+    return str(tmp_path_factory.mktemp("sweep-cache"))
 
 
-def _workload(name: str):
-    if name == "Primes3":
-        return Primes3(limit=400_000)
-    return IMatMult(n=96)
+@pytest.fixture(scope="module")
+def sweep(sweep_cache) -> Dict[str, List[Dict[str, object]]]:
+    """``sweep``'s points per application (Primes3 and IMatMult, the
+    command's defaults), in threshold order; its stdout is A1."""
+    stdout, records = repro_numa(
+        "sweep", "--thresholds", *map(str, THRESHOLDS),
+        "--cache-dir", sweep_cache,
+    )
+    save_artifact("sweep.txt", stdout)
+    points: Dict[str, List[Dict[str, object]]] = {}
+    for record in records:
+        points.setdefault(record["application"], []).append(record)
+    return points
+
+
+def end_point_syncs(name: str, cache: str, tmp_path) -> List[int]:
+    """Sync counts at the sweep's lowest and highest threshold.
+
+    ``sweep_point`` records carry no sync count; the results document of
+    the same grid does, and ``batch`` serves it from what ``sweep`` cached.
+    """
+    results = tmp_path / "results.json"
+    _, records = repro_numa(
+        "batch", "--grid", "sweep", "--apps", name,
+        "--thresholds", str(THRESHOLDS[0]), str(THRESHOLDS[-1]),
+        "--cache-dir", cache, "--results", str(results),
+    )
+    specs = [r for r in records if r["t"] == "batch_spec"]
+    assert all(spec["cached"] for spec in specs), "sweep re-simulated"
+    document = json.loads(results.read_text())["results"]
+    # Entrants come first, in threshold order; the Tlocal baseline last.
+    return [
+        document[spec["fingerprint"]]["result"]["stats"]["syncs"]
+        for spec in specs[:2]
+    ]
 
 
 @pytest.mark.parametrize("name", ["Primes3", "IMatMult"])
-def test_threshold_sweep(benchmark, name):
-    def sweep() -> Dict[int, RunResult]:
-        results: Dict[int, RunResult] = {}
-        for threshold in THRESHOLDS:
-            telemetry = maybe_telemetry()
-            results[threshold] = run_once(
-                _workload(name),
-                MoveThresholdPolicy(threshold=threshold),
-                n_processors=7,
-                check_invariants=False,
-                telemetry=telemetry,
-            )
-            save_telemetry(
-                f"threshold_sweep_{name}_t{threshold}",
-                telemetry,
-                {"workload": name, "threshold": threshold},
-            )
-        return results
-
-    results = once(benchmark, sweep)
-    _results[name] = results
-
-    moves = [results[t].stats.moves for t in THRESHOLDS]
+def test_threshold_sweep(sweep, sweep_cache, tmp_path, name):
+    points = sweep[name]
+    assert [p["threshold"] for p in points] == THRESHOLDS
+    moves = [p["moves"] for p in points]
     # More allowed moves -> at least as much page movement.
     assert all(a <= b * 1.05 + 5 for a, b in zip(moves, moves[1:])), moves
     # Copying (system time) grows with the threshold for ping-pong pages.
-    syncs = [results[t].stats.syncs for t in THRESHOLDS]
-    assert syncs[0] <= syncs[-1]
+    syncs = end_point_syncs(name, sweep_cache, tmp_path)
+    assert syncs[0] <= syncs[-1], syncs
 
 
-def test_threshold_default_is_near_the_sweet_spot(benchmark):
+@pytest.mark.parametrize("name", ["Primes3", "IMatMult"])
+def test_threshold_default_is_near_the_sweet_spot(sweep, name):
     """Threshold 4 sits on the flat part of the cost curve.
 
     For applications whose shared pages only ever ping-pong (Primes3,
@@ -75,59 +91,31 @@ def test_threshold_default_is_near_the_sweet_spot(benchmark):
     thresholds (unbounded thrashing) are clearly worse.  The real case
     for a nonzero threshold is the handoff pattern, tested below.
     """
-    assert "Primes3" in _results
-
-    def check() -> List[str]:
-        lines = ["Move-threshold sweep (7 processors)"]
-        for name, results in _results.items():
-            lines.append(f"  {name}:")
-            totals = {}
-            for threshold in THRESHOLDS:
-                r = results[threshold]
-                total = r.user_time_us + r.system_time_us
-                totals[threshold] = total
-                lines.append(
-                    f"    threshold {threshold:>3d}: user {r.user_time_s:8.2f}s"
-                    f"  system {r.system_time_s:6.2f}s  moves {r.stats.moves:>6d}"
-                )
-            best = min(totals.values())
-            assert totals[4] <= best * 1.25, (
-                f"{name}: threshold 4 far from the curve's flat part "
-                f"({totals[4] / best:.2f}x best)"
-            )
-            assert totals[4] <= totals[64], (
-                f"{name}: unbounded movement should not beat the default"
-            )
-        return lines
-
-    lines = once(benchmark, check)
-    text = "\n".join(lines)
-    save_artifact("threshold_sweep.txt", text)
-    print(f"\n{text}")
+    totals = {
+        p["threshold"]: p["t_numa_s"] + p["s_numa_s"] for p in sweep[name]
+    }
+    best = min(totals.values())
+    assert totals[4] <= best * 1.25, (
+        f"{name}: threshold 4 far from the curve's flat part "
+        f"({totals[4] / best:.2f}x best)"
+    )
+    assert totals[4] <= totals[64], (
+        f"{name}: unbounded movement should not beat the default"
+    )
 
 
-def test_handoff_motivates_a_nonzero_threshold(benchmark):
-    """Threshold 0 must lose to the default on the handoff pattern."""
-
-    def run():
-        pinned_at_zero = run_once(
-            Handoff(), MoveThresholdPolicy(threshold=0), n_processors=4,
-            check_invariants=False,
-        )
-        default = run_once(
-            Handoff(), MoveThresholdPolicy(threshold=4), n_processors=4,
-            check_invariants=False,
-        )
-        return pinned_at_zero, default
-
-    pinned_at_zero, default = once(benchmark, run)
+def test_handoff_motivates_a_nonzero_threshold():
+    """Threshold 0 must lose to the default on the handoff pattern (no
+    command runs Handoff; this bench is its only definition)."""
+    pinned_at_zero = run_once(
+        Handoff(), MoveThresholdPolicy(threshold=0), n_processors=4,
+        check_invariants=False,
+    )
+    default = run_once(
+        Handoff(), MoveThresholdPolicy(threshold=4), n_processors=4,
+        check_invariants=False,
+    )
     assert default.user_time_us < pinned_at_zero.user_time_us * 0.75, (
         "the default threshold should beat pin-on-first-move for handoff"
     )
     assert default.measured_alpha > pinned_at_zero.measured_alpha
-    print(
-        f"\nhandoff: threshold0 user={pinned_at_zero.user_time_s:.2f}s "
-        f"alpha={pinned_at_zero.measured_alpha:.2f} | "
-        f"threshold4 user={default.user_time_s:.2f}s "
-        f"alpha={default.measured_alpha:.2f}"
-    )

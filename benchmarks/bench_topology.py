@@ -1,17 +1,22 @@
-"""Topology bench — replicated page tables must earn their keep.
+"""Topology bench — what replicated page tables buy, and what they cost.
 
 The Mitosis argument (PAPERS.md): on a multi-socket machine a
 centralized page table makes every hardware walk a chain of *global*
 references, while a per-socket replica serves walks from the socket
-tier at the price of cross-socket update broadcasts.  This bench runs
-the same workload on the registry's ``4socket32`` machine under both
-placements and pins the claim our model makes:
+tier at the price of cross-socket update broadcasts — the eager-
+replication tax numaPTE (PAPERS.md) was written against.  This bench
+runs the same workload on the registry's ``4socket32`` machine under
+both placements and pins *both* halves of the trade, and their sum:
 
-* **Walk cost** — the replicated placement's total modeled PT-walk cost
-  must be strictly lower than the centralized one (same walk count,
+* **Walk cost** — replicated walks are cheaper (same walk count,
   socket-tier pricing instead of global).
-* **Write amplification** — the replicated placement must record the
-  cross-socket replica shootdowns the cheap walks are paid for with.
+* **Update cost** — replicated updates are dearer: every mapping change
+  is broadcast, recorded as cross-socket replica shootdowns.
+* **Total** (``pt_walk_us + pt_update_us``, the quantity the ledger
+  reports as ``machine.pt_total_us.*`` on its ``topology`` workload) —
+  on this fault-heavy spec the updates outweigh the walks and the
+  replicated placement *loses*.  The gate states which side wins, so a
+  change that flips it must say so.
 * **Flat control** — the same workload on the flat ``ace`` machine
   reports no topology counters at all (the layer is inert there).
 
@@ -28,7 +33,7 @@ from repro.machine.topology import resolve_machine
 from repro.sim.harness import build_simulation, run_engine
 from repro.workloads.parmult import ParMult
 
-from conftest import once, save_artifact
+from conftest import save_artifact
 
 MACHINE = "4socket32"
 #: Threads kept modest: the point is PT counter arithmetic, not load.
@@ -61,14 +66,14 @@ def _measure(placement):
     }
 
 
-def test_replicated_tables_cut_walk_cost(benchmark):
-    def experiment():
-        central = _measure("centralized")
-        replicated = _measure("replicated")
-        flat_machine, _ = _run(None)
-        return central, replicated, flat_machine.topology_counters()
+def _total_us(counters) -> float:
+    return counters["pt_walk_us"] + counters["pt_update_us"]
 
-    central, replicated, flat_counters = once(benchmark, experiment)
+
+def test_replicated_tables_trade_walks_for_updates():
+    central = _measure("centralized")
+    replicated = _measure("replicated")
+    flat_machine, _ = _run(None)
 
     # Same fault pattern → same number of hardware walks...
     walks_central = central["pt_walks_global"]
@@ -91,8 +96,16 @@ def test_replicated_tables_cut_walk_cost(benchmark):
     assert replicated["pt_replica_shootdowns"] > 0
     assert replicated["pt_update_us"] > central["pt_update_us"]
 
+    # The whole cost: on this spec the broadcasts outweigh the cheaper
+    # walks, so eager replication loses in total.
+    assert _total_us(replicated) > _total_us(central), (
+        f"replicated page tables now cost {_total_us(replicated)}us in "
+        f"total against {_total_us(central)}us centralized: the "
+        "placement that wins here changed"
+    )
+
     # Flat control: no topology layer, no counters.
-    assert flat_counters == {}
+    assert flat_machine.topology_counters() == {}
 
     artifact = {
         "t": "bench_topology",
@@ -100,10 +113,13 @@ def test_replicated_tables_cut_walk_cost(benchmark):
         "workload": "ParMult.small",
         "n_threads": N_THREADS,
         "policy": "move-threshold(4)",
-        "centralized": central,
-        "replicated": replicated,
+        "centralized": {**central, "pt_total_us": _total_us(central)},
+        "replicated": {**replicated, "pt_total_us": _total_us(replicated)},
         "walk_cost_ratio": round(
             replicated["pt_walk_us"] / central["pt_walk_us"], 4
+        ),
+        "total_cost_ratio": round(
+            _total_us(replicated) / _total_us(central), 4
         ),
     }
     save_artifact("bench_topology.json", json.dumps(artifact, indent=2))

@@ -14,6 +14,7 @@ in the unpatched case.
 
 from __future__ import annotations
 
+import functools
 from typing import List
 
 from repro.core.policies import MoveThresholdPolicy
@@ -24,7 +25,7 @@ from repro.threads.unix_master import PAPER_PATCHED_CALLS, UnixMaster, syscall
 from repro.workloads.base import BuildContext, ThreadBody, Workload
 from repro.workloads.layout import LayoutBuilder
 
-from conftest import once, save_artifact
+from conftest import save_artifact
 
 
 class SyscallHeavy(Workload):
@@ -56,6 +57,7 @@ class SyscallHeavy(Workload):
         return [body(t) for t in range(ctx.n_threads)]
 
 
+@functools.lru_cache(maxsize=None)
 def _run(patched: bool):
     master = UnixMaster(
         master_cpu=0,
@@ -79,32 +81,22 @@ def _run(patched: bool):
     return sim, stack_states
 
 
-def test_unpatched_syscalls_drag_stacks_global(benchmark):
-    def run():
-        return _run(patched=False)
-
-    sim, states = once(benchmark, run)
+def test_unpatched_syscalls_drag_stacks_global():
+    _, states = _run(patched=False)
     # Stacks of the threads NOT on the master cpu ping-pong with the
     # master and get pinned in global memory.
     pinned = sum(1 for s in states if s is PageState.GLOBAL_WRITABLE)
     assert pinned >= 4, f"expected most stacks pinned, states: {states}"
 
 
-def test_patched_syscalls_keep_stacks_local(benchmark):
-    def run():
-        return _run(patched=True)
-
-    sim, states = once(benchmark, run)
+def test_patched_syscalls_keep_stacks_local():
+    _, states = _run(patched=True)
     assert all(s is PageState.LOCAL_WRITABLE for s in states), states
 
 
-def test_patching_recovers_user_time(benchmark):
-    def run():
-        unpatched, _ = _run(patched=False)
-        patched, _ = _run(patched=True)
-        return unpatched, patched
-
-    unpatched, patched = once(benchmark, run)
+def test_patching_recovers_user_time():
+    unpatched, _ = _run(patched=False)
+    patched, _ = _run(patched=True)
     u = unpatched.machine.total_user_time_us()
     p = patched.machine.total_user_time_us()
     assert p < u * 0.9, "patching should recover the stack-page locality"
@@ -114,4 +106,3 @@ def test_patching_recovers_user_time(benchmark):
         f"  patched (sigvec/fstat/ioctl fixed): total user {p / 1e6:.3f}s"
     )
     save_artifact("unix_master.txt", text)
-    print(f"\n{text}")

@@ -1,119 +1,58 @@
-"""Shared helpers for the benchmark suite.
+"""Shared helpers for the paper-shape suite.
 
-Every table and figure in the paper has a bench module here; each bench
-runs the experiment once (``benchmark.pedantic(rounds=1)`` — the
-measurements are simulated time, so repeating them adds nothing), asserts
-the *shape* against the paper's published numbers, and writes the rendered
-artifact to ``benchmarks/_artifacts/`` for EXPERIMENTS.md.
+**A bench never runs or renders an experiment the package can already
+run or render, and never reads a host clock.**  Every measured number
+comes from ``repro-numa <command>``: a bench calls the command through
+:func:`repro_numa`, asserts the paper's *shape* on its ``--json``
+records and saves its stdout, byte for byte, under ``_artifacts/`` — a
+committed artifact is what HEAD prints.  An experiment with no command
+keeps its own run here, as its only definition.  All of it is simulated
+time, so the suite is deterministic and CI runs it whole; host time is
+the performance ledger's (``benchmarks/ledger/``, ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
 
-import os
+import contextlib
+import io
 import pathlib
-from dataclasses import dataclass
-from typing import Dict, Optional
+import tempfile
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 
-from repro.core.numa_manager import NUMAManager
-from repro.core.policies import MoveThresholdPolicy
-from repro.core.policy import NUMAPolicy
-from repro.machine.config import MachineConfig
-from repro.machine.machine import Machine
-from repro.obs import Telemetry, write_jsonl
-from repro.vm.address_space import AddressSpace
-from repro.vm.fault import FaultHandler
-from repro.vm.page_pool import PagePool
-from repro.vm.pmap import ACEPmap
+from repro.cli import main
+from repro.obs.exporters import read_jsonl
 
 ARTIFACTS = pathlib.Path(__file__).parent / "_artifacts"
 
-#: Set (to anything but "0") to make the benches record telemetry and
-#: drop ``<name>.telemetry.jsonl`` files alongside the text artifacts.
-TELEMETRY_ENV = "REPRO_TELEMETRY"
+
+def repro_numa(*argv: str) -> Tuple[str, List[Dict[str, object]]]:
+    """Run ``repro-numa *argv`` in-process: its stdout and ``--json`` records."""
+    stdout = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        records_path = pathlib.Path(tmp) / "records.jsonl"
+        with contextlib.redirect_stdout(stdout):
+            status = main([*argv, "--json", str(records_path)])
+        assert status == 0, f"repro-numa {' '.join(argv)} exited {status}"
+        return stdout.getvalue(), read_jsonl(records_path)
 
 
-def telemetry_enabled() -> bool:
-    """Whether this bench run should emit telemetry artifacts."""
-    return os.environ.get(TELEMETRY_ENV, "0") not in ("", "0")
+@pytest.fixture(scope="session")
+def evaluation_cache(tmp_path_factory) -> str:
+    """The one ``--cache-dir`` every evaluation-shaped call is handed.
 
-
-def maybe_telemetry(sample_interval: int = 32) -> Optional[Telemetry]:
-    """A fresh :class:`Telemetry` when opted in via the env var, else None.
-
-    Benches pass the result straight to ``run_once``/``measure_placement``
-    (both accept ``telemetry=None``), so the default bench run stays
-    telemetry-free and costs nothing extra.
+    ``table3``, ``table4`` and ``alpha`` resolve to the same 24 spec
+    fingerprints, so a session simulates them once.
     """
-    if not telemetry_enabled():
-        return None
-    return Telemetry(sample_interval=sample_interval)
-
-
-def save_telemetry(
-    name: str,
-    telemetry: Optional[Telemetry],
-    meta: Optional[Dict[str, object]] = None,
-) -> Optional[pathlib.Path]:
-    """Write ``_artifacts/<name>.telemetry.jsonl``; no-op when not opted in."""
-    if telemetry is None:
-        return None
-    ARTIFACTS.mkdir(exist_ok=True)
-    path = ARTIFACTS / f"{name}.telemetry.jsonl"
-    write_jsonl(telemetry.to_records(meta), path)
-    return path
-
-
-@dataclass
-class BenchRig:
-    """A wired machine + VM + NUMA stack for protocol microbenchmarks."""
-
-    machine: Machine
-    numa: NUMAManager
-    pool: PagePool
-    pmap: ACEPmap
-    space: AddressSpace
-    faults: FaultHandler
-
-
-def make_bench_rig(
-    n_processors: int = 2,
-    policy: Optional[NUMAPolicy] = None,
-    local_pages_per_cpu: int = 256,
-    global_pages: int = 512,
-) -> BenchRig:
-    """Assemble a small stack for driving individual transitions."""
-    config = MachineConfig(
-        n_processors=n_processors,
-        local_pages_per_cpu=local_pages_per_cpu,
-        global_pages=global_pages,
-    )
-    machine = Machine(config)
-    numa = NUMAManager(
-        machine,
-        policy if policy is not None else MoveThresholdPolicy(threshold=4),
-        check_invariants=False,
-    )
-    pool = PagePool(numa)
-    pmap = ACEPmap(numa)
-    space = AddressSpace()
-    faults = FaultHandler(machine, space, pool, pmap)
-    return BenchRig(
-        machine=machine,
-        numa=numa,
-        pool=pool,
-        pmap=pmap,
-        space=space,
-        faults=faults,
-    )
+    return str(tmp_path_factory.mktemp("evaluation-cache"))
 
 
 def save_artifact(name: str, text: str) -> pathlib.Path:
-    """Write a rendered table/figure under benchmarks/_artifacts/."""
+    """Write a command's stdout (or a bench-only table) under _artifacts/."""
     ARTIFACTS.mkdir(exist_ok=True)
     path = ARTIFACTS / name
-    path.write_text(text + "\n")
+    path.write_text(text if text.endswith("\n") else text + "\n")
     return path
 
 
@@ -137,14 +76,3 @@ def assert_band(
         f"{label}: measured {measured:.3f} vs paper {paper:.3f} "
         f"(band ±{absolute})"
     )
-
-
-def once(benchmark, func):
-    """Run *func* exactly once under pytest-benchmark."""
-    return benchmark.pedantic(func, rounds=1, iterations=1)
-
-
-@pytest.fixture
-def artifact_dir() -> pathlib.Path:
-    ARTIFACTS.mkdir(exist_ok=True)
-    return ARTIFACTS

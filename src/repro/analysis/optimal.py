@@ -12,8 +12,8 @@ and remapping costs.  The per-page minima sum to a placement cost no
 online policy can beat, which, added to the trace's compute time, bounds
 Toptimal from below.
 
-``benchmarks/bench_optimal.py`` uses this to validate the paper's central
-claim: that the simple threshold policy is close to optimal.
+``repro-numa optimal`` uses this to validate the paper's central claim:
+that the simple threshold policy is close to optimal.
 """
 
 from __future__ import annotations
@@ -202,8 +202,8 @@ def compare_to_optimal(
     """Compare a run's actual placement cost with the offline optimum.
 
     ``protocol_system_us`` is the NUMA-related system time the run paid
-    (copies, remapping) — the run's total system time is a reasonable
-    stand-in given that fault overheads exist in both.
+    (copies, remapping): :func:`protocol_cost_us` of its stats, not the
+    run's total system time, which zero-fills and syscalls inflate.
     """
     actual = protocol_system_us
     optimal = 0.0

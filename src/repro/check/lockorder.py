@@ -184,7 +184,7 @@ class LockOrderChecker:
             sites[key] = f"{outer_site} then {inner_site}"
             edge_events.append(
                 {
-                    "type": "lock_edge",
+                    "t": "lock_edge",
                     "outer": outer,
                     "inner": inner,
                     "outer_site": outer_site,

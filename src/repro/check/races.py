@@ -510,7 +510,7 @@ class RaceDetector:
             self.sync_edges += 1
         clock[thread] = clock.get(thread, 0) + 1
         self._record(
-            {"type": "lock_acquire", "holder": thread, "vpage": vpage}
+            {"t": "lock_acquire", "holder": thread, "vpage": vpage}
         )
 
     def on_lock_release(self, holder: object, vpage: int) -> None:
@@ -526,7 +526,7 @@ class RaceDetector:
         self._lock_clocks[vpage] = dict(clock)
         clock[thread] = clock.get(thread, 0) + 1
         self._record(
-            {"type": "lock_release", "holder": thread, "vpage": vpage}
+            {"t": "lock_release", "holder": thread, "vpage": vpage}
         )
 
     # -- event-bus hooks ---------------------------------------------------
@@ -543,7 +543,7 @@ class RaceDetector:
         self.accesses += 1
         self._record(
             {
-                "type": "transition",
+                "t": "transition",
                 "page_id": page_id,
                 "cpu": cpu,
                 "old": old_state.value,
@@ -619,14 +619,14 @@ class RaceDetector:
         self._locksets.pop(page_id, None)
         self._last_access.pop(page_id, None)
         self._monitor_clocks.pop(page_id, None)
-        self._record({"type": "page_freed", "page_id": page_id})
+        self._record({"t": "page_freed", "page_id": page_id})
 
     def on_fault(
         self, round_index: int, cpu: int, vpage: int, kind: object
     ) -> None:
         self._record(
             {
-                "type": "fault",
+                "t": "fault",
                 "round": round_index,
                 "cpu": cpu,
                 "vpage": vpage,
@@ -652,7 +652,7 @@ class RaceDetector:
             self._pending.discard(key)
             self._record(
                 {
-                    "type": "reference",
+                    "t": "reference",
                     "round": round_index,
                     "cpu": cpu,
                     "vpage": vpage,
@@ -674,7 +674,7 @@ class RaceDetector:
             )
 
     def on_run_end(self, rounds: int) -> None:
-        self._record({"type": "run_end", "rounds": rounds})
+        self._record({"t": "run_end", "rounds": rounds})
 
     # -- TLB/MMU mutation observer hooks -----------------------------------
 
@@ -702,7 +702,7 @@ class RaceDetector:
             self.sync_edges += 1
             self._record(
                 {
-                    "type": "shootdown",
+                    "t": "shootdown",
                     "cpu": cpu,
                     "vpage": vpage,
                     "acting_cpu": acting_cpu,
@@ -715,7 +715,7 @@ class RaceDetector:
         self._pending = {p for p in self._pending if p[0] != cpu}
         self._record(
             {
-                "type": "tlb_flush",
+                "t": "tlb_flush",
                 "cpu": cpu,
                 "dropped": len(dropped_vpages),
             }
@@ -723,7 +723,7 @@ class RaceDetector:
 
     def on_mmu_mutation(self, cpu: int, op: str, vpage: int) -> None:
         self._record(
-            {"type": "mmu_mutation", "cpu": cpu, "op": op, "vpage": vpage}
+            {"t": "mmu_mutation", "cpu": cpu, "op": op, "vpage": vpage}
         )
         if vpage in self._mirror.get(cpu, ()):
             # The translation changed under a live TLB entry; unless an

@@ -13,7 +13,6 @@ page inherits its region's pragma.
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
 from repro.core.policy import NUMAPolicy
 from repro.core.state import AccessKind, PageLike, PlacementDecision
@@ -32,43 +31,63 @@ class Pragma(enum.Enum):
     REMOTE = "remote"
 
 
-class PragmaPolicy(NUMAPolicy):
-    """Honour region pragmas, otherwise defer to a base policy."""
+class _WrappingPolicy(NUMAPolicy):
+    """A policy layered over a *base* policy, inert where it has no opinion.
+
+    Every :class:`NUMAPolicy` hook but the two a subclass supplies
+    (``cache_policy``, ``note_move``) goes to ``base``, and so does every
+    attribute the wrapper does not define: the duck-typed probes of the
+    harness, sanitizer and telemetry (``bind_machine``, ``is_pinned``, ...).
+    """
 
     def __init__(self, base: NUMAPolicy) -> None:
-        self._base = base
-        self.name = f"pragma+{base.name}"
-
-    @property
-    def base(self) -> NUMAPolicy:
-        """The policy consulted for unpragma'd pages."""
-        return self._base
+        self.base = base
+        # The class-level name says what the wrapper adds.
+        self.name = f"{self.name}+{base.name}"
 
     def params(self) -> dict:
-        return {"base": self._base.name}
+        return {"base": self.base.name}
 
-    @staticmethod
-    def _pragma_of(page: PageLike) -> Optional[Pragma]:
-        return getattr(page, "pragma", None)
+    def __getattr__(self, attribute: str) -> object:
+        # Reached only for names the wrapper does not define; private
+        # ones (the dunders copy and pickle probe) are never the base's.
+        if attribute.startswith("_"):
+            raise AttributeError(attribute)
+        return getattr(self.base, attribute)
+
+    def note_owner(self, page: PageLike, cpu: int) -> None:
+        self.base.note_owner(page, cpu)
+
+    def note_page_freed(self, page: PageLike) -> None:
+        self.base.note_page_freed(page)
+
+    def note_degraded(self, page: PageLike) -> None:
+        self.base.note_degraded(page)
+
+    def tick(self, now_us: float) -> None:
+        self.base.tick(now_us)
+
+    def take_invalidations(self) -> list:
+        return self.base.take_invalidations()
+
+
+class PragmaPolicy(_WrappingPolicy):
+    """Honour region pragmas, otherwise defer to a base policy."""
+
+    name = "pragma"
 
     def cache_policy(
         self, page: PageLike, kind: AccessKind, cpu: int
     ) -> PlacementDecision:
-        pragma = self._pragma_of(page)
+        pragma = getattr(page, "pragma", None)
         if pragma is Pragma.CACHEABLE:
             return PlacementDecision.LOCAL
         if pragma is Pragma.NONCACHEABLE:
             return PlacementDecision.GLOBAL
-        return self._base.cache_policy(page, kind, cpu)
+        return self.base.cache_policy(page, kind, cpu)
 
     def note_move(self, page: PageLike) -> None:
         # Pragma'd pages do not consume the base policy's move budget for
         # pages it will never be asked about; unpragma'd moves pass through.
-        if self._pragma_of(page) is None:
-            self._base.note_move(page)
-
-    def note_page_freed(self, page: PageLike) -> None:
-        self._base.note_page_freed(page)
-
-    def tick(self, now_us: float) -> None:
-        self._base.tick(now_us)
+        if getattr(page, "pragma", None) is None:
+            self.base.note_move(page)

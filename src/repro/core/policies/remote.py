@@ -18,12 +18,11 @@ paper's open question, answered quantitatively by
 
 from __future__ import annotations
 
-from repro.core.policies.pragma import Pragma
-from repro.core.policy import NUMAPolicy
+from repro.core.policies.pragma import Pragma, _WrappingPolicy
 from repro.core.state import AccessKind, PageLike, PlacementDecision
 
 
-class HomeNodePolicy(NUMAPolicy):
+class HomeNodePolicy(_WrappingPolicy):
     """Pragma-driven remote placement over a base policy.
 
     Pages whose region carries ``Pragma.REMOTE`` answer ``REMOTE``: the
@@ -33,34 +32,15 @@ class HomeNodePolicy(NUMAPolicy):
     regions freely.
     """
 
-    def __init__(self, base: NUMAPolicy) -> None:
-        self._base = base
-        self.name = f"home-node+{base.name}"
-
-    @property
-    def base(self) -> NUMAPolicy:
-        """Policy used for pages without the REMOTE pragma."""
-        return self._base
-
-    def params(self) -> dict:
-        return {"base": self._base.name}
+    name = "home-node"
 
     def cache_policy(
         self, page: PageLike, kind: AccessKind, cpu: int
     ) -> PlacementDecision:
         if getattr(page, "pragma", None) is Pragma.REMOTE:
             return PlacementDecision.REMOTE
-        return self._base.cache_policy(page, kind, cpu)
+        return self.base.cache_policy(page, kind, cpu)
 
     def note_move(self, page: PageLike) -> None:
         if getattr(page, "pragma", None) is not Pragma.REMOTE:
-            self._base.note_move(page)
-
-    def note_page_freed(self, page: PageLike) -> None:
-        self._base.note_page_freed(page)
-
-    def tick(self, now_us: float) -> None:
-        self._base.tick(now_us)
-
-    def take_invalidations(self) -> list:
-        return self._base.take_invalidations()
+            self.base.note_move(page)

@@ -6,9 +6,9 @@ Every cell of "NUMA Manager Actions for Read Requests" (Table 1) and
 whether the page is then copied into the requesting processor's local
 memory, and the resulting page state.
 
-The benchmark ``benchmarks/bench_tables_1_2.py`` renders these structures
-back into the paper's table layout, so the reproduction of Tables 1-2 is
-generated *from* the implementation rather than transcribed next to it.
+``repro-numa tables12`` renders these structures back into the paper's
+table layout — Tables 1-2 are generated *from* the implementation — and
+``repro-numa modelcheck`` checks every cell against the paper's text.
 """
 
 from __future__ import annotations

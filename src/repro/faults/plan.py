@@ -90,7 +90,7 @@ class FaultProfile:
 
 #: The named chaos profiles the CLI exposes.  ``none`` exists so the
 #: chaos harness can run with the full fault machinery wired but firing
-#: nothing — the overhead baseline bench_chaos.py measures.
+#: nothing — bench_chaos.py holds it equal to an uninjected run.
 PROFILES: Registry[FaultProfile] = Registry("fault profile", {
     "none": FaultProfile(name="none"),
     "transient": FaultProfile(

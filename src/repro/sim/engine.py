@@ -130,8 +130,8 @@ class Engine:
         self._policy_tick_ops = policy_tick_ops
         #: When False, every reference block takes the slow path (MMU
         #: translate + timing model per block).  The TLB is then never
-        #: consulted or filled; bench_hotpath and the fast-path tests use
-        #: this to assert identical simulated results.
+        #: consulted or filled; the fast-path tests use this to assert
+        #: identical simulated results.
         self._fast_path = fast_path
         self._round = 0
         #: Operations executed, all kinds; the ledger's ops/sec base.

@@ -104,8 +104,8 @@ def build_simulation(
     wires a :class:`~repro.faults.injector.FaultInjector` into the NUMA
     manager's hot paths and the engine's policy tick (chaos runs).
     ``fast_path=False`` disables the engine's software-TLB fast path
-    (simulated results are identical either way; bench_hotpath asserts
-    it).  ``sanitize`` overrides the
+    (simulated results are identical either way; the fast-path tests
+    assert it).  ``sanitize`` overrides the
     ``REPRO_SANITIZE`` environment: ``None`` lets the environment
     decide, ``False`` never attaches (the race-fixture runs, which
     deliberately corrupt protocol state, use this), ``True`` always

@@ -103,6 +103,7 @@ class TestDiagrams:
         assert "IPC bus" in text
         assert "global memory" in text
         assert "8MB local" in text
+        assert "32MB" in figure1(ace_config(8, global_pages=8192))
 
     def test_figure1_small_machine_draws_all_cpus(self):
         text = figure1(ace_config(2))

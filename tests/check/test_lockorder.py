@@ -95,7 +95,7 @@ class TestCycleDetection:
         edge_events = violation.events[len(trail):]
         assert edge_events
         for event in edge_events:
-            assert event["type"] == "lock_edge"
+            assert event["t"] == "lock_edge"
             assert event["outer_site"].startswith("test_lockorder.py:")
             assert event["inner_site"].startswith("test_lockorder.py:")
         cycle = violation.details["cycle"]

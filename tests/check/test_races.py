@@ -3,6 +3,7 @@
 import pytest
 
 from repro.check.lint import lint_source
+from repro.check.lockorder import LockOrderChecker
 from repro.check.races import (
     ALL_RULES,
     RACE_RULES,
@@ -163,6 +164,23 @@ class TestFixtures:
         second = run_unguarded_write_fixture()
         assert first.as_records() == second.as_records()
         assert first.format() == second.format()
+
+    def test_formatted_trails_name_every_event(self):
+        """The detector and the lock-order checker key trail events
+        ``"t"``, the discriminator ``format_trail`` prints; any other
+        key renders every line as ``?:``."""
+        race = run_unguarded_write_fixture().reports[0].format()
+        assert "transition:" in race and "?:" not in race
+        checker = LockOrderChecker()
+        for thread, outer, inner in (("t1", 10, 20), ("t2", 20, 10)):
+            checker.on_lock_acquire(thread, outer)
+            checker.on_lock_acquire(thread, inner)
+            checker.on_lock_release(thread, inner)
+            checker.on_lock_release(thread, outer)
+        with pytest.raises(ProtocolViolation) as exc:
+            checker.check()
+        cycle = exc.value.format_trail()
+        assert "lock_edge:" in cycle and "?:" not in cycle
 
     def test_raise_mode_converts_report_to_violation(self):
         detector = RaceDetector(raise_on_race=True)

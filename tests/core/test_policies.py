@@ -10,14 +10,21 @@ from repro.core.policies import (
     AllGlobalPolicy,
     AllLocalPolicy,
     DEFAULT_MOVE_THRESHOLD,
+    HomeNodePolicy,
     MoveThresholdPolicy,
     Pragma,
     PragmaPolicy,
     ReconsiderPolicy,
 )
+from repro.core.policies.registry import POLICY_ENTRIES, build_policy
 from repro.core.state import AccessKind, PlacementDecision
 from repro.errors import ConfigurationError
 from repro.machine.memory import Frame, FrameKind
+from repro.sim.harness import run_once
+from repro.vm.vm_object import shared_object
+from repro.workloads.gfetch import Gfetch
+from repro.workloads.imatmult import IMatMult
+from tests.conftest import make_rig
 
 
 @dataclass(frozen=True)
@@ -158,6 +165,44 @@ class TestPragmaPolicy:
 
     def test_name_mentions_base(self):
         assert "move-threshold" in PragmaPolicy(MoveThresholdPolicy(threshold=4)).name
+
+    def test_cacheable_page_stays_local_through_the_fault_path(self):
+        """Not just the decision: after 19 ownership moves under a
+        threshold-1 base the frame handed back is still a local one."""
+        rig = make_rig(
+            n_processors=2,
+            policy=PragmaPolicy(MoveThresholdPolicy(threshold=1)),
+        )
+        hot = shared_object("hot", 1)
+        hot.pragma = Pragma.CACHEABLE
+        region = rig.space.map_object(hot)
+        for i in range(20):
+            frame = rig.faults.handle(i % 2, region.vpage_at(0), WRITE)
+        assert frame.kind is FrameKind.LOCAL
+
+
+@pytest.mark.parametrize(
+    "workload",
+    [
+        lambda: Gfetch(total_fetches=40_000, buffer_pages=8),
+        lambda: IMatMult(n=24),
+    ],
+    ids=["Gfetch", "IMatMult"],
+)
+@pytest.mark.parametrize("name", list(POLICY_ENTRIES))
+def test_wrappers_are_inert_without_pragmas(name, workload):
+    """On a pragma-free workload a wrapping policy changes nothing: every
+    hook and every duck-typed probe (``bind_machine``, ...) reaches the
+    policy it wraps."""
+
+    def run(wrap):
+        result = run_once(workload(), wrap(build_policy(name))).as_dict()
+        del result["policy"]
+        return result
+
+    bare = run(lambda policy: policy)
+    assert run(PragmaPolicy) == bare
+    assert run(HomeNodePolicy) == bare
 
 
 class TestReconsiderPolicy:
