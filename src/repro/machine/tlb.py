@@ -54,7 +54,12 @@ class TLBEntry:
     ``protection.writable`` as a plain attribute for the same reason, and
     ``writable_data`` caches whether the page belongs to a writable data
     region (the engine's α accounting), sparing the per-block region
-    lookup.
+    lookup.  ``page_id`` is the logical page behind the translation, for
+    reference events: ``None`` until the engine resolves it on the first
+    *observed* hit (a fill looks nothing up, a bare run never asks), and
+    good for the entry's whole life: a vpage names another page only
+    after the old one is freed, freeing removes the mapping, and the
+    invalidation funnel drops the entry with it.
     """
 
     __slots__ = (
@@ -66,6 +71,7 @@ class TLBEntry:
         "fetch_us",
         "store_us",
         "writable_data",
+        "page_id",
     )
 
     def __init__(
@@ -86,6 +92,7 @@ class TLBEntry:
         self.fetch_us = fetch_us
         self.store_us = store_us
         self.writable_data = writable_data
+        self.page_id: Optional[int] = None
 
 
 class SoftwareTLB:

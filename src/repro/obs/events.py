@@ -17,7 +17,9 @@ Hooks (all optional on an observer):
 
 ``on_reference(round_index, cpu, vpage, page_id, reads, writes,
 location, writable_data)``
-    A block of user references was issued.
+    A block of user references was issued.  The per-block hook: its
+    listeners are the race detector and trace collectors (telemetry
+    pulls its reference totals from the per-CPU counters at the end).
 ``on_fault(round_index, cpu, vpage, kind)``
     A page fault was taken (before handling).
 ``on_fault_resolved(round_index, cpu, vpage, kind, system_us)``
@@ -109,8 +111,9 @@ class EventBus:
     """Fan-out dispatcher for engine events.
 
     Subscribers receive events in subscription order, which makes
-    interleaved traces deterministic.  The per-hook lists are rebuilt on
-    every subscribe/unsubscribe, never during dispatch.
+    interleaved traces deterministic.  The per-hook lists are created
+    once and mutated in place by subscribe/unsubscribe, so a holder of
+    :attr:`reference_hooks` always sees the current subscribers.
     """
 
     def __init__(self, observers: Optional[List[object]] = None) -> None:
@@ -153,14 +156,20 @@ class EventBus:
         return len(self._observers)
 
     # -- fast-path guards ----------------------------------------------------
-    # The engine checks these before building event payloads (e.g. the
-    # page-id lookup behind on_reference), so an unobserved run does no
-    # telemetry work at all.
+    # The engine checks these before building event payloads, so an
+    # unobserved run does no telemetry work at all.
 
     @property
     def wants_references(self) -> bool:
         """Whether any observer handles ``on_reference``."""
         return bool(self._hooks["on_reference"])
+
+    @property
+    def reference_hooks(self) -> List[Callable]:
+        """The live ``on_reference`` subscriber list (do not mutate): the
+        engine holds it and tests its truthiness per block, so a
+        subscription made mid-round is seen by the very next block."""
+        return self._hooks["on_reference"]
 
     @property
     def wants_faults(self) -> bool:

@@ -10,6 +10,9 @@ attached to a simulation) a per-round sampler and the standard
 
 Everything here observes; nothing charges simulated time, so a run's
 Table 3 numbers are identical with and without telemetry attached.
+Telemetry listens to faults and round ends only; what the machine
+already counts — references per CPU, TLB outcomes — it reads once, in
+:meth:`Telemetry.finalize`.
 """
 
 from __future__ import annotations
@@ -33,18 +36,17 @@ MOVE_COUNT_BOUNDS = (0, 1, 2, 3, 4, 8, 16)
 
 
 class MetricsObserver:
-    """Event-bus observer that feeds the standard instruments.
+    """Event-bus observer that feeds the per-fault instruments.
 
-    Counts references and faults, and fills the simulated
-    fault-latency histogram from ``on_fault_resolved``.
+    Counts faults and fills the simulated fault-latency histogram from
+    ``on_fault_resolved``.  It has no ``on_reference``: the reference
+    totals are pulled from the per-CPU counters by
+    :meth:`Telemetry.finalize`, so telemetry alone does not make the
+    engine emit per block.
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self._registry = registry
-        self._refs = registry.counter("references")
-        self._reads = registry.counter("reads")
-        self._writes = registry.counter("writes")
-        self._local_refs = registry.counter("local_references")
         self._fault_counters = {
             kind: registry.counter(f"{kind.value}_faults")
             for kind in AccessKind
@@ -52,25 +54,6 @@ class MetricsObserver:
         self._fault_latency = registry.histogram(
             "fault_latency_us", FAULT_LATENCY_BOUNDS
         )
-
-    def on_reference(
-        self,
-        round_index: int,
-        cpu: int,
-        vpage: int,
-        page_id: int,
-        reads: int,
-        writes: int,
-        location: MemoryLocation,
-        writable_data: bool,
-    ) -> None:
-        """Count one reference block."""
-        del round_index, cpu, vpage, page_id, writable_data
-        self._refs.inc(reads + writes)
-        self._reads.inc(reads)
-        self._writes.inc(writes)
-        if location is MemoryLocation.LOCAL:
-            self._local_refs.inc(reads + writes)
 
     def on_fault(
         self, round_index: int, cpu: int, vpage: int, kind: AccessKind
@@ -132,13 +115,25 @@ class Telemetry:
         """Fill the end-of-run instruments (idempotent).
 
         Gauges and the page move-count histogram only make sense once
-        the run is over; :func:`repro.sim.harness.run_once` calls this
-        after the engine finishes.
+        the run is over, and the reference and TLB totals are read from
+        the machine here; :func:`repro.sim.harness.run_once` calls this
+        after the engine finishes, :meth:`to_records` if nobody has.
         """
         if self._finalized or self._machine is None:
             return
         self._finalized = True
+        counter = self.registry.counter
         for cpu in self._machine.cpus:
+            # Every user reference the engine charges is in ``all_refs``.
+            refs = cpu.all_refs
+            reads = sum(refs.fetches.values())
+            writes = sum(refs.stores.values())
+            counter("reads").inc(reads)
+            counter("writes").inc(writes)
+            counter("references").inc(reads + writes)
+            counter("local_references").inc(
+                refs.total_to(MemoryLocation.LOCAL)
+            )
             counters = cpu.data_refs
             total = counters.total()
             self.registry.gauge(f"cpu{cpu.id}_local_hit").set(

@@ -32,12 +32,15 @@ calls that remain per op — the scheduler, ``CThread.next_op``,
 points; the ledger wraps the middle two and compares their call counts.
 
 Observation is fanned out through an :class:`~repro.obs.events.EventBus`:
-any number of observers (trace collectors, metrics, samplers) subscribe
-to the engine's bus, and ``observer=`` subscribes one more at
-construction.  When a :class:`PhaseProfiler` is installed, the engine
-times its own wall-clock hot phases — fault handling, policy ticks, and
-reference batches; neither the bus nor the profiler ever charges
-simulated time, and both are arms of the one loop the bare run takes.
+any number of observers subscribe to the engine's bus, and ``observer=``
+subscribes one more at construction.  A reference event costs what its
+listeners cost — the race detector and trace collectors; telemetry reads
+the per-CPU counters instead — because a TLB hit hands the page id its
+entry carries straight to ``emit_reference`` and only a miss looks it
+up.  When a :class:`PhaseProfiler` is installed, the engine times its
+own wall-clock hot phases — fault handling, policy ticks, and reference
+batches; neither the bus nor the profiler ever charges simulated time,
+and both are arms of the one loop the bare run takes.
 """
 
 from __future__ import annotations
@@ -124,6 +127,8 @@ class Engine:
         self._bus = bus if bus is not None else EventBus()
         if observer is not None:
             self._bus.subscribe(observer)
+        #: The bus's live ``on_reference`` list; both arms ask it per block.
+        self._reference_hooks = self._bus.reference_hooks
         self._profiler = profiler
         self._injector = None
         self._pump_pending = False
@@ -212,15 +217,16 @@ class Engine:
         cpus = self._cpus
         task_us = self.task_user_us
         bus = self._bus
+        ref_hooks = self._reference_hooks
+        emit_reference = bus.emit_reference
         fast_path = self._fast_path
         while True:
             if all(t.state is finished for t in threads):
                 break
             progressed = False
-            # Observers and the profiler are installed between rounds at
-            # the latest, so one look per round serves every op in it.
+            # The profiler is installed between rounds at the latest, so
+            # one look per round serves every op in it.
             profiler = self._profiler
-            emit = self._emit_reference_event if bus.wants_references else None
             for thread in threads:
                 if thread.state is not runnable:
                     continue
@@ -259,8 +265,6 @@ class Engine:
                             cpu_obj.all_refs.fetches[location] += reads
                             if writable:
                                 cpu_obj.data_refs.fetches[location] += reads
-                            if emit:
-                                emit(cpu, vpage, reads, 0, location, writable, task)
                         if writes:
                             cost = writes * entry.store_us
                             cpu_obj.charge_user(cost)
@@ -268,8 +272,24 @@ class Engine:
                             cpu_obj.all_refs.stores[location] += writes
                             if writable:
                                 cpu_obj.data_refs.stores[location] += writes
-                            if emit:
-                                emit(cpu, vpage, 0, writes, location, writable, task)
+                        if ref_hooks:
+                            # OBSERVED ARM: one event per non-empty half,
+                            # as the slow arm emits them.  The entry keeps
+                            # the page id once resolved; it dies with the
+                            # mapping, so the id cannot go stale.
+                            page_id = entry.page_id
+                            if page_id is None:
+                                page_id = entry.page_id = self._page_id(vpage, task)
+                            if reads:
+                                emit_reference(
+                                    self._round, cpu, vpage, page_id,
+                                    reads, 0, location, writable,
+                                )
+                            if writes:
+                                emit_reference(
+                                    self._round, cpu, vpage, page_id,
+                                    0, writes, location, writable,
+                                )
                     if profiler is not None:
                         profiler.add("reference_batch", perf_counter() - started)
                 elif isinstance(op, Compute):
@@ -456,34 +476,17 @@ class Engine:
         cpu.all_refs.record(location, reads, writes)
         if writable_data:
             cpu.data_refs.record(location, reads, writes)
-        if self._bus.wants_references:
-            self._emit_reference_event(
-                cpu_id, vpage, reads, writes, location, writable_data, task
+        if self._reference_hooks:
+            self._bus.emit_reference(
+                self._round, cpu_id, vpage, self._page_id(vpage, task),
+                reads, writes, location, writable_data,
             )
 
-    def _emit_reference_event(
-        self,
-        cpu_id: int,
-        vpage: int,
-        reads: int,
-        writes: int,
-        location: MemoryLocation,
-        writable_data: bool,
-        task: int,
-    ) -> None:
+    def _page_id(self, vpage: int, task: int) -> int:
+        """The logical page now resident behind *vpage*, for events."""
         vm_object, offset, _ = self._info_for(vpage, task)
         page = vm_object.resident_page(offset)  # type: ignore[attr-defined]
-        page_id = page.page_id if page is not None else -1
-        self._bus.emit_reference(
-            self._round,
-            cpu_id,
-            vpage,
-            page_id,
-            reads,
-            writes,
-            location,
-            writable_data,
-        )
+        return page.page_id if page is not None else -1
 
     def _fill_tlb(self, cpu_id: int, vpage: int, writable_data: bool) -> None:
         """Cache the now-established translation for the next block.

@@ -39,9 +39,13 @@ class Gfetch(Workload):
         self.total_fetches = total_fetches
         self.buffer_pages = buffer_pages
         self.chunk_fetches = chunk_fetches
-        #: Rounds of per-thread stores during initialization; two rounds
-        #: generate enough ownership moves to pin the buffer under any
-        #: threshold up to ~2 * n_threads.
+        #: Rounds of per-thread stores during initialization: with n
+        #: threads, two rounds change a buffer page's owner up to 2n - 1
+        #: times, which pins it under the paper's threshold of 4 from
+        #: three threads up.  At 2 processors that is 3 moves < 4: the
+        #: buffer is never pinned and the run reads alpha = 1.00, not the
+        #: all-shared extreme -- a threshold artifact, and the reason the
+        #: ``speedup --apps Gfetch`` curve dips from 2 to 4 processors.
         self.init_rounds = init_rounds
 
     @classmethod

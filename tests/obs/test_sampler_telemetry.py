@@ -1,13 +1,24 @@
 """The round sampler and the Telemetry facade, on real simulations."""
 
+import json
+import pathlib
+
 import pytest
 
+from repro.cli import main
 from repro.core.policies import MoveThresholdPolicy
+from repro.core.policies.registry import build_policy
 from repro.core.stats import NUMAStats
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolViolation
+from repro.machine.timing import MemoryLocation
 from repro.obs import RoundSampler, Telemetry
-from repro.sim.harness import run_once
+from repro.sim.harness import build_simulation, run_engine, run_once
 from repro.workloads import small_workloads
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+#: The counters ``Telemetry.finalize`` pulls from each CPU's ``all_refs``.
+REFERENCE_COUNTERS = ("references", "reads", "writes", "local_references")
 
 
 def small(name):
@@ -174,3 +185,120 @@ class TestTelemetryInstruments:
         assert (
             telemetry.registry.histograms["page_move_count"].total == before
         )
+
+
+class PushedTotals:
+    """What ``MetricsObserver.on_reference`` used to add up, per event."""
+
+    def __init__(self):
+        self.totals = dict.fromkeys(REFERENCE_COUNTERS, 0)
+
+    def on_reference(
+        self, round_index, cpu, vpage, page_id, reads, writes, location,
+        writable_data,
+    ):
+        self.totals["references"] += reads + writes
+        self.totals["reads"] += reads
+        self.totals["writes"] += writes
+        if location is MemoryLocation.LOCAL:
+            self.totals["local_references"] += reads + writes
+
+
+def reference_counters(telemetry):
+    flat = telemetry.registry.as_dict()
+    return {name: flat[name] for name in REFERENCE_COUNTERS}
+
+
+class TestReferenceTotalsArePulled:
+    """Telemetry has no ``on_reference``; its four reference counters are
+    read from the per-CPU ``all_refs`` at ``finalize`` and must equal what
+    counting every event would have given."""
+
+    @pytest.mark.parametrize(
+        "policy", ["move-threshold", "all-local", "migration-only"]
+    )
+    @pytest.mark.parametrize("name", sorted(small_workloads()))
+    def test_identities(self, name, policy):
+        telemetry, pushed = Telemetry(), PushedTotals()
+        sim = build_simulation(
+            [small(name)],
+            build_policy(policy),
+            n_processors=3,
+            telemetry=telemetry,
+            observer=pushed,
+        )
+        run_engine(sim.engine, sim.threads, telemetry)
+        pulled = reference_counters(telemetry)
+        cpus = sim.machine.cpus
+        assert pulled["references"] == pulled["reads"] + pulled["writes"]
+        assert pulled["references"] == sum(c.all_refs.total() for c in cpus)
+        assert pulled["local_references"] == sum(
+            c.all_refs.total_to(MemoryLocation.LOCAL) for c in cpus
+        )
+        assert pulled == pushed.totals
+        assert pulled["references"] > 0
+
+    def test_telemetry_alone_does_not_ask_for_reference_events(self):
+        telemetry = Telemetry()
+        sim = build_simulation(
+            [small("ParMult")],
+            MoveThresholdPolicy(threshold=4),
+            n_processors=3,
+            telemetry=telemetry,
+            sanitize=False,
+        )
+        assert not sim.engine.bus.wants_references
+
+    @pytest.mark.parametrize("workload", ["parmult", "Primes2"])
+    def test_metrics_records_equal_the_pushed_goldens(
+        self, workload, tmp_path, capsys
+    ):
+        """Every non-``phase`` record (phases are host seconds) equals
+        what commit 216fccf — the last with ``MetricsObserver.
+        on_reference`` — wrote for the same command."""
+        path = tmp_path / "out.jsonl"
+        assert main(["metrics", workload, "--quick", "--json", str(path)]) == 0
+        capsys.readouterr()
+        records = [
+            record
+            for record in map(json.loads, path.read_text().splitlines())
+            if record["t"] != "phase"
+        ]
+        golden = GOLDEN / f"metrics-{workload}-quick.jsonl"
+        assert records == [
+            json.loads(line) for line in golden.read_text().splitlines()
+        ]
+
+    def test_an_aborted_run_still_reports_them(self):
+        class Planted:
+            def on_round_end(self, round_index):
+                if round_index == 10:
+                    raise ProtocolViolation("planted", check="planted")
+
+        telemetry = Telemetry()
+        sim = build_simulation(
+            [small("Primes2")],
+            MoveThresholdPolicy(threshold=4),
+            n_processors=3,
+            telemetry=telemetry,
+            observer=Planted(),
+        )
+        with pytest.raises(ProtocolViolation):
+            run_engine(sim.engine, sim.threads, telemetry)
+        counters = {
+            record["name"]: record["value"]
+            for record in telemetry.to_records()
+            if record["t"] == "counter"
+        }
+        done = sum(c.all_refs.total() for c in sim.machine.cpus)
+        assert 0 < done == counters["references"]
+        assert counters["reads"] + counters["writes"] == done
+        assert 0 < counters["local_references"] <= done
+
+    def test_finalize_adds_them_once(self):
+        _, telemetry = run_with_telemetry("Primes2")
+        once = reference_counters(telemetry)
+        telemetry.finalize()
+        telemetry.to_records()
+        assert reference_counters(telemetry) == once
+        assert once["references"] > 0

@@ -2,17 +2,27 @@
 
 import pytest
 
+from repro.analysis.tracing import TraceCollector
 from repro.core.policies import MoveThresholdPolicy
 from repro.errors import FaultResolutionError
+from repro.faults.injector import make_injector
 from repro.machine.timing import MemoryLocation
 from repro.obs.profiling import PhaseProfiler
 from repro.sim.engine import MAX_FAULT_RESOLUTION_ATTEMPTS, Engine
-from repro.sim.harness import build_simulation, collect_result
-from repro.sim.ops import MemBlock
+from repro.sim.harness import Simulation, build_simulation, collect_result
+from repro.sim.ops import FreeObjectPages, MemBlock
 from repro.threads.cthreads import CThread
 from repro.threads.scheduler import AffinityScheduler
 from repro.vm.vm_object import shared_object
 from repro.workloads import small_workloads
+from tests.sim.test_fault_path_golden import (
+    CHAOS_RETRY,
+    MULTI_PAGE,
+    PAGED_GLOBAL_PAGES,
+    WORKLOADS,
+    paged_simulation,
+    spec_for,
+)
 
 
 def run_both_paths(workload_factory, n_processors=4):
@@ -70,11 +80,11 @@ class ReferenceLog:
     def __init__(self):
         self.events = []
 
-    def on_reference(
-        self, round_index, cpu, vpage, page_id, reads, writes, location,
-        writable_data,
-    ):
-        self.events.append((reads, writes))
+    def on_reference(self, *event):
+        """(round, cpu, vpage, page_id, reads, writes, location,
+        writable_data), whole: the slow arm's tuple is the oracle for the
+        fast arm's, cached page id included."""
+        self.events.append(event)
 
 
 def run_counted(name, *, profiler=None, observer=None, fast_path=True):
@@ -126,13 +136,28 @@ class TestOneDispatchLoop:
         assert observed == bare
         # One event per non-empty half-block, never a merged one.
         assert len(log.events) == tally["halves"]
-        assert all((r == 0) != (w == 0) for r, w in log.events)
+        assert all((e[4] == 0) != (e[5] == 0) for e in log.events)
 
     def test_observed_slow_path_sees_the_same_events(self, name):
         fast_log, slow_log = ReferenceLog(), ReferenceLog()
         run_counted(name, observer=fast_log)
         run_counted(name, observer=slow_log, fast_path=False)
         assert fast_log.events == slow_log.events
+
+    def test_observed_fast_path_resolves_each_entry_once(self, name):
+        """The page id rides on the TLB entry: looked up on the first
+        observed hit through it, never on a fill, never in a bare run."""
+        bare, _, _ = run_counted(name)
+        for cpu in bare.machine.cpus:
+            assert all(e.page_id is None for e in cpu.tlb.entries())
+        sim, _, _ = run_counted(name, observer=ReferenceLog())
+        resolved = [
+            entry.page_id
+            for cpu in sim.machine.cpus
+            for entry in cpu.tlb.entries()
+            if entry.page_id is not None
+        ]
+        assert resolved and all(page_id >= 0 for page_id in resolved)
 
     def test_each_block_is_looked_up_exactly_once(self, name):
         sim, tally, _ = run_counted(name)
@@ -147,6 +172,120 @@ class TestOneDispatchLoop:
             sum(thread.ops_executed for thread in sim.threads)
             == sim.engine.ops_executed
         )
+
+
+def observed_both_arms(build, tmp_path):
+    """Run ``build(observer=, fast_path=)`` on each arm under a
+    :class:`ReferenceLog` and a :class:`TraceCollector`; returns the fast
+    arm's events and simulation after asserting the slow arm — which
+    resolves the page id per event — saw and traced exactly the same."""
+    runs = []
+    for fast_path in (True, False):
+        log, trace = ReferenceLog(), TraceCollector()
+        sim = build(observer=log, fast_path=fast_path)
+        sim.engine.add_observer(trace)
+        sim.engine.run(sim.threads)
+        path = tmp_path / f"trace-{fast_path}.jsonl"
+        trace.save_jsonl(path)
+        runs.append((log.events, path.read_bytes(), sim))
+    (fast_events, fast_trace, fast), (slow_events, slow_trace, _) = runs
+    assert fast.machine.tlb_counters()["hits"] > 0
+    assert fast_events == slow_events
+    assert fast_trace == slow_trace
+    return fast_events, fast
+
+
+def page_ids_by_vpage(events):
+    """vpage -> the distinct page ids it was referenced under, in order."""
+    seen = {}
+    for _, _, vpage, page_id, *_ in events:
+        ids = seen.setdefault(vpage, [])
+        if page_id not in ids:
+            ids.append(page_id)
+    return seen
+
+
+class TestCachedPageIdUnderRecycling:
+    """Runs in which a live address comes to name another logical page:
+    the entry that cached the old id must have died with the mapping."""
+
+    @pytest.mark.parametrize("workload", MULTI_PAGE)
+    def test_pageout_pressure(self, workload, tmp_path):
+        stores = []
+
+        def build(observer, fast_path):
+            sim, store = paged_simulation(
+                spec_for(workload).resolve_workload(),
+                PAGED_GLOBAL_PAGES[workload],
+                observer=observer,
+                fast_path=fast_path,
+            )
+            stores.append(store)
+            return sim
+
+        events, _ = observed_both_arms(build, tmp_path)
+        assert all(s.pageouts > 0 and s.pageins > 0 for s in stores)
+        # Paged back in under a new id, at the same address.
+        assert any(len(ids) > 1 for ids in page_ids_by_vpage(events).values())
+
+    def test_free_object_pages_then_retouch(self, tmp_path):
+        from tests.conftest import make_rig
+
+        def build(observer, fast_path):
+            rig = make_rig()
+            obj = shared_object("d", 2)
+            region = rig.space.map_object(obj)
+            first, second = region.vpage_at(0), region.vpage_at(1)
+
+            def freer():
+                for _ in range(3):
+                    yield MemBlock(first, reads=2, writes=1)
+                yield FreeObjectPages(obj)
+                for _ in range(3):
+                    yield MemBlock(first, reads=2, writes=1)
+
+            def bystander():
+                # Holds TLB entries for both pages across the free.
+                for _ in range(7):
+                    yield MemBlock(second, reads=3)
+                    yield MemBlock(first, reads=1)
+
+            engine = Engine(
+                rig.machine,
+                rig.faults,
+                AffinityScheduler(rig.machine.n_cpus),
+                observer=observer,
+                fast_path=fast_path,
+            )
+            rig.numa.bus = engine.bus
+            threads = [
+                CThread(name=f"t{i}", index=i, body=body)
+                for i, body in enumerate((freer(), bystander()))
+            ]
+            return Simulation(
+                rig.machine, rig.numa, rig.pool, rig.pmap, engine, threads, []
+            )
+
+        events, sim = observed_both_arms(build, tmp_path)
+        assert sim.numa.stats.pages_freed == 2
+        by_vpage = page_ids_by_vpage(events)
+        assert [len(ids) for ids in by_vpage.values()] == [2, 2]
+        assert {cpu for _, cpu, *_ in events} == {0, 1}
+
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_chaos_frame_loss(self, workload, tmp_path):
+        """The ``GOLDEN_CHAOS`` frame-loss runs: frames offlined under
+        live mappings, pages refaulted from global memory."""
+
+        def build(observer, fast_path):
+            spec = spec_for(workload, "all-local", fast_path=fast_path)
+            return spec.build(
+                injector=make_injector("frame-loss", 7, CHAOS_RETRY),
+                observer=observer,
+            )
+
+        _, sim = observed_both_arms(build, tmp_path)
+        assert sim.numa.stats.frames_offlined > 0
 
 
 class TestFillBehavior:

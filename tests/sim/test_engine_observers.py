@@ -1,13 +1,21 @@
-"""Engine observation: the event bus and the legacy ``observer=`` kwarg."""
+"""Engine observation: the event bus and the ``observer=`` convenience."""
+
+import sys
 
 from repro.analysis.tracing import TraceCollector
+from repro.check.races import detach_detector
+from repro.check.sanitizer import attach_sanitizer
+from repro.exp.spec import RunSpec
 from repro.obs.events import EventBus
+from repro.obs.telemetry import Telemetry
 from repro.sim.engine import Engine
 from repro.sim.ops import Compute, MemBlock
 from repro.threads.cthreads import CThread
 from repro.threads.scheduler import AffinityScheduler
+from repro.threads.spinlock import remove_lock_observer
 from repro.vm.vm_object import shared_object
 from tests.conftest import make_rig
+from tests.sim.test_engine_fastpath import ReferenceLog
 
 
 def run_engine(rig, bodies, **kwargs):
@@ -38,7 +46,7 @@ class RoundWatcher:
 
 
 class TestLegacyObserverCompat:
-    """The deprecated single ``observer=`` kwarg keeps working via the bus."""
+    """The ``observer=`` kwarg subscribes one observer to the bus."""
 
     def test_legacy_observer_still_sees_references_and_faults(self):
         rig = make_rig()
@@ -140,3 +148,135 @@ class TestBusEvents:
         rig = make_rig()
         engine = run_engine(rig, [iter([Compute(1.0)])])
         assert len(engine.bus) == 0
+
+
+class TestSubscribedMidRound:
+    """Both arms ask the bus's live ``on_reference`` list per block, so
+    an observer subscribed from a thread body is heard from the very next
+    block — by the TLB-hit arm exactly as by the slow arm."""
+
+    def events(self, fast_path):
+        rig = make_rig()
+        region = rig.space.map_object(shared_object("d", 2))
+        mine, theirs = region.vpage_at(0), region.vpage_at(1)
+        log = ReferenceLog()
+        engine = Engine(
+            rig.machine,
+            rig.faults,
+            AffinityScheduler(rig.machine.n_cpus),
+            fast_path=fast_path,
+        )
+
+        def subscriber():
+            yield MemBlock(mine, reads=1)  # the miss that fills the TLB
+            yield MemBlock(mine, reads=2)
+            engine.add_observer(log)  # round 2 is already under way
+            yield MemBlock(mine, reads=3)
+            yield MemBlock(mine, reads=4)
+
+        def bystander():
+            for reads in (10, 20, 30, 40):
+                yield MemBlock(theirs, reads=reads)
+
+        engine.run(
+            [
+                CThread(name=f"t{i}", index=i, body=body)
+                for i, body in enumerate((subscriber(), bystander()))
+            ]
+        )
+        assert not fast_path or rig.machine.tlb_counters()["hits"] == 6
+        return log.events
+
+    def test_the_fast_arm_hears_what_the_slow_arm_hears(self):
+        fast, slow = self.events(True), self.events(False)
+        assert fast == slow
+        assert [(e[0], e[1], e[4]) for e in fast] == [
+            (2, 0, 3), (2, 1, 30), (3, 0, 4), (3, 1, 40),
+        ]
+
+    def test_reference_hooks_is_the_live_list(self):
+        bus = EventBus()
+        held = bus.reference_hooks
+        assert not held and not bus.wants_references
+        log = bus.subscribe(ReferenceLog())
+        assert held and held is bus.reference_hooks and bus.wants_references
+        bus.unsubscribe(log)
+        assert not held
+
+
+#: The ledger's three ``observed`` specs at a twentieth of their size.
+OBSERVED_SPECS = (
+    RunSpec(
+        "ParMult",
+        {"total_mults": 8_000, "chunk_mults": 2},
+        policy="move-threshold",
+        threshold=4,
+        n_processors=4,
+    ),
+    RunSpec(
+        "ParMult",
+        {"total_mults": 350, "chunk_mults": 2},
+        policy="all-local",
+        n_processors=4,
+    ),
+    RunSpec(
+        "PlyTrace",
+        {"n_polygons": 100, "padded_framebuffer": False},
+        policy="move-threshold",
+        threshold=4,
+        n_processors=4,
+    ),
+)
+
+#: Python-level calls a run makes per reference event *because* someone
+#: listens to references — telemetry, sanitizer and race detector
+#: attached, against the same run with every ``on_reference`` taken off
+#: — over ``OBSERVED_SPECS`` together.  A ratchet like
+#: ``tests/vm/test_fault.py::MAX_CALLS_PER_FAULT``: a count, exactly
+#: repeatable, and it may only be lowered.  It read 9.1 while telemetry
+#: counted every block and the engine looked the page id up per event
+#: (DESIGN.md §7, §10.2), and reads 2.2 now: ``emit_reference`` and the
+#: detector's hook on a TLB hit, three lookups more on a miss.
+MAX_CALLS_PER_REFERENCE_EVENT = 2.5
+
+
+def observed_run_calls(spec):
+    """(Python-level calls under ``Engine.run``, reference events emitted,
+    classes that listened) for *spec* with everything attached."""
+    sim = spec.build(telemetry=Telemetry())
+    sanitizer = attach_sanitizer(sim.numa, sim.engine.bus, races=True)
+    emit_reference = EventBus.emit_reference.__code__
+    calls = events = 0
+
+    def count(frame, event, arg):
+        nonlocal calls, events
+        if event == "call":
+            calls += 1
+            events += frame.f_code is emit_reference
+
+    sys.setprofile(count)
+    try:
+        sim.engine.run(sim.threads)
+    finally:
+        sys.setprofile(None)
+        remove_lock_observer(sanitizer)
+        detach_detector(sanitizer.races, sim.machine)
+    listeners = {
+        type(observer)
+        for observer in sim.engine.bus.observers
+        if hasattr(observer, "on_reference")
+    }
+    return calls, events, listeners
+
+
+def test_reference_event_call_ratchet(monkeypatch):
+    heard = [observed_run_calls(spec) for spec in OBSERVED_SPECS]
+    for listener in set().union(*(classes for _, _, classes in heard)):
+        monkeypatch.delattr(listener, "on_reference")
+    deaf = [observed_run_calls(spec) for spec in OBSERVED_SPECS]
+    assert not any(events or classes for _, events, classes in deaf)
+    events = sum(events for _, events, _ in heard)
+    calls = sum(c for c, _, _ in heard) - sum(c for c, _, _ in deaf)
+    assert events > 5_000
+    print(f"{calls / events:.2f} Python calls per reference event")
+    assert calls / events <= MAX_CALLS_PER_REFERENCE_EVENT

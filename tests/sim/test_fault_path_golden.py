@@ -94,7 +94,7 @@ def sim_digest(sim, tlb=True):
     )
 
 
-def paged_simulation(workload, global_pages):
+def paged_simulation(workload, global_pages, **engine_kwargs):
     """One task whose fault handler reclaims through the pageout daemon
     (``build_simulation`` wires none)."""
     config = MachineConfig(
@@ -115,7 +115,7 @@ def paged_simulation(workload, global_pages):
         CThread(name=f"{workload.name}-{index}", index=index, body=body)
         for index, body in enumerate(workload.build(ctx))
     ]
-    engine = Engine(machine, handler, AffinityScheduler(4))
+    engine = Engine(machine, handler, AffinityScheduler(4), **engine_kwargs)
     numa.bus = engine.bus
     sim = Simulation(machine, numa, pool, pmap, engine, threads, [ctx])
     return sim, store

@@ -170,25 +170,14 @@ class TestMetricsCommand:
         assert "nosuch" in err
         assert "choose from" in err
 
-    def test_metrics_json_export(self, tmp_path, capsys):
+    def exported(self, tmp_path, *extra):
         path = tmp_path / "out.jsonl"
-        assert (
-            main(
-                [
-                    "metrics",
-                    "parmult",
-                    "--quick",
-                    "--processors",
-                    "3",
-                    "--json",
-                    str(path),
-                ]
-            )
-            == 0
-        )
-        records = [
-            json.loads(line) for line in path.read_text().splitlines()
-        ]
+        argv = ["metrics", "parmult", "--quick", *extra, "--json", str(path)]
+        assert main(argv) == 0
+        return [json.loads(line) for line in path.read_text().splitlines()]
+
+    def test_metrics_json_export(self, tmp_path, capsys):
+        records = self.exported(tmp_path, "--processors", "3")
         kinds = {record["t"] for record in records}
         # The acceptance contract: time series + histograms + profile.
         assert {"meta", "sample", "counter", "histogram", "phase"} <= kinds
@@ -196,6 +185,15 @@ class TestMetricsCommand:
         assert meta["workload"] == "ParMult"
         samples = [r for r in records if r["t"] == "sample"]
         assert samples[-1]["round"] == meta["rounds"] - 1
+
+    def test_metrics_exports_a_time_series_on_the_default_machine(
+        self, tmp_path, capsys
+    ):
+        """Was CI's "CLI smoke — telemetry time series" step."""
+        records = self.exported(tmp_path)
+        kinds = {record["t"] for record in records}
+        assert {"meta", "sample", "counter", "histogram", "phase"} <= kinds
+        assert any(record["t"] == "sample" for record in records)
 
 
 class TestJsonFlag:
