@@ -20,67 +20,29 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.
 """
 
-from repro.analysis import model as _model
-from repro.analysis.model import ModelParameters
-from repro.analysis.report import run_evaluation
-from repro.core.numa_manager import NUMAManager
-from repro.core.policies import (
-    AllGlobalPolicy,
-    AllLocalPolicy,
-    MoveThresholdPolicy,
-    Pragma,
-    PragmaPolicy,
-    ReconsiderPolicy,
-)
-from repro.core.policy import NUMAPolicy
-from repro.exp import ResultCache, RunSpec, run_batch
-from repro.machine import MachineConfig, Machine, ace_config
-from repro.sim.harness import (
-    PlacementMeasurement,
-    build_simulation,
-    measure_placement,
-    run_once,
-)
-from repro.sim.result import RunResult
-from repro.workloads import TABLE_3_WORKLOADS, Workload
+from repro.exports import lazy_exports
 
 __version__ = "1.0.0"
 
-
-def solve_model(measurement: PlacementMeasurement) -> ModelParameters:
-    """Solve Equations 1-5 for a completed placement measurement."""
-    return _model.solve(
-        measurement.t_global_s,
-        measurement.t_numa_s,
-        measurement.t_local_s,
-        measurement.g_over_l,
-    )
-
-
-__all__ = [
-    "ModelParameters",
-    "run_evaluation",
-    "NUMAManager",
-    "AllGlobalPolicy",
-    "AllLocalPolicy",
-    "MoveThresholdPolicy",
-    "Pragma",
-    "PragmaPolicy",
-    "ReconsiderPolicy",
-    "NUMAPolicy",
-    "ResultCache",
-    "RunSpec",
-    "run_batch",
-    "MachineConfig",
-    "Machine",
-    "ace_config",
-    "PlacementMeasurement",
-    "build_simulation",
-    "measure_placement",
-    "run_once",
-    "RunResult",
-    "TABLE_3_WORKLOADS",
-    "Workload",
-    "solve_model",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "analysis.model": ("ModelParameters", "solve_model"),
+    "analysis.report": ("run_evaluation",),
+    "core.numa_manager": ("NUMAManager",),
+    "core.policies": (
+        "AllGlobalPolicy",
+        "AllLocalPolicy",
+        "MoveThresholdPolicy",
+        "Pragma",
+        "PragmaPolicy",
+        "ReconsiderPolicy",
+    ),
+    "core.policy": ("NUMAPolicy",),
+    "exp.batch": ("run_batch",),
+    "exp.cache": ("ResultCache",),
+    "exp.spec": ("RunSpec",),
+    "machine.config": ("MachineConfig", "ace_config"),
+    "machine.machine": ("Machine",),
+    "sim.harness": ("build_simulation", "measure_placement", "run_once"),
+    "sim.result": ("PlacementMeasurement", "RunResult"),
+    "workloads": ("TABLE_3_WORKLOADS", "Workload"),
+})

@@ -18,9 +18,12 @@ and the user-time expansion factor is γ = Tnuma / Tlocal (Equation 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from repro.sim.result import PlacementMeasurement
 
 #: Relative Tglobal-Tlocal difference below which α is meaningless (the
 #: application barely references writable data, so the division in
@@ -83,6 +86,16 @@ def solve(
         alpha=solve_alpha(t_global, t_numa, t_local),
         beta=solve_beta(t_global, t_local, g_over_l),
         gamma=gamma(t_numa, t_local),
+    )
+
+
+def solve_model(measurement: "PlacementMeasurement") -> ModelParameters:
+    """Solve Equations 1-5 for a completed placement measurement."""
+    return solve(
+        measurement.t_global_s,
+        measurement.t_numa_s,
+        measurement.t_local_s,
+        measurement.g_over_l,
     )
 
 

@@ -21,8 +21,7 @@ from repro.analysis.paper import TABLE_3, TABLE_4
 from repro.exp.batch import run_batch
 from repro.exp.grid import PlacementGroup, flatten, table3_grid
 from repro.exp.spec import Outcome, RunSpec
-from repro.sim.harness import PlacementMeasurement
-from repro.sim.result import RunResult
+from repro.sim.result import PlacementMeasurement, RunResult
 from repro.workloads import TABLE_4_WORKLOADS
 
 
@@ -108,16 +107,10 @@ def solve_row(
         all_global=results[group.tglobal],
         local=results[group.tlocal],
     )
-    params = eqs.solve(
-        measurement.t_global_s,
-        measurement.t_numa_s,
-        measurement.t_local_s,
-        measurement.g_over_l,
-    )
     return EvaluationRow(
         application=group.application,
         measurement=measurement,
-        params=params,
+        params=eqs.solve_model(measurement),
         entrant=label,
     )
 

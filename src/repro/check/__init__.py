@@ -35,74 +35,43 @@ Three layers of correctness tooling, all runnable from the CLI and CI:
   to end on every run.
 """
 
-from repro.check.fixtures import (
-    run_missed_shootdown_fixture,
-    run_unguarded_write_fixture,
-)
-from repro.check.guards import (
-    GuardModel,
-    MutationSite,
-    infer_guards,
-)
-from repro.check.lint import (
-    DEFAULT_RULES,
-    LintReport,
-    Violation,
-    lint_paths,
-    lint_source,
-)
-from repro.check.lockorder import LockOrderChecker
-from repro.check.modelcheck import (
-    ModelCheckReport,
-    legal_transition_pairs,
-    run_model_check,
-    stale_tlb_reachable,
-)
-from repro.check.races import (
-    ALL_RULES,
-    RACE_RULES,
-    RaceCheckReport,
-    RaceDetector,
-    RaceReport,
-    attach_detector,
-    detach_detector,
-    lint_races,
-    run_race_check,
-)
-from repro.check.sanitizer import (
-    ProtocolSanitizer,
-    attach_sanitizer,
-    maybe_attach_sanitizer,
-    sanitizer_enabled,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "DEFAULT_RULES",
-    "LintReport",
-    "Violation",
-    "lint_paths",
-    "lint_source",
-    "LockOrderChecker",
-    "ModelCheckReport",
-    "legal_transition_pairs",
-    "run_model_check",
-    "stale_tlb_reachable",
-    "GuardModel",
-    "MutationSite",
-    "infer_guards",
-    "ALL_RULES",
-    "RACE_RULES",
-    "RaceCheckReport",
-    "RaceDetector",
-    "RaceReport",
-    "attach_detector",
-    "detach_detector",
-    "lint_races",
-    "run_race_check",
-    "run_missed_shootdown_fixture",
-    "run_unguarded_write_fixture",
-    "ProtocolSanitizer",
-    "attach_sanitizer",
-    "maybe_attach_sanitizer",
-    "sanitizer_enabled",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "fixtures": (
+        "run_missed_shootdown_fixture",
+        "run_unguarded_write_fixture",
+    ),
+    "guards": ("GuardModel", "MutationSite", "infer_guards"),
+    "lint": (
+        "DEFAULT_RULES",
+        "LintReport",
+        "Violation",
+        "lint_paths",
+        "lint_source",
+    ),
+    "lockorder": ("LockOrderChecker",),
+    "modelcheck": (
+        "ModelCheckReport",
+        "legal_transition_pairs",
+        "run_model_check",
+        "stale_tlb_reachable",
+    ),
+    "races": (
+        "ALL_RULES",
+        "RACE_RULES",
+        "RaceCheckReport",
+        "RaceDetector",
+        "RaceReport",
+        "attach_detector",
+        "detach_detector",
+        "lint_races",
+        "run_race_check",
+    ),
+    "sanitizer": (
+        "ProtocolSanitizer",
+        "attach_sanitizer",
+        "maybe_attach_sanitizer",
+        "sanitizer_enabled",
+    ),
+})

@@ -43,8 +43,6 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analysis import model as eqs
-from repro.analysis.diagrams import figure1, figure2, wiring_report
 from repro.analysis.paper import ACE_LATENCIES, PRIMES2_FALSE_SHARING_ALPHA
 from repro.analysis.report import (
     format_measured_alpha,
@@ -52,16 +50,12 @@ from repro.analysis.report import (
     format_table4,
     run_evaluation,
 )
-from repro.core.state import AccessKind, PlacementDecision
-from repro.core.transitions import READ_TABLE, WRITE_TABLE, StateKey
 from repro.errors import ConfigurationError, ReproError
 from repro.exp.grid import GRIDS, flatten, sweep_groups
 from repro.exp.spec import resolve_workload
 from repro.machine.config import TimingParameters, ace_config
 from repro.obs.exporters import JsonSink
-from repro.sim.harness import measure_placement
 from repro.workloads import TABLE_3_WORKLOADS, small_workloads
-from repro.workloads.primes import Primes2
 
 
 def _cache_from(args: argparse.Namespace):
@@ -133,6 +127,7 @@ def _evaluation_command(formatter, doc: str):
 def cmd_metrics(args: argparse.Namespace) -> None:
     """Telemetry for one workload: time series, histograms, profile."""
     from repro.obs import Telemetry
+    from repro.sim.harness import measure_placement
 
     workload = resolve_workload(args.workload, quick=args.quick)
     telemetry = Telemetry(sample_interval=args.sample_interval)
@@ -159,14 +154,14 @@ def cmd_metrics(args: argparse.Namespace) -> None:
 
 def cmd_tables12(args: argparse.Namespace) -> None:
     """Print Tables 1-2 from the live transition structures."""
+    from repro.core.state import PlacementDecision
+    from repro.core.transitions import READ_TABLE, WRITE_TABLE, StateKey
+
     del args
-    for title, table, kind in (
-        ("Table 1: NUMA Manager Actions for Read Requests", READ_TABLE,
-         AccessKind.READ),
-        ("Table 2: NUMA Manager Actions for Write Requests", WRITE_TABLE,
-         AccessKind.WRITE),
+    for title, table in (
+        ("Table 1: NUMA Manager Actions for Read Requests", READ_TABLE),
+        ("Table 2: NUMA Manager Actions for Write Requests", WRITE_TABLE),
     ):
-        del kind
         print(title)
         columns = [
             StateKey.READ_ONLY,
@@ -196,6 +191,8 @@ def cmd_tables12(args: argparse.Namespace) -> None:
 
 def cmd_figures(args: argparse.Namespace) -> None:
     """Print Figures 1-2."""
+    from repro.analysis.diagrams import figure1, figure2, wiring_report
+
     config = ace_config(args.processors)
     print(figure1(config))
     print()
@@ -262,6 +259,9 @@ def cmd_sweep(args: argparse.Namespace) -> None:
 
 def cmd_false_sharing(args: argparse.Namespace) -> None:
     """The Primes2 case study of Section 4.2."""
+    from repro.sim.harness import measure_placement
+    from repro.workloads.primes import Primes2
+
     limit = 20_000 if args.quick else 200_000
     print("Primes2 divisor placement (Section 4.2):")
     for private in (False, True):
@@ -658,10 +658,11 @@ def cmd_batch(args: argparse.Namespace) -> int:
         path.write_text(batch.results_json(), encoding="utf-8")
         print(f"wrote results document to {path}", file=sys.stderr)
     print(_json.dumps(summary, sort_keys=True))
-    if batch.lost:
+    lost = batch.lost
+    if lost:
         print(
-            f"repro-numa batch: {len(batch.lost)} spec(s) lost "
-            f"(supervision bug): {', '.join(fp[:12] for fp in batch.lost)}",
+            f"repro-numa batch: {len(lost)} spec(s) lost "
+            f"(supervision bug): {', '.join(fp[:12] for fp in lost)}",
             file=sys.stderr,
         )
         return 1

@@ -4,48 +4,3 @@ Local memories are managed as a cache of global memory with a
 directory-based ownership protocol (Tables 1-2 of the paper), and a
 pluggable policy decides per-fault whether a page may be cached locally.
 """
-
-from repro.core.actions import ActionExecutor
-from repro.core.directory import DirectoryEntry, Mapping, PageDirectory
-from repro.core.numa_manager import FreeTag, NUMAManager
-from repro.core.policy import NUMAPolicy
-from repro.core.state import (
-    AccessKind,
-    PageLike,
-    PageState,
-    PlacementDecision,
-)
-from repro.core.stats import NUMAStats
-from repro.core.transitions import (
-    READ_TABLE,
-    WRITE_TABLE,
-    ActionSpec,
-    Cleanup,
-    StateKey,
-    classify_state,
-    first_touch_spec,
-    lookup,
-)
-
-__all__ = [
-    "ActionExecutor",
-    "DirectoryEntry",
-    "Mapping",
-    "PageDirectory",
-    "FreeTag",
-    "NUMAManager",
-    "NUMAPolicy",
-    "AccessKind",
-    "PageLike",
-    "PageState",
-    "PlacementDecision",
-    "NUMAStats",
-    "READ_TABLE",
-    "WRITE_TABLE",
-    "ActionSpec",
-    "Cleanup",
-    "StateKey",
-    "classify_state",
-    "first_touch_spec",
-    "lookup",
-]

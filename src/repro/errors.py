@@ -65,30 +65,6 @@ class OutOfMemoryError(ReproError):
         }
 
 
-class TransferError(ReproError):
-    """A simulated block transfer failed (fault injection only).
-
-    Raised by the fault-injection layer to model a transient bus or
-    memory-module error during a page copy.  ``page_id`` names the page
-    being transferred and ``attempt`` the (zero-based) attempt that
-    failed.  The NUMA manager's retry envelope normally absorbs these;
-    one escaping to a caller means the retry/degradation machinery has a
-    bug.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        page_id: Optional[int] = None,
-        attempt: int = 0,
-    ) -> None:
-        super().__init__(message)
-        self.message = message
-        self.page_id = page_id
-        self.attempt = attempt
-
-
 class MappingError(ReproError):
     """An MMU or pmap operation violated a hardware mapping constraint.
 

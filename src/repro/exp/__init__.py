@@ -17,92 +17,52 @@ Quick start::
         print(row.spec.label, row.cached, row.outcome.result.summary())
 """
 
-from repro.exp.batch import (
-    BatchResult,
-    SpecOutcome,
-    batch_fingerprint,
-    missing_fingerprints,
-    require_cache_ratio,
-    resume_batch,
-    run_batch,
-)
-from repro.exp.cache import (
-    CACHE_SCHEMA,
-    DEFAULT_CACHE_DIR,
-    SKIP_REASONS,
-    CacheEntry,
-    CacheScan,
-    ResultCache,
-    SkippedFile,
-)
-from repro.exp.grid import (
-    DEFAULT_TOURNAMENT_POLICIES,
-    GRIDS,
-    PlacementGroup,
-    flatten,
-    placement_specs,
-    policy_label,
-    policy_tournament,
-    seed_fan,
-    table3_grid,
-    threshold_grid,
-)
-from repro.exp.journal import (
-    JOURNAL_SCHEMA,
-    BatchJournal,
-    JournalReplay,
-    ReplayedBatch,
-    journal_path_for,
-)
-from repro.exp.supervise import (
-    SupervisedRunner,
-    SupervisorPolicy,
-    SuperviseStats,
-)
-from repro.exp.spec import (
-    SPEC_SCHEMA,
-    Outcome,
-    RunSpec,
-    resolve_policy,
-    resolve_workload,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "BatchResult",
-    "SpecOutcome",
-    "run_batch",
-    "resume_batch",
-    "batch_fingerprint",
-    "missing_fingerprints",
-    "require_cache_ratio",
-    "JOURNAL_SCHEMA",
-    "BatchJournal",
-    "JournalReplay",
-    "ReplayedBatch",
-    "journal_path_for",
-    "SupervisedRunner",
-    "SupervisorPolicy",
-    "SuperviseStats",
-    "CACHE_SCHEMA",
-    "DEFAULT_CACHE_DIR",
-    "SKIP_REASONS",
-    "CacheEntry",
-    "CacheScan",
-    "ResultCache",
-    "SkippedFile",
-    "DEFAULT_TOURNAMENT_POLICIES",
-    "GRIDS",
-    "PlacementGroup",
-    "flatten",
-    "placement_specs",
-    "policy_label",
-    "policy_tournament",
-    "seed_fan",
-    "table3_grid",
-    "threshold_grid",
-    "SPEC_SCHEMA",
-    "Outcome",
-    "RunSpec",
-    "resolve_policy",
-    "resolve_workload",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "batch": (
+        "BatchResult",
+        "SpecOutcome",
+        "batch_fingerprint",
+        "missing_fingerprints",
+        "require_cache_ratio",
+        "resume_batch",
+        "run_batch",
+    ),
+    "cache": (
+        "CACHE_SCHEMA",
+        "DEFAULT_CACHE_DIR",
+        "SKIP_REASONS",
+        "CacheEntry",
+        "CacheScan",
+        "ResultCache",
+        "SkippedFile",
+    ),
+    "grid": (
+        "DEFAULT_TOURNAMENT_POLICIES",
+        "GRIDS",
+        "PlacementGroup",
+        "flatten",
+        "placement_specs",
+        "policy_label",
+        "policy_tournament",
+        "seed_fan",
+        "table3_grid",
+        "threshold_grid",
+    ),
+    "journal": (
+        "JOURNAL_SCHEMA",
+        "BatchJournal",
+        "JournalReplay",
+        "ReplayedBatch",
+        "journal_path_for",
+    ),
+    "spec": (
+        "SPEC_SCHEMA",
+        "Outcome",
+        "RunSpec",
+        "resolve_policy",
+        "resolve_workload",
+    ),
+    "supervise": ("SupervisedRunner", "SupervisorPolicy", "SuperviseStats"),
+})

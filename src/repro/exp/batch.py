@@ -34,6 +34,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
@@ -125,20 +126,13 @@ class BatchResult:
         The supervision contract is that this is always empty; the
         chaos benches and CI assert it.
         """
-        seen: Dict[str, None] = {}
+        served: Dict[str, bool] = {}
         for row in self.rows:
             fp = row.spec.fingerprint()
-            if fp in seen:
-                continue
-            seen[fp] = None
+            served[fp] = served.get(fp, False) or row.outcome is not None
         return [
-            fp for fp in seen
-            if not any(
-                row.outcome is not None
-                for row in self.rows
-                if row.spec.fingerprint() == fp
-            )
-            and fp not in self.quarantined
+            fp for fp, has_outcome in served.items()
+            if not has_outcome and fp not in self.quarantined
         ]
 
     def results_document(self) -> Dict[str, object]:
@@ -168,13 +162,21 @@ class BatchResult:
             "results": results,
         }
 
-    def results_json(self) -> str:
-        """Canonical JSON encoding of :meth:`results_document`."""
+    @cached_property
+    def _results_json(self) -> str:
         return json.dumps(
             self.results_document(), sort_keys=True, separators=(",", ":")
         ) + "\n"
 
-    @property
+    def results_json(self) -> str:
+        """Canonical JSON encoding of :meth:`results_document`.
+
+        Encoded once per batch: the journal's ``batch_end`` record, the
+        CLI summary and ``--results`` all read the same string.
+        """
+        return self._results_json
+
+    @cached_property
     def results_sha256(self) -> str:
         """Hash of the canonical results document (the identity check)."""
         return hashlib.sha256(

@@ -19,15 +19,17 @@ their registries first.  :meth:`RunSpec.build` takes in-memory overrides
 for callers that need to observe the run (``telemetry=``,
 ``observer=`` …); such a simulation is no longer described by the spec
 alone, so the orchestrator only caches what :meth:`RunSpec.execute`
-produced from the declarative fields.
+produced from the declarative fields.  ``build`` is also where the
+harness — and the engine behind it — is imported, so naming, hashing,
+caching and reporting specs never load either.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
-from typing import Dict, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple, Union
 
 from repro.core.policies import DEFAULT_MOVE_THRESHOLD
 from repro.core.policies.registry import build_policy
@@ -35,10 +37,12 @@ from repro.core.policy import NUMAPolicy
 from repro.errors import ConfigurationError
 from repro.machine.config import MachineConfig
 from repro.machine.topology import resolve_machine
-from repro.sim import harness
-from repro.sim.result import RunResult
+from repro.sim.result import ChaosReport, RunResult
 from repro.workloads import TABLE_3_WORKLOADS
 from repro.workloads.base import Workload
+
+if TYPE_CHECKING:
+    from repro.sim.harness import Simulation
 
 #: Version tag folded into every fingerprint.  Bump when a change to the
 #: simulator alters what an identical spec would compute, so stale cache
@@ -201,9 +205,16 @@ class RunSpec:
         Identical in every process and Python version (no reliance on
         ``hash()``), versioned by :data:`SPEC_SCHEMA` so a semantics
         change invalidates all previously cached results at once.
+        Hashed once per instance: the digest is kept as a plain
+        attribute, not a field, so ``==``, ``hash`` and ``repr`` ignore
+        it and ``dataclasses.replace`` starts without one.
         """
-        payload = f"{SPEC_SCHEMA}\n{self.canonical_json()}"
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        digest = self.__dict__.get("_fingerprint")
+        if digest is None:
+            payload = f"{SPEC_SCHEMA}\n{self.canonical_json()}"
+            digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_fingerprint", digest)
+        return digest
 
     @property
     def label(self) -> str:
@@ -273,8 +284,10 @@ class RunSpec:
         observer=None,
         telemetry=None,
         injector=None,
-    ) -> harness.Simulation:
+    ) -> "Simulation":
         """Wire the simulation this spec describes (overrides optional)."""
+        from repro.sim import harness  # the engine, on first use
+
         return harness.build_simulation(
             [workload if workload is not None else self.resolve_workload()],
             policy if policy is not None else self.resolve_policy(),
@@ -296,9 +309,7 @@ class RunSpec:
 
     def run(self) -> RunResult:
         """Build, execute and collect one run from the declarative fields."""
-        sim = self.build()
-        rounds = harness.run_engine(sim.engine, sim.threads)
-        return harness.collect_result(sim, rounds)
+        return self.build().run()
 
     def execute(self) -> "Outcome":
         """Run the spec purely from its declarative fields.
@@ -330,7 +341,7 @@ class Outcome:
     """What executing one spec produced (exactly one side is set)."""
 
     result: Optional[RunResult] = None
-    chaos: Optional["ChaosReport"] = field(default=None)  # noqa: F821
+    chaos: Optional[ChaosReport] = None
 
     @property
     def kind(self) -> str:
@@ -378,8 +389,6 @@ class Outcome:
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "Outcome":
         """Rebuild an outcome from an :meth:`as_dict` view."""
-        from repro.faults.chaos import ChaosReport  # deferred: no cycle
-
         result = data.get("result")
         chaos = data.get("chaos")
         return cls(

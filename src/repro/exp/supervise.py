@@ -112,12 +112,14 @@ def spec_weight(spec: RunSpec) -> int:
 
 
 def warm_worker() -> None:
-    """Pool initializer: pre-import the simulator's hot modules.
+    """Pool initializer: import the engine, the chaos harness, the workloads.
 
-    Under the default ``fork`` start method this is free (the parent
-    already imported everything); under ``spawn`` it front-loads import
-    cost into pool startup instead of the first simulation, so per-spec
-    timings stay comparable across workers.
+    The orchestrating process never simulates when it has a pool, so it
+    never imports the engine: a cache hit costs no engine import and a
+    miss costs one per worker (≈ 0.1 s, the workers paying it side by
+    side at pool start-up, again after a recycle), under ``fork`` and
+    ``spawn`` alike.  Paying here rather than in the first simulation
+    keeps per-spec timings comparable across workers.
     """
     import repro.faults.chaos  # noqa: F401
     import repro.sim.engine  # noqa: F401

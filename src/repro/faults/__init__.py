@@ -22,41 +22,17 @@ Recovery itself lives where the state lives — in
 only decides, fires, and counts.
 """
 
-from repro.faults.chaos import ChaosReport, run_chaos
-from repro.faults.harness import (
-    HARNESS_PROFILES,
-    HarnessChaosError,
-    HarnessChaosPlan,
-    HarnessChaosProfile,
-    make_harness_plan,
-)
-from repro.faults.injector import (
-    FaultInjector,
-    FaultStats,
-    RetryPolicy,
-    make_injector,
-)
-from repro.faults.plan import (
-    PROFILES,
-    FaultKind,
-    FaultPlan,
-    FaultProfile,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "HARNESS_PROFILES",
-    "PROFILES",
-    "ChaosReport",
-    "HarnessChaosError",
-    "HarnessChaosPlan",
-    "HarnessChaosProfile",
-    "make_harness_plan",
-    "FaultInjector",
-    "FaultKind",
-    "FaultPlan",
-    "FaultProfile",
-    "FaultStats",
-    "RetryPolicy",
-    "make_injector",
-    "run_chaos",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "chaos": ("run_chaos",),
+    "harness": (
+        "HARNESS_PROFILES",
+        "HarnessChaosError",
+        "HarnessChaosPlan",
+        "HarnessChaosProfile",
+        "make_harness_plan",
+    ),
+    "injector": ("FaultInjector", "FaultStats", "RetryPolicy", "make_injector"),
+    "plan": ("PROFILES", "FaultKind", "FaultPlan", "FaultProfile"),
+})

@@ -12,9 +12,7 @@ profile, and seed → byte-identical summaries.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.check.races import RaceDetector, attach_detector
 from repro.check.sanitizer import attach_sanitizer, sanitizer_enabled
@@ -24,88 +22,8 @@ from repro.faults.injector import FaultInjector, RetryPolicy, make_injector
 from repro.machine.config import MachineConfig
 from repro.obs.telemetry import Telemetry
 from repro.sim.harness import build_simulation, run_engine
+from repro.sim.result import ChaosReport
 from repro.workloads.base import Workload
-
-
-@dataclass
-class ChaosReport:
-    """Structured recovery summary for one chaos run."""
-
-    workload: str
-    policy: str
-    profile: str
-    seed: int
-    n_processors: int
-    rounds: int
-    sanitized: bool
-    #: Sanitizer checks performed (0 when ``sanitized`` is False).
-    sanitizer_checks: int
-    #: Fault-injection ledger (:meth:`FaultStats.as_dict`).
-    faults: Dict[str, object] = field(default_factory=dict)
-    #: NUMA manager counters (:meth:`NUMAStats.as_dict`).
-    numa: Dict[str, int] = field(default_factory=dict)
-    #: Software-TLB counters summed over CPUs
-    #: (:meth:`~repro.machine.machine.Machine.tlb_counters`); frame-loss
-    #: recovery shows up here as cross-CPU shootdowns.
-    tlb: Dict[str, int] = field(default_factory=dict)
-    #: Race-detector counters (``races_*``), when a detector observed
-    #: the run — either the sanitizer's raising detector or an explicit
-    #: collecting one passed to :func:`run_chaos`.  Empty otherwise.
-    races: Dict[str, int] = field(default_factory=dict)
-    #: Pages left pinned global by degradation at run end.
-    degraded_pages: int = 0
-    #: Local frames offline at run end.
-    offline_frames: int = 0
-    user_time_us: float = 0.0
-    system_time_us: float = 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        """Deterministically ordered flat view (same seed → same dict)."""
-        return {
-            "workload": self.workload,
-            "policy": self.policy,
-            "profile": self.profile,
-            "seed": self.seed,
-            "n_processors": self.n_processors,
-            "rounds": self.rounds,
-            "sanitized": self.sanitized,
-            "sanitizer_checks": self.sanitizer_checks,
-            "faults": dict(self.faults),
-            "numa": dict(self.numa),
-            "tlb": dict(self.tlb),
-            "races": dict(self.races),
-            "degraded_pages": self.degraded_pages,
-            "offline_frames": self.offline_frames,
-            "user_time_us": round(self.user_time_us, 3),
-            "system_time_us": round(self.system_time_us, 3),
-        }
-
-    def to_json(self) -> str:
-        """Canonical JSON: the byte-identical artifact CI compares."""
-        return json.dumps(self.as_dict(), indent=2, sort_keys=False)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ChaosReport":
-        """Rebuild a report from an :meth:`as_dict` view (cache loads)."""
-        return cls(
-            workload=str(data["workload"]),
-            policy=str(data["policy"]),
-            profile=str(data["profile"]),
-            seed=int(data["seed"]),
-            n_processors=int(data["n_processors"]),
-            rounds=int(data["rounds"]),
-            sanitized=bool(data["sanitized"]),
-            sanitizer_checks=int(data["sanitizer_checks"]),
-            faults=dict(data["faults"]),
-            numa=dict(data["numa"]),
-            tlb=dict(data["tlb"]),
-            # .get(): cached reports predating the race detector lack it.
-            races=dict(data.get("races", {})),
-            degraded_pages=int(data["degraded_pages"]),
-            offline_frames=int(data["offline_frames"]),
-            user_time_us=float(data["user_time_us"]),
-            system_time_us=float(data["system_time_us"]),
-        )
 
 
 def run_chaos(

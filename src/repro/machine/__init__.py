@@ -5,45 +5,3 @@ the physical machine of the paper's Figure 1 — processor modules with
 Rosetta MMUs and 8 MB local memories, plus global memory on the IPC bus —
 and knows nothing about pages' placement policy.
 """
-
-from repro.machine.config import (
-    DEFAULT_PAGE_SIZE_WORDS,
-    MachineConfig,
-    TimingParameters,
-    ace_config,
-    uniprocessor_config,
-)
-from repro.machine.cpu import CPU, ReferenceCounters
-from repro.machine.machine import Machine
-from repro.machine.memory import Frame, FrameKind, PhysicalMemory
-from repro.machine.mmu import MMU, MMUEntry, MMUFault
-from repro.machine.protection import (
-    PROT_NONE,
-    PROT_READ,
-    PROT_READ_WRITE,
-    Protection,
-)
-from repro.machine.timing import MemoryLocation, TimingModel
-
-__all__ = [
-    "DEFAULT_PAGE_SIZE_WORDS",
-    "MachineConfig",
-    "TimingParameters",
-    "ace_config",
-    "uniprocessor_config",
-    "CPU",
-    "ReferenceCounters",
-    "Machine",
-    "Frame",
-    "FrameKind",
-    "PhysicalMemory",
-    "MMU",
-    "MMUEntry",
-    "MMUFault",
-    "PROT_NONE",
-    "PROT_READ",
-    "PROT_READ_WRITE",
-    "Protection",
-    "MemoryLocation",
-    "TimingModel",
-]

@@ -17,32 +17,13 @@ end-of-run totals into inspectable time series and run profiles:
   all of the above into a simulation in one call.
 """
 
-from repro.obs.events import EventBus
-from repro.obs.exporters import (
-    JsonSink,
-    human_summary,
-    write_csv,
-    write_jsonl,
-)
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profiling import PhaseProfiler, PhaseStat
-from repro.obs.sampler import RoundSample, RoundSampler
-from repro.obs.telemetry import MetricsObserver, Telemetry
+from repro.exports import lazy_exports
 
-__all__ = [
-    "Counter",
-    "EventBus",
-    "Gauge",
-    "Histogram",
-    "JsonSink",
-    "MetricsObserver",
-    "MetricsRegistry",
-    "PhaseProfiler",
-    "PhaseStat",
-    "RoundSample",
-    "RoundSampler",
-    "Telemetry",
-    "human_summary",
-    "write_csv",
-    "write_jsonl",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "events": ("EventBus",),
+    "exporters": ("JsonSink", "human_summary", "write_csv", "write_jsonl"),
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "profiling": ("PhaseProfiler", "PhaseStat"),
+    "sampler": ("RoundSample", "RoundSampler"),
+    "telemetry": ("MetricsObserver", "Telemetry"),
+})

@@ -35,7 +35,7 @@ from repro.machine.config import MachineConfig, ace_config
 from repro.machine.machine import Machine
 from repro.obs.telemetry import Telemetry
 from repro.sim.engine import Engine, EngineObserver
-from repro.sim.result import CPUTimes, RunResult
+from repro.sim.result import CPUTimes, PlacementMeasurement, RunResult
 from repro.threads.cthreads import CThread
 from repro.threads.scheduler import AffinityScheduler, Scheduler
 from repro.threads.unix_master import UnixMaster
@@ -71,6 +71,12 @@ class Simulation:
     #: the environment opted this process in (``None`` otherwise).
     #: Chaos runs reuse it instead of attaching a second instance.
     sanitizer: object = None
+
+    def run(self, telemetry: Optional[Telemetry] = None) -> RunResult:
+        """Run the threads to completion and collect the result."""
+        return collect_result(
+            self, run_engine(self.engine, self.threads, telemetry)
+        )
 
 
 def build_simulation(
@@ -260,34 +266,7 @@ def run_once(
         telemetry=telemetry,
         fast_path=fast_path,
     )
-    rounds = run_engine(sim.engine, sim.threads, telemetry)
-    return collect_result(sim, rounds)
-
-
-@dataclass(frozen=True)
-class PlacementMeasurement:
-    """The three runs of the paper's methodology for one application."""
-
-    workload: str
-    g_over_l: float
-    numa: RunResult
-    all_global: RunResult
-    local: RunResult
-
-    @property
-    def t_numa_s(self) -> float:
-        """Tnuma in seconds."""
-        return self.numa.user_time_s
-
-    @property
-    def t_global_s(self) -> float:
-        """Tglobal in seconds."""
-        return self.all_global.user_time_s
-
-    @property
-    def t_local_s(self) -> float:
-        """Tlocal in seconds."""
-        return self.local.user_time_s
+    return sim.run(telemetry)
 
 
 def measure_placement(

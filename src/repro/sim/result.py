@@ -1,9 +1,14 @@
-"""Results of one simulated run."""
+"""Result records: what a run, a three-run measurement or a chaos run produced.
+
+Plain data with lossless ``as_dict``/``from_dict`` views.  The records
+live here, away from the engine and the chaos harness that fill them in,
+so that reading one back — a cache hit, a report — imports neither.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.stats import NUMAStats
@@ -158,4 +163,112 @@ class RunResult:
             f"{self.workload} [{self.policy}] on {self.n_processors}p: "
             f"user {self.user_time_s:.3f}s system {self.system_time_s:.3f}s "
             f"alpha {alpha_text} moves {self.stats.moves}"
+        )
+
+
+@dataclass(frozen=True)
+class PlacementMeasurement:
+    """The three runs of the paper's methodology for one application."""
+
+    workload: str
+    g_over_l: float
+    numa: RunResult
+    all_global: RunResult
+    local: RunResult
+
+    @property
+    def t_numa_s(self) -> float:
+        """Tnuma in seconds."""
+        return self.numa.user_time_s
+
+    @property
+    def t_global_s(self) -> float:
+        """Tglobal in seconds."""
+        return self.all_global.user_time_s
+
+    @property
+    def t_local_s(self) -> float:
+        """Tlocal in seconds."""
+        return self.local.user_time_s
+
+
+@dataclass
+class ChaosReport:
+    """Structured recovery summary for one chaos run."""
+
+    workload: str
+    policy: str
+    profile: str
+    seed: int
+    n_processors: int
+    rounds: int
+    sanitized: bool
+    #: Sanitizer checks performed (0 when ``sanitized`` is False).
+    sanitizer_checks: int
+    #: Fault-injection ledger
+    #: (:meth:`repro.faults.injector.FaultStats.as_dict`).
+    faults: Dict[str, object] = field(default_factory=dict)
+    #: NUMA manager counters (:meth:`NUMAStats.as_dict`).
+    numa: Dict[str, int] = field(default_factory=dict)
+    #: Software-TLB counters summed over CPUs
+    #: (:meth:`~repro.machine.machine.Machine.tlb_counters`); frame-loss
+    #: recovery shows up here as cross-CPU shootdowns.
+    tlb: Dict[str, int] = field(default_factory=dict)
+    #: Race-detector counters (``races_*``), when a detector observed
+    #: the run — either the sanitizer's raising detector or an explicit
+    #: collecting one passed to ``run_chaos``.  Empty otherwise.
+    races: Dict[str, int] = field(default_factory=dict)
+    #: Pages left pinned global by degradation at run end.
+    degraded_pages: int = 0
+    #: Local frames offline at run end.
+    offline_frames: int = 0
+    user_time_us: float = 0.0
+    system_time_us: float = 0.0
+
+    def as_dict(self) -> Dict[str, object]:
+        """Deterministically ordered flat view (same seed → same dict)."""
+        return {
+            "workload": self.workload,
+            "policy": self.policy,
+            "profile": self.profile,
+            "seed": self.seed,
+            "n_processors": self.n_processors,
+            "rounds": self.rounds,
+            "sanitized": self.sanitized,
+            "sanitizer_checks": self.sanitizer_checks,
+            "faults": dict(self.faults),
+            "numa": dict(self.numa),
+            "tlb": dict(self.tlb),
+            "races": dict(self.races),
+            "degraded_pages": self.degraded_pages,
+            "offline_frames": self.offline_frames,
+            "user_time_us": round(self.user_time_us, 3),
+            "system_time_us": round(self.system_time_us, 3),
+        }
+
+    def to_json(self) -> str:
+        """Canonical JSON: the byte-identical artifact CI compares."""
+        return json.dumps(self.as_dict(), indent=2, sort_keys=False)
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "ChaosReport":
+        """Rebuild a report from an :meth:`as_dict` view (cache loads)."""
+        return cls(
+            workload=str(data["workload"]),
+            policy=str(data["policy"]),
+            profile=str(data["profile"]),
+            seed=int(data["seed"]),
+            n_processors=int(data["n_processors"]),
+            rounds=int(data["rounds"]),
+            sanitized=bool(data["sanitized"]),
+            sanitizer_checks=int(data["sanitizer_checks"]),
+            faults=dict(data["faults"]),
+            numa=dict(data["numa"]),
+            tlb=dict(data["tlb"]),
+            # .get(): cached reports predating the race detector lack it.
+            races=dict(data.get("races", {})),
+            degraded_pages=int(data["degraded_pages"]),
+            offline_frames=int(data["offline_frames"]),
+            user_time_us=float(data["user_time_us"]),
+            system_time_us=float(data["system_time_us"]),
         )

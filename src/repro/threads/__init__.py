@@ -1,26 +1,1 @@
 """Thread, lock and scheduling substrate (the C-Threads environment)."""
-
-from repro.threads.cthreads import CThread, ThreadState
-from repro.threads.scheduler import (
-    AffinityScheduler,
-    GlobalQueueScheduler,
-    Scheduler,
-)
-from repro.threads.spinlock import SpinLock
-from repro.threads.unix_master import (
-    PAPER_PATCHED_CALLS,
-    UnixMaster,
-    syscall,
-)
-
-__all__ = [
-    "CThread",
-    "ThreadState",
-    "AffinityScheduler",
-    "GlobalQueueScheduler",
-    "Scheduler",
-    "SpinLock",
-    "PAPER_PATCHED_CALLS",
-    "UnixMaster",
-    "syscall",
-]

@@ -5,38 +5,3 @@ logical pages come from a fixed-size pool the size of global memory; the
 fault handler resolves references through ``pmap_enter`` with the paper's
 min/max-protection and target-processor extensions.
 """
-
-from repro.vm.address_space import AddressSpace, SegmentationFault, VMRegion
-from repro.vm.fault import FaultHandler, ProtectionViolation
-from repro.vm.page import LogicalPage
-from repro.vm.page_pool import PagePool
-from repro.vm.pageout import BackingStore, PageoutDaemon
-from repro.vm.pmap import ACEPmap, PmapInterface
-from repro.vm.vm_object import (
-    Sharing,
-    VMObject,
-    kernel_object,
-    shared_object,
-    stack_object,
-    text_object,
-)
-
-__all__ = [
-    "AddressSpace",
-    "SegmentationFault",
-    "VMRegion",
-    "FaultHandler",
-    "ProtectionViolation",
-    "LogicalPage",
-    "PagePool",
-    "BackingStore",
-    "PageoutDaemon",
-    "ACEPmap",
-    "PmapInterface",
-    "Sharing",
-    "VMObject",
-    "kernel_object",
-    "shared_object",
-    "stack_object",
-    "text_object",
-]

@@ -1,7 +1,10 @@
 """RunSpec: identity, fingerprints, resolution, and execution."""
 
+import dataclasses
+import pickle
 import subprocess
 import sys
+import typing
 
 import pytest
 
@@ -14,6 +17,7 @@ from repro.exp.spec import (
     resolve_policy,
     resolve_workload,
 )
+from repro.sim.result import ChaosReport
 
 
 class TestIdentity:
@@ -81,6 +85,56 @@ class TestIdentity:
         assert "move-threshold" in spec.label
 
 
+class TestFingerprintMemo:
+    """One SHA-256 per instance, and never a stale one."""
+
+    SPEC = dict(workload="Primes3", quick=True, policy_params={"seed": 7},
+                policy="bandit")
+
+    def test_hashed_once_per_instance(self, monkeypatch):
+        hashed = []
+        canonical_json = RunSpec.canonical_json
+        monkeypatch.setattr(
+            RunSpec,
+            "canonical_json",
+            lambda spec: hashed.append(spec) or canonical_json(spec),
+        )
+        spec = RunSpec(**self.SPEC)
+        assert len({spec.fingerprint() for _ in range(5)}) == 1
+        assert hashed == [spec]
+
+    def test_equal_specs_built_separately_agree(self):
+        a, b = RunSpec(**self.SPEC), RunSpec(**self.SPEC)
+        assert a is not b and a.fingerprint() == b.fingerprint()
+
+    def test_replace_and_from_key_hash_afresh(self):
+        spec = RunSpec(**self.SPEC)
+        before = spec.fingerprint()
+        changed = dataclasses.replace(spec, threshold=8)
+        assert changed.fingerprint() != before
+        assert changed.fingerprint() == RunSpec(
+            **self.SPEC, threshold=8
+        ).fingerprint()
+        assert RunSpec.from_key(spec.key()).fingerprint() == before
+        assert spec.fingerprint() == before
+
+    def test_equality_hash_and_repr_ignore_the_memo(self):
+        hashed, fresh = RunSpec(**self.SPEC), RunSpec(**self.SPEC)
+        hashed.fingerprint()
+        assert hashed == fresh and hash(hashed) == hash(fresh)
+        assert repr(hashed) == repr(fresh)
+        assert dataclasses.asdict(hashed) == dataclasses.asdict(fresh)
+
+    @pytest.mark.parametrize("hashed_first", (False, True))
+    def test_pickled_spec_agrees(self, hashed_first):
+        spec = RunSpec(**self.SPEC)
+        if hashed_first:
+            spec.fingerprint()
+        restored = pickle.loads(pickle.dumps(spec))
+        assert restored == spec
+        assert restored.fingerprint() == RunSpec(**self.SPEC).fingerprint()
+
+
 class TestResolution:
     def test_resolve_workload_case_insensitive(self):
         assert resolve_workload("parmult").name == "ParMult"
@@ -138,6 +192,10 @@ class TestExecution:
             outcome = spec.execute()
             rebuilt = Outcome.from_dict(outcome.as_dict())
             assert rebuilt.to_json() == outcome.to_json()
+
+    def test_outcome_annotations_resolve(self):
+        hints = typing.get_type_hints(Outcome)
+        assert hints["chaos"] == typing.Optional[ChaosReport]
 
     def test_declarative_spec_is_deterministic(self):
         spec = RunSpec(workload="ParMult", quick=True)

@@ -71,8 +71,9 @@ FAULTSTORM_SPECS = (
 )
 
 #: Python-level calls per fault under ``FaultHandler.handle`` (itself
-#: included), over ``FAULTSTORM_SPECS`` together.  A ratchet, like CI's
-#: import-set ceiling: it may only be lowered.  The path measured 103.2
+#: included), over ``FAULTSTORM_SPECS`` together.  A ratchet, like the
+#: import-set ceilings of ``tests/test_import_layers.py``: it may only
+#: be lowered.  The path measured 103.2
 #: before it held its machine parts and read its prices from tables
 #: (DESIGN.md §10.3) and 66.2 after; the ceiling is that figure plus 4,
 #: because comprehension inlining differs across CPython 3.10–3.13.  It
