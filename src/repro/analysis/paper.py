@@ -1,14 +1,63 @@
 """Published numbers from the paper, for side-by-side reporting.
 
-Values are transcribed from Tables 3 and 4 and Section 2.2 of Bolosky,
-Fitzgerald & Scott (SOSP '89).  Reports print these next to the
-simulator's measurements; EXPERIMENTS.md records the comparison.
+Values are transcribed from Tables 1 to 4 and Section 2.2 of Bolosky,
+Fitzgerald & Scott (SOSP '89).  Reports print Tables 3 and 4 next to
+the simulator's measurements (EXPERIMENTS.md records the comparison);
+``repro-numa modelcheck`` holds the live protocol tables to Tables 1
+and 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
+
+#: Tables 1-2: each cell's three printed lines (cleanup, copy, new
+#: state), keyed by the row and column headings the paper prints.
+ProtocolTable = Dict[Tuple[str, str], Tuple[str, str, str]]
+
+#: Table 1, "NUMA Manager Actions for Read Requests", cell by cell as
+#: printed.  This is the one transcription of Tables 1-2 outside
+#: ``core/transitions.py`` and it imports nothing from ``core/``: an
+#: error in the live encoding must show up as a mismatch against it.
+TABLE_1: ProtocolTable = {
+    ("LOCAL", "Read-Only"):
+        ("no action", "copy to local", "read-only"),
+    ("LOCAL", "Global-Writable"):
+        ("unmap all", "copy to local", "read-only"),
+    ("LOCAL", "Local-Writable on own node"):
+        ("no action", "-", "local-writable"),
+    ("LOCAL", "Local-Writable on other node"):
+        ("sync&flush other", "copy to local", "read-only"),
+    ("GLOBAL", "Read-Only"):
+        ("flush all", "-", "global-writable"),
+    ("GLOBAL", "Global-Writable"):
+        ("no action", "-", "global-writable"),
+    ("GLOBAL", "Local-Writable on own node"):
+        ("sync&flush own", "-", "global-writable"),
+    ("GLOBAL", "Local-Writable on other node"):
+        ("sync&flush other", "-", "global-writable"),
+}
+
+#: Table 2, "NUMA Manager Actions for Write Requests", same shape.
+TABLE_2: ProtocolTable = {
+    ("LOCAL", "Read-Only"):
+        ("flush other", "copy to local", "local-writable"),
+    ("LOCAL", "Global-Writable"):
+        ("unmap all", "copy to local", "local-writable"),
+    ("LOCAL", "Local-Writable on own node"):
+        ("no action", "-", "local-writable"),
+    ("LOCAL", "Local-Writable on other node"):
+        ("sync&flush other", "copy to local", "local-writable"),
+    ("GLOBAL", "Read-Only"):
+        ("flush all", "-", "global-writable"),
+    ("GLOBAL", "Global-Writable"):
+        ("no action", "-", "global-writable"),
+    ("GLOBAL", "Local-Writable on own node"):
+        ("sync&flush own", "-", "global-writable"),
+    ("GLOBAL", "Local-Writable on other node"):
+        ("sync&flush other", "-", "global-writable"),
+}
 
 
 @dataclass(frozen=True)

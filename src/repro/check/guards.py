@@ -1,4 +1,4 @@
-"""Static guard inference for the protocol's shared mutable state.
+"""The guard vocabulary for the protocol's shared mutable state.
 
 The NUMA protocol keeps its racy state in three places — directory
 entries (``core/directory.py``), the per-CPU MMU translation tables
@@ -9,27 +9,21 @@ monitor methods or under the ``NUMAManager._transition`` funnel, and
 MMU/TLB tables only by their owning class or through the CPU's
 shootdown funnel.
 
-This module recovers that discipline from the source instead of
-trusting it.  :func:`infer_guards` walks the package's ASTs, collects
-every mutation site of a known shared field, classifies each site by
-the guard that covers it (funnel module, declaring-module monitor
-method, lexically inside a spin-lock critical region, or nothing), and
-infers the majority discipline per field.  Sites that deviate from the
-inferred guard — in practice, any *unguarded* site — are what lint rule
-``RN008`` (``shared-guard`` in :mod:`repro.check.races`) reports.
-
-The pass is deliberately syntactic: it never imports or executes the
-analyzed modules, so it is safe to run over fixtures that deliberately
-race (:mod:`repro.check.fixtures` carries ``allow[]`` suppressions for
-exactly that reason).
+This module names that discipline and parses nothing: which fields are
+shared and who declares them (:data:`SHARED_FIELDS`), which guards
+exist and how a site is classified (:func:`classify_guard`), and the
+records an inference produces (:class:`MutationSite`,
+:class:`GuardModel`, whose majority vote is the inferred discipline).
+The static pass in :mod:`repro.check.lint` finds the mutation sites —
+``collect_sites``, ``infer_guards`` and rule ``RN008``
+(``shared-guard``), which reports every site no guard covers, live
+there.
 """
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 # -- the guard vocabulary ----------------------------------------------------
 
@@ -85,7 +79,7 @@ FUNNEL_MODULES: Tuple[str, ...] = (
     "core/actions.py",
 )
 
-#: Files the default package-wide inference skips: the race fixtures
+#: Files whose sites do not vote on the discipline: the race fixtures
 #: plant deliberate violations (suppressed line by line for lint), and
 #: counting them as deviants would make the clean tree's inference
 #: summary read as dirty.
@@ -221,161 +215,6 @@ class GuardModel:
         return records
 
 
-# -- AST mechanics -----------------------------------------------------------
-
-
-def _attr_name(node: ast.expr) -> Optional[str]:
-    """The attribute name if *node* is ``<base>.<attr>``."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
-def _base_is_entryish(node: ast.expr) -> bool:
-    """Whether an attribute receiver plausibly names a directory entry."""
-    base: Optional[ast.expr] = None
-    if isinstance(node, ast.Attribute):
-        base = node.value
-    if base is None:
-        return False
-    if isinstance(base, ast.Name):
-        return "entry" in base.id.lower()
-    if isinstance(base, ast.Attribute):
-        return "entry" in base.attr.lower()
-    return False
-
-
-def _field_of(node: ast.expr, relpath: str) -> Optional[str]:
-    """The shared field mutated when *node* is a mutation receiver."""
-    name = _attr_name(node)
-    if name is None or name not in SHARED_FIELDS:
-        return None
-    if name in ENTRY_GATED_FIELDS:
-        protocol = SHARED_FIELDS[name] + FUNNEL_MODULES
-        if relpath not in protocol and not _base_is_entryish(node):
-            return None
-    return name
-
-
-class _FunctionIndex:
-    """Maps line numbers to enclosing (qualified) function names."""
-
-    def __init__(self, tree: ast.AST) -> None:
-        self._spans: List[Tuple[int, int, str]] = []
-        self._walk(tree, [])
-
-    def _walk(self, node: ast.AST, stack: List[str]) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                name = stack + [child.name]
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    end = getattr(child, "end_lineno", child.lineno)
-                    self._spans.append(
-                        (child.lineno, end or child.lineno, ".".join(name))
-                    )
-                self._walk(child, name)
-            else:
-                self._walk(child, stack)
-
-    def function_at(self, line: int) -> str:
-        """Innermost function containing *line* (``<module>`` if none)."""
-        best = "<module>"
-        best_span = -1
-        for start, end, name in self._spans:
-            if start <= line <= end:
-                span = end - start
-                if best_span < 0 or span <= best_span:
-                    best, best_span = name, span
-        return best
-
-
-def _lock_spans(tree: ast.AST) -> List[Tuple[int, int]]:
-    """Lexical ``acquire``..``release`` line spans, per lock expression.
-
-    Conservative: a span opens at each ``<lock>.acquire(...)`` call and
-    closes at the next ``<lock>.release(...)`` on the same receiver
-    expression (compared by source text).  Anything inside such a span
-    counts as spin-lock guarded.
-    """
-    events: List[Tuple[int, str, str]] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if not isinstance(func, ast.Attribute):
-            continue
-        if func.attr not in ("acquire", "release"):
-            continue
-        try:
-            key = ast.unparse(func.value)
-        except Exception:  # pragma: no cover - unparse is total on 3.10+
-            key = "<?>"
-        events.append((node.lineno, func.attr, key))
-    events.sort()
-    spans: List[Tuple[int, int]] = []
-    open_at: Dict[str, int] = {}
-    for line, kind, key in events:
-        if kind == "acquire":
-            open_at.setdefault(key, line)
-        else:
-            start = open_at.pop(key, None)
-            if start is not None:
-                spans.append((start, line))
-    return spans
-
-
-def iter_mutations(
-    tree: ast.AST, relpath: str
-) -> Iterator[Tuple[str, int, int, str]]:
-    """Yield ``(field, line, col, kind)`` for every shared-field mutation."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets: Sequence[ast.expr]
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            else:
-                targets = [node.target]
-            kind = (
-                "augassign" if isinstance(node, ast.AugAssign) else "assign"
-            )
-            for target in targets:
-                direct = _field_of(target, relpath)
-                if direct is not None:
-                    yield direct, target.lineno, target.col_offset, kind
-                    continue
-                if isinstance(target, ast.Subscript):
-                    via = _field_of(target.value, relpath)
-                    if via is not None:
-                        yield (
-                            via,
-                            target.lineno,
-                            target.col_offset,
-                            "item-assign",
-                        )
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                direct = _field_of(target, relpath)
-                container = (
-                    _field_of(target.value, relpath)
-                    if isinstance(target, ast.Subscript)
-                    else None
-                )
-                hit = direct or container
-                if hit is not None:
-                    yield hit, target.lineno, target.col_offset, "delete"
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in MUTATING_METHODS
-            ):
-                via = _field_of(func.value, relpath)
-                if via is not None:
-                    yield via, node.lineno, node.col_offset, func.attr
-
-
 def classify_guard(
     relpath: str,
     fname: str,
@@ -391,60 +230,3 @@ def classify_guard(
         if start <= line <= end:
             return GUARD_SPINLOCK
     return GUARD_NONE
-
-
-def collect_sites(tree: ast.AST, relpath: str) -> List[MutationSite]:
-    """All classified shared-field mutation sites in one module."""
-    functions = _FunctionIndex(tree)
-    spans = _lock_spans(tree)
-    sites = [
-        MutationSite(
-            field=fname,
-            path=relpath,
-            line=line,
-            col=col,
-            function=functions.function_at(line),
-            guard=classify_guard(relpath, fname, line, spans),
-            kind=kind,
-        )
-        for fname, line, col, kind in iter_mutations(tree, relpath)
-    ]
-    sites.sort(key=lambda s: (s.path, s.line, s.col, s.field))
-    return sites
-
-
-def infer_guards(
-    paths: Optional[Iterable[Path]] = None,
-    root: Optional[Path] = None,
-) -> GuardModel:
-    """Infer the guard discipline over *paths* (default: the package)."""
-    from repro.check.lint import iter_python_files, package_root
-
-    base = root if root is not None else package_root()
-    targets: List[Path]
-    if paths is None:
-        targets = [
-            p
-            for p in iter_python_files(base)
-            if p.resolve().relative_to(base.resolve()).as_posix()
-            not in GUARD_SCAN_EXCLUDE
-        ]
-    else:
-        targets = []
-        for p in paths:
-            path = Path(p)
-            if path.is_dir():
-                targets.extend(iter_python_files(path))
-            else:
-                targets.append(path)
-    model = GuardModel()
-    for path in targets:
-        try:
-            relpath = path.resolve().relative_to(base.resolve()).as_posix()
-        except ValueError:
-            relpath = path.as_posix()
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=relpath)
-        model.sites.extend(collect_sites(tree, relpath))
-        model.files_checked += 1
-    model.sites.sort(key=lambda s: (s.path, s.line, s.col, s.field))
-    return model

@@ -4,12 +4,14 @@ Three layers of checking, all exhaustive over the (tiny, finite)
 protocol state space:
 
 1. **Transcription cross-check** — the paper's Tables 1 and 2 are
-   transcribed here *as printed* (:data:`PAPER_TABLE_1`,
-   :data:`PAPER_TABLE_2`: three text lines per cell) and every cell is
-   compared against what the live
-   :func:`repro.core.transitions.lookup` returns.  The benchmark
-   renders the tables *from* the code; this module checks the code
-   *against* the paper, closing the loop.
+   transcribed *as printed* in :mod:`repro.analysis.paper`
+   (:data:`~repro.analysis.paper.TABLE_1`,
+   :data:`~repro.analysis.paper.TABLE_2`: three text lines per cell,
+   keyed by the printed headings, nothing derived from
+   ``ActionSpec.describe()``) and every cell is compared against what
+   the live :func:`repro.core.transitions.lookup` returns.  The
+   benchmark renders the tables *from* the code; this module checks the
+   code *against* the paper, closing the loop.
 2. **Totality and semantic cell checks** — every
    ``(AccessKind, PlacementDecision, StateKey)`` triple must resolve to
    a cell (no ``KeyError``), :func:`~repro.core.transitions.classify_state`
@@ -77,6 +79,7 @@ from typing import (
 if TYPE_CHECKING:
     from repro.machine.topology import SocketTopology
 
+from repro.analysis.paper import TABLE_1, TABLE_2
 from repro.core.state import AccessKind, PageState, PlacementDecision
 from repro.core.transitions import (
     Cleanup,
@@ -86,49 +89,6 @@ from repro.core.transitions import (
     lookup,
 )
 from repro.errors import ProtocolError
-
-#: Table 1 of the paper ("NUMA Manager Actions for Read Requests"),
-#: transcribed cell by cell as printed: (cleanup line, copy line, new
-#: state line).  Deliberately *not* derived from ActionSpec.describe();
-#: an error in the declarative encoding must show up as a mismatch here.
-PAPER_TABLE_1: Dict[Tuple[PlacementDecision, StateKey], Tuple[str, str, str]] = {
-    (PlacementDecision.LOCAL, StateKey.READ_ONLY):
-        ("no action", "copy to local", "read-only"),
-    (PlacementDecision.LOCAL, StateKey.GLOBAL_WRITABLE):
-        ("unmap all", "copy to local", "read-only"),
-    (PlacementDecision.LOCAL, StateKey.LOCAL_WRITABLE_OWN):
-        ("no action", "-", "local-writable"),
-    (PlacementDecision.LOCAL, StateKey.LOCAL_WRITABLE_OTHER):
-        ("sync&flush other", "copy to local", "read-only"),
-    (PlacementDecision.GLOBAL, StateKey.READ_ONLY):
-        ("flush all", "-", "global-writable"),
-    (PlacementDecision.GLOBAL, StateKey.GLOBAL_WRITABLE):
-        ("no action", "-", "global-writable"),
-    (PlacementDecision.GLOBAL, StateKey.LOCAL_WRITABLE_OWN):
-        ("sync&flush own", "-", "global-writable"),
-    (PlacementDecision.GLOBAL, StateKey.LOCAL_WRITABLE_OTHER):
-        ("sync&flush other", "-", "global-writable"),
-}
-
-#: Table 2 ("... for Write Requests"), same shape.
-PAPER_TABLE_2: Dict[Tuple[PlacementDecision, StateKey], Tuple[str, str, str]] = {
-    (PlacementDecision.LOCAL, StateKey.READ_ONLY):
-        ("flush other", "copy to local", "local-writable"),
-    (PlacementDecision.LOCAL, StateKey.GLOBAL_WRITABLE):
-        ("unmap all", "copy to local", "local-writable"),
-    (PlacementDecision.LOCAL, StateKey.LOCAL_WRITABLE_OWN):
-        ("no action", "-", "local-writable"),
-    (PlacementDecision.LOCAL, StateKey.LOCAL_WRITABLE_OTHER):
-        ("sync&flush other", "copy to local", "local-writable"),
-    (PlacementDecision.GLOBAL, StateKey.READ_ONLY):
-        ("flush all", "-", "global-writable"),
-    (PlacementDecision.GLOBAL, StateKey.GLOBAL_WRITABLE):
-        ("no action", "-", "global-writable"),
-    (PlacementDecision.GLOBAL, StateKey.LOCAL_WRITABLE_OWN):
-        ("sync&flush own", "-", "global-writable"),
-    (PlacementDecision.GLOBAL, StateKey.LOCAL_WRITABLE_OTHER):
-        ("sync&flush other", "-", "global-writable"),
-}
 
 #: Abstract protocol configuration: (state, owner, copy holders).
 Config = Tuple[PageState, Optional[int], FrozenSet[int]]
@@ -241,10 +201,11 @@ def _cell_name(kind: AccessKind, decision: PlacementDecision,
 def _check_transcription(report: ModelCheckReport) -> None:
     """Layer 1: every live cell must match the paper transcription."""
     for kind, paper in (
-        (AccessKind.READ, PAPER_TABLE_1),
-        (AccessKind.WRITE, PAPER_TABLE_2),
+        (AccessKind.READ, TABLE_1),
+        (AccessKind.WRITE, TABLE_2),
     ):
-        for (decision, key), expected in paper.items():
+        for (row, column), expected in paper.items():
+            decision, key = PlacementDecision[row], StateKey(column)
             name = _cell_name(kind, decision, key)
             try:
                 spec = lookup(kind, decision, key)
@@ -369,6 +330,29 @@ Step = Tuple[Config, CellKey, Cleanup]
 C = TypeVar("C", bound=Tuple[Any, ...])
 
 
+def _after_cleanup(
+    cleanup: Cleanup, cpu: int, owner: Optional[int], holders: FrozenSet[int]
+) -> FrozenSet[int]:
+    """Which of *holders* still hold the page after *cleanup*.
+
+    *holders* are the processors with a local copy (layer 3) or the
+    ones whose TLB caches a translation (layer 4): a cleanup takes both
+    from the same processors, because every mapping it drops goes
+    through ``CPU.remove_translation``/``protect_translation`` (the
+    RN007 funnel), which shoots down that processor's cached entry.
+    ``unmap all`` drops mappings and no copy; layer 4 adds its edge.
+    """
+    if cleanup is Cleanup.SYNC_FLUSH_OWN:
+        return holders - {cpu}
+    if cleanup is Cleanup.SYNC_FLUSH_OTHER:
+        return holders - {owner}
+    if cleanup is Cleanup.FLUSH_ALL:
+        return frozenset()
+    if cleanup is Cleanup.FLUSH_OTHER:
+        return holders & {cpu}
+    return holders
+
+
 def _apply_abstract(
     config: Config, cpu: int, kind: AccessKind,
     decision: PlacementDecision,
@@ -383,14 +367,7 @@ def _apply_abstract(
         key = classify_state(state, owner, cpu)
         spec = lookup(kind, decision, key)
         cell = (kind.value, decision, key)
-    if spec.cleanup is Cleanup.SYNC_FLUSH_OWN:
-        copies = copies - {cpu}
-    elif spec.cleanup is Cleanup.SYNC_FLUSH_OTHER:
-        copies = copies - ({owner} if owner is not None else set())
-    elif spec.cleanup is Cleanup.FLUSH_ALL:
-        copies = frozenset()
-    elif spec.cleanup is Cleanup.FLUSH_OTHER:
-        copies = copies & {cpu}
+    copies = _after_cleanup(spec.cleanup, cpu, owner, copies)
     if spec.copy_to_local:
         copies = copies | {cpu}
     new_owner = cpu if spec.new_state is PageState.LOCAL_WRITABLE else None
@@ -537,29 +514,6 @@ def _explore(report: ModelCheckReport, n_cpus: int) -> None:
 # -- layer 4: TLB coherence over the same abstract walk ----------------------
 
 
-def _tlb_after_cleanup(
-    cleanup: Cleanup,
-    cpu: int,
-    owner: Optional[int],
-    cached: FrozenSet[int],
-) -> FrozenSet[int]:
-    """The invalidation edge each cleanup sends through the TLBs.
-
-    This mirrors what the live code paths do: every mapping a cleanup
-    drops goes through ``CPU.remove_translation``/``protect_translation``
-    (the RN007 funnel), which shoots down that processor's cached entry.
-    """
-    if cleanup is Cleanup.SYNC_FLUSH_OWN:
-        return cached - {cpu}
-    if cleanup is Cleanup.SYNC_FLUSH_OTHER:
-        return cached - ({owner} if owner is not None else set())
-    if cleanup in (Cleanup.FLUSH_ALL, Cleanup.UNMAP_ALL):
-        return frozenset()
-    if cleanup is Cleanup.FLUSH_OTHER:
-        return cached & {cpu}
-    return cached
-
-
 def _tlb_invariant(config: TLBConfig) -> Optional[str]:
     """A TLB entry may only exist where the state permits a mapping."""
     state, owner, copies, cached = config
@@ -598,7 +552,12 @@ def _tlb_edges(
         if isinstance(outcome, Exception):
             continue  # layer 3 reports unexpected raises
         nxt, _, cleanup = outcome
-        survivors = _tlb_after_cleanup(cleanup, cpu, owner, cached)
+        # "unmap all" drops every mapping, so every cached entry, but
+        # no copy: the one cleanup the two holder sets part ways on.
+        survivors = (
+            frozenset() if cleanup is Cleanup.UNMAP_ALL
+            else _after_cleanup(cleanup, cpu, owner, cached)
+        )
         for filled in (survivors | {cpu}, survivors - {cpu}):
             yield _label(cpu, kind, decision.value), (*nxt, filled)
 

@@ -1,30 +1,13 @@
-"""Two-layer race detector for the simulated NUMA concurrency substrate.
+"""The dynamic race detector for the simulated NUMA concurrency substrate.
 
-**Static layer** — four lint rules built on the guard discipline that
-:mod:`repro.check.guards` infers from the source:
+``repro-numa races`` has two layers.  The **static** one — guard
+inference plus lint rules RN008-RN011 — parses source and lives with
+the rest of the static tooling in :mod:`repro.check.lint`; this module
+neither imports it nor ``ast``, so a run that only wants the detector
+(a chaos worker, the sanitizer) never loads the linter.
+:func:`run_race_check` reaches for it inside its static branch.
 
-``RN008`` (``shared-guard``)
-    A shared protocol field (directory entry state, MMU tables, TLB
-    cache) is mutated at a site no guard covers — not in a funnel
-    module, not in the field's declaring module, not inside a spin-lock
-    critical region.
-``RN009`` (``lock-balance``)
-    A function acquires a :class:`~repro.threads.spinlock.SpinLock` but
-    does not release it on every path (an early ``return`` while held,
-    or no release at all).
-``RN010`` (``shootdown-pair``)
-    A function mutates an MMU directly without issuing a paired TLB
-    ``invalidate``/``flush`` — the exact shape of a missed shootdown.
-``RN011`` (``emit-under-lock``)
-    A bus event is emitted while a spin lock is held; observers run
-    arbitrary Python, so this risks lock-order inversions against the
-    observer's own locks and inflates critical sections.
-
-All four honor the standard ``# repro-lint: allow[rule]`` /
-``allow-file[rule]`` suppressions and run as part of
-``repro-numa lint`` (:data:`ALL_RULES`).
-
-**Dynamic layer** — :class:`RaceDetector`, an Eraser-style lockset
+The **dynamic** layer is :class:`RaceDetector`, an Eraser-style lockset
 algorithm combined with vector-clock happens-before tracking, driven
 entirely off existing observation surfaces: the event bus
 (``on_transition``/``on_reference``/``on_page_freed``), the spin-lock
@@ -52,13 +35,12 @@ corruption.
 
 from __future__ import annotations
 
-import ast
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Deque,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -68,256 +50,13 @@ from typing import (
 
 from repro.core.state import PageState
 from repro.errors import ProtocolViolation
-from repro.check.guards import (
-    GUARD_NONE,
-    GuardModel,
-    _FunctionIndex,
-    _lock_spans,
-    collect_sites,
-    infer_guards,
-)
-from repro.check.lint import DEFAULT_RULES, LintReport, Rule, lint_paths
+
+if TYPE_CHECKING:
+    from repro.check.guards import GuardModel
+    from repro.check.lint import LintReport
 
 # ---------------------------------------------------------------------------
-# Static layer: RN008-RN011
-# ---------------------------------------------------------------------------
-
-_package_model: Optional[GuardModel] = None
-
-
-def _package_discipline() -> Dict[str, str]:
-    """Inferred majority guard per shared field, cached per process."""
-    global _package_model
-    if _package_model is None:
-        _package_model = infer_guards()
-    return _package_model.discipline()
-
-
-class SharedGuardRule(Rule):
-    """RN008: shared protocol state mutated outside its inferred guard."""
-
-    id = "RN008"
-    name = "shared-guard"
-    description = (
-        "shared protocol fields (directory entries, MMU tables, TLB "
-        "cache) may only be mutated under their inferred guard: the "
-        "transition funnel, the declaring module's monitor methods, or "
-        "a spin-lock critical region"
-    )
-
-    def check(
-        self, tree: ast.AST, relpath: str
-    ) -> Iterator[Tuple[int, int, str]]:
-        discipline = _package_discipline()
-        for site in collect_sites(tree, relpath):
-            if site.guard != GUARD_NONE:
-                continue
-            expected = discipline.get(site.field)
-            hint = (
-                f" (inferred guard elsewhere: {expected})"
-                if expected
-                else ""
-            )
-            yield (
-                site.line,
-                site.col,
-                f"mutation of shared field '{site.field}' "
-                f"({site.kind}) in {site.function} is covered by no "
-                f"guard{hint}; route it through the transition funnel "
-                "or the owning class",
-            )
-
-
-class LockBalanceRule(Rule):
-    """RN009: a spin lock acquired but not released on every path."""
-
-    id = "RN009"
-    name = "lock-balance"
-    description = (
-        "every SpinLock.acquire() must be paired with a release() on "
-        "all paths out of the function"
-    )
-
-    def applies_to(self, relpath: str) -> bool:
-        return relpath != "threads/spinlock.py"
-
-    def check(
-        self, tree: ast.AST, relpath: str
-    ) -> Iterator[Tuple[int, int, str]]:
-        functions = _FunctionIndex(tree)
-        events: List[Tuple[int, int, str, str]] = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Attribute
-            ):
-                if node.func.attr in ("acquire", "release"):
-                    try:
-                        key = ast.unparse(node.func.value)
-                    except Exception:  # pragma: no cover
-                        key = "<?>"
-                    events.append(
-                        (
-                            node.lineno,
-                            node.col_offset,
-                            node.func.attr,
-                            key,
-                        )
-                    )
-            elif isinstance(node, ast.Return):
-                events.append(
-                    (node.lineno, node.col_offset, "return", "")
-                )
-        by_function: Dict[str, List[Tuple[int, int, str, str]]] = {}
-        for event in sorted(events):
-            by_function.setdefault(
-                functions.function_at(event[0]), []
-            ).append(event)
-        for fname in sorted(by_function):
-            held: Dict[str, Tuple[int, int]] = {}
-            saw_lock = False
-            for line, col, kind, key in by_function[fname]:
-                if kind == "acquire":
-                    held.setdefault(key, (line, col))
-                    saw_lock = True
-                elif kind == "release":
-                    held.pop(key, None)
-                elif kind == "return" and held:
-                    locks = ", ".join(sorted(held))
-                    yield (
-                        line,
-                        col,
-                        f"{fname} returns while still holding "
-                        f"{locks}; release before every exit",
-                    )
-            if saw_lock:
-                for key in sorted(held):
-                    aline, acol = held[key]
-                    yield (
-                        aline,
-                        acol,
-                        f"{fname} acquires {key} without a matching "
-                        "release on every path",
-                    )
-
-
-class ShootdownPairRule(Rule):
-    """RN010: an MMU mutation reachable without a paired shootdown."""
-
-    id = "RN010"
-    name = "shootdown-pair"
-    description = (
-        "a function that mutates an MMU directly must also issue a TLB "
-        "invalidate/flush, or stale translations survive (a missed "
-        "shootdown)"
-    )
-
-    _MUTATORS = frozenset({"enter", "remove", "protect", "remove_frame"})
-    _MMU_NAMES = frozenset({"mmu", "_mmu"})
-    _INVALIDATORS = frozenset({"invalidate", "flush"})
-
-    def applies_to(self, relpath: str) -> bool:
-        # The MMU and TLB primitives themselves are below the funnel.
-        return relpath not in ("machine/mmu.py", "machine/tlb.py")
-
-    def _is_mmu(self, node: ast.AST) -> bool:
-        if isinstance(node, ast.Name):
-            return node.id in self._MMU_NAMES
-        if isinstance(node, ast.Attribute):
-            return node.attr in self._MMU_NAMES
-        return False
-
-    def check(
-        self, tree: ast.AST, relpath: str
-    ) -> Iterator[Tuple[int, int, str]]:
-        for node in ast.walk(tree):
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                continue
-            mutations: List[Tuple[int, int, str]] = []
-            invalidates = False
-            for inner in ast.walk(node):
-                if not isinstance(inner, ast.Call):
-                    continue
-                func = inner.func
-                if not isinstance(func, ast.Attribute):
-                    continue
-                if func.attr in self._MUTATORS and self._is_mmu(
-                    func.value
-                ):
-                    mutations.append(
-                        (inner.lineno, inner.col_offset, func.attr)
-                    )
-                elif func.attr in self._INVALIDATORS:
-                    invalidates = True
-            if mutations and not invalidates:
-                for line, col, op in mutations:
-                    yield (
-                        line,
-                        col,
-                        f"{node.name} mutates the MMU "
-                        f"('.{op}()') without a paired TLB "
-                        "invalidate/flush — a missed shootdown",
-                    )
-
-
-class EmitUnderLockRule(Rule):
-    """RN011: bus-event emission inside a spin-lock critical region."""
-
-    id = "RN011"
-    name = "emit-under-lock"
-    description = (
-        "bus events must not be emitted while a spin lock is held: "
-        "observers run arbitrary code, risking lock-order inversions "
-        "and inflated critical sections"
-    )
-
-    def check(
-        self, tree: ast.AST, relpath: str
-    ) -> Iterator[Tuple[int, int, str]]:
-        spans = _lock_spans(tree)
-        if not spans:
-            return
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name: Optional[str] = None
-            if isinstance(func, ast.Attribute):
-                name = func.attr
-            elif isinstance(func, ast.Name):
-                name = func.id
-            if name is None or not name.startswith("emit_"):
-                continue
-            if any(start <= node.lineno <= end for start, end in spans):
-                yield (
-                    node.lineno,
-                    node.col_offset,
-                    f"'{name}()' emitted inside a spin-lock critical "
-                    "region; emit after release",
-                )
-
-
-#: The race-specific rules, and the full rule set ``repro-numa lint``
-#: runs (PR 2's RN001-RN007 plus these).
-RACE_RULES: Tuple[Rule, ...] = (
-    SharedGuardRule(),
-    LockBalanceRule(),
-    ShootdownPairRule(),
-    EmitUnderLockRule(),
-)
-ALL_RULES: Tuple[Rule, ...] = tuple(DEFAULT_RULES) + RACE_RULES
-
-
-def lint_races(
-    paths: Optional[Sequence[str]] = None,
-) -> LintReport:
-    """Run only the race rules (``repro-numa races --static``)."""
-    return lint_paths(paths, rules=RACE_RULES)
-
-
-# ---------------------------------------------------------------------------
-# Dynamic layer: lockset + happens-before
+# Lockset + happens-before
 # ---------------------------------------------------------------------------
 
 VectorClock = Dict[str, int]
@@ -941,8 +680,10 @@ def run_race_check(
     machine_config = resolve_machine(machine or "ace", n_processors)
     n_processors = machine_config.n_processors
     if static:
+        from repro.check.lint import lint_races
+
         report.static = lint_races()
-        report.guard_model = infer_guards()
+        report.guard_model = report.static.guard_model
     if dynamic:
         from repro.faults.chaos import run_chaos
         from repro.workloads.parmult import ParMult

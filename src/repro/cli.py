@@ -720,6 +720,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
     plus the race-discipline rules (RN008-RN011) from
     :mod:`repro.check.races`.
     """
+    # The docstring is `lint --help`, pinned byte for byte; all eleven
+    # rules have since become rows of repro.check.lint.RULES.
     from repro.check import ALL_RULES, lint_paths
 
     report = lint_paths(args.paths or None, rules=ALL_RULES)

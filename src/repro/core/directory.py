@@ -22,11 +22,11 @@ from repro.machine.memory import Frame, FrameKind
 from repro.machine.protection import Protection
 from repro.core.state import PageState
 
-#: Fields of this module's classes that the race detector's static
-#: layer treats as shared protocol state: mutations outside the
-#: transition funnel or this module's own methods are RN008 findings.
-#: Keep in sync with ``repro.check.guards.SHARED_FIELDS`` when adding
-#: protocol bookkeeping (a test cross-checks the two).
+#: Fields of this module's classes that the static pass
+#: (``repro.check.lint``) treats as shared protocol state: mutations
+#: outside the transition funnel or this module's own methods are RN008
+#: findings.  Keep in sync with its guard vocabulary,
+#: ``repro.check.guards.SHARED_FIELDS`` (a test cross-checks the two).
 GUARDED_FIELDS: Tuple[str, ...] = (
     "state",
     "owner",

@@ -9,9 +9,8 @@ from repro.check.guards import (
     GUARD_SPINLOCK,
     GuardModel,
     MutationSite,
-    collect_sites,
-    infer_guards,
 )
+from repro.check.lint import collect_sites, infer_guards
 
 
 def _sites(source: str, relpath: str):

@@ -1,12 +1,26 @@
 """The repo-specific AST lint: rules, suppressions, and repo cleanliness."""
 
+import ast
+import json
+import pathlib
 import textwrap
 
+import pytest
+
 from repro.check.lint import (
+    ALL_RULES,
     DEFAULT_RULES,
+    RULES,
     lint_paths,
     lint_source,
 )
+from repro.cli import main
+
+#: A miniature package tree with exactly one planted violation per rule,
+#: and what the eleven ``Rule`` subclasses before the rule table (commit
+#: 043799e) reported on it: ``[rule_id, path, line, col, message]`` rows
+#: from ``lint_paths([tree], rules=ALL_RULES, root=tree)``.
+PLANTED = pathlib.Path(__file__).parent / "planted"
 
 
 def lint(source: str, relpath: str):
@@ -69,6 +83,19 @@ class TestNoWallClock:
         )
         assert violations == []
 
+    def test_module_alias_is_resolved(self):
+        violations, _ = lint(
+            """
+            import time as t
+
+            def f():
+                return t.perf_counter()
+            """,
+            "sim/engine.py",
+        )
+        assert rule_ids(violations) == ["RN001"]
+        assert "'time.perf_counter'" in violations[0].message
+
     def test_simulated_time_names_are_fine(self):
         # The engine's own now_us() etc. are not wall-clock reads.
         violations, _ = lint(
@@ -119,6 +146,33 @@ class TestStateAssign:
             "vm/pmap.py",
         )
         assert violations == []
+
+
+class TestOneDefinitionOfAssignment:
+    """RN002, RN005 and RN008 agree on what "assigns ``.state``" means."""
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "entry.state = PageState.READ_ONLY",
+            "entry.state: PageState = PageState.READ_ONLY",
+            "entry.state |= PageState.READ_ONLY",
+            "entry.state, moved = PageState.READ_ONLY, True",
+        ],
+        ids=["plain", "annotated", "augmented", "unpacked"],
+    )
+    @pytest.mark.parametrize(
+        "relpath, expected",
+        [
+            ("sim/engine.py", ["RN002", "RN008"]),
+            ("core/numa_manager.py", ["RN005"]),
+        ],
+        ids=["outside-the-funnel", "inside-it"],
+    )
+    def test_every_form_is_an_assignment(self, statement, relpath, expected):
+        source = f"def rogue(entry):\n    {statement}\n"
+        violations, _ = lint_source(source, relpath, ALL_RULES)
+        assert rule_ids(violations) == expected
 
 
 class TestBareExcept:
@@ -228,6 +282,18 @@ class TestSeededRandom:
 
             def f():
                 return random.choice([1, 2, 3]) + random.random()
+            """,
+            "sim/engine.py",
+        )
+        assert rule_ids(violations) == ["RN006", "RN006"]
+
+    def test_module_alias_is_resolved(self):
+        violations, _ = lint(
+            """
+            import random as r
+
+            def f():
+                return r.random() + r.Random().random()
             """,
             "sim/engine.py",
         )
@@ -379,6 +445,45 @@ class TestSuppressions:
         assert suppressed == 0
 
 
+class TestPlantedTree:
+    """The differential for the rule table: one planted finding per rule."""
+
+    EXPECTED = [
+        tuple(row)
+        for row in json.loads((PLANTED / "expected.json").read_text())
+    ]
+
+    @staticmethod
+    def findings(rules):
+        report = lint_paths([PLANTED], rules=rules, root=PLANTED)
+        return [
+            (v.rule_id, v.path, v.line, v.col, v.message)
+            for v in report.violations
+        ]
+
+    def test_the_table_reports_what_the_rule_classes_did(self):
+        assert sorted(row[0] for row in self.EXPECTED) == [
+            rule.id for rule in RULES
+        ]
+        assert self.findings(RULES) == self.EXPECTED
+
+    @pytest.mark.parametrize("dropped", RULES, ids=lambda rule: rule.id)
+    def test_every_row_is_needed(self, dropped):
+        """A rule that silently stopped firing fails here."""
+        kept = [rule for rule in RULES if rule is not dropped]
+        assert self.findings(kept) == [
+            row for row in self.EXPECTED if row[0] != dropped.id
+        ]
+
+    def test_the_cli_exits_1_on_it(self, capsys):
+        assert main(["lint", str(PLANTED), "--format", "json"]) == 1
+        records = [
+            json.loads(line) for line in capsys.readouterr().out.splitlines()
+        ]
+        assert records[-1]["t"] == "lint_summary"
+        assert records[-1]["violations"] == len(records) - 1 > 0
+
+
 class TestRepoIsClean:
     def test_whole_package_lints_clean(self):
         """The acceptance gate: repro-numa lint exits 0 on this repo."""
@@ -386,6 +491,26 @@ class TestRepoIsClean:
         assert report.violations == [], report.format()
         assert report.exit_code == 0
         assert report.files_checked > 50
+
+    def test_all_eleven_rules_suppress_the_twelve_known_sites(self):
+        report = lint_paths(rules=ALL_RULES)
+        assert (len(report.violations), report.suppressed) == (0, 12)
+
+    def test_each_file_is_parsed_once(self, monkeypatch):
+        """A count, not a clock: one ``ast.parse`` per file per run."""
+        from repro.check.races import run_race_check
+
+        parses = []
+        parse = ast.parse
+        monkeypatch.setattr(
+            ast, "parse", lambda *a, **kw: parses.append(a) or parse(*a, **kw)
+        )
+        report = lint_paths()
+        assert len(parses) == report.files_checked
+        del parses[:]
+        races = run_race_check(static=True, dynamic=False, fixtures=False)
+        assert len(parses) == races.static.files_checked
+        assert races.guard_model is races.static.guard_model
 
     def test_violation_format_is_clickable(self):
         violations, _ = lint(

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.check.modelcheck import (
-    PAPER_TABLE_1,
-    PAPER_TABLE_2,
-    run_model_check,
-)
+from repro.analysis.paper import TABLE_1, TABLE_2
+from repro.check.modelcheck import run_model_check
 from repro.core import transitions
 from repro.core.state import PageState, PlacementDecision
 from repro.core.transitions import ActionSpec, Cleanup, StateKey
@@ -21,7 +18,7 @@ class TestCleanRun:
     def test_all_sixteen_cells_are_verified(self):
         report = run_model_check()
         assert report.cells_checked == 16
-        assert len(PAPER_TABLE_1) == len(PAPER_TABLE_2) == 8
+        assert len(TABLE_1) == len(TABLE_2) == 8
 
     def test_reachable_space_is_explored(self):
         report = run_model_check(n_cpus=3)

@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.check.lint import lint_source
+from repro.check.lint import ALL_RULES, RACE_RULES, lint_source
 from repro.check.lockorder import LockOrderChecker
 from repro.check.races import (
-    ALL_RULES,
-    RACE_RULES,
     RaceDetector,
     attach_detector,
     detach_detector,

@@ -442,6 +442,14 @@ class TestTopologyCli:
         assert "reachable multi-level configurations" in out
         assert "VERDICT: OK" in out
 
+    def test_modelcheck_on_the_largest_machine(self, capsys):
+        assert main(["modelcheck", "--machine", "4socket32"]) == 0
+        assert "VERDICT: OK" in capsys.readouterr().out
+
+    def test_races_static_on_a_multilevel_machine(self, capsys):
+        assert main(["races", "--static", "--machine", "2socket8"]) == 0
+        assert "races: OK" in capsys.readouterr().out
+
     def test_modelcheck_default_stays_flat(self, capsys):
         assert main(["modelcheck"]) == 0
         out = capsys.readouterr().out

@@ -91,6 +91,21 @@ def test_import_cli_module_ceiling(tmp_path):
     assert len(repro_numa(tmp_path)) <= MAX_MODULES_IMPORT_CLI
 
 
+def test_the_race_detector_does_not_load_the_linter():
+    """``check/`` has a half that parses source and a half that does
+    not: a chaos worker wants the detector and the sanitizer only."""
+    listing = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.faults.chaos, repro.check.races\n"
+         "print([m for m in sys.modules if m.startswith('repro.check.')])"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        check=True, capture_output=True, text=True,
+    ).stdout
+    assert "repro.check.races" in listing
+    assert "repro.check.lint" not in listing
+    assert "repro.check.guards" not in listing
+
+
 # -- package front doors ------------------------------------------------------
 
 
