@@ -69,10 +69,6 @@ class LayoutReport:
         """Sum of all estimated savings."""
         return sum(a.estimated_saving_us for a in self.advice)
 
-    def by_kind(self, kind: AdviceKind) -> List[Advice]:
-        """Recommendations of one kind."""
-        return [a for a in self.advice if a.kind is kind]
-
 
 def advise(
     trace: TraceCollector,

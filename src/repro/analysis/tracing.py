@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.core.state import AccessKind
 from repro.errors import ConfigurationError
@@ -132,10 +132,6 @@ class TraceCollector:
     def faults(self) -> List[FaultEvent]:
         """All faults, in execution order."""
         return self._faults
-
-    def events_for_vpage(self, vpage: int) -> Iterator[RefEvent]:
-        """Reference blocks touching one virtual page, in order."""
-        return (e for e in self._events if e.vpage == vpage)
 
     def by_vpage(self) -> Dict[int, List[RefEvent]]:
         """Reference blocks grouped by virtual page, order preserved."""

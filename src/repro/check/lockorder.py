@@ -114,10 +114,6 @@ class LockOrderChecker:
         """The holder that first acquired *inner* while holding *outer*."""
         return self._witness.get((outer, inner))
 
-    def edge_sites(self, outer: int, inner: int) -> Optional[Tuple[str, str]]:
-        """``(outer_site, inner_site)`` for the edge's first witness."""
-        return self._edge_sites.get((outer, inner))
-
     # -- cycle detection ----------------------------------------------------
 
     def find_cycle(self) -> Optional[List[int]]:

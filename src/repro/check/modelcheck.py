@@ -88,7 +88,7 @@ from repro.core.transitions import (
     first_touch_spec,
     lookup,
 )
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
 
 #: Abstract protocol configuration: (state, owner, copy holders).
 Config = Tuple[PageState, Optional[int], FrozenSet[int]]
@@ -692,8 +692,14 @@ def run_model_check(
     remote-mapping move, always explored over the reduced
     two-sockets-of-two abstract map regardless of the real machine's
     size.  Flat topologies (or ``None``) skip the layer, so the classic
-    report is unchanged.
+    report is unchanged.  Fewer than two CPUs is a usage error: no page
+    could be owned on another node, so half the table would go unreached.
     """
+    if n_cpus < 2:
+        raise ConfigurationError(
+            f"modelcheck needs at least 2 cpus (got {n_cpus}); "
+            "below that no page can be owned on another node"
+        )
     report = ModelCheckReport(n_cpus=n_cpus)
     _check_transcription(report)
     _check_totality(report)

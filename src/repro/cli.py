@@ -51,11 +51,11 @@ from repro.analysis.report import (
     run_evaluation,
 )
 from repro.errors import ConfigurationError, ReproError
-from repro.exp.grid import GRIDS, flatten, sweep_groups
-from repro.exp.spec import resolve_workload
+from repro.exp.grid import GRIDS, flatten, placement_specs, sweep_groups
+from repro.exp.spec import RunSpec, resolve_workload
 from repro.machine.config import TimingParameters, ace_config
 from repro.obs.exporters import JsonSink
-from repro.workloads import TABLE_3_WORKLOADS, small_workloads
+from repro.workloads import TABLE_3_WORKLOADS
 
 
 def _cache_from(args: argparse.Namespace):
@@ -70,6 +70,18 @@ def _cache_from(args: argparse.Namespace):
     from repro.exp.cache import ResultCache
 
     return ResultCache(args.cache_dir)
+
+
+def _spec(args: argparse.Namespace, workload: str, **fields) -> RunSpec:
+    """The run ``--quick``, ``--threshold`` and ``--processors`` describe.
+
+    *fields* add further :class:`RunSpec` fields or override those three;
+    the simulating commands build and run what this returns.
+    """
+    flags = dict(
+        quick=args.quick, threshold=args.threshold, n_processors=args.processors
+    )
+    return RunSpec(workload, **{**flags, **fields})
 
 
 def _evaluation_from_args(args: argparse.Namespace):
@@ -127,26 +139,25 @@ def _evaluation_command(formatter, doc: str):
 def cmd_metrics(args: argparse.Namespace) -> None:
     """Telemetry for one workload: time series, histograms, profile."""
     from repro.obs import Telemetry
-    from repro.sim.harness import measure_placement
 
-    workload = resolve_workload(args.workload, quick=args.quick)
-    telemetry = Telemetry(sample_interval=args.sample_interval)
-    measurement = measure_placement(
-        workload,
+    group = placement_specs(
+        args.workload,
         n_processors=args.processors,
         threshold=args.threshold,
+        quick=args.quick,
         check_invariants=False,
-        telemetry=telemetry,
     )
+    telemetry = Telemetry(sample_interval=args.sample_interval)
+    numa = group.tnuma.build(telemetry=telemetry).run(telemetry)
     meta = {
-        "workload": workload.name,
+        "workload": group.application,
         "policy": f"move-threshold({args.threshold})",
         "processors": args.processors,
         "sample_interval": args.sample_interval,
-        "rounds": measurement.numa.rounds,
-        "t_numa_s": measurement.t_numa_s,
-        "t_global_s": measurement.t_global_s,
-        "t_local_s": measurement.t_local_s,
+        "rounds": numa.rounds,
+        "t_numa_s": numa.user_time_s,
+        "t_global_s": group.tglobal.run().user_time_s,
+        "t_local_s": group.tlocal.run().user_time_s,
     }
     args.sink.extend(telemetry.to_records(meta))
     print(telemetry.summary(meta))
@@ -259,32 +270,29 @@ def cmd_sweep(args: argparse.Namespace) -> None:
 
 def cmd_false_sharing(args: argparse.Namespace) -> None:
     """The Primes2 case study of Section 4.2."""
-    from repro.sim.harness import measure_placement
-    from repro.workloads.primes import Primes2
-
     limit = 20_000 if args.quick else 200_000
     print("Primes2 divisor placement (Section 4.2):")
     for private in (False, True):
-        wl = Primes2(limit=limit, private_divisors=private)
-        m = measure_placement(wl, n_processors=args.processors)
+        params = {"limit": limit, "private_divisors": private}
+        numa = _spec(args, "Primes2", workload_params=params).run()
         label = "private divisors" if private else "shared divisors "
         paper = PRIMES2_FALSE_SHARING_ALPHA[
             "private_divisors" if private else "shared_divisors"
         ]
-        alpha = m.numa.measured_alpha or 0.0
+        alpha = numa.measured_alpha or 0.0
         args.sink.add(
             {
                 "t": "false_sharing",
                 "private_divisors": private,
                 "alpha": alpha,
                 "alpha_paper": paper,
-                "t_numa_s": m.t_numa_s,
-                "moves": m.numa.stats.moves,
+                "t_numa_s": numa.user_time_s,
+                "moves": numa.stats.moves,
             }
         )
         print(
             f"  {label}: alpha={alpha:.2f} (paper {paper:.2f})  "
-            f"Tnuma={m.t_numa_s:.1f}s"
+            f"Tnuma={numa.user_time_s:.1f}s"
         )
 
 
@@ -292,24 +300,13 @@ def cmd_optimal(args: argparse.Namespace) -> None:
     """Tnuma versus the offline optimal placement (always quick-scale)."""
     from repro.analysis.optimal import compare_to_optimal, protocol_cost_us
     from repro.analysis.tracing import TraceCollector
-    from repro.core.policies import MoveThresholdPolicy
-    from repro.sim.harness import run_once
 
     print("Placement cost vs offline optimum (scaled-down workloads):")
-    for name, workload in small_workloads().items():
+    for name in TABLE_3_WORKLOADS:
         trace = TraceCollector()
-        result = run_once(
-            workload,
-            MoveThresholdPolicy(threshold=args.threshold),
-            n_processors=args.processors,
-            observer=trace,
-        )
-        machine_timing = ace_config(args.processors)
-        from repro.machine.timing import TimingModel
-
-        timing = TimingModel(
-            machine_timing.timing, machine_timing.page_size_words
-        )
+        sim = _spec(args, name, quick=True).build(observer=trace)
+        result = sim.run()
+        timing = sim.machine.timing
         comparison = compare_to_optimal(
             trace, timing, protocol_cost_us(result.stats, timing)
         )
@@ -336,19 +333,11 @@ def cmd_optimal(args: argparse.Namespace) -> None:
 def cmd_bus(args: argparse.Namespace) -> None:
     """IPC-bus utilization per application (Section 3.1's assumption)."""
     from repro.analysis.bus import analyze_bus
-    from repro.core.policies import MoveThresholdPolicy
-    from repro.sim.harness import run_once
 
-    config = ace_config(args.processors)
     print(f"IPC-bus utilization at {args.processors} processors:")
     for name in TABLE_3_WORKLOADS:
-        result = run_once(
-            resolve_workload(name, quick=args.quick),
-            MoveThresholdPolicy(threshold=args.threshold),
-            n_processors=args.processors,
-            check_invariants=False,
-        )
-        report = analyze_bus(result, config)
+        sim = _spec(args, name, check_invariants=False).build()
+        report = analyze_bus(sim.run(), sim.machine.config)
         verdict = "ok" if report.contention_free else "LOADED"
         args.sink.add(
             {
@@ -393,19 +382,11 @@ def cmd_advise(args: argparse.Namespace) -> None:
     """Run the layout advisor on one application's trace."""
     from repro.analysis.layout_advisor import advise
     from repro.analysis.tracing import TraceCollector
-    from repro.core.policies import MoveThresholdPolicy
-    from repro.sim.harness import build_simulation
 
     for name in args.apps or ["Primes2", "Primes3"]:
         trace = TraceCollector(keep_faults=False)
-        sim = build_simulation(
-            [resolve_workload(name, quick=args.quick)],
-            MoveThresholdPolicy(threshold=args.threshold),
-            n_processors=args.processors,
-            observer=trace,
-            check_invariants=False,
-        )
-        sim.engine.run(sim.threads)
+        sim = _spec(args, name, check_invariants=False).build(observer=trace)
+        sim.run()
         report = advise(trace, space=sim.contexts[0].space)
         print(f"{name}: layout advice (top 5 by estimated saving)")
         if not report.advice:
@@ -421,33 +402,21 @@ def cmd_advise(args: argparse.Namespace) -> None:
 
 def cmd_mix(args: argparse.Namespace) -> None:
     """Run two applications simultaneously and compare with standalone."""
-    from repro.core.policies import MoveThresholdPolicy
-    from repro.sim.harness import run_once
     from repro.sim.mix import run_mix
 
     names = args.apps or ["IMatMult", "Primes3"]
-    workloads = [
-        resolve_workload(name, quick=args.quick) for name in names
-    ]
+    specs = [_spec(args, name, check_invariants=False) for name in names]
+    workloads = [spec.resolve_workload() for spec in specs]
     print(f"application mix on {args.processors} processors: "
           f"{' + '.join(names)}")
-    standalone = {}
-    for workload in workloads:
-        result = run_once(
-            workload,
-            MoveThresholdPolicy(threshold=args.threshold),
-            n_processors=args.processors,
-            check_invariants=False,
-        )
-        standalone[workload.name] = result.user_time_us
+    standalone = [spec.run().user_time_us for spec in specs]
     mix = run_mix(
         workloads,
-        MoveThresholdPolicy(threshold=args.threshold),
+        specs[0].resolve_policy(),  # every spec names the same policy
         n_processors=args.processors,
         check_invariants=False,
     )
-    for task in mix.tasks:
-        solo = standalone[task.workload]
+    for solo, task in zip(standalone, mix.tasks):
         ratio = task.user_time_us / solo if solo else 0.0
         args.sink.add(
             {

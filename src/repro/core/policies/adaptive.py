@@ -135,16 +135,6 @@ class AdaptiveThresholdPolicy(ReconsiderPolicy):
             f"x{backoff:g})"
         )
 
-    def params(self) -> Dict[str, object]:
-        return {
-            "threshold": self._threshold,
-            "interval_us": self._interval_us,
-            "backoff": self._backoff,
-            "max_interval_us": self._max_interval_us,
-            "contended_owners": self._contended_owners,
-            "contended_threshold": self._contended_threshold,
-        }
-
     def effective_threshold(self, page_id: int) -> int:
         """The move budget this page is currently judged against."""
         owners = self._owners_seen.get(page_id)
@@ -255,14 +245,6 @@ class BandwidthAwarePolicy(MoveThresholdPolicy):
             f"bandwidth-aware({threshold},rho{congestion:g},"
             f"{window_us:g}us)"
         )
-
-    def params(self) -> Dict[str, object]:
-        return {
-            "threshold": self._threshold,
-            "congestion": self._congestion,
-            "window_us": self._window_us,
-            "max_factor": self._max_factor,
-        }
 
     @property
     def contention(self) -> Optional[InterconnectContention]:
@@ -478,15 +460,6 @@ class BanditPolicy(NUMAPolicy):
             f"bandit({self._strategy},eps={self._epsilon:g},"
             f"seed={self._seed})"
         )
-
-    def params(self) -> Dict[str, object]:
-        return {
-            "epsilon": self._epsilon,
-            "seed": self._seed,
-            "candidates": ",".join(str(c) for c in self._candidates),
-            "epoch_us": self._epoch_us,
-            "strategy": self._strategy,
-        }
 
     @property
     def candidates(self) -> Tuple[int, ...]:

@@ -117,9 +117,3 @@ class DecayPolicy(ReconsiderPolicy):
     ) -> None:
         super().__init__(threshold=threshold, interval_us=decay_us)
         self.name = f"decay({threshold},{decay_us:g}us)"
-
-    def params(self) -> Dict[str, object]:
-        return {
-            "threshold": self._threshold,
-            "decay_us": self._interval_us,
-        }

@@ -38,9 +38,6 @@ class MoveThresholdPolicy(NUMAPolicy):
         """Moves a page may make before being pinned."""
         return self._threshold
 
-    def params(self) -> Dict[str, object]:
-        return {"threshold": self._threshold}
-
     def cache_policy(
         self, page: PageLike, kind: AccessKind, cpu: int
     ) -> PlacementDecision:

@@ -45,9 +45,6 @@ class _WrappingPolicy(NUMAPolicy):
         # The class-level name says what the wrapper adds.
         self.name = f"{self.name}+{base.name}"
 
-    def params(self) -> dict:
-        return {"base": self.base.name}
-
     def __getattr__(self, attribute: str) -> object:
         # Reached only for names the wrapper does not define; private
         # ones (the dunders copy and pickle probe) are never the base's.

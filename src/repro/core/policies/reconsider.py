@@ -59,12 +59,6 @@ class ReconsiderPolicy(MoveThresholdPolicy):
         """Lifetime of a pinning decision, simulated microseconds."""
         return self._interval_us
 
-    def params(self) -> Dict[str, object]:
-        return {
-            "threshold": self._threshold,
-            "interval_us": self._interval_us,
-        }
-
     @property
     def unpin_count(self) -> int:
         """How many pins have expired so far."""

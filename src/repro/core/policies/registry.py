@@ -1,33 +1,27 @@
 """The declarative policy registry.
 
 Every placement policy the experiment layer can name lives here as a
-:class:`PolicyEntry`: a factory plus a typed parameter schema and the
-defaults, so specs carry ``policy="bandit"`` and
-``policy_params={"epsilon": 0.1, "seed": 7}`` instead of the old
-hard-coded ``resolve_policy(name, threshold)`` lambda table.  The entry
-validates and coerces parameters before construction, the CLI's
-``repro-numa policies`` command lists the table, and
-:meth:`~repro.core.policy.NUMAPolicy.params` closes the round trip:
-``entry.build(params=policy.params())`` rebuilds an equivalent policy.
+:class:`PolicyEntry`: a factory and a description, so specs carry
+``policy="bandit"`` and ``policy_params={"epsilon": 0.1, "seed": 7}``
+instead of the old hard-coded ``resolve_policy(name, threshold)`` lambda
+table.  An entry's typed parameter schema is not written down here: it
+is read from the factory's keyword-only signature — names, order and
+defaults from :func:`inspect.signature`, types from the annotations — so
+a new policy is one class plus one row below, and the schema cannot
+drift from the constructor.  The entry validates and coerces parameters
+before construction, and the CLI's ``repro-numa policies`` command
+lists the table.
 """
 
 from __future__ import annotations
 
+import inspect
+import typing
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.policies.adaptive import (
-    DEFAULT_ADAPTIVE_INTERVAL_US,
-    DEFAULT_BACKOFF,
-    DEFAULT_CANDIDATES,
-    DEFAULT_CONGESTION,
-    DEFAULT_CONTENDED_OWNERS,
-    DEFAULT_EPOCH_US,
-    DEFAULT_EPSILON,
-    DEFAULT_MAX_FACTOR,
-    DEFAULT_MAX_INTERVAL_US,
-    DEFAULT_STRATEGY,
-    DEFAULT_WINDOW_US,
     AdaptiveThresholdPolicy,
     BandwidthAwarePolicy,
     BanditPolicy,
@@ -38,19 +32,12 @@ from repro.core.policies.baselines import (
     AllLocalPolicy,
 )
 from repro.core.policies.competitors import (
-    DEFAULT_DECAY_US,
     DecayPolicy,
     MigrationOnlyPolicy,
     ReplicationOnlyPolicy,
 )
-from repro.core.policies.move_threshold import (
-    DEFAULT_MOVE_THRESHOLD,
-    MoveThresholdPolicy,
-)
-from repro.core.policies.reconsider import (
-    DEFAULT_RECONSIDER_INTERVAL_US,
-    ReconsiderPolicy,
-)
+from repro.core.policies.move_threshold import MoveThresholdPolicy
+from repro.core.policies.reconsider import ReconsiderPolicy
 from repro.core.policy import NUMAPolicy
 from repro.errors import ConfigurationError
 from repro.registry import Registry
@@ -63,7 +50,6 @@ class ParamSpec:
     name: str
     type: type
     default: object
-    help: str = ""
 
     @property
     def summary(self) -> str:
@@ -92,16 +78,31 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class PolicyEntry:
-    """One named policy: factory, parameter schema, description."""
+    """One named policy: factory and description."""
 
     name: str
     factory: Callable[..., NUMAPolicy]
-    param_schema: Tuple[ParamSpec, ...] = ()
     description: str = ""
 
-    def schema_by_name(self) -> Dict[str, ParamSpec]:
-        """The schema as an insertion-ordered name → spec mapping."""
-        return {spec.name: spec for spec in self.param_schema}
+    @cached_property
+    def param_schema(self) -> Dict[str, ParamSpec]:
+        """The factory's parameters by name, in signature order.
+
+        Defaults come from the signature and types from the annotations,
+        with ``Optional[T]`` read as ``T`` (a ``None`` default is then
+        one only the constructor itself interprets).
+        """
+        hints = typing.get_type_hints(self.factory.__init__)
+        schema = {}
+        for name, parameter in inspect.signature(
+            self.factory
+        ).parameters.items():
+            args = [a for a in typing.get_args(hints[name])
+                    if a is not type(None)]
+            schema[name] = ParamSpec(
+                name, args[0] if args else hints[name], parameter.default
+            )
+        return schema
 
     def validate_params(
         self, params: Mapping[str, object]
@@ -112,7 +113,7 @@ class PolicyEntry:
         choices spelled out; omitted parameters keep their defaults (by
         omission — the returned dict holds only what was given).
         """
-        schema = self.schema_by_name()
+        schema = self.param_schema
         unknown = sorted(set(params) - set(schema))
         if unknown:
             valid = ", ".join(schema) if schema else "none"
@@ -140,171 +141,48 @@ class PolicyEntry:
         kwargs = self.validate_params(dict(params))
         if (
             threshold is not None
-            and "threshold" in self.schema_by_name()
+            and "threshold" in self.param_schema
             and "threshold" not in kwargs
         ):
             kwargs["threshold"] = threshold
         return self.factory(**kwargs)
 
 
-def _threshold_param() -> ParamSpec:
-    return ParamSpec(
-        "threshold", int, DEFAULT_MOVE_THRESHOLD,
-        "ownership moves before a page is pinned in global memory",
-    )
-
-
 #: Every policy the experiment layer can resolve by name.  Insertion
 #: order is display order for ``repro-numa policies``.
 POLICY_ENTRIES: Registry[PolicyEntry] = Registry("policy", {
-    entry.name: entry
-    for entry in (
-        PolicyEntry(
-            "move-threshold",
-            MoveThresholdPolicy,
-            (_threshold_param(),),
-            "the paper's policy: migrate/replicate freely, pin after "
-            "threshold moves (Section 2.3.2)",
-        ),
-        PolicyEntry(
-            "all-global",
-            AllGlobalPolicy,
-            (),
-            "shared data always global — the paper's 'global' baseline",
-        ),
-        PolicyEntry(
-            "all-local",
-            AllLocalPolicy,
-            (),
-            "everything local, uniprocessor reference — the 'local' "
-            "baseline",
-        ),
-        PolicyEntry(
-            "all-global-everything",
-            AllGlobalEverythingPolicy,
-            (),
-            "code, private and shared data all global (Table 4's "
-            "pessimal column)",
-        ),
-        PolicyEntry(
-            "migration-only",
-            MigrationOnlyPolicy,
-            (),
-            "pages chase writers, readers go global (LaRowe & Ellis "
-            "design-space half)",
-        ),
-        PolicyEntry(
-            "replication-only",
-            ReplicationOnlyPolicy,
-            (),
-            "replicate for readers, first migration demotes to global",
-        ),
-        PolicyEntry(
-            "reconsider",
-            ReconsiderPolicy,
-            (
-                _threshold_param(),
-                ParamSpec(
-                    "interval_us", float, DEFAULT_RECONSIDER_INTERVAL_US,
-                    "simulated µs before a pin is reconsidered",
-                ),
-            ),
-            "move-threshold whose pins expire after an interval "
-            "(Section 5's 'reconsider periodically')",
-        ),
-        PolicyEntry(
-            "decay",
-            DecayPolicy,
-            (
-                _threshold_param(),
-                ParamSpec(
-                    "decay_us", float, DEFAULT_DECAY_US,
-                    "simulated µs before a frozen page defrosts",
-                ),
-            ),
-            "PLATINUM-style freeze/defrost competitor",
-        ),
-        PolicyEntry(
-            "adaptive-threshold",
-            AdaptiveThresholdPolicy,
-            (
-                _threshold_param(),
-                ParamSpec(
-                    "interval_us", float, DEFAULT_ADAPTIVE_INTERVAL_US,
-                    "base pin lifetime, simulated µs",
-                ),
-                ParamSpec(
-                    "backoff", float, DEFAULT_BACKOFF,
-                    "pin-lifetime multiplier per re-pin",
-                ),
-                ParamSpec(
-                    "max_interval_us", float, DEFAULT_MAX_INTERVAL_US,
-                    "pin-lifetime cap, simulated µs",
-                ),
-                ParamSpec(
-                    "contended_owners", int, DEFAULT_CONTENDED_OWNERS,
-                    "distinct writers before a page is classed contended",
-                ),
-                ParamSpec(
-                    "contended_threshold", int, None,
-                    "move budget for contended pages (default: half the "
-                    "base threshold)",
-                ),
-            ),
-            "per-page pin expiry with exponential backoff, move-count "
-            "decay, and stricter thresholds for write-shared pages",
-        ),
-        PolicyEntry(
-            "bandwidth-aware",
-            BandwidthAwarePolicy,
-            (
-                _threshold_param(),
-                ParamSpec(
-                    "congestion", float, DEFAULT_CONGESTION,
-                    "edge utilization above which migration is avoided",
-                ),
-                ParamSpec(
-                    "window_us", float, DEFAULT_WINDOW_US,
-                    "contention ledger window, simulated µs",
-                ),
-                ParamSpec(
-                    "max_factor", float, DEFAULT_MAX_FACTOR,
-                    "cap on the queueing stretch 1/(1-rho)",
-                ),
-            ),
-            "move-threshold that prefers remote mapping or global "
-            "placement over migrating across a congested interconnect",
-        ),
-        PolicyEntry(
-            "bandit",
-            BanditPolicy,
-            (
-                ParamSpec(
-                    "epsilon", float, DEFAULT_EPSILON,
-                    "exploration probability (egreedy strategy)",
-                ),
-                ParamSpec(
-                    "seed", int, 0,
-                    "RNG seed; same seed, same decisions, byte-identical "
-                    "results",
-                ),
-                ParamSpec(
-                    "candidates", str, DEFAULT_CANDIDATES,
-                    "candidate move thresholds, comma- or plus-separated "
-                    "(use + on the CLI: candidates=0+2+4+8)",
-                ),
-                ParamSpec(
-                    "epoch_us", float, DEFAULT_EPOCH_US,
-                    "simulated µs per reward epoch",
-                ),
-                ParamSpec(
-                    "strategy", str, DEFAULT_STRATEGY,
-                    "arm selection: egreedy or ucb",
-                ),
-            ),
-            "seeded epsilon-greedy/UCB tuner picking move thresholds "
-            "per page class from α/elapsed rewards",
-        ),
+    row[0]: PolicyEntry(*row)
+    for row in (
+        ("move-threshold", MoveThresholdPolicy,
+         "the paper's policy: migrate/replicate freely, pin after "
+         "threshold moves (Section 2.3.2)"),
+        ("all-global", AllGlobalPolicy,
+         "shared data always global — the paper's 'global' baseline"),
+        ("all-local", AllLocalPolicy,
+         "everything local, uniprocessor reference — the 'local' "
+         "baseline"),
+        ("all-global-everything", AllGlobalEverythingPolicy,
+         "code, private and shared data all global (Table 4's "
+         "pessimal column)"),
+        ("migration-only", MigrationOnlyPolicy,
+         "pages chase writers, readers go global (LaRowe & Ellis "
+         "design-space half)"),
+        ("replication-only", ReplicationOnlyPolicy,
+         "replicate for readers, first migration demotes to global"),
+        ("reconsider", ReconsiderPolicy,
+         "move-threshold whose pins expire after an interval "
+         "(Section 5's 'reconsider periodically')"),
+        ("decay", DecayPolicy,
+         "PLATINUM-style freeze/defrost competitor"),
+        ("adaptive-threshold", AdaptiveThresholdPolicy,
+         "per-page pin expiry with exponential backoff, move-count "
+         "decay, and stricter thresholds for write-shared pages"),
+        ("bandwidth-aware", BandwidthAwarePolicy,
+         "move-threshold that prefers remote mapping or global "
+         "placement over migrating across a congested interconnect"),
+        ("bandit", BanditPolicy,
+         "seeded epsilon-greedy/UCB tuner picking move thresholds "
+         "per page class from α/elapsed rewards"),
     )
 })
 
@@ -322,30 +200,25 @@ def build_policy(
 
 def policy_registry_rows() -> List[Dict[str, object]]:
     """One row per entry for the ``repro-numa policies`` listing."""
-    rows: List[Dict[str, object]] = []
-    for entry in POLICY_ENTRIES.values():
-        rows.append(
-            {
-                "name": entry.name,
-                "params": ", ".join(
-                    spec.summary for spec in entry.param_schema
-                ),
-                "description": entry.description,
-            }
-        )
-    return rows
+    return [
+        {
+            "name": entry.name,
+            "params": ", ".join(
+                spec.summary for spec in entry.param_schema.values()
+            ),
+            "description": entry.description,
+        }
+        for entry in POLICY_ENTRIES.values()
+    ]
 
 
 def _coerce_literal(text: str) -> object:
     """A CLI parameter value: int, then float, then bool, else string."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
     if text.lower() in ("true", "false"):
         return text.lower() == "true"
     return text

@@ -10,12 +10,14 @@ history when the page is freed).  Policies are mechanism-free: they never
 touch frames or mappings, only answer questions and observe events, so a
 new policy is a small, isolated class — the paper's point that "we could
 easily substitute another policy without modifying the NUMA manager".
+A policy's parameters are its keyword-only constructor's: the registry
+(:mod:`repro.core.policies.registry`) reads names, types and defaults
+from that signature, so they are written down nowhere else.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict
 
 from repro.core.state import AccessKind, PageLike, PlacementDecision
 
@@ -91,17 +93,6 @@ class NUMAPolicy(abc.ABC):
         re-faults and consults it again.  Called after :meth:`tick`.
         """
         return []
-
-    def params(self) -> Dict[str, object]:
-        """The policy's constructor parameters, as a plain dict.
-
-        The uniform introspection surface behind the declarative
-        registry (:mod:`repro.core.policies.registry`): reports label
-        runs with it, and the registry round-trip test rebuilds each
-        policy from ``params()`` and asserts equivalence.  Parameter-free
-        policies return ``{}``.
-        """
-        return {}
 
     def describe(self) -> str:
         """One-line description for run reports."""

@@ -15,7 +15,7 @@ wall clock and never draws randomness of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.faults.plan import PROFILES, FaultKind, FaultPlan
 
@@ -78,10 +78,6 @@ class FaultStats:
     message_delays: int = 0
     #: Simulated µs of injected delay + retry backoff charged.
     injected_delay_us: float = 0.0
-
-    def total_injected(self) -> int:
-        """All faults injected, every kind."""
-        return sum(self.injected.values())
 
     def as_dict(self) -> Dict[str, object]:
         """Flat, deterministically ordered view for reports and JSON."""

@@ -4,9 +4,11 @@ import pytest
 
 from repro.analysis.paper import TABLE_1, TABLE_2
 from repro.check.modelcheck import run_model_check
+from repro.cli import main
 from repro.core import transitions
 from repro.core.state import PageState, PlacementDecision
 from repro.core.transitions import ActionSpec, Cleanup, StateKey
+from repro.errors import ConfigurationError
 
 
 class TestCleanRun:
@@ -33,6 +35,26 @@ class TestCleanRun:
         records = run_model_check().as_records()
         assert records[-1]["t"] == "modelcheck_summary"
         assert records[-1]["ok"] is True
+
+
+class TestTooFewCpus:
+    """Below two CPUs no page is owned elsewhere: a usage error, not a
+    protocol violation."""
+
+    @pytest.mark.parametrize("n_cpus", [0, 1])
+    def test_checker_rejects_the_machine(self, n_cpus):
+        with pytest.raises(ConfigurationError, match="at least 2 cpus"):
+            run_model_check(n_cpus=n_cpus)
+
+    @pytest.mark.parametrize("n_cpus", ["0", "1"])
+    def test_cli_exits_with_the_usage_code(self, n_cpus, capsys):
+        assert main(["modelcheck", "--cpus", n_cpus]) == 2
+        captured = capsys.readouterr()
+        assert "VERDICT" not in captured.out
+        assert "at least 2 cpus" in captured.err
+
+    def test_two_cpus_is_enough(self):
+        assert run_model_check(n_cpus=2).ok
 
 
 class TestTLBLayer:

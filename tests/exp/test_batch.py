@@ -275,7 +275,12 @@ class TestSupervisedBatch:
         prefix = run_batch(specs[:2], cache=cache)
         for spec in specs[:2]:
             journal.spec_event("finished", spec.fingerprint(), cached=False)
-        # ... crash here: no aborted record, no batch_end.
+        # ... crash here, mid-write: no aborted record, no batch_end,
+        # half a journal line and a half-written cache entry.
+        torn = specs[2].fingerprint()
+        with open(journal_path, "a", encoding="utf-8") as handle:
+            handle.write(f'{{"t": "finished", "fp": "{torn[:10]}')
+        (cache.root / f".tmp-{torn}.json").write_text("{")
 
         resumed = resume_batch(journal_path, cache=cache)
         assert resumed.cache_hits == 2

@@ -290,8 +290,8 @@ class TestPolicyParams:
             threshold=6, policy_params=(("backoff", 3.0),),
         )
         policy = spec.resolve_policy()
-        assert policy.params()["threshold"] == 6
-        assert policy.params()["backoff"] == 3.0
+        assert policy.threshold == 6
+        assert policy.name == "adaptive-threshold(6,30000us,x3)"
 
     def test_bad_params_are_rejected_before_running(self):
         spec = RunSpec(

@@ -39,7 +39,7 @@ class TestDeterminism:
 class TestSanitizedRuns:
     """REPRO_SANITIZE=1 + fault injection: recovery must stay sound."""
 
-    @pytest.mark.parametrize("profile", ["transient", "frame-loss"])
+    @pytest.mark.parametrize("profile", ["transient", "frame-loss", "storm"])
     def test_profile_runs_clean_under_sanitizer(self, profile, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         # Any ProtocolViolation a recovery provokes raises out of here.

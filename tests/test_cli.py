@@ -195,6 +195,18 @@ class TestMetricsCommand:
         assert {"meta", "sample", "counter", "histogram", "phase"} <= kinds
         assert any(record["t"] == "sample" for record in records)
 
+    def test_sanitized_metrics_change_no_simulated_number(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Was CI's "Sanitized tier-1 workload" step."""
+        plain = self.exported(tmp_path)
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        sanitized = self.exported(tmp_path)
+        def simulated(records):
+            return [r for r in records if r["t"] != "phase"]
+
+        assert simulated(sanitized) == simulated(plain)
+
 
 class TestJsonFlag:
     def test_table3_json_rows(self, tmp_path, capsys):
@@ -436,6 +448,16 @@ class TestTopologyCli:
         assert "unknown machine" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv", [["--quick", "chaos", "parmult"], ["races", "--static"]]
+    )
+    def test_other_machine_consumers_reject_it_too(self, argv, capsys):
+        """The rest of CI's unknown-machine probe loop."""
+        assert main([*argv, "--machine", "nosuch"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown machine" in err
+        assert "Traceback" not in err
+
     def test_modelcheck_runs_the_multilevel_layer(self, capsys):
         assert main(["modelcheck", "--machine", "2socket8"]) == 0
         out = capsys.readouterr().out
@@ -474,6 +496,21 @@ class TestTopologyCli:
         ]
         assert records[-1]["t"] == "chaos_report"
         assert records[-1]["n_processors"] == 8
+
+    def test_sanitized_transient_chaos_on_a_multilevel_machine(
+        self, capsys, monkeypatch
+    ):
+        """Was CI's "Sanitized chaos on a multi-level machine" step."""
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        argv = [
+            "--quick", "--machine", "2socket8", "chaos", "parmult",
+            "--profile", "transient", "--seed", "7",
+        ]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["sanitized"] is True
+        assert report["n_processors"] == 8
+        assert report["profile"] == "transient"
 
 
 class TestPoliciesCommand:
