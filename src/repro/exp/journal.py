@@ -22,6 +22,7 @@ journals stay readable by older readers.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Union
@@ -124,7 +125,20 @@ class BatchJournal:
         spec_keys: Mapping[str, Mapping[str, object]],
         jobs: int,
     ) -> None:
-        """Open a batch segment, recording enough to rebuild the batch."""
+        """Open a batch segment, recording enough to rebuild the batch.
+
+        A crash can leave the file ending in a torn line; the segment
+        starts on a fresh one, so replay drops only the torn record.
+        """
+        try:
+            with open(self.path, "rb") as handle:
+                handle.seek(-1, os.SEEK_END)
+                torn = handle.read(1) != b"\n"
+        except OSError:  # no journal yet, or an empty one
+            torn = False
+        if torn:
+            with open(self.path, "a", encoding="utf-8") as handle:
+                handle.write("\n")
         self.append(
             {
                 "t": "batch_begin",

@@ -113,7 +113,9 @@ class EventBus:
     Subscribers receive events in subscription order, which makes
     interleaved traces deterministic.  The per-hook lists are created
     once and mutated in place by subscribe/unsubscribe, so a holder of
-    :attr:`reference_hooks` always sees the current subscribers.
+    a :meth:`hooks` list always sees the current subscribers: the engine
+    holds ``on_reference`` and ``on_round_end`` for a whole run and
+    tests their truthiness per block and per round.
     """
 
     def __init__(self, observers: Optional[List[object]] = None) -> None:
@@ -164,12 +166,10 @@ class EventBus:
         """Whether any observer handles ``on_reference``."""
         return bool(self._hooks["on_reference"])
 
-    @property
-    def reference_hooks(self) -> List[Callable]:
-        """The live ``on_reference`` subscriber list (do not mutate): the
-        engine holds it and tests its truthiness per block, so a
-        subscription made mid-round is seen by the very next block."""
-        return self._hooks["on_reference"]
+    def hooks(self, name: str) -> List[Callable]:
+        """The live subscriber list of hook *name* (do not mutate): a
+        subscription made mid-run is in it at the holder's next test."""
+        return self._hooks[name]
 
     @property
     def wants_faults(self) -> bool:

@@ -26,10 +26,10 @@ splitting them exactly where the unbatched simulator would have faulted.
 :meth:`Engine.run` is the one dispatch loop (DESIGN.md §10.2): a TLB hit
 or a compute burst is consumed inside it, and it is left only for the
 slow arm (a miss, without a second lookup), the rare op kinds, and
-:meth:`Engine._after_op` when a pump is pending or the tick is due.  The
-calls that remain per op — the scheduler, ``CThread.next_op``,
-``SoftwareTLB.lookup``, ``CPU.charge_user`` — are other layers' entry
-points; the ledger wraps the middle two and compares their call counts.
+:meth:`Engine._after_op` when a pump is pending or the tick is due.  Per
+op it calls only other layers' entry points (the scheduler, ``next_op``,
+the TLB lookup, ``charge_user``); per round it tests a live-thread count
+and the bus's live ``on_round_end`` list, kept current, not recomputed.
 
 Observation is fanned out through an :class:`~repro.obs.events.EventBus`:
 any number of observers subscribe to the engine's bus, and ``observer=``
@@ -128,7 +128,7 @@ class Engine:
         if observer is not None:
             self._bus.subscribe(observer)
         #: The bus's live ``on_reference`` list; both arms ask it per block.
-        self._reference_hooks = self._bus.reference_hooks
+        self._reference_hooks = self._bus.hooks("on_reference")
         self._profiler = profiler
         self._injector = None
         self._pump_pending = False
@@ -205,24 +205,22 @@ class Engine:
         right here.  Profiling and reference events are arms of this same
         loop, so an observed run takes the path a bare run takes.
         """
-        if not threads:
-            self._bus.emit_run_end(self._round)
-            return 0
         # The loop body runs once per thread per round; enum members,
-        # bound methods and run-constant attributes are hoisted to locals
-        # to keep that overhead off the fast path's back.
+        # bound methods, run-constant attributes and the round index (put
+        # back on self at each round's end, where it changes) are locals.
         runnable = ThreadState.RUNNABLE
-        finished = ThreadState.FINISHED
         cpu_for = self._scheduler.cpu_for
         cpus = self._cpus
         task_us = self.task_user_us
         bus = self._bus
         ref_hooks = self._reference_hooks
+        round_hooks = bus.hooks("on_round_end")
         emit_reference = bus.emit_reference
         fast_path = self._fast_path
-        while True:
-            if all(t.state is finished for t in threads):
-                break
+        round_index = self._round
+        # Only next_op() finishes a thread; counting its Nones keeps it exact.
+        live = sum(not t.finished for t in threads)
+        while live:
             progressed = False
             # The profiler is installed between rounds at the latest, so
             # one look per round serves every op in it.
@@ -230,9 +228,10 @@ class Engine:
             for thread in threads:
                 if thread.state is not runnable:
                     continue
-                cpu = cpu_for(thread, self._round)
+                cpu = cpu_for(thread, round_index)
                 op = thread.next_op()
                 if op is None:
+                    live -= 1
                     # Finishing can release a barrier the rest are at.
                     if self._release_barriers(threads):
                         progressed = True
@@ -282,12 +281,12 @@ class Engine:
                                 page_id = entry.page_id = self._page_id(vpage, task)
                             if reads:
                                 emit_reference(
-                                    self._round, cpu, vpage, page_id,
+                                    round_index, cpu, vpage, page_id,
                                     reads, 0, location, writable,
                                 )
                             if writes:
                                 emit_reference(
-                                    self._round, cpu, vpage, page_id,
+                                    round_index, cpu, vpage, page_id,
                                     0, writes, location, writable,
                                 )
                     if profiler is not None:
@@ -309,9 +308,9 @@ class Engine:
                 self.ops_executed = ops = self.ops_executed + 1
                 if ops >= self._tick_due or self._pump_pending:
                     self._after_op()
-            self._round += 1
-            if bus.wants_rounds:
-                bus.emit_round_end(self._round - 1)
+            self._round = round_index = round_index + 1
+            if round_hooks:
+                bus.emit_round_end(round_index - 1)
             if not progressed:
                 if self._release_barriers(threads):
                     continue
@@ -329,7 +328,7 @@ class Engine:
                     f"deadlock: threads waiting on barriers {waiting}"
                 )
         bus.emit_run_end(self._round)
-        return self._round
+        return self._round if threads else 0
 
     # -- op execution ------------------------------------------------------
 

@@ -76,6 +76,36 @@ class TestCrashShapes:
         assert replay.last.finished == ["f1", "f2"]
         assert not replay.last.ended
 
+    def test_a_resume_after_a_torn_tail_starts_its_own_segment(
+        self, tmp_path
+    ):
+        """Crash, resume, crash again, resume again: each ``batch_begin``
+        lands on a fresh line, so replay drops only the two torn records
+        and files every other record under the segment that wrote it."""
+        journal = BatchJournal(tmp_path / "j.jsonl")
+
+        def tear():
+            with open(journal.path, "a", encoding="utf-8") as handle:
+                handle.write('{"t": "finished", "fp": "f9", "cach')
+
+        write_segment(journal, batch="b1", fps=("f1", "f2"), end=False)
+        journal.spec_event("submitted", "f3", attempt=1)
+        tear()
+        write_segment(journal, batch="b1", fps=("f3", "f4"), end=False)
+        tear()
+        write_segment(journal, batch="b1", fps=("f4",))
+        replay = BatchJournal.replay(journal.path)
+        assert replay.corrupt_lines == 2
+        assert [s.order for s in replay.batches] == [
+            ["f1", "f2"], ["f3", "f4"], ["f4"],
+        ]
+        assert [s.states for s in replay.batches] == [
+            {"f1": "finished", "f2": "finished", "f3": "submitted"},
+            {"f3": "finished", "f4": "finished"},
+            {"f4": "finished"},
+        ]
+        assert [s.ended for s in replay.batches] == [False, False, True]
+
     def test_crash_leaves_no_terminal_marker(self, tmp_path):
         journal = BatchJournal(tmp_path / "j.jsonl")
         journal.begin("b1", ["f1"], {"f1": {"workload": "X"}}, jobs=1)

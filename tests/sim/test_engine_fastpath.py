@@ -1,16 +1,21 @@
 """The engine's TLB fast path: equivalence, fills, and livelock bounds."""
 
+import sys
+
 import pytest
 
 from repro.analysis.tracing import TraceCollector
 from repro.core.policies import MoveThresholdPolicy
-from repro.errors import FaultResolutionError
+from repro.errors import FaultResolutionError, SimulationError
+from repro.exp.spec import RunSpec
 from repro.faults.injector import make_injector
 from repro.machine.timing import MemoryLocation
+from repro.machine.tlb import SoftwareTLB
+from repro.obs.events import EventBus
 from repro.obs.profiling import PhaseProfiler
 from repro.sim.engine import MAX_FAULT_RESOLUTION_ATTEMPTS, Engine
 from repro.sim.harness import Simulation, build_simulation, collect_result
-from repro.sim.ops import FreeObjectPages, MemBlock
+from repro.sim.ops import Barrier, Compute, FreeObjectPages, MemBlock
 from repro.threads.cthreads import CThread
 from repro.threads.scheduler import AffinityScheduler
 from repro.vm.vm_object import shared_object
@@ -172,6 +177,209 @@ class TestOneDispatchLoop:
             sum(thread.ops_executed for thread in sim.threads)
             == sim.engine.ops_executed
         )
+
+
+class RoundLog:
+    """Keeps the round indices and run ends the bus hands it."""
+
+    def __init__(self):
+        self.round_ends = []
+        self.run_ends = []
+
+    def on_round_end(self, round_index):
+        self.round_ends.append(round_index)
+
+    def on_run_end(self, rounds):
+        self.run_ends.append(rounds)
+
+
+def dispatch(bodies, listen=True, subscribe_at=None):
+    """Run named op lists as threads on a small rig; returns (engine,
+    threads, fetch log of (round, thread, op index), RoundLog).  With
+    ``subscribe_at=(thread, index)`` the log subscribes from that
+    thread's body, when it yields that op, instead of up front."""
+    from tests.conftest import make_rig
+
+    rig = make_rig()
+    rounds = RoundLog()
+    engine = Engine(
+        rig.machine,
+        rig.faults,
+        AffinityScheduler(rig.machine.n_cpus),
+        bus=EventBus([rounds] if listen else []),
+    )
+    fetched = []
+
+    def body(name, ops):
+        for index, op in enumerate(ops):
+            fetched.append((engine.rounds, name, index))
+            if subscribe_at == (name, index):
+                engine.add_observer(rounds)
+            yield op
+
+    threads = [
+        CThread(name=name, index=i, body=body(name, ops))
+        for i, (name, ops) in enumerate(bodies)
+    ]
+    return engine, threads, fetched, rounds
+
+
+class TestDispatchLoopEdges:
+    """Corners of the loop's bookkeeping: when it stops, which round an
+    op runs in, and which rounds a round-end listener hears.  Every
+    expected value was recorded with the per-round ``all()`` scan and
+    the per-round ``wants_rounds`` property the loop used before it
+    counted live threads and held the bus's hook list."""
+
+    def test_an_empty_body_finishes_in_round_zero(self):
+        engine, threads, fetched, rounds = dispatch(
+            [("a", []), ("b", [Compute(1.0), Compute(1.0)])]
+        )
+        assert engine.run(threads) == 3
+        assert fetched == [(0, "b", 0), (1, "b", 1)]
+        assert engine.ops_executed == 2
+        assert rounds.round_ends == [0, 1, 2]
+        assert rounds.run_ends == [3]
+
+    def test_a_finish_releases_later_threads_in_the_same_round(self):
+        engine, threads, fetched, rounds = dispatch(
+            [
+                ("a", [Compute(1.0)]),
+                ("b", [Barrier("x"), Compute(1.0)]),
+                ("c", [Barrier("x"), Compute(1.0)]),
+            ]
+        )
+        assert engine.run(threads) == 3
+        # a's finish in round 1 releases x; b and c run in round 1 too.
+        assert fetched == [
+            (0, "a", 0), (0, "b", 0), (0, "c", 0), (1, "b", 1), (1, "c", 1),
+        ]
+        assert engine.ops_executed == 5
+        assert rounds.round_ends == [0, 1, 2]
+        assert rounds.run_ends == [3]
+
+    def test_different_barriers_still_deadlock(self):
+        engine, threads, fetched, rounds = dispatch(
+            [
+                ("a", [Barrier("x"), Compute(1.0)]),
+                ("b", [Barrier("y"), Compute(1.0)]),
+            ]
+        )
+        with pytest.raises(SimulationError) as exc:
+            engine.run(threads)
+        assert str(exc.value) == (
+            "deadlock: live threads of one task parked at different "
+            "barriers ['x', 'y']"
+        )
+        assert fetched == [(0, "a", 0), (0, "b", 0)]
+        assert engine.ops_executed == 2
+        assert rounds.round_ends == [0, 1]
+        assert rounds.run_ends == []
+
+    def test_running_finished_threads_again_returns_the_old_count(self):
+        engine, threads, fetched, rounds = dispatch(
+            [("a", [Compute(1.0), Compute(1.0)]), ("b", [Compute(1.0)])]
+        )
+        assert engine.run(threads) == 3
+        assert engine.run(threads) == 3
+        assert engine.run([]) == 0
+        assert fetched == [(0, "a", 0), (0, "b", 0), (1, "a", 1)]
+        assert engine.ops_executed == 3
+        assert rounds.round_ends == [0, 1, 2]
+        assert rounds.run_ends == [3, 3, 3]
+
+    def test_a_round_end_listener_subscribed_mid_run_hears_that_round(self):
+        engine, threads, fetched, rounds = dispatch(
+            [("a", [Compute(1.0)] * 4), ("b", [Compute(1.0)] * 3)],
+            listen=False,
+            subscribe_at=("a", 2),
+        )
+        assert engine.run(threads) == 5
+        assert [entry[0] for entry in fetched] == [0, 0, 1, 1, 2, 2, 3]
+        assert engine.ops_executed == 7
+        assert rounds.round_ends == [2, 3, 4]
+        assert rounds.run_ends == [5]
+
+    def test_a_class_level_lookup_wrapper_sees_every_lookup(
+        self, monkeypatch
+    ):
+        """The ledger wraps ``SoftwareTLB.lookup`` on the class before
+        any simulation is built; the loop must call the wrapped method
+        once per block, hit or miss."""
+        lookup = SoftwareTLB.lookup
+        calls = 0
+
+        def counted(self, vpage, need_write=False):
+            nonlocal calls
+            calls += 1
+            return lookup(self, vpage, need_write)
+
+        monkeypatch.setattr(SoftwareTLB, "lookup", counted)
+        sim = REFSTREAM_SPECS[1].build()
+        assert sim.engine.run(sim.threads) == 3_519
+        counters = sim.machine.tlb_counters()
+        assert (counters["hits"], counters["misses"]) == (13_984, 80)
+        assert calls == counters["hits"] + counters["misses"]
+        assert sim.engine.ops_executed == 14_068
+
+
+#: The ledger's three ``refstream`` specs at a twentieth of their size:
+#: nearly every block hits the TLB, so the run is the bare dispatch loop.
+REFSTREAM_SPECS = (
+    RunSpec(
+        "ParMult",
+        {"total_mults": 20_000, "chunk_mults": 2},
+        policy="move-threshold",
+        threshold=4,
+        n_processors=4,
+    ),
+    RunSpec(
+        "Gfetch",
+        {"total_fetches": 70_000, "buffer_pages": 8, "chunk_fetches": 5},
+        policy="move-threshold",
+        threshold=4,
+        n_processors=4,
+    ),
+    RunSpec(
+        "Primes3",
+        {"limit": 33_000},
+        policy="move-threshold",
+        threshold=4,
+        n_processors=4,
+    ),
+)
+
+#: Python-level calls per executed op under ``Engine.run`` (itself
+#: included), over ``REFSTREAM_SPECS`` together.  A ratchet like
+#: ``tests/sim/test_engine_observers.py::MAX_CALLS_PER_REFERENCE_EVENT``:
+#: a count, exactly repeatable, and it may only be lowered.  It read 6.36
+#: (6.10 on CPython 3.13) while the loop scanned every thread's state and
+#: asked the bus a property once per round, and reads 5.58 on 3.10–3.13
+#: now: the scheduler, ``next_op`` with its generator step, the TLB
+#: lookup and ``charge_user`` per op, the slow arm on a miss.
+MAX_CALLS_PER_OP = 5.78
+
+
+def test_dispatch_loop_call_ratchet():
+    calls = ops = rounds = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    for spec in REFSTREAM_SPECS:
+        sim = spec.build()
+        sys.setprofile(count)
+        try:
+            sim.engine.run(sim.threads)
+        finally:
+            sys.setprofile(None)
+        ops += sim.engine.ops_executed
+        rounds += sim.engine.rounds
+    assert (ops, rounds) == (36_450, 9_559)
+    print(f"{calls / ops:.2f} Python calls per op")
+    assert calls / ops <= MAX_CALLS_PER_OP
 
 
 def observed_both_arms(build, tmp_path):

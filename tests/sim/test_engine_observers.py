@@ -196,10 +196,11 @@ class TestSubscribedMidRound:
 
     def test_reference_hooks_is_the_live_list(self):
         bus = EventBus()
-        held = bus.reference_hooks
+        held = bus.hooks("on_reference")
         assert not held and not bus.wants_references
         log = bus.subscribe(ReferenceLog())
-        assert held and held is bus.reference_hooks and bus.wants_references
+        assert held and held is bus.hooks("on_reference")
+        assert bus.wants_references
         bus.unsubscribe(log)
         assert not held
 
