@@ -250,6 +250,7 @@ def run_batch(
     journal: Optional[BatchJournal] = None,
     prior_failures: Optional[Mapping[str, int]] = None,
     resumed: bool = False,
+    prior_errors: Optional[Mapping[str, str]] = None,
 ) -> BatchResult:
     """Execute *specs* with deduplication, caching, and fan-out.
 
@@ -354,6 +355,7 @@ def run_batch(
                 journal=journal,
                 bus=bus,
                 prior_failures=prior_failures,
+                prior_errors=prior_errors,
             )
             fresh, quarantined, stats = runner.run(
                 [(spec.fingerprint(), spec) for spec in to_run],
@@ -459,4 +461,5 @@ def resume_batch(
         journal=BatchJournal(journal_path),
         prior_failures=segment.failures,
         resumed=True,
+        prior_errors=segment.errors,
     )

@@ -49,6 +49,8 @@ class ReplayedBatch:
     states: Dict[str, str] = field(default_factory=dict)
     #: Fingerprint → failed attempts recorded (feeds resume quarantine).
     failures: Dict[str, int] = field(default_factory=dict)
+    #: Fingerprint → the error its ``quarantined`` record gave.
+    errors: Dict[str, str] = field(default_factory=dict)
     #: Whether the segment closed with a ``batch_end`` record.
     ended: bool = False
     #: Whether the segment closed with a clean ``aborted`` record
@@ -213,13 +215,22 @@ class BatchJournal:
                 current.results_sha256 = str(sha) if sha else None
             elif kind == "aborted":
                 current.aborted = True
-            elif kind in ("submitted", "finished", "quarantined"):
+            elif kind in ("submitted", "finished"):
                 fp = str(record.get("fp", ""))
                 current.states[fp] = str(kind)
-            elif kind == "failed":
+            elif kind in ("failed", "quarantined"):
+                # Both records carry the attempts made so far, so a
+                # segment that only re-quarantined a spec keeps its budget.
                 fp = str(record.get("fp", ""))
-                current.states[fp] = "failed"
-                current.failures[fp] = current.failures.get(fp, 0) + 1
+                current.states[fp] = str(kind)
+                attempts = record.get(
+                    "attempt" if kind == "failed" else "attempts"
+                )
+                current.failures[fp] = max(
+                    current.failures.get(fp, 0), int(attempts or 0)
+                )
+                if kind == "quarantined":
+                    current.errors[fp] = str(record.get("error", ""))
             # Unknown kinds (retry, pool_recycle, …) inform humans, not
             # replay state — ignore them here.
         return replay

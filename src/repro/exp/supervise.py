@@ -278,6 +278,7 @@ class SupervisedRunner:
         journal: Optional["BatchJournal"] = None,
         bus: Optional["EventBus"] = None,
         prior_failures: Optional[Mapping[str, int]] = None,
+        prior_errors: Optional[Mapping[str, str]] = None,
     ) -> None:
         if jobs < 1:
             raise SimulationError(f"jobs must be >= 1, got {jobs}")
@@ -297,6 +298,8 @@ class SupervisedRunner:
         #: Failed attempts per fingerprint (seeded from a resumed
         #: journal so quarantine budgets survive a crash).
         self._attempts: Dict[str, int] = dict(prior_failures or {})
+        #: The error each spec was quarantined with in that journal.
+        self._prior_errors: Dict[str, str] = dict(prior_errors or {})
 
     # -- shared bookkeeping --------------------------------------------------
 
@@ -392,8 +395,11 @@ class SupervisedRunner:
                 not self.policy.raise_on_failure
                 and self._attempts.get(fp, 0) >= self.policy.max_attempts
             ):
-                quarantined[fp] = "quarantined in a previous run"
-                self._quarantine(fp, spec, "quarantined in a previous run")
+                reason = self._prior_errors.get(
+                    fp, "quarantined in a previous run"
+                )
+                quarantined[fp] = reason
+                self._quarantine(fp, spec, reason)
             else:
                 runnable.append((fp, spec))
         callback = on_result if on_result is not None else (lambda s, o: None)

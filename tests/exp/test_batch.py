@@ -367,6 +367,46 @@ class TestSupervisedBatch:
         for fp in missing:
             assert fp[:12] in message
 
+    def test_resumed_quarantine_reproduces_the_uninterrupted_results(
+        self, tmp_path
+    ):
+        """A resume re-quarantines a poison spec with the error it was
+        first quarantined with, so the results document does not move."""
+        specs = [
+            RunSpec(workload="nope", quick=True),
+            RunSpec(workload="ParMult", quick=True, n_processors=2),
+        ]
+        policy = SupervisorPolicy(max_attempts=2, backoff_base_s=0.0)
+        journal_path = tmp_path / "j.jsonl"
+        first = run_batch(
+            specs, policy=policy, journal=BatchJournal(journal_path)
+        )
+        resumed = resume_batch(journal_path, policy=policy)
+        assert resumed.quarantined == first.quarantined
+        assert resumed.results_sha256 == first.results_sha256
+
+    def test_poison_budget_survives_every_resume(self, tmp_path, monkeypatch):
+        """A resume that only re-quarantines a spec still records its
+        spent budget, so no later resume runs it again."""
+        bad = RunSpec(workload="nope", quick=True)
+        specs = [bad, RunSpec(workload="ParMult", quick=True, n_processors=2)]
+        policy = SupervisorPolicy(max_attempts=2, backoff_base_s=0.0)
+        journal_path = tmp_path / "j.jsonl"
+        run_batch(specs, policy=policy, journal=BatchJournal(journal_path))
+
+        executed = []
+        original = RunSpec.execute
+
+        def counting(self):
+            executed.append(self.workload)
+            return original(self)
+
+        monkeypatch.setattr(RunSpec, "execute", counting)
+        for _ in range(3):
+            resumed = resume_batch(journal_path, policy=policy)
+            assert executed.count("nope") == 0
+            assert resumed.quarantined.keys() == {bad.fingerprint()}
+
     def test_lost_specs_is_empty_by_contract(self):
         batch = run_batch(small_grid(), policy=SupervisorPolicy())
         assert batch.lost == []

@@ -1,12 +1,26 @@
 """The batch journal WAL: append, replay, torn tails, resume state."""
 
 import json
+import re
+import shutil
+from pathlib import Path
 
+from repro.exp.batch import resume_batch, run_batch
+from repro.exp.grid import flatten, table3_grid
 from repro.exp.journal import (
     JOURNAL_SCHEMA,
     BatchJournal,
     journal_path_for,
 )
+from repro.exp.supervise import SupervisorPolicy
+
+#: Journals written by an earlier version of the orchestrator.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def mask_wall(text):
+    """Blank the one host-time value a journal records."""
+    return re.sub(r'"wall_s": [^,}]+', '"wall_s": "<host>"', text)
 
 
 def write_segment(journal, batch="b1", fps=("f1", "f2"), end=True):
@@ -169,6 +183,49 @@ class TestCrashShapes:
         write_segment(journal)
         first = json.loads(journal.path.read_text().splitlines()[0])
         assert first["schema"] == JOURNAL_SCHEMA
+
+
+class TestPinnedFormat:
+    """``journal_serial.jsonl`` is a serial, failure-free batch;
+    ``journal_faults.jsonl`` is a pool that died under an always-kill
+    chaos plan and fell back to serial, with a poison spec quarantined
+    and the closing ``batch_end`` torn in half.  ``journal_faults.json``
+    holds what that version's replay made of it, and the results hash
+    of the uninterrupted batch."""
+
+    def test_a_serial_batch_writes_the_pinned_journal(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        run_batch(
+            flatten(table3_grid(apps=["ParMult", "Gfetch"], quick=True)),
+            journal=BatchJournal(path),
+        )
+        pinned = (GOLDEN / "journal_serial.jsonl").read_text()
+        assert mask_wall(path.read_text()) == pinned
+
+    def test_a_faulty_journal_replays_to_the_pinned_state(self):
+        expected = json.loads((GOLDEN / "journal_faults.json").read_text())
+        replay = BatchJournal.replay(GOLDEN / "journal_faults.jsonl")
+        segment = replay.last
+        assert replay.corrupt_lines == expected["corrupt_lines"]
+        assert len(replay.batches) == expected["segments"]
+        for name in (
+            "batch", "order", "spec_keys", "states", "failures", "ended",
+            "aborted", "results_sha256", "finished", "incomplete",
+        ):
+            assert getattr(segment, name) == expected[name], name
+
+    def test_a_faulty_journal_resumes_to_the_uninterrupted_results(
+        self, tmp_path
+    ):
+        expected = json.loads((GOLDEN / "journal_faults.json").read_text())
+        path = tmp_path / "j.jsonl"
+        shutil.copy(GOLDEN / "journal_faults.jsonl", path)
+        resumed = resume_batch(
+            path, policy=SupervisorPolicy(max_attempts=2, backoff_base_s=0.0)
+        )
+        assert resumed.executed == 3 and len(resumed.quarantined) == 1
+        assert resumed.results_sha256 == \
+            expected["uninterrupted_results_sha256"]
 
 
 class TestJournalPlacement:

@@ -121,11 +121,10 @@ class TestSerialSupervision:
         runner = SupervisedRunner(
             jobs=1, policy=policy,
             prior_failures={bad.fingerprint(): 2},
+            prior_errors={bad.fingerprint(): "unknown workload 'nope'"},
         )
         outcomes, quarantined, stats = runner.run([pair(bad)])
-        assert quarantined == {
-            bad.fingerprint(): "quarantined in a previous run"
-        }
+        assert quarantined == {bad.fingerprint(): "unknown workload 'nope'"}
         assert stats.retries == 0  # never re-attempted
 
     def test_retry_and_quarantine_events_reach_the_bus(self):
