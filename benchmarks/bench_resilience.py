@@ -24,6 +24,9 @@ stops exercising the recovery paths is visible in review.
 from __future__ import annotations
 
 import json
+import os
+
+import pytest
 
 from repro.exp.batch import resume_batch, run_batch
 from repro.exp.cache import ResultCache
@@ -53,9 +56,14 @@ def chaos_policy(plan):
         timeout_s=TIMEOUT_S,
         backoff_base_s=0.01,
         backoff_cap_s=0.05,
-        auto_serial=False,  # force the pool paths even on starved hosts
         chaos=plan,
     )
+
+
+@pytest.fixture(autouse=True)
+def pool_cores(monkeypatch):
+    """Report JOBS cores, so the pool paths run even on a starved host."""
+    monkeypatch.setattr(os, "cpu_count", lambda: JOBS)
 
 
 def test_every_profile_loses_nothing(tmp_path):
@@ -151,16 +159,12 @@ def test_serial_fallback_rescues_a_dying_pool(tmp_path):
     policy = SupervisorPolicy(
         max_attempts=4,
         backoff_base_s=0.0,
-        auto_serial=True,
         max_pool_recycles=1,
         chaos=HarnessChaosPlan(profile, seed=0),
     )
-    # Bypass the core clamp so the pool path actually runs on 1-core CI.
     from repro.exp.supervise import SupervisedRunner
 
     runner = SupervisedRunner(jobs=JOBS, policy=policy)
-    runner.jobs_effective = JOBS
-    runner._window = 2 * JOBS
     todo = [(spec.fingerprint(), spec) for spec in specs]
     outcomes, quarantined, stats = runner.run(todo)
     assert not quarantined

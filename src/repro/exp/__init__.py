@@ -5,7 +5,10 @@ it into data.  :class:`~repro.exp.spec.RunSpec` captures one simulation
 declaratively, :mod:`repro.exp.grid` expands sweeps into spec lists,
 :func:`~repro.exp.batch.run_batch` executes them with fingerprint
 deduplication, an on-disk :class:`~repro.exp.cache.ResultCache`, and
-:class:`~repro.exp.supervise.SupervisedRunner` process fan-out.
+:class:`~repro.exp.supervise.SupervisedRunner` — one retrying loop over
+a process pool or an in-process executor — and accounts for every step
+in a :class:`~repro.exp.journal.BatchJournal`, whose fold of its own
+records is the batch's state.
 
 Quick start::
 
@@ -55,6 +58,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "BatchJournal",
         "JournalReplay",
         "ReplayedBatch",
+        "SuperviseStats",
         "journal_path_for",
     ),
     "spec": (
@@ -64,5 +68,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "resolve_policy",
         "resolve_workload",
     ),
-    "supervise": ("SupervisedRunner", "SupervisorPolicy", "SuperviseStats"),
+    "supervise": ("SupervisedRunner", "SupervisorPolicy"),
 })

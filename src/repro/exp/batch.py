@@ -5,11 +5,12 @@ spec list by fingerprint, serves whatever the
 :class:`~repro.exp.cache.ResultCache` already holds, fans the remainder
 out through a :class:`~repro.exp.supervise.SupervisedRunner`, writes
 fresh results back to the cache as they land (so an interrupted sweep
-resumes where it stopped), and accounts for all of it through the
-existing telemetry surfaces: ``batch_*`` counters/gauges in a
-:class:`~repro.obs.metrics.MetricsRegistry` and progress events on an
-:class:`~repro.obs.events.EventBus` (hooks ``on_batch_spec_finished``,
-``on_batch_end``, ``on_spec_retry``, ``on_spec_quarantined``).
+resumes where it stopped), and accounts for all of it in one place: the
+batch's :class:`~repro.exp.journal.BatchJournal`.  Every lifecycle step
+is a journal record, and the :class:`BatchResult` counters, its
+quarantine reasons and the ``batch_*`` counters/gauges it publishes to a
+:class:`~repro.obs.metrics.MetricsRegistry` are read from the journal's
+fold of those records — the same fold a replay of the file computes.
 
 Fault tolerance is layered on without changing the happy path:
 
@@ -17,10 +18,11 @@ Fault tolerance is layered on without changing the happy path:
   failures (timeout, retry with deterministic backoff, quarantine,
   pool recycle, serial fallback) — ``policy=None`` is the strict
   contract where the first failure raises;
-* a :class:`~repro.exp.journal.BatchJournal` WAL makes the batch itself
-  crash-safe — :func:`resume_batch` rebuilds the spec list from the
-  journal after a ``kill -9`` and re-runs it against the cache, which
-  serves everything that completed before the crash;
+* a journal with a file makes the batch itself crash-safe —
+  :func:`resume_batch` rebuilds the spec list from the journal after a
+  ``kill -9`` and re-runs it against the cache, which serves everything
+  that completed before the crash, with every spec's spent attempts and
+  quarantine reason carried into the new segment;
 * byte-identity between an interrupted-then-resumed batch and an
   uninterrupted one is asserted over :meth:`BatchResult.results_json`
   — the canonical results document, which deliberately excludes
@@ -33,21 +35,16 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.exp.cache import ResultCache
-from repro.exp.journal import BatchJournal, JournalReplay
+from repro.exp.journal import BatchJournal, ReplayedBatch, SuperviseStats
 from repro.exp.spec import Outcome, RunSpec
-from repro.exp.supervise import (
-    SupervisedRunner,
-    SupervisorPolicy,
-    SuperviseStats,
-)
-from repro.obs.events import EventBus
+from repro.exp.supervise import SupervisedRunner, SupervisorPolicy
 from repro.obs.metrics import MetricsRegistry
 
 #: Schema tag on the canonical results document (see
@@ -88,24 +85,41 @@ class BatchResult:
     rows: List[SpecOutcome]
     #: Unique specs submitted (after fingerprint deduplication).
     unique: int
-    #: Unique specs actually simulated this invocation.
-    executed: int
-    #: Unique specs served from the result cache.
-    cache_hits: int
     #: Host wall-clock for the whole batch, seconds.
     wall_s: float
     #: Worker processes requested (1 = serial, in-process).
     jobs: int
     #: Content address of the batch (hash over the ordered spec list).
-    batch: str = ""
-    #: Fingerprint → reason for specs the supervisor quarantined.
-    quarantined: Dict[str, str] = field(default_factory=dict)
-    #: What the supervision layer did (retries, recycles, fallbacks).
-    supervision: SuperviseStats = field(default_factory=SuperviseStats)
+    batch: str
+    #: The batch's journal segment, folded: every count below.
+    log: ReplayedBatch
     #: Harness-chaos actions that fired, when a chaos plan was active.
     chaos_fired: Optional[Dict[str, int]] = None
-    #: Whether this batch was reconstructed from a journal.
-    resumed: bool = False
+
+    @property
+    def executed(self) -> int:
+        """Unique specs actually simulated this invocation."""
+        return self.log.stats.executed
+
+    @property
+    def cache_hits(self) -> int:
+        """Unique specs served from the result cache."""
+        return len(self.log.cached)
+
+    @cached_property
+    def quarantined(self) -> Dict[str, str]:
+        """Fingerprint → reason for specs the supervisor quarantined."""
+        return self.log.quarantined
+
+    @property
+    def supervision(self) -> SuperviseStats:
+        """What the supervision layer did (retries, recycles, fallbacks)."""
+        return self.log.stats
+
+    @property
+    def resumed(self) -> bool:
+        """Whether this batch continued a journal's earlier segment."""
+        return self.log.resumed
 
     @property
     def outcomes(self) -> List[Optional[Outcome]]:
@@ -244,13 +258,9 @@ def run_batch(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     registry: Optional[MetricsRegistry] = None,
-    bus: Optional[EventBus] = None,
     progress: Optional[Callable[[str], None]] = None,
     policy: Optional[SupervisorPolicy] = None,
     journal: Optional[BatchJournal] = None,
-    prior_failures: Optional[Mapping[str, int]] = None,
-    resumed: bool = False,
-    prior_errors: Optional[Mapping[str, str]] = None,
 ) -> BatchResult:
     """Execute *specs* with deduplication, caching, and fan-out.
 
@@ -264,16 +274,18 @@ def run_batch(
 
     ``policy=None`` is the strict contract (one attempt, first failure
     raises).  A resilient policy adds retry, timeout,
-    quarantine, and pool-recycle behaviour; a :class:`BatchJournal`
-    additionally makes the batch crash-safe (see :func:`resume_batch`).
-    A clean ``KeyboardInterrupt`` closes the journal with an ``aborted``
-    record before propagating; a hard kill leaves no marker — replay
-    treats both as resumable.
+    quarantine, and pool-recycle behaviour; a :class:`BatchJournal` with
+    a file additionally makes the batch crash-safe (see
+    :func:`resume_batch`); without one the batch keeps its journal in
+    memory.  A clean ``KeyboardInterrupt`` closes the journal with an
+    ``aborted`` record before propagating; a hard kill leaves no marker —
+    replay treats both as resumable.
     """
     started = time.perf_counter()
     total = len(specs)
     effective = policy if policy is not None else SupervisorPolicy.strict()
     chaos = effective.chaos
+    journal = journal if journal is not None else BatchJournal()
 
     # Deduplicate, preserving first-seen order.
     order: List[str] = []
@@ -285,25 +297,16 @@ def run_batch(
             unique[fp] = spec
 
     batch_fp = batch_fingerprint(order)
-    if journal is not None:
-        journal.begin(
-            batch_fp,
-            order,
-            {fp: unique[fp].key() for fp in unique},
-            jobs,
-        )
+    log = journal.begin(
+        batch_fp, order, {fp: unique[fp].key() for fp in unique}, jobs
+    )
 
     done = 0
     outcomes: Dict[str, Outcome] = {}
-    cached_fps: set = set()
 
     def _announce(spec: RunSpec, cached: bool) -> None:
         nonlocal done
         done += 1
-        if bus is not None:
-            bus.emit_batch_spec_finished(
-                done, len(unique), spec.fingerprint(), spec.label, cached
-            )
         if progress is not None:
             source = "cached" if cached else f"ran ({jobs} jobs)"
             progress(f"[{done}/{len(unique)}] {spec.label}: {source}")
@@ -317,14 +320,13 @@ def run_batch(
             hit = cache.get(spec)
         if hit is not None:
             outcomes[fp] = hit
-            cached_fps.add(fp)
-            if journal is not None:
-                journal.spec_event("finished", fp, cached=True)
+            journal.spec_event("finished", fp, cached=True)
             _announce(spec, cached=True)
         else:
             to_run.append(spec)
 
     # Phase 2: simulate the remainder, filling the cache as results land
+    # (the runner appends each ``finished`` record after this callback)
     # so an interrupted sweep resumes from what already completed.  The
     # cache write happens here in the orchestrator — never in a worker —
     # so a killed or timed-out worker leaves no side effects and a spec
@@ -339,58 +341,42 @@ def run_batch(
                 # read back as a miss — that is the cache's contract —
                 # so a resume simply re-simulates this one spec.
                 chaos.corrupt_file(Path(entry))
-                if journal is not None:
-                    journal.spec_event("cache_corrupted", fp)
-        if journal is not None:
-            journal.spec_event("finished", fp, cached=False)
+                journal.spec_event("cache_corrupted", fp)
         _announce(spec, cached=False)
 
-    quarantined: Dict[str, str] = {}
-    stats = SuperviseStats()
     try:
         if to_run:
-            runner = SupervisedRunner(
-                jobs=jobs,
-                policy=effective,
-                journal=journal,
-                bus=bus,
-                prior_failures=prior_failures,
-                prior_errors=prior_errors,
-            )
-            fresh, quarantined, stats = runner.run(
+            fresh, _, _ = SupervisedRunner(jobs, effective, journal).run(
                 [(spec.fingerprint(), spec) for spec in to_run],
                 on_result=_on_result,
             )
             outcomes.update(fresh)
     except KeyboardInterrupt:
-        if journal is not None:
-            journal.aborted("KeyboardInterrupt")
+        journal.aborted("KeyboardInterrupt")
         raise
 
     wall_s = time.perf_counter() - started
+    quarantined = log.quarantined
     result = BatchResult(
         rows=[
             SpecOutcome(
                 spec=unique[fp],
                 outcome=outcomes.get(fp),
-                cached=fp in cached_fps,
+                cached=fp in log.cached,
                 error=quarantined.get(fp),
             )
             for fp in order
         ],
         unique=len(unique),
-        executed=stats.executed,
-        cache_hits=len(cached_fps),
         wall_s=wall_s,
         jobs=jobs,
         batch=batch_fp,
-        quarantined=dict(quarantined),
-        supervision=stats,
+        log=log,
         chaos_fired=dict(chaos.fired) if chaos is not None else None,
-        resumed=resumed,
     )
 
     if registry is not None:
+        stats = log.stats
         registry.counter("batch_specs").inc(total)
         registry.counter("batch_unique_specs").inc(result.unique)
         registry.counter("batch_executed").inc(result.executed)
@@ -401,12 +387,7 @@ def run_batch(
         registry.gauge("batch_cache_ratio").set(result.cache_ratio)
         registry.gauge("batch_jobs").set(float(jobs))
         registry.gauge("batch_wall_s").set(wall_s)
-    if bus is not None:
-        bus.emit_batch_end(
-            result.unique, result.executed, result.cache_hits, wall_s
-        )
-    if journal is not None:
-        journal.end(result.as_dict())
+    journal.end(result.as_dict())
     return result
 
 
@@ -415,22 +396,21 @@ def resume_batch(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     registry: Optional[MetricsRegistry] = None,
-    bus: Optional[EventBus] = None,
     progress: Optional[Callable[[str], None]] = None,
     policy: Optional[SupervisorPolicy] = None,
 ) -> BatchResult:
     """Re-run the journal's most recent batch, skipping finished work.
 
     Rebuilds the exact spec list (duplicates and order included) from
-    the last ``batch_begin`` record, carries the recorded per-spec
-    failure counts forward (so a poison spec stays quarantined across
-    resumes), and runs the batch against *cache* — every spec that
-    completed before the crash is served from it, so only the lost
-    in-flight work re-executes.  The resumed run appends a fresh
-    journal segment to the same file.
+    the last ``batch_begin`` record and runs it against *cache* — every
+    spec that completed before the crash is served from it, so only the
+    lost in-flight work re-executes.  The journal is reopened with the
+    file's fold, so the fresh segment it appends starts from each spec's
+    recorded attempts and quarantine error: a poison spec stays
+    quarantined, for the same reason, across any number of resumes.
     """
-    replay: JournalReplay = BatchJournal.replay(journal_path)
-    segment = replay.last
+    journal = BatchJournal.reopen(journal_path)
+    segment = journal.state.last
     if segment is None:
         raise ConfigurationError(
             f"nothing to resume: no batch recorded in {journal_path}"
@@ -449,17 +429,12 @@ def resume_batch(
             f"journal {journal_path} is missing the spec key for "
             f"fingerprint {error}"
         ) from None
-    effective = policy if policy is not None else SupervisorPolicy()
     return run_batch(
         specs,
         jobs=jobs,
         cache=cache,
         registry=registry,
-        bus=bus,
         progress=progress,
-        policy=effective,
-        journal=BatchJournal(journal_path),
-        prior_failures=segment.failures,
-        resumed=True,
-        prior_errors=segment.errors,
+        policy=policy if policy is not None else SupervisorPolicy(),
+        journal=journal,
     )

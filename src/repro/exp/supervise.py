@@ -1,19 +1,20 @@
-"""Supervised spec execution: fan-out, timeouts, retries, quarantine.
+"""Supervised spec execution: one retrying loop over an executor.
 
 The simulations of a sweep are independent, deterministic, and
 CPU-bound, which makes them ideal :mod:`concurrent.futures` fan-out
-material.  :class:`SupervisedRunner` marshals each unique
-:class:`~repro.exp.spec.RunSpec` to a worker as its canonical key dict,
-executes it there from the declarative fields alone (so the result
-depends on nothing but the spec), and marshals the outcome back as its
-:meth:`~repro.exp.spec.Outcome.as_dict` view — both directions are
-plain dicts of primitives, so the parallel results are value-identical
-to a serial run.  ``jobs=1`` never touches a process pool: it calls
-:meth:`RunSpec.execute` in-process.  Unique specs are submitted
-heaviest-first (a static per-workload weight table — longest-processing-
-time order keeps the pool's tail short) and in-flight work is bounded to
-``2 × jobs`` futures, so a huge grid neither floods the executor queue
-nor idles workers between waves.
+material.  :class:`SupervisedRunner` moves every unique
+:class:`~repro.exp.spec.RunSpec` through pending → submitted → finished
+| retry | quarantined in one loop over an executor.
+:class:`PoolExecutor` marshals each spec to a worker as its canonical
+key dict and the outcome back as its
+:meth:`~repro.exp.spec.Outcome.as_dict` view — plain dicts both ways, so
+parallel results are value-identical to a serial run.
+:class:`InProcessExecutor` runs the spec inside ``submit`` and returns
+an already-finished future: ``jobs=1``, a host with fewer cores than
+jobs and a pool that keeps dying all select it, and nothing else about
+the loop changes.  Unique specs are submitted heaviest-first (a static
+per-workload weight table — longest-processing-time order keeps the
+pool's tail short), at most ``2 × jobs`` in flight.
 
 Workers are not trusted: the :class:`SupervisorPolicy` bounds every
 failure mode a long sweep actually hits:
@@ -28,24 +29,22 @@ failure mode a long sweep actually hits:
   (the killer cannot be identified) and the pool is recycled.
 * **Failing specs** — each failure is retried after a capped-exponential
   backoff with jitter drawn deterministically from ``(policy seed,
-  fingerprint, attempt)`` — the same shape as the simulated machine's
-  :class:`~repro.faults.injector.RetryPolicy`, but on host time.  After
+  fingerprint, attempt)``, other specs running meanwhile.  After
   ``max_attempts`` failures the spec is **quarantined**: it gets no
   outcome, the rest of the grid proceeds, and the batch reports it.
 * **A dying pool** — after ``max_pool_recycles`` recycles the supervisor
-  stops trusting multiprocessing entirely and drains the remaining
-  specs serially in-process (the same fallback used up front when the
-  host has fewer cores than requested jobs — fan-out on a starved host
-  is strictly slower than the serial loop).
+  drains the remaining specs in-process.
 
-Harness-chaos plans (:mod:`repro.faults.harness`) hook in at two points:
-worker actions (kill/hang) are decided per ``(fingerprint, attempt)`` at
-submission and executed by the worker itself, and are therefore exactly
-as deterministic as the supervision they exercise.
-
-``SupervisorPolicy.strict()`` is the fail-fast contract — one attempt,
-first failure raises — that :func:`~repro.exp.batch.run_batch` defaults
-to.
+Every step is one record on the batch's
+:class:`~repro.exp.journal.BatchJournal`, and the supervisor keeps no
+books of its own: attempt counts, quarantine reasons and counters are
+read from the journal's fold, so a resumed journal carries every spec's
+spent budget into the new run.  Harness-chaos worker actions
+(:mod:`repro.faults.harness`) are decided per ``(fingerprint, attempt)``
+at submission and are exactly as deterministic as the supervision they
+exercise.  ``SupervisorPolicy.strict()`` is the fail-fast contract — one
+attempt, first failure raises — that :func:`~repro.exp.batch.run_batch`
+defaults to.
 """
 
 from __future__ import annotations
@@ -59,25 +58,12 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.exp.journal import BatchJournal, SuperviseStats
 from repro.exp.spec import Outcome, RunSpec
 from repro.faults.harness import HarnessChaosError, HarnessChaosPlan
-
-if TYPE_CHECKING:
-    from repro.exp.journal import BatchJournal
-    from repro.obs.events import EventBus
 
 #: Relative wall-clock weight per workload: milliseconds to build and run
 #: its ``table3_grid()`` move-threshold spec at the default size (median
@@ -101,6 +87,9 @@ _DEFAULT_WEIGHT = 47
 #: Specs kept in flight per pool worker: enough to hide submission
 #: latency, small enough that a recycled pool re-queues little.
 MAX_INFLIGHT_FACTOR = 2
+
+#: Extra backoff fraction, drawn deterministically in [0, jitter).
+BACKOFF_JITTER = 0.25
 
 
 def spec_weight(spec: RunSpec) -> int:
@@ -145,15 +134,10 @@ class SupervisorPolicy:
     backoff_base_s: float = 0.25
     #: Backoff ceiling, host seconds.
     backoff_cap_s: float = 4.0
-    #: Extra backoff fraction drawn deterministically in [0, jitter).
-    backoff_jitter: float = 0.25
     #: Seed for the deterministic backoff jitter.
     seed: int = 0
-    #: Pool recycles tolerated before falling back to serial execution.
+    #: Pool recycles tolerated before falling back to in-process execution.
     max_pool_recycles: int = 3
-    #: Clamp jobs to the host's cores, and degrade to in-process serial
-    #: execution when the pool keeps dying.
-    auto_serial: bool = True
     #: Fail fast: the first failure raises instead of retrying.
     raise_on_failure: bool = False
     #: Harness-chaos schedule to run under (tests/benches/CI only).
@@ -187,46 +171,12 @@ class SupervisorPolicy:
         draw = random.Random(
             hashlib.sha256(key.encode("utf-8")).digest()
         ).random()
-        return base * (1.0 + self.backoff_jitter * draw)
+        return base * (1.0 + BACKOFF_JITTER * draw)
 
     @classmethod
-    def strict(cls, auto_serial: bool = True) -> "SupervisorPolicy":
+    def strict(cls) -> "SupervisorPolicy":
         """The fail-fast contract: one attempt, failures raise."""
-        return cls(
-            max_attempts=1,
-            raise_on_failure=True,
-            backoff_base_s=0.0,
-            auto_serial=auto_serial,
-        )
-
-
-@dataclass
-class SuperviseStats:
-    """What the supervision layer did for one batch."""
-
-    #: Failed attempts that were retried (after backoff).
-    retries: int = 0
-    #: Retries caused specifically by per-spec timeouts.
-    timeouts: int = 0
-    #: Specs abandoned after exhausting their attempts.
-    quarantined: int = 0
-    #: Process pools torn down and rebuilt (hang or crash).
-    pool_recycles: int = 0
-    #: Times the supervisor gave up on multiprocessing mid-batch.
-    serial_fallbacks: int = 0
-    #: Specs that produced a fresh outcome.
-    executed: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """Flat view for summaries and the journal."""
-        return {
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "quarantined": self.quarantined,
-            "pool_recycles": self.pool_recycles,
-            "serial_fallbacks": self.serial_fallbacks,
-            "executed": self.executed,
-        }
+        return cls(max_attempts=1, raise_on_failure=True, backoff_base_s=0.0)
 
 
 @dataclass
@@ -262,211 +212,61 @@ def execute_supervised(
     return RunSpec.from_key(payload).execute().as_dict()
 
 
-class SupervisedRunner:
-    """Run unique specs under a :class:`SupervisorPolicy`.
+class InProcessExecutor:
+    """Runs each spec inside :meth:`submit`: one spec in flight, and its
+    future is finished when ``submit`` returns.
 
-    The input is the deduplicated ``(fingerprint, spec)`` list; the
-    output is ``(outcomes, quarantined, stats)``.  Alignment with a
-    caller's duplicate-bearing spec list is the caller's job (see
-    :func:`~repro.exp.batch.run_batch`).
+    The outcome is the spec's own :meth:`RunSpec.execute` result, not a
+    marshalled copy.  Chaos worker actions cannot kill the orchestrator,
+    so here they surface as :class:`HarnessChaosError` failures — the
+    retry path is exercised identically, deterministically.
     """
 
-    def __init__(
-        self,
-        jobs: int = 1,
-        policy: Optional[SupervisorPolicy] = None,
-        journal: Optional["BatchJournal"] = None,
-        bus: Optional["EventBus"] = None,
-        prior_failures: Optional[Mapping[str, int]] = None,
-        prior_errors: Optional[Mapping[str, str]] = None,
-    ) -> None:
-        if jobs < 1:
-            raise SimulationError(f"jobs must be >= 1, got {jobs}")
-        self.policy = policy if policy is not None else SupervisorPolicy()
-        self.jobs = jobs
-        if self.policy.auto_serial:
-            # Fan-out on a starved host loses to the serial loop on
-            # marshalling overhead alone; never run more workers than
-            # cores.
-            self.jobs_effective = max(1, min(jobs, os.cpu_count() or 1))
-        else:
-            self.jobs_effective = jobs
-        self._window = MAX_INFLIGHT_FACTOR * self.jobs_effective
-        self._journal = journal
-        self._bus = bus
-        self.stats = SuperviseStats()
-        #: Failed attempts per fingerprint (seeded from a resumed
-        #: journal so quarantine budgets survive a crash).
-        self._attempts: Dict[str, int] = dict(prior_failures or {})
-        #: The error each spec was quarantined with in that journal.
-        self._prior_errors: Dict[str, str] = dict(prior_errors or {})
+    inline = True
+    window = 1
 
-    # -- shared bookkeeping --------------------------------------------------
-
-    def _journal_event(self, record: Dict[str, object]) -> None:
-        if self._journal is not None:
-            self._journal.append(record)
-
-    def _journal_spec(self, t: str, fp: str, **extra: object) -> None:
-        if self._journal is not None:
-            self._journal.spec_event(t, fp, **extra)
-
-    def _chaos_action(
-        self, fp: str, attempt: int
-    ) -> Optional[Dict[str, object]]:
-        if self.policy.chaos is None:
-            return None
-        return self.policy.chaos.worker_action(fp, attempt)
-
-    def _quarantine(self, fp: str, spec: RunSpec, reason: str) -> None:
-        attempts = self._attempts.get(fp, 0)
-        self.stats.quarantined += 1
-        self._journal_spec(
-            "quarantined", fp, attempts=attempts, error=reason
-        )
-        if self._bus is not None:
-            self._bus.emit_spec_quarantined(fp, spec.label, attempts, reason)
-
-    def _note_failure(
-        self,
-        fp: str,
-        spec: RunSpec,
-        error: Union[str, BaseException],
-        quarantined: Dict[str, str],
-        serial: bool,
-        timeout: bool = False,
-    ) -> Optional[float]:
-        """Book one failed attempt; returns the retry backoff, or None
-        when the spec is quarantined instead.  Strict policies raise."""
-        attempt = self._attempts.get(fp, 0) + 1
-        self._attempts[fp] = attempt
-        message = str(error)
-        reason = "timeout" if timeout else "error"
-        if timeout:
-            self.stats.timeouts += 1
-        self._journal_spec(
-            "failed", fp, attempt=attempt, reason=reason, error=message
-        )
-        if self.policy.raise_on_failure:
-            if serial and isinstance(error, BaseException):
-                raise error
-            raised = SimulationError(
-                f"worker failed on spec {spec.label} "
-                f"({fp[:12]}): {message}"
-            )
-            if isinstance(error, BaseException):
-                raise raised from error
-            raise raised
-        if attempt >= self.policy.max_attempts:
-            quarantined[fp] = message
-            self._quarantine(fp, spec, message)
-            return None
-        backoff = self.policy.backoff_s(fp, attempt)
-        self.stats.retries += 1
-        self._journal_spec(
-            "retry", fp, attempt=attempt, backoff_s=round(backoff, 4),
-            reason=reason,
-        )
-        if self._bus is not None:
-            self._bus.emit_spec_retry(
-                fp, spec.label, attempt, backoff, reason
-            )
-        return backoff
-
-    # -- entry point ---------------------------------------------------------
-
-    def run(
-        self,
-        todo: Sequence[Tuple[str, RunSpec]],
-        on_result: Optional[Callable[[RunSpec, Outcome], None]] = None,
-    ) -> Tuple[Dict[str, Outcome], Dict[str, str], SuperviseStats]:
-        """Execute unique ``(fingerprint, spec)`` pairs, heaviest first."""
-        outcomes: Dict[str, Outcome] = {}
-        quarantined: Dict[str, str] = {}
-        ordered = sorted(
-            todo, key=lambda item: (-spec_weight(item[1]), item[0])
-        )
-        # Specs that already exhausted their budget in a previous run
-        # (journal replay) stay quarantined — a poison spec must not
-        # sink every resume attempt too.
-        runnable: List[Tuple[str, RunSpec]] = []
-        for fp, spec in ordered:
-            if (
-                not self.policy.raise_on_failure
-                and self._attempts.get(fp, 0) >= self.policy.max_attempts
-            ):
-                reason = self._prior_errors.get(
-                    fp, "quarantined in a previous run"
-                )
-                quarantined[fp] = reason
-                self._quarantine(fp, spec, reason)
-            else:
-                runnable.append((fp, spec))
-        callback = on_result if on_result is not None else (lambda s, o: None)
-        if self.jobs_effective == 1:
-            self._run_serial(runnable, outcomes, callback, quarantined)
-        else:
-            self._run_pool(runnable, outcomes, callback, quarantined)
-        self.stats.executed = len(outcomes)
-        return outcomes, quarantined, self.stats
-
-    # -- serial path ---------------------------------------------------------
-
-    def _run_serial(
-        self,
-        todo: Sequence[Tuple[str, RunSpec]],
-        outcomes: Dict[str, Outcome],
-        on_result: Callable[[RunSpec, Outcome], None],
-        quarantined: Dict[str, str],
-    ) -> None:
-        """In-process execution with the same retry/quarantine envelope.
-
-        Chaos worker actions cannot kill the orchestrator, so in serial
-        mode they surface as :class:`HarnessChaosError` failures — the
-        retry path is exercised identically, deterministically.
-        """
-        for fp, spec in todo:
-            while True:
-                attempt = self._attempts.get(fp, 0) + 1
-                self._journal_spec("submitted", fp, attempt=attempt)
-                action = self._chaos_action(fp, attempt)
-                try:
-                    if action is not None:
-                        kind = "killed" if action.get("kill") else "hung"
-                        raise HarnessChaosError(
-                            f"harness chaos: worker {kind} (serial)"
-                        )
-                    outcome = spec.execute()
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except BaseException as error:  # noqa: BLE001 - supervised
-                    backoff = self._note_failure(
-                        fp, spec, error, quarantined, serial=True
-                    )
-                    if backoff is None:
-                        break
-                    if backoff > 0.0:
-                        time.sleep(backoff)
-                    continue
-                outcomes[fp] = outcome
-                on_result(spec, outcome)
-                break
-
-    # -- pool path -----------------------------------------------------------
-
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.jobs_effective, initializer=warm_worker
-        )
-
-    @staticmethod
-    def _shutdown_pool(pool: Optional[ProcessPoolExecutor]) -> None:
-        """Tear a pool down without waiting for hung or dead workers."""
-        if pool is None:
-            return
-        procs = list((getattr(pool, "_processes", None) or {}).values())
+    def submit(
+        self, spec: RunSpec, action: Optional[Dict[str, object]]
+    ) -> Future:
+        future: Future = Future()
         try:
-            pool.shutdown(wait=False, cancel_futures=True)
+            if action is not None:
+                kind = "killed" if action.get("kill") else "hung"
+                raise HarnessChaosError(
+                    f"harness chaos: worker {kind} (serial)"
+                )
+            future.set_result(spec.execute())
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except BaseException as error:  # noqa: BLE001 - supervised
+            future.set_exception(error)
+        return future
+
+    def shutdown(self) -> None:
+        """Nothing runs outside the caller."""
+
+
+class PoolExecutor:
+    """Worker processes: the spec's key dict out, its outcome dict back."""
+
+    inline = False
+
+    def __init__(self, workers: int) -> None:
+        self.window = MAX_INFLIGHT_FACTOR * workers
+        self._pool = ProcessPoolExecutor(
+            max_workers=workers, initializer=warm_worker
+        )
+
+    def submit(
+        self, spec: RunSpec, action: Optional[Dict[str, object]]
+    ) -> Future:
+        return self._pool.submit(execute_supervised, spec.key(), action)
+
+    def shutdown(self) -> None:
+        """Tear the pool down without waiting for hung or dead workers."""
+        procs = list((getattr(self._pool, "_processes", None) or {}).values())
+        try:
+            self._pool.shutdown(wait=False, cancel_futures=True)
         except Exception:  # noqa: BLE001 - teardown must not raise
             pass
         for proc in procs:
@@ -482,215 +282,228 @@ class SupervisedRunner:
             except Exception:  # noqa: BLE001
                 pass
 
-    def _recycle(
+
+Executor = Union[InProcessExecutor, PoolExecutor]
+
+
+class SupervisedRunner:
+    """Run unique specs under a :class:`SupervisorPolicy`.
+
+    The input is the deduplicated ``(fingerprint, spec)`` list; the
+    output is ``(outcomes, quarantined, stats)``, the last two read from
+    the journal's current segment (a runner used on its own opens one in
+    an in-memory journal).  Alignment with a caller's duplicate-bearing
+    spec list is the caller's job (see :func:`~repro.exp.batch.run_batch`).
+    """
+
+    def __init__(
         self,
-        pool: ProcessPoolExecutor,
-        inflight: Dict[Future, _Flight],
-        pending: List[Tuple[str, RunSpec]],
-        reason: str,
-    ) -> ProcessPoolExecutor:
-        """Kill the pool, requeue survivors (uncharged), build a new one."""
-        for flight in inflight.values():
-            pending.append((flight.fp, flight.spec))
-        inflight.clear()
-        self._shutdown_pool(pool)
-        self.stats.pool_recycles += 1
-        self._journal_event({"t": "pool_recycle", "reason": reason})
-        return self._new_pool()
+        jobs: int = 1,
+        policy: Optional[SupervisorPolicy] = None,
+        journal: Optional[BatchJournal] = None,
+    ) -> None:
+        if jobs < 1:
+            raise SimulationError(f"jobs must be >= 1, got {jobs}")
+        self.policy = policy if policy is not None else SupervisorPolicy()
+        self.jobs = jobs
+        # Fan-out on a starved host loses to the serial loop on
+        # marshalling overhead alone; never run more workers than cores.
+        self.jobs_effective = max(1, min(jobs, os.cpu_count() or 1))
+        self.journal = journal if journal is not None else BatchJournal()
 
-    def _give_up_on_pool(self) -> bool:
-        return (
-            self.policy.auto_serial
-            and self.stats.pool_recycles >= self.policy.max_pool_recycles
-        )
-
-    def _wake_in(
-        self,
-        inflight: Dict[Future, _Flight],
-        retry_heap: List[Tuple[float, str]],
-    ) -> Optional[float]:
-        """Seconds until the next deadline or retry wake (None = block)."""
-        marks = [
-            flight.deadline
-            for flight in inflight.values()
-            if flight.deadline is not None
-        ]
-        if retry_heap:
-            marks.append(retry_heap[0][0])
-        if not marks:
-            return None
-        return max(0.01, min(marks) - time.monotonic())
-
-    def _run_pool(
+    def run(
         self,
         todo: Sequence[Tuple[str, RunSpec]],
-        outcomes: Dict[str, Outcome],
-        on_result: Callable[[RunSpec, Outcome], None],
-        quarantined: Dict[str, str],
-    ) -> None:
-        spec_by_fp = {fp: spec for fp, spec in todo}
-        pending: List[Tuple[str, RunSpec]] = list(reversed(list(todo)))
+        on_result: Optional[Callable[[RunSpec, Outcome], None]] = None,
+    ) -> Tuple[Dict[str, Outcome], Dict[str, str], SuperviseStats]:
+        """Execute unique ``(fingerprint, spec)`` pairs, heaviest first.
+
+        *on_result* sees each fresh outcome before the spec's
+        ``finished`` record is appended (the batch writes the cache
+        there), so a kill between the two re-runs the spec rather than
+        losing it.
+        """
+        journal, policy = self.journal, self.policy
+        batch = journal.state.last or journal.begin(
+            "", [fp for fp, _ in todo], {}, self.jobs
+        )
+        outcomes: Dict[str, Outcome] = {}
+        spec_by_fp = dict(todo)
+        runnable: List[Tuple[str, RunSpec]] = []
+        for fp, spec in sorted(
+            todo, key=lambda item: (-spec_weight(item[1]), item[0])
+        ):
+            # A spec that exhausted its budget before a resume stays
+            # quarantined, with the error it was quarantined with.
+            if (
+                not policy.raise_on_failure
+                and batch.failures.get(fp, 0) >= policy.max_attempts
+            ):
+                self._quarantine(fp, batch.errors.get(fp, ""))
+            else:
+                runnable.append((fp, spec))
+        pending = runnable[::-1]  # a stack: the next spec is the last one
         retry_heap: List[Tuple[float, str]] = []  # (wake time, fingerprint)
         inflight: Dict[Future, _Flight] = {}
-        pool = self._new_pool()
+        executor: Executor = (
+            InProcessExecutor() if self.jobs_effective == 1
+            else PoolExecutor(self.jobs_effective)
+        )
         try:
             while pending or inflight or retry_heap:
                 now = time.monotonic()
                 while retry_heap and retry_heap[0][0] <= now:
                     _, fp = heapq.heappop(retry_heap)
                     pending.append((fp, spec_by_fp[fp]))
-                submit_broke = False
-                while pending and len(inflight) < self._window:
+                broken: Optional[str] = None
+                while pending and len(inflight) < executor.window:
                     fp, spec = pending.pop()
-                    attempt = self._attempts.get(fp, 0) + 1
-                    action = self._chaos_action(fp, attempt)
-                    self._journal_spec("submitted", fp, attempt=attempt)
+                    attempt = batch.failures.get(fp, 0) + 1
+                    action = (
+                        policy.chaos.worker_action(fp, attempt)
+                        if policy.chaos is not None else None
+                    )
+                    journal.spec_event("submitted", fp, attempt=attempt)
                     deadline = (
-                        time.monotonic() + self.policy.timeout_s
-                        if self.policy.timeout_s is not None
-                        else None
+                        time.monotonic() + policy.timeout_s
+                        if policy.timeout_s is not None else None
                     )
                     try:
-                        future = pool.submit(
-                            execute_supervised, spec.key(), action
-                        )
+                        future = executor.submit(spec, action)
                     except BrokenProcessPool:
-                        # The pool died between waits; the flights that
-                        # broke it are in `inflight` with exceptions set
-                        # and will be charged below.
+                        # The pool died between waits; flights that broke
+                        # it fail below and are charged there.
                         pending.append((fp, spec))
-                        submit_broke = True
+                        if not inflight:
+                            broken = "pool broken at submit"
                         break
                     inflight[future] = _Flight(fp, spec, attempt, deadline)
-                if submit_broke and not inflight:
-                    pool = self._recycle(
-                        pool, inflight, pending, "pool broken at submit"
+                if inflight:
+                    # Wake for the next deadline or retry, whichever is first.
+                    marks = [f.deadline for f in inflight.values()
+                             if f.deadline is not None]
+                    marks += [wake for wake, _ in retry_heap[:1]]
+                    done, _ = wait(
+                        set(inflight),
+                        timeout=max(0.01, min(marks) - time.monotonic())
+                        if marks else None,
+                        return_when=FIRST_COMPLETED,
                     )
-                    if self._give_up_on_pool():
-                        self._fall_back_serial(
-                            pending, retry_heap, spec_by_fp, outcomes,
-                            on_result, quarantined,
-                        )
-                        return
-                    continue
-                if not inflight:
-                    if retry_heap:
-                        time.sleep(
-                            max(0.0, retry_heap[0][0] - time.monotonic())
-                        )
-                    continue
-                done, _ = wait(
-                    set(inflight),
-                    timeout=self._wake_in(inflight, retry_heap),
-                    return_when=FIRST_COMPLETED,
-                )
-                pool_died = False
-                for future in done:
-                    flight = inflight.pop(future)
-                    try:
-                        payload = future.result()
-                    except BrokenProcessPool as error:
-                        pool_died = True
-                        self._fail_flight(
-                            flight,
-                            error if str(error) else "worker process died",
-                            retry_heap, quarantined,
-                        )
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except BaseException as error:  # noqa: BLE001
-                        self._fail_flight(
-                            flight, error, retry_heap, quarantined
-                        )
-                    else:
-                        outcome = Outcome.from_dict(payload)
-                        outcomes[flight.fp] = outcome
-                        on_result(flight.spec, outcome)
-                if pool_died:
-                    pool = self._recycle(
-                        pool, inflight, pending, "worker process died"
-                    )
-                    if self._give_up_on_pool():
-                        self._fall_back_serial(
-                            pending, retry_heap, spec_by_fp, outcomes,
-                            on_result, quarantined,
-                        )
-                        return
-                    continue
+                    for future in done:
+                        flight = inflight.pop(future)
+                        try:
+                            payload = future.result()
+                        except BrokenProcessPool as error:
+                            broken = "worker process died"
+                            self._fail(
+                                flight,
+                                error if str(error) else "worker process died",
+                                retry_heap, executor.inline,
+                            )
+                        except (KeyboardInterrupt, SystemExit):
+                            raise
+                        except BaseException as error:  # noqa: BLE001
+                            self._fail(
+                                flight, error, retry_heap, executor.inline
+                            )
+                        else:
+                            outcome = (
+                                payload if executor.inline
+                                else Outcome.from_dict(payload)
+                            )
+                            outcomes[flight.fp] = outcome
+                            if on_result is not None:
+                                on_result(flight.spec, outcome)
+                            journal.spec_event(
+                                "finished", flight.fp, cached=False
+                            )
+                elif retry_heap and broken is None:
+                    time.sleep(max(0.0, retry_heap[0][0] - time.monotonic()))
                 # Hung-worker detection: anything past its deadline is
                 # charged a (timeout) attempt; everything else in flight
-                # is requeued uncharged, because recycling the pool is
-                # the only way to kill the hung worker.
+                # is requeued uncharged by the recycle, because recycling
+                # the pool is the only way to kill the hung worker.
                 now = time.monotonic()
-                overdue = [
-                    (future, flight)
-                    for future, flight in inflight.items()
+                overdue = [] if broken is not None else [
+                    future for future, flight in inflight.items()
                     if flight.deadline is not None and now >= flight.deadline
                 ]
-                if overdue:
-                    for future, flight in overdue:
-                        del inflight[future]
-                        self._fail_flight(
-                            flight,
-                            f"timed out after {self.policy.timeout_s:g}s",
-                            retry_heap, quarantined, timeout=True,
-                        )
-                    pool = self._recycle(
-                        pool, inflight, pending, "hung worker"
+                for future in overdue:
+                    self._fail(
+                        inflight.pop(future),
+                        f"timed out after {policy.timeout_s:g}s",
+                        retry_heap, executor.inline, timeout=True,
                     )
-                    if self._give_up_on_pool():
-                        self._fall_back_serial(
-                            pending, retry_heap, spec_by_fp, outcomes,
-                            on_result, quarantined,
-                        )
-                        return
+                    broken = "hung worker"
+                if broken is not None:
+                    executor = self._recycle(
+                        executor, inflight, pending, retry_heap, broken
+                    )
         finally:
-            self._shutdown_pool(pool)
+            executor.shutdown()
+        return outcomes, batch.quarantined, batch.stats
 
-    def _fail_flight(
+    def _quarantine(self, fp: str, reason: str) -> None:
+        failures = self.journal.state.batches[-1].failures
+        self.journal.spec_event(
+            "quarantined", fp, attempts=failures.get(fp, 0), error=reason
+        )
+
+    def _fail(
         self,
         flight: _Flight,
         error: Union[str, BaseException],
         retry_heap: List[Tuple[float, str]],
-        quarantined: Dict[str, str],
+        inline: bool,
         timeout: bool = False,
     ) -> None:
-        backoff = self._note_failure(
-            flight.fp, flight.spec, error, quarantined,
-            serial=False, timeout=timeout,
+        """Book one failed attempt, then schedule its retry or quarantine
+        it.  Strict policies raise: in-process the original error, from a
+        worker a :class:`SimulationError` naming the spec."""
+        fp, attempt, message = flight.fp, flight.attempt, str(error)
+        reason = "timeout" if timeout else "error"
+        self.journal.spec_event(
+            "failed", fp, attempt=attempt, reason=reason, error=message
         )
-        if backoff is not None:
-            heapq.heappush(
-                retry_heap, (time.monotonic() + backoff, flight.fp)
+        if self.policy.raise_on_failure:
+            if inline and isinstance(error, BaseException):
+                raise error
+            raised = SimulationError(
+                f"worker failed on spec {flight.spec.label} "
+                f"({fp[:12]}): {message}"
             )
+            if isinstance(error, BaseException):
+                raise raised from error
+            raise raised
+        if attempt >= self.policy.max_attempts:
+            self._quarantine(fp, message)
+            return
+        backoff = self.policy.backoff_s(fp, attempt)
+        self.journal.spec_event(
+            "retry", fp, attempt=attempt, backoff_s=round(backoff, 4),
+            reason=reason,
+        )
+        heapq.heappush(retry_heap, (time.monotonic() + backoff, fp))
 
-    def _fall_back_serial(
+    def _recycle(
         self,
+        executor: Executor,
+        inflight: Dict[Future, _Flight],
         pending: List[Tuple[str, RunSpec]],
         retry_heap: List[Tuple[float, str]],
-        spec_by_fp: Dict[str, RunSpec],
-        outcomes: Dict[str, Outcome],
-        on_result: Callable[[RunSpec, Outcome], None],
-        quarantined: Dict[str, str],
-    ) -> None:
-        """The pool keeps dying: drain the rest in-process.
-
-        Everything not yet finished or quarantined — queued, backing
-        off, or requeued by the last recycle — runs on the serial path,
-        which retries and quarantines identically but cannot lose a
-        worker.
-        """
-        self.stats.serial_fallbacks += 1
-        remainder: Dict[str, RunSpec] = {}
-        for fp, spec in pending:
-            remainder.setdefault(fp, spec)
-        for _, fp in retry_heap:
-            remainder.setdefault(fp, spec_by_fp[fp])
-        pending.clear()
-        retry_heap.clear()
-        self._journal_event(
-            {"t": "serial_fallback", "remaining": len(remainder)}
+        reason: str,
+    ) -> Executor:
+        """Kill the pool and requeue its survivors (uncharged); build a
+        new one, or past the recycle budget fall back to in-process."""
+        pending.extend((flight.fp, flight.spec) for flight in inflight.values())
+        inflight.clear()
+        executor.shutdown()
+        self.journal.append({"t": "pool_recycle", "reason": reason})
+        stats = self.journal.state.batches[-1].stats
+        if stats.pool_recycles < self.policy.max_pool_recycles:
+            return PoolExecutor(self.jobs_effective)
+        remaining = {fp for fp, _ in pending} | {fp for _, fp in retry_heap}
+        self.journal.append(
+            {"t": "serial_fallback", "remaining": len(remaining)}
         )
-        self._run_serial(
-            sorted(remainder.items()), outcomes, on_result, quarantined
-        )
+        return InProcessExecutor()

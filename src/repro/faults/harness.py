@@ -120,6 +120,19 @@ class HarnessChaosPlan:
         digest = hashlib.sha256(key.encode("utf-8")).digest()
         return random.Random(digest).random()
 
+    def _action(self, fingerprint: str, attempt: int) -> Optional[str]:
+        """The worker action drawn for one attempt: ``"kill"``,
+        ``"hang"`` or ``None``.  Kill wins over hang when both fire."""
+        if attempt >= self.profile.fire_below_attempt:
+            return None
+        for kind, rate in (
+            ("kill", self.profile.kill_rate),
+            ("hang", self.profile.hang_rate),
+        ):
+            if rate > 0.0 and self._draw(fingerprint, attempt, kind) < rate:
+                return kind
+        return None
+
     def worker_action(
         self, fingerprint: str, attempt: int
     ) -> Optional[Dict[str, object]]:
@@ -128,27 +141,16 @@ class HarnessChaosPlan:
         Returns ``None`` (nothing), ``{"kill": True}`` (the worker
         SIGKILLs itself mid-spec), or ``{"hang_s": x}`` (the worker
         sleeps *x* host seconds before executing — a hang, from the
-        supervisor's point of view).  Kill wins over hang when both
-        would fire.  The tally in :attr:`fired` is updated here, so ask
-        exactly once per submission.
+        supervisor's point of view).  The tally in :attr:`fired` is
+        updated here, so ask exactly once per submission.
         """
-        if attempt >= self.profile.fire_below_attempt:
+        kind = self._action(fingerprint, attempt)
+        if kind is None:
             return None
-        if (
-            self.profile.kill_rate > 0.0
-            and self._draw(fingerprint, attempt, "kill")
-            < self.profile.kill_rate
-        ):
-            self.fired["kill"] += 1
+        self.fired[kind] += 1
+        if kind == "kill":
             return {"kill": True}
-        if (
-            self.profile.hang_rate > 0.0
-            and self._draw(fingerprint, attempt, "hang")
-            < self.profile.hang_rate
-        ):
-            self.fired["hang"] += 1
-            return {"hang_s": self.profile.hang_s}
-        return None
+        return {"hang_s": self.profile.hang_s}
 
     def would_disturb(self, fingerprint: str, attempt: int) -> bool:
         """Whether :meth:`worker_action` would fire, without tallying.
@@ -156,17 +158,7 @@ class HarnessChaosPlan:
         Lets tests and benches pick seeds that provably exercise the
         recovery paths.
         """
-        if attempt >= self.profile.fire_below_attempt:
-            return False
-        return (
-            self.profile.kill_rate > 0.0
-            and self._draw(fingerprint, attempt, "kill")
-            < self.profile.kill_rate
-        ) or (
-            self.profile.hang_rate > 0.0
-            and self._draw(fingerprint, attempt, "hang")
-            < self.profile.hang_rate
-        )
+        return self._action(fingerprint, attempt) is not None
 
     def corrupts_entry(self, fingerprint: str) -> bool:
         """Whether *fingerprint*'s fresh cache entry gets corrupted.

@@ -48,25 +48,11 @@ location, writable_data)``
     ``"retry-succeeded"``, ``"degraded-to-global"``,
     ``"frame-offlined"``, ``"pressure-fallback"``; ``detail`` is a
     short human-readable string (attempt counts, frame names).
-``on_batch_spec_finished(done, total, fingerprint, label, cached)``
-    The experiment orchestrator (:mod:`repro.exp.batch`) finished one
-    unique spec of a batch — either by simulating it or by serving it
-    from the result cache (``cached``); ``done``/``total`` count unique
-    specs, ``fingerprint`` is the spec's content address and ``label``
-    its human-readable identity.
-``on_batch_end(unique, executed, cache_hits, wall_s)``
-    A whole batch completed: ``unique`` deduplicated specs, of which
-    ``executed`` were simulated and ``cache_hits`` came from the cache,
-    in ``wall_s`` host seconds (the only host-time quantity on the bus;
-    batch orchestration is not part of the simulation).
-``on_spec_retry(fingerprint, label, attempt, backoff_s, reason)``
-    The supervision layer (:mod:`repro.exp.supervise`) is retrying a
-    spec after a failed attempt: ``attempt`` is the 1-based attempt
-    that failed, ``backoff_s`` the host-seconds backoff before the
-    retry, ``reason`` is ``"timeout"`` or ``"error"``.
-``on_spec_quarantined(fingerprint, label, attempts, reason)``
-    The supervision layer gave up on a spec after exhausting its
-    attempt budget; the batch proceeds without it and reports it.
+
+The experiment orchestrator (:mod:`repro.exp`) publishes nothing here:
+a batch's progress, retries and quarantines are records in its
+:class:`~repro.exp.journal.BatchJournal`, and host time never enters
+the bus.
 
 The protocol-level hooks are what the opt-in sanitizer
 (:mod:`repro.check.sanitizer`) subscribes to, and the lint rule
@@ -100,10 +86,6 @@ HOOKS: Tuple[str, ...] = (
     "on_page_freed",
     "on_fault_injected",
     "on_recovery",
-    "on_batch_spec_finished",
-    "on_batch_end",
-    "on_spec_retry",
-    "on_spec_quarantined",
 )
 
 
@@ -253,33 +235,3 @@ class EventBus:
         """Fan out one completed recovery path."""
         for hook in self._hooks["on_recovery"]:
             hook(action, cpu, page_id, detail)
-
-    def emit_batch_spec_finished(
-        self, done: int, total: int, fingerprint: str, label: str,
-        cached: bool,
-    ) -> None:
-        """Fan out the completion of one unique spec in a batch."""
-        for hook in self._hooks["on_batch_spec_finished"]:
-            hook(done, total, fingerprint, label, cached)
-
-    def emit_batch_end(
-        self, unique: int, executed: int, cache_hits: int, wall_s: float
-    ) -> None:
-        """Fan out the completion of a whole batch."""
-        for hook in self._hooks["on_batch_end"]:
-            hook(unique, executed, cache_hits, wall_s)
-
-    def emit_spec_retry(
-        self, fingerprint: str, label: str, attempt: int,
-        backoff_s: float, reason: str,
-    ) -> None:
-        """Fan out one supervised retry of a failed spec attempt."""
-        for hook in self._hooks["on_spec_retry"]:
-            hook(fingerprint, label, attempt, backoff_s, reason)
-
-    def emit_spec_quarantined(
-        self, fingerprint: str, label: str, attempts: int, reason: str
-    ) -> None:
-        """Fan out the quarantine of a spec that exhausted its attempts."""
-        for hook in self._hooks["on_spec_quarantined"]:
-            hook(fingerprint, label, attempts, reason)

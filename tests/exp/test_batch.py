@@ -1,5 +1,8 @@
 """run_batch + SupervisedRunner: dedup, parity, resumability, telemetry."""
 
+import json
+import os
+
 import pytest
 
 from repro.errors import SimulationError
@@ -20,7 +23,6 @@ from repro.exp.supervise import (
     spec_weight,
 )
 from repro.faults.harness import make_harness_plan
-from repro.obs.events import EventBus
 from repro.obs.metrics import MetricsRegistry
 
 #: A small two-application grid (6 unique specs, quick instances).
@@ -116,29 +118,27 @@ class TestBatch:
         assert batch.unique == 4
 
     def test_metrics_and_events(self, tmp_path):
+        """Per-spec progress and the batch summary are journal records;
+        the registry counters agree with them."""
         specs = small_grid()
-
-        class Probe:
-            def __init__(self):
-                self.finished = []
-                self.ended = []
-
-            def on_batch_spec_finished(self, done, total, fp, label, cached):
-                self.finished.append((done, total, cached))
-
-            def on_batch_end(self, unique, executed, cache_hits, wall_s):
-                self.ended.append((unique, executed, cache_hits))
-
         registry = MetricsRegistry()
-        bus = EventBus()
-        probe = bus.subscribe(Probe())
+        journal = BatchJournal(tmp_path / "j.jsonl")
         run_batch(
-            specs, cache=ResultCache(tmp_path), registry=registry, bus=bus
+            specs, cache=ResultCache(tmp_path / "cache"), registry=registry,
+            journal=journal,
         )
-        assert [done for done, _, _ in probe.finished] == list(
-            range(1, len(specs) + 1)
+        records = [
+            json.loads(line)
+            for line in journal.path.read_text().splitlines()
+        ]
+        finished = [r for r in records if r["t"] == "finished"]
+        assert len(finished) == len(specs)
+        assert not any(r["cached"] for r in finished)
+        end = records[-1]
+        assert end["t"] == "batch_end"
+        assert (end["unique"], end["executed"], end["cache_hits"]) == (
+            len(specs), len(specs), 0
         )
-        assert probe.ended == [(len(specs), len(specs), 0)]
         metrics = registry.as_dict()
         assert metrics["batch_executed"] == len(specs)
         assert metrics["batch_cache_hits"] == 0
@@ -292,7 +292,7 @@ class TestSupervisedBatch:
             reference.rows[0].outcome.to_json()
 
     def test_broken_pool_leaves_cache_clean_and_resume_completes(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
         """A SIGKILLed worker (BrokenProcessPool) mid-batch: the cache
         scans clean (workers never write it), the journal records the
@@ -307,10 +307,11 @@ class TestSupervisedBatch:
                 plan = make_harness_plan("worker-kill", seed)
                 break
         assert plan is not None
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool anywhere
         cache = ResultCache(tmp_path / "cache")
         journal_path = journal_path_for(cache.root)
         policy = SupervisorPolicy(
-            max_attempts=4, auto_serial=False, chaos=plan,
+            max_attempts=4, chaos=plan,
             backoff_base_s=0.01, backoff_cap_s=0.05,
         )
         batch = run_batch(

@@ -1,6 +1,7 @@
 """The batch journal WAL: append, replay, torn tails, resume state."""
 
 import json
+import os
 import re
 import shutil
 from pathlib import Path
@@ -12,7 +13,9 @@ from repro.exp.journal import (
     BatchJournal,
     journal_path_for,
 )
+from repro.exp.spec import RunSpec
 from repro.exp.supervise import SupervisorPolicy
+from repro.faults.harness import HarnessChaosPlan, HarnessChaosProfile
 
 #: Journals written by an earlier version of the orchestrator.
 GOLDEN = Path(__file__).parent / "golden"
@@ -226,6 +229,33 @@ class TestPinnedFormat:
         assert resumed.executed == 3 and len(resumed.quarantined) == 1
         assert resumed.results_sha256 == \
             expected["uninterrupted_results_sha256"]
+
+    def test_the_live_batch_is_the_replayed_fold(self, tmp_path, monkeypatch):
+        """The batch's counters and per-spec state are the journal's fold
+        while it runs, and the same fold of the file afterwards."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool anywhere
+        plan = HarnessChaosPlan(
+            HarnessChaosProfile(name="always-kill", kill_rate=1.0)
+        )
+        policy = SupervisorPolicy(
+            max_attempts=2, backoff_base_s=0.0, max_pool_recycles=1,
+            chaos=plan,
+        )
+        specs = [RunSpec(workload="nope", quick=True)] + flatten(
+            table3_grid(apps=["ParMult"], quick=True)
+        )
+        path = tmp_path / "j.jsonl"
+        batch = run_batch(
+            specs, jobs=2, policy=policy, journal=BatchJournal(path)
+        )
+        replayed = BatchJournal.replay(path).last
+        assert batch.log.states == replayed.states
+        assert batch.log.failures == replayed.failures
+        assert batch.quarantined == replayed.quarantined != {}
+        assert batch.supervision == replayed.stats
+        assert batch.supervision.serial_fallbacks == 1
+        assert batch.executed == replayed.stats.executed == len(specs) - 1
+        assert batch.results_sha256 == replayed.results_sha256
 
 
 class TestJournalPlacement:

@@ -1,8 +1,14 @@
 """The supervision layer: retry, backoff, quarantine, recycle, fallback."""
 
+import dataclasses
+import json
+import os
+
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.exp.batch import run_batch
+from repro.exp.cache import ResultCache
 from repro.exp.journal import BatchJournal
 from repro.exp.spec import RunSpec
 from repro.exp.supervise import (
@@ -11,11 +17,17 @@ from repro.exp.supervise import (
     execute_supervised,
 )
 from repro.faults.harness import (
+    HARNESS_PROFILES,
     HarnessChaosPlan,
     HarnessChaosProfile,
     make_harness_plan,
 )
-from repro.obs.events import EventBus
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """A 2-core host, so ``jobs=2`` gets a pool whatever runs the test."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
 
 def good_spec(n_processors=2):
@@ -35,7 +47,6 @@ class TestPolicy:
         policy = SupervisorPolicy()
         assert policy.max_attempts == 3
         assert not policy.raise_on_failure
-        assert policy.auto_serial
 
     def test_strict_reproduces_the_legacy_contract(self):
         policy = SupervisorPolicy.strict()
@@ -53,8 +64,7 @@ class TestPolicy:
 
     def test_backoff_is_capped_exponential_with_deterministic_jitter(self):
         policy = SupervisorPolicy(
-            backoff_base_s=0.1, backoff_cap_s=0.4, backoff_jitter=0.25,
-            seed=9,
+            backoff_base_s=0.1, backoff_cap_s=0.4, seed=9,
         )
         b1 = policy.backoff_s("fp", 1)
         b2 = policy.backoff_s("fp", 2)
@@ -65,8 +75,7 @@ class TestPolicy:
         # pure function of (seed, fp, attempt)
         assert policy.backoff_s("fp", 1) == b1
         assert SupervisorPolicy(
-            backoff_base_s=0.1, backoff_cap_s=0.4, backoff_jitter=0.25,
-            seed=9,
+            backoff_base_s=0.1, backoff_cap_s=0.4, seed=9,
         ).backoff_s("fp", 1) == b1
         # different fp or seed draws different jitter
         assert policy.backoff_s("other", 1) != b1
@@ -115,34 +124,40 @@ class TestSerialSupervision:
 
     def test_prior_failures_carry_across_resume(self):
         """A spec that already burned its budget in a crashed run stays
-        quarantined — a poison spec must not sink every resume too."""
+        quarantined, with the error it was quarantined with — a poison
+        spec must not sink every resume too.  The budget travels in the
+        journal: a new segment starts from the one before it."""
         bad = bad_spec()
-        policy = SupervisorPolicy(max_attempts=2, backoff_base_s=0.0)
-        runner = SupervisedRunner(
-            jobs=1, policy=policy,
-            prior_failures={bad.fingerprint(): 2},
-            prior_errors={bad.fingerprint(): "unknown workload 'nope'"},
+        journal = BatchJournal()
+        journal.begin("b", [bad.fingerprint()], {}, jobs=1)
+        journal.spec_event(
+            "quarantined", bad.fingerprint(), attempts=2,
+            error="unknown workload 'nope'",
         )
+        journal.begin("b", [bad.fingerprint()], {}, jobs=1)
+        policy = SupervisorPolicy(max_attempts=2, backoff_base_s=0.0)
+        runner = SupervisedRunner(jobs=1, policy=policy, journal=journal)
         outcomes, quarantined, stats = runner.run([pair(bad)])
         assert quarantined == {bad.fingerprint(): "unknown workload 'nope'"}
         assert stats.retries == 0  # never re-attempted
+        assert journal.state.last.resumed
 
-    def test_retry_and_quarantine_events_reach_the_bus(self):
-        events = []
-
-        class Observer:
-            def on_spec_retry(self, fp, label, attempt, backoff_s, reason):
-                events.append(("retry", attempt, reason))
-
-            def on_spec_quarantined(self, fp, label, attempts, reason):
-                events.append(("quarantined", attempts, reason))
-
-        bus = EventBus([Observer()])
+    def test_retry_and_quarantine_events_reach_the_bus(self, tmp_path):
+        """Retries and quarantines are journal records (the bus carries
+        simulated events only)."""
+        journal = BatchJournal(tmp_path / "j.jsonl")
         policy = SupervisorPolicy(max_attempts=2, backoff_base_s=0.0)
-        runner = SupervisedRunner(jobs=1, policy=policy, bus=bus)
+        runner = SupervisedRunner(jobs=1, policy=policy, journal=journal)
         runner.run([pair(bad_spec())])
-        assert events[0][0] == "retry" and events[0][1] == 1
-        assert events[1][0] == "quarantined" and events[1][1] == 2
+        records = [
+            json.loads(line)
+            for line in journal.path.read_text().splitlines()
+        ]
+        events = [
+            (r["t"], r.get("attempt", r.get("attempts")))
+            for r in records if r["t"] in ("retry", "quarantined")
+        ]
+        assert events == [("retry", 1), ("quarantined", 2)]
 
     def test_failures_and_quarantine_reach_the_journal(self, tmp_path):
         journal = BatchJournal(tmp_path / "j.jsonl")
@@ -156,22 +171,10 @@ class TestSerialSupervision:
         assert segment.states[bad.fingerprint()] == "quarantined"
 
 
+@pytest.mark.usefixtures("two_cores")
 class TestPoolSupervision:
-    """Pool paths need auto_serial=False on a starved CI host — the
-    clamp would otherwise (correctly) route everything serial."""
-
-    def test_pool_results_match_serial(self):
-        specs = [good_spec(p) for p in (1, 2, 3)]
-        serial = SupervisedRunner(jobs=1, policy=SupervisorPolicy())
-        out_s, _, _ = serial.run([pair(s) for s in specs])
-        pool = SupervisedRunner(
-            jobs=2, policy=SupervisorPolicy(auto_serial=False)
-        )
-        out_p, quarantined, _ = pool.run([pair(s) for s in specs])
-        assert not quarantined
-        for spec in specs:
-            fp = spec.fingerprint()
-            assert out_s[fp].to_json() == out_p[fp].to_json()
+    """Pool paths patch ``os.cpu_count`` to 2: on a 1-core host the
+    clamp would otherwise (correctly) route everything in-process."""
 
     def test_worker_kill_breaks_pool_and_recovers(self):
         specs = [good_spec(p) for p in (1, 2, 3, 4)]
@@ -185,7 +188,7 @@ class TestPoolSupervision:
                 break
         assert plan is not None
         policy = SupervisorPolicy(
-            max_attempts=4, auto_serial=False, chaos=plan,
+            max_attempts=4, chaos=plan,
             backoff_base_s=0.01, backoff_cap_s=0.05,
         )
         runner = SupervisedRunner(jobs=2, policy=policy)
@@ -210,7 +213,7 @@ class TestPoolSupervision:
                 break
         assert plan is not None
         policy = SupervisorPolicy(
-            max_attempts=3, auto_serial=False, chaos=plan, timeout_s=1.0,
+            max_attempts=3, chaos=plan, timeout_s=1.0,
             backoff_base_s=0.01, backoff_cap_s=0.05,
         )
         runner = SupervisedRunner(jobs=2, policy=policy)
@@ -220,47 +223,74 @@ class TestPoolSupervision:
         assert stats.timeouts >= 1
         assert stats.pool_recycles >= 1
 
-    def test_dying_pool_falls_back_to_serial(self):
-        """With every first attempt killed and a recycle budget of one,
-        the supervisor must abandon multiprocessing and still finish
-        every spec in-process."""
-        specs = [good_spec(p) for p in (1, 2, 3)]
-        profile = HarnessChaosProfile(name="always-kill", kill_rate=1.0)
-        plan = HarnessChaosPlan(profile, seed=0)
-        policy = SupervisorPolicy(
-            max_attempts=4, auto_serial=True, chaos=plan,
-            max_pool_recycles=1, backoff_base_s=0.0,
-        )
-        runner = SupervisedRunner(jobs=2, policy=policy)
-        runner.jobs_effective = 2  # force the pool path despite 1 core
-        runner._window = 4
-        outcomes, quarantined, stats = runner.run([pair(s) for s in specs])
-        assert not quarantined
-        assert len(outcomes) == len(specs)
-        assert stats.serial_fallbacks == 1
-        assert stats.pool_recycles == 1
-
     def test_jobs_clamp_to_host_cores_under_auto_serial(self):
-        import os
-
-        cores = os.cpu_count() or 1
-        runner = SupervisedRunner(
-            jobs=cores + 8, policy=SupervisorPolicy(auto_serial=True)
-        )
-        assert runner.jobs_effective == cores
-        unclamped = SupervisedRunner(
-            jobs=cores + 8, policy=SupervisorPolicy(auto_serial=False)
-        )
-        assert unclamped.jobs_effective == cores + 8
+        """Never more workers than cores; one core means in-process."""
+        assert SupervisedRunner(jobs=10).jobs_effective == 2
+        assert SupervisedRunner(jobs=1).jobs_effective == 1
 
     def test_strict_pool_failure_carries_spec_context(self):
-        runner = SupervisedRunner(
-            jobs=2, policy=SupervisorPolicy.strict(auto_serial=False)
-        )
+        runner = SupervisedRunner(jobs=2, policy=SupervisorPolicy.strict())
         with pytest.raises(SimulationError) as excinfo:
             runner.run([pair(bad_spec())])
         assert "nope" in str(excinfo.value)
         assert "worker failed on spec" in str(excinfo.value)
+
+
+#: Chaos seed under which every fireable profile fires on DIFF_GRID.
+DIFF_SEED = 14
+
+#: name → (jobs, always kill first attempts with a recycle budget of 1).
+EXECUTORS = {
+    "serial": (1, False),
+    "pool": (2, False),
+    "dying-pool": (2, True),
+}
+
+
+def diff_grid():
+    return [
+        RunSpec(workload=w, quick=True, n_processors=p)
+        for w in ("ParMult", "Gfetch") for p in (2, 3)
+    ]
+
+
+@pytest.fixture(scope="module")
+def serial_reference():
+    return run_batch(diff_grid())
+
+
+@pytest.mark.usefixtures("two_cores")
+class TestExecutors:
+    """Every executor the loop can run over lands the clean serial
+    results under every harness-chaos profile: same results document,
+    same terminal state per spec, nothing lost."""
+
+    @pytest.mark.parametrize("profile_name", sorted(HARNESS_PROFILES))
+    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
+    def test_lands_serial_reference(
+        self, executor, profile_name, serial_reference, tmp_path
+    ):
+        jobs, dying = EXECUTORS[executor]
+        profile = HARNESS_PROFILES[profile_name]
+        if dying:
+            profile = dataclasses.replace(profile, kill_rate=1.0)
+        policy = SupervisorPolicy(
+            max_attempts=4, timeout_s=1.0, backoff_base_s=0.01,
+            backoff_cap_s=0.05, max_pool_recycles=1 if dying else 3,
+            chaos=HarnessChaosPlan(profile, DIFF_SEED),
+        )
+        batch = run_batch(
+            diff_grid(), jobs=jobs, cache=ResultCache(tmp_path),
+            policy=policy,
+        )
+        assert batch.lost == [] and not batch.quarantined
+        assert batch.results_sha256 == serial_reference.results_sha256
+        assert batch.log.states == serial_reference.log.states
+        for row, reference in zip(batch.rows, serial_reference.rows):
+            assert row.outcome.to_json() == reference.outcome.to_json()
+        if dying:
+            assert batch.supervision.pool_recycles == 1
+            assert batch.supervision.serial_fallbacks == 1
 
 
 class TestWorkerEntry:
