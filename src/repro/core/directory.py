@@ -19,7 +19,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.machine.memory import Frame, FrameKind
-from repro.machine.protection import Protection
+from repro.machine.protection import _NORMALIZED, Protection
 from repro.core.state import PageState
 
 #: Fields of this module's classes that the static pass
@@ -39,7 +39,7 @@ GUARDED_FIELDS: Tuple[str, ...] = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Mapping:
     """Where one processor has the page mapped, and with what rights."""
 
@@ -97,7 +97,7 @@ class DirectoryEntry:
         self, cpu: int, vpage: int, protection: Protection, frame: Frame
     ) -> None:
         """Note that *cpu* now maps the page at *vpage*."""
-        self.mappings[cpu] = Mapping(vpage, protection.normalized(), frame)
+        self.mappings[cpu] = Mapping(vpage, _NORMALIZED[protection], frame)
 
     def drop_mapping(self, cpu: int) -> Optional[Mapping]:
         """Forget *cpu*'s mapping, returning it if present."""

@@ -29,7 +29,7 @@ fault-free protocol is unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
@@ -50,7 +50,13 @@ from repro.core.transitions import (
 from repro.errors import OutOfMemoryError, ProtocolError
 from repro.machine.machine import Machine
 from repro.machine.memory import Frame
-from repro.machine.protection import PROT_READ, PROT_READ_WRITE, Protection
+from repro.machine.protection import (
+    _ALLOWS,
+    _NORMALIZED,
+    PROT_READ,
+    PROT_READ_WRITE,
+    Protection,
+)
 from repro.machine.timing import MemoryLocation
 
 
@@ -93,6 +99,9 @@ class NUMAManager:
         self._pages: Dict[int, PageLike] = {}
         self._check = check_invariants
         self._bus: Optional["EventBus"] = None
+        #: The bus's live ``on_transition`` list, held by the ``bus``
+        #: setter: every transition tests it, none asks the bus.
+        self._transition_hooks: List[Callable] = []
         self._injector: Optional["FaultInjector"] = None
         #: Cached rate gates for the injector's per-request probes (see
         #: the ``injector`` setter).
@@ -139,6 +148,9 @@ class NUMAManager:
     @bus.setter
     def bus(self, bus: Optional["EventBus"]) -> None:
         self._bus = bus
+        self._transition_hooks = (
+            bus.hooks("on_transition") if bus is not None else []
+        )
 
     @property
     def injector(self) -> Optional["FaultInjector"]:
@@ -291,7 +303,11 @@ class NUMAManager:
             # No home to reference remotely yet (or we *are* the home):
             # fall through as a LOCAL request, which establishes one.
             decision = PlacementDecision.LOCAL
-        decision = self._ensure_local_frame(entry, decision, cpu)
+        if (
+            decision is PlacementDecision.LOCAL
+            and cpu not in entry.local_copies
+        ):
+            decision = self._ensure_local_frame(entry, cpu)
 
         if entry.state is PageState.UNTOUCHED:
             spec = first_touch_spec(kind, decision)
@@ -390,19 +406,17 @@ class NUMAManager:
         return frame
 
     def _ensure_local_frame(
-        self, entry: DirectoryEntry, decision: PlacementDecision, cpu: int
+        self, entry: DirectoryEntry, cpu: int
     ) -> PlacementDecision:
-        """Guarantee a LOCAL decision can be honoured, or downgrade it.
+        """Find *cpu* a local frame for a LOCAL decision, or downgrade it.
 
         Local memory is a cache; if *cpu* has no free frame we first try
         to evict another page's local copy (FIFO), and only if nothing is
         evictable do we fall back to a GLOBAL decision, counting the
-        event so misconfigured machines are visible.
+        event so misconfigured machines are visible.  An existing copy
+        needs no new frame, so :meth:`request` asks only when *cpu*
+        holds none.
         """
-        if decision is PlacementDecision.GLOBAL:
-            return decision
-        if cpu in entry.local_copies:
-            return decision
         if (
             self._injector is not None
             and self._injector.pressure_possible
@@ -416,9 +430,9 @@ class NUMAManager:
             self._injector.note_pressure_fallback(cpu, entry.page_id)
             return PlacementDecision.GLOBAL
         if self._memory.local_available(cpu) > 0:
-            return decision
+            return PlacementDecision.LOCAL
         if self._evict_one(cpu, protect=entry.page_id):
-            return decision
+            return PlacementDecision.LOCAL
         self._stats.local_memory_fallbacks += 1
         return PlacementDecision.GLOBAL
 
@@ -697,9 +711,8 @@ class NUMAManager:
         """
         old_state = entry.state
         entry.state = new_state
-        bus = self._bus
-        if bus is not None and bus.wants_transitions:
-            bus.emit_transition(
+        if self._transition_hooks:
+            self._bus.emit_transition(
                 entry.page_id, cpu, old_state, new_state, moved
             )
 
@@ -716,7 +729,7 @@ class NUMAManager:
             wanted = PROT_READ_WRITE
         else:
             wanted = PROT_READ
-        if not max_prot.normalized().allows(wanted):
+        if not _ALLOWS[_NORMALIZED[max_prot]][wanted]:
             raise ProtocolError(
                 f"fault wants {wanted!r} but region allows {max_prot!r}"
             )
@@ -733,13 +746,16 @@ class NUMAManager:
                 )
         else:
             prot = wanted
-        frame = entry.frame_for(cpu)
+        # DirectoryEntry.frame_for, read in place.
+        frame = entry.local_copies.get(cpu)
+        if frame is None:
+            frame = entry.global_frame
         target = self._cpus[cpu]
         existing = target.mmu.lookup(vpage)
         if existing is not None:
-            if existing.frame != frame:
+            if existing.frame is not frame:
                 target.remove_translation(vpage, acting_cpu=cpu)
-            elif existing.protection.allows(prot):
+            elif _ALLOWS[existing.protection][prot]:
                 prot = existing.protection  # keep the stronger mapping
         target.enter_translation(vpage, frame, prot, acting_cpu=cpu)
         target.charge_system(self._mapping_op_us)

@@ -10,6 +10,7 @@ every other layer of the simulator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -52,7 +53,11 @@ class TimingParameters:
     shootdown_us: float = 20.0
 
     def validate(self) -> None:
-        """Raise :class:`ConfigurationError` on non-physical timings."""
+        """Raise :class:`ConfigurationError` on non-physical timings.
+
+        Every price must be finite: a NaN or an infinity would pass the
+        clocks' negative-time guard and poison every simulated time.
+        """
         for name in (
             "local_fetch_us",
             "local_store_us",
@@ -61,8 +66,15 @@ class TimingParameters:
             "remote_fetch_us",
             "remote_store_us",
         ):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ConfigurationError(f"{name} must be positive and finite")
+        for name in ("fault_overhead_us", "mapping_op_us", "shootdown_us"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ConfigurationError(
+                    f"kernel-path cost {name} must be finite and non-negative"
+                )
         if self.global_fetch_us < self.local_fetch_us:
             raise ConfigurationError("global fetch cannot be faster than local")
         if self.global_store_us < self.local_store_us:
@@ -74,8 +86,6 @@ class TimingParameters:
             raise ConfigurationError("remote fetch cannot be faster than global")
         if self.remote_store_us < self.global_store_us:
             raise ConfigurationError("remote store cannot be faster than global")
-        if self.fault_overhead_us < 0 or self.mapping_op_us < 0:
-            raise ConfigurationError("kernel-path costs cannot be negative")
         if not 0.0 < self.bulk_transfer_factor <= 1.0:
             raise ConfigurationError(
                 "bulk_transfer_factor must be within (0, 1]"

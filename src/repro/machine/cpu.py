@@ -73,10 +73,11 @@ class CPU:
 
     def __init__(self, cpu_id: int) -> None:
         self._id = cpu_id
-        self._mmu = MMU(cpu_id)
-        #: Software translation cache; a plain attribute (not a property)
-        #: because the engine's fast path touches it on every reference
-        #: block.
+        #: This processor's translation hardware and its software
+        #: translation cache: plain attributes (not properties) because
+        #: the fault path and the engine's fast path touch them on every
+        #: fault and every reference block.
+        self.mmu = MMU(cpu_id)
         self.tlb = SoftwareTLB(cpu_id)
         #: Page-table placement layer on multi-level machines
         #: (:class:`~repro.machine.pagetable.PageTableLayer`); ``None``
@@ -95,11 +96,6 @@ class CPU:
         """Processor number, 0-based."""
         return self._id
 
-    @property
-    def mmu(self) -> MMU:
-        """This processor's translation hardware."""
-        return self._mmu
-
     # -- the invalidation funnel --------------------------------------------
     #
     # Every MMU *mutation* must go through these three methods (lint rule
@@ -116,7 +112,7 @@ class CPU:
         acting_cpu: Optional[int] = None,
     ) -> None:
         """Install a translation, invalidating any cached entry for it."""
-        self._mmu.enter(vpage, frame, protection)
+        self.mmu.enter(vpage, frame, protection)
         self.tlb.invalidate(vpage, acting_cpu)
         if self.pagetables is not None:
             self.pagetables.on_mutation(self._id, acting_cpu)
@@ -125,7 +121,7 @@ class CPU:
         self, vpage: int, acting_cpu: Optional[int] = None
     ) -> Optional[MMUEntry]:
         """Remove a translation and shoot down its cached entry."""
-        entry = self._mmu.remove(vpage)
+        entry = self.mmu.remove(vpage)
         self.tlb.invalidate(vpage, acting_cpu)
         if self.pagetables is not None:
             self.pagetables.on_mutation(self._id, acting_cpu)
@@ -138,7 +134,7 @@ class CPU:
         acting_cpu: Optional[int] = None,
     ) -> None:
         """Change a translation's protection, dropping the cached entry."""
-        self._mmu.protect(vpage, protection)
+        self.mmu.protect(vpage, protection)
         self.tlb.invalidate(vpage, acting_cpu)
         if self.pagetables is not None:
             self.pagetables.on_mutation(self._id, acting_cpu)

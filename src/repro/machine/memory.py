@@ -5,15 +5,15 @@ Frames are identified by :class:`Frame` values and handed out by
 an opaque integer standing in for the page's data — so tests can verify
 that the consistency protocol's syncs and copies never lose or duplicate
 writes (a read must always observe the most recently written token).
-Frames are immutable values and each pool interns its own: one ``Frame``
-object per index, equal to any other built from the same triple.
+Frames are immutable, interned values: one ``Frame`` object per
+``(kind, node, index)`` triple, which every pool hands out and every
+hand-built frame is.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.errors import OutOfMemoryError
 from repro.machine.config import MachineConfig
@@ -38,34 +38,58 @@ class FrameKind(enum.Enum):
     __hash__ = object.__hash__  # identity hash; members are singletons
 
 
-@dataclass(frozen=True)
 class Frame:
     """A physical page frame.
 
     ``node`` is the owning processor for local frames and ``None`` for
-    global frames.  Frames are value objects: equality and hashing follow
-    from the identifying triple.
+    global frames.  Frames are immutable values, interned: there is one
+    object per ``(kind, node, index)`` triple, validated when first
+    built, so equality and hashing are identity's and run at C speed on
+    the fault path, where frames key the MMU's reverse map, the
+    directory and the content tokens.
     """
+
+    __slots__ = ("kind", "node", "index")
 
     kind: FrameKind
     node: Optional[int]
     index: int
 
-    def __post_init__(self) -> None:
-        if self.kind is FrameKind.LOCAL and self.node is None:
+    def __new__(
+        cls, kind: FrameKind, node: Optional[int], index: int
+    ) -> "Frame":
+        key = (kind, node, index)
+        frame = _FRAMES.get(key)
+        if frame is not None:
+            return frame
+        if kind is FrameKind.LOCAL and node is None:
             raise ValueError("local frames must name their processor")
-        if self.kind is FrameKind.SOCKET and self.node is None:
+        if kind is FrameKind.SOCKET and node is None:
             raise ValueError("socket frames must name their socket")
-        if self.kind is FrameKind.GLOBAL and self.node is not None:
+        if kind is FrameKind.GLOBAL and node is not None:
             raise ValueError("global frames have no owning processor")
-        # Frames key the MMU's reverse map and directory structures, so
-        # the (immutable) field-tuple hash is computed once up front.
-        object.__setattr__(
-            self, "_hash", hash((self.kind, self.node, self.index))
-        )
+        frame = object.__new__(cls)
+        object.__setattr__(frame, "kind", kind)
+        object.__setattr__(frame, "node", node)
+        object.__setattr__(frame, "index", index)
+        return _FRAMES.setdefault(key, frame)
 
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a Frame")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a Frame")
+
+    def __reduce__(self):
+        # Pickle, copy and deepcopy rebuild through the intern table, so
+        # each returns the one frame for the triple.
+        return (Frame, (self.kind, self.node, self.index))
+
+    def __repr__(self) -> str:
+        return (
+            f"Frame(kind={self.kind!r}, node={self.node!r}, "
+            f"index={self.index!r})"
+        )
 
     def location_for(self, cpu: int) -> MemoryLocation:
         """Where this frame appears to be from *cpu*'s point of view.
@@ -88,6 +112,11 @@ class Frame:
         return f"local[cpu{self.node}][{self.index}]"
 
 
+#: The intern table: every frame ever built, by its triple.  Bounded by
+#: the frames the machines of one process ever name.
+_FRAMES: Dict[Tuple[FrameKind, Optional[int], int], Frame] = {}
+
+
 class _FramePool:
     """Free-list allocator for one bank of frames."""
 
@@ -95,9 +124,6 @@ class _FramePool:
         self._kind = kind
         self._node = node
         self._capacity = capacity
-        #: The one ``Frame`` per index ever handed out: validated and
-        #: hashed once, the same object again on reallocation.
-        self._frames: Dict[int, Frame] = {}
         self._free = list(range(capacity - 1, -1, -1))
         self._allocated: set[int] = set()
         #: Frames retired from circulation (simulated ECC failure); they
@@ -138,9 +164,11 @@ class _FramePool:
             )
         index = self._free.pop()
         self._allocated.add(index)
-        frame = self._frames.get(index)
+        # A reallocated index reads the intern table in place, without
+        # the constructor call; a first allocation builds the frame.
+        frame = _FRAMES.get((self._kind, self._node, index))
         if frame is None:
-            frame = self._frames[index] = Frame(self._kind, self._node, index)
+            frame = Frame(self._kind, self._node, index)
         return frame
 
     def free(self, frame: Frame) -> None:

@@ -24,7 +24,7 @@ from typing import Dict, Iterator, Optional
 
 from repro.errors import MappingError
 from repro.machine.memory import Frame
-from repro.machine.protection import Protection
+from repro.machine.protection import _ALLOWS, _NORMALIZED, Protection
 
 
 class MMUFault(Exception):
@@ -48,7 +48,7 @@ class MMUFault(Exception):
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class MMUEntry:
     """One translation: virtual page → frame, with a protection."""
 
@@ -85,7 +85,7 @@ class MMU:
         processor, raise :class:`MappingError` (real Mach handles this by
         removing the old mapping first, and our pmap layer does the same).
         """
-        protection = protection.normalized()
+        protection = _NORMALIZED[protection]
         if protection is Protection.NONE:
             raise MappingError("cannot enter a mapping with no rights")
         existing_vpage = self._by_frame.get(frame)
@@ -156,7 +156,7 @@ class MMU:
         protection.
         """
         entry = self._by_vpage.get(vpage)
-        if entry is None or not entry.protection.allows(wanted):
+        if entry is None or not _ALLOWS[entry.protection][wanted]:
             raise MMUFault(self._cpu, vpage, wanted)
         return entry.frame
 

@@ -56,9 +56,18 @@ PROT_READ = Protection.READ
 PROT_READ_WRITE = Protection.READ | Protection.WRITE
 
 #: ``normalized()`` results indexed by raw flag value (WRITE gains READ).
+#: A member is its own index, so the fault path's hot sites read
+#: ``_NORMALIZED[prot]`` instead of calling the method.
 _NORMALIZED = (
     PROT_NONE,
     PROT_READ,
     PROT_READ_WRITE,
     PROT_READ_WRITE,
+)
+
+#: ``granted.allows(wanted)`` as ``_ALLOWS[granted][wanted]``, for the
+#: same hot sites.
+_ALLOWS = tuple(
+    tuple((granted & wanted) == wanted for wanted in range(4))
+    for granted in range(4)
 )

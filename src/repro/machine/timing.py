@@ -230,22 +230,22 @@ class TimingModel:
         location, fetch, store = self.ref_costs(cpu, frame)
         return location, reads * fetch + writes * store
 
-    def _edge_costs(
-        self, cpu: int, place
-    ) -> Tuple[MemoryLocation, float, float]:
-        """Per-word costs for a :class:`Frame` or a bare location."""
-        if isinstance(place, MemoryLocation):
-            return self._rows[place]  # type: ignore[attr-defined]
-        return self.ref_costs(cpu, place)
-
     def page_copy_us_for(self, cpu: int, source, destination) -> float:
         """Distance-aware :meth:`page_copy_us` executed by *cpu*.
 
         *source* and *destination* may each be a frame (socket distance
-        applies) or a plain :class:`MemoryLocation` (flat pricing).
+        applies) or a plain :class:`MemoryLocation` (flat pricing: the
+        table row).
         """
-        _, src_fetch, _ = self._edge_costs(cpu, source)
-        _, _, dst_store = self._edge_costs(cpu, destination)
+        rows = self._rows  # type: ignore[attr-defined]
+        if isinstance(source, MemoryLocation):
+            src_fetch = rows[source][1]
+        else:
+            src_fetch = self.ref_costs(cpu, source)[1]
+        if isinstance(destination, MemoryLocation):
+            dst_store = rows[destination][2]
+        else:
+            dst_store = self.ref_costs(cpu, destination)[2]
         return (
             self.page_size_words
             * (src_fetch + dst_store)

@@ -96,8 +96,9 @@ class EventBus:
     interleaved traces deterministic.  The per-hook lists are created
     once and mutated in place by subscribe/unsubscribe, so a holder of
     a :meth:`hooks` list always sees the current subscribers: the engine
-    holds ``on_reference`` and ``on_round_end`` for a whole run and
-    tests their truthiness per block and per round.
+    holds ``on_reference``, ``on_round_end``, ``on_fault`` and
+    ``on_fault_resolved``, the NUMA manager ``on_transition``, and each
+    tests a list's truthiness where it would emit.
     """
 
     def __init__(self, observers: Optional[List[object]] = None) -> None:
@@ -167,11 +168,6 @@ class EventBus:
     def wants_rounds(self) -> bool:
         """Whether any observer handles ``on_round_end``."""
         return bool(self._hooks["on_round_end"])
-
-    @property
-    def wants_transitions(self) -> bool:
-        """Whether any observer handles ``on_transition``."""
-        return bool(self._hooks["on_transition"])
 
     @property
     def wants_fault_injections(self) -> bool:

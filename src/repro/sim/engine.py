@@ -127,8 +127,11 @@ class Engine:
         self._bus = bus if bus is not None else EventBus()
         if observer is not None:
             self._bus.subscribe(observer)
-        #: The bus's live ``on_reference`` list; both arms ask it per block.
+        #: The bus's live hook lists: both arms test ``on_reference`` per
+        #: block, the slow arm the two fault lists per fault.
         self._reference_hooks = self._bus.hooks("on_reference")
+        self._fault_hooks = self._bus.hooks("on_fault")
+        self._fault_resolved_hooks = self._bus.hooks("on_fault_resolved")
         self._profiler = profiler
         self._injector = None
         self._pump_pending = False
@@ -417,15 +420,16 @@ class Engine:
             try:
                 return mmu.translate(vpage, wanted)
             except MMUFault:
-                if bus.wants_faults:
+                if self._fault_hooks:
                     bus.emit_fault(self._round, cpu, vpage, kind)
                 # The simulated fault latency is the system time the
                 # handling charges; sum over CPUs because protocol
                 # actions (syncs, invalidations) can bill other
-                # processors than the faulting one.
-                want_latency = bus.wants_fault_latency
+                # processors than the faulting one.  Tested after the
+                # fault's listeners ran: one of them may have subscribed.
+                want_latency = bool(self._fault_resolved_hooks)
                 system_before = (
-                    sum(c.system_time_us for c in self._machine.cpus)
+                    sum(c.system_time_us for c in self._cpus)
                     if want_latency
                     else 0.0
                 )
@@ -434,9 +438,7 @@ class Engine:
                 if profiler is not None:
                     profiler.add("fault_handling", perf_counter() - started)
                 if want_latency:
-                    system_after = sum(
-                        c.system_time_us for c in self._machine.cpus
-                    )
+                    system_after = sum(c.system_time_us for c in self._cpus)
                     bus.emit_fault_resolved(
                         self._round,
                         cpu,
@@ -471,10 +473,18 @@ class Engine:
         )
         cpu = self._cpus[cpu_id]
         cpu.charge_user(cost)
-        self._charge_task(task, cost)
-        cpu.all_refs.record(location, reads, writes)
-        if writable_data:
-            cpu.data_refs.record(location, reads, writes)
+        # The fast arm's bookkeeping, a zero half skipped: the same state
+        # as ReferenceCounters.record, without the calls.
+        task_us = self.task_user_us
+        task_us[task] = task_us.get(task, 0.0) + cost
+        if reads:
+            cpu.all_refs.fetches[location] += reads
+            if writable_data:
+                cpu.data_refs.fetches[location] += reads
+        if writes:
+            cpu.all_refs.stores[location] += writes
+            if writable_data:
+                cpu.data_refs.stores[location] += writes
         if self._reference_hooks:
             self._bus.emit_reference(
                 self._round, cpu_id, vpage, self._page_id(vpage, task),
@@ -513,11 +523,6 @@ class Engine:
             fetch_us,
             store_us,
             writable_data,
-        )
-
-    def _charge_task(self, task: int, microseconds: float) -> None:
-        self.task_user_us[task] = (
-            self.task_user_us.get(task, 0.0) + microseconds
         )
 
     def _info_for(self, vpage: int, task: int = 0) -> Tuple[object, int, bool]:

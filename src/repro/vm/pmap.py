@@ -33,7 +33,12 @@ from repro.core.numa_manager import FreeTag, NUMAManager
 from repro.core.state import AccessKind, PageState
 from repro.errors import ProtocolError
 from repro.machine.memory import Frame
-from repro.machine.protection import Protection
+from repro.machine.protection import (
+    _ALLOWS,
+    _NORMALIZED,
+    PROT_READ_WRITE,
+    Protection,
+)
 from repro.vm.page import LogicalPage
 
 
@@ -100,13 +105,16 @@ class ACEPmap(PmapInterface):
         max_prot: Protection,
         cpu: int,
     ) -> Frame:
-        min_prot = min_prot.normalized()
-        max_prot = max_prot.normalized()
-        if not max_prot.allows(min_prot):
+        min_prot = _NORMALIZED[min_prot]
+        max_prot = _NORMALIZED[max_prot]
+        if not _ALLOWS[max_prot][min_prot]:
             raise ProtocolError(
                 f"pmap_enter min_prot {min_prot!r} exceeds max_prot {max_prot!r}"
             )
-        kind = AccessKind.WRITE if min_prot.writable else AccessKind.READ
+        # Normalized, a writable protection is exactly READ_WRITE.
+        kind = (
+            AccessKind.WRITE if min_prot is PROT_READ_WRITE else AccessKind.READ
+        )
         return self._numa.request(cpu, vpage, page, kind, max_prot)
 
     def pmap_protect(self, vpage: int, prot: Protection, cpu: int) -> None:

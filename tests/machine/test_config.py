@@ -1,5 +1,7 @@
 """Machine configuration validation and the paper's quoted ratios."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -79,6 +81,34 @@ class TestTimingParameters:
     def test_rejects_negative_kernel_costs(self):
         with pytest.raises(ConfigurationError):
             TimingParameters(fault_overhead_us=-1).validate()
+        with pytest.raises(ConfigurationError):
+            TimingParameters(shootdown_us=-1).validate()
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "local_fetch_us",
+            "local_store_us",
+            "global_fetch_us",
+            "global_store_us",
+            "remote_fetch_us",
+            "remote_store_us",
+            "fault_overhead_us",
+            "mapping_op_us",
+            "shootdown_us",
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_costs(self, name, value):
+        """A NaN or infinite price would pass the clocks' negative-time
+        guard and silently poison every simulated time it touches."""
+        with pytest.raises(ConfigurationError, match=name):
+            dataclasses.replace(TimingParameters(), **{name: value}).validate()
+
+    def test_zero_kernel_costs_are_allowed(self):
+        TimingParameters(
+            fault_overhead_us=0.0, mapping_op_us=0.0, shootdown_us=0.0
+        ).validate()
 
 
 class TestMachineConfig:

@@ -1,5 +1,8 @@
 """Physical memory: frames, pools, content tokens."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import OutOfMemoryError
@@ -131,23 +134,90 @@ class TestContentTokens:
 
 
 class TestInternedFrames:
-    """A pool hands out one ``Frame`` value per index, again and again;
-    nothing about a frame's value or the pool's bookkeeping may show it."""
+    """There is one ``Frame`` object per ``(kind, node, index)`` triple,
+    so a pool hands the same one out again and again and a hand-built
+    frame is that object; nothing about a frame's value or the pool's
+    bookkeeping may show it."""
 
     def test_reallocation_yields_an_equal_zeroed_frame(self, memory):
         first = memory.allocate_local(0)
         memory.write_token(first, 9)
         memory.free(first)
         again = memory.allocate_local(0)
-        assert again == first and hash(again) == hash(first)
+        assert again is first
         assert memory.read_token(again) == 0
 
     def test_pool_frames_equal_hand_built_ones(self, memory):
         for frame in (memory.allocate_global(), memory.allocate_local(1)):
             built = Frame(frame.kind, frame.node, frame.index)
+            assert built is frame
             assert frame == built and hash(frame) == hash(built)
             assert {frame: "token"}[built] == "token"
             assert memory.read_token(built) == 0
+
+    def test_two_machines_share_one_frame_per_triple(self, memory):
+        config = MachineConfig(
+            n_processors=2, local_pages_per_cpu=4, global_pages=8
+        )
+        other = PhysicalMemory(config)
+        assert other.allocate_local(1) is memory.allocate_local(1)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            copy.copy,
+            copy.deepcopy,
+            lambda frame: pickle.loads(pickle.dumps(frame)),
+        ],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_the_frame_itself(self, memory, clone):
+        for frame in (
+            memory.allocate_global(),
+            memory.allocate_local(1),
+            Frame(FrameKind.SOCKET, 0, 5),
+        ):
+            assert clone(frame) is frame
+        held = {"frames": [Frame(FrameKind.LOCAL, 0, 1)]}
+        assert clone(held)["frames"][0] is held["frames"][0]
+
+    @pytest.mark.parametrize(
+        "kind, node, message",
+        [
+            (FrameKind.LOCAL, None, "local frames must name their processor"),
+            (FrameKind.SOCKET, None, "socket frames must name their socket"),
+            (FrameKind.GLOBAL, 1, "global frames have no owning processor"),
+        ],
+    )
+    def test_each_invalid_triple_is_refused_every_time(
+        self, kind, node, message
+    ):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                Frame(kind, node, 0)
+
+    def test_fields_cannot_be_assigned(self, memory):
+        frame = memory.allocate_local(0)
+        for name, value in (("kind", FrameKind.GLOBAL), ("node", 1), ("index", 3)):
+            with pytest.raises(AttributeError):
+                setattr(frame, name, value)
+        with pytest.raises(AttributeError):
+            frame.extra = 1
+        with pytest.raises(AttributeError):
+            del frame.index
+        assert (frame.kind, frame.node, frame.index) == (FrameKind.LOCAL, 0, 0)
+
+    def test_repr_is_the_dataclass_repr(self):
+        """``ProtocolError`` records carry ``repr(frame)``."""
+        assert repr(Frame(FrameKind.LOCAL, 1, 3)) == (
+            "Frame(kind=<FrameKind.LOCAL: 'local'>, node=1, index=3)"
+        )
+        assert repr(Frame(FrameKind.GLOBAL, None, 2)) == (
+            "Frame(kind=<FrameKind.GLOBAL: 'global'>, node=None, index=2)"
+        )
+        assert repr(Frame(FrameKind.SOCKET, 0, 7)) == (
+            "Frame(kind=<FrameKind.SOCKET: 'socket'>, node=0, index=7)"
+        )
 
     def test_frame_retired_while_free_is_never_handed_out(self, memory):
         dead = Frame(FrameKind.LOCAL, 0, 0)

@@ -6,6 +6,8 @@ from repro.machine.protection import (
     PROT_NONE,
     PROT_READ,
     PROT_READ_WRITE,
+    _ALLOWS,
+    _NORMALIZED,
     Protection,
 )
 
@@ -53,6 +55,15 @@ class TestProtection:
     )
     def test_allows_is_reflexive(self, a, b):
         assert a.allows(b)
+
+    def test_hot_path_tables_are_the_methods(self):
+        """The fault path indexes these tables by member; they must say
+        what ``normalized`` and ``allows`` say for every pair."""
+        members = [Protection(value) for value in range(4)]
+        for granted in members:
+            assert _NORMALIZED[granted] is granted.normalized()
+            for wanted in members:
+                assert _ALLOWS[granted][wanted] is granted.allows(wanted)
 
     def test_flag_composition(self):
         combined = Protection.READ | Protection.WRITE

@@ -5,6 +5,7 @@ import sys
 from repro.analysis.tracing import TraceCollector
 from repro.check.races import detach_detector
 from repro.check.sanitizer import attach_sanitizer
+from repro.core.state import AccessKind
 from repro.exp.spec import RunSpec
 from repro.obs.events import EventBus
 from repro.obs.telemetry import Telemetry
@@ -203,6 +204,155 @@ class TestSubscribedMidRound:
         assert bus.wants_references
         bus.unsubscribe(log)
         assert not held
+
+
+class ProtocolLog:
+    """Keeps the faults, resolutions and transitions it hears, with
+    virtual pages named by their offset in the test's region."""
+
+    def __init__(self, names):
+        self.names = names
+        self.events = []
+
+    def on_fault(self, round_index, cpu, vpage, kind):
+        self.events.append(
+            ("fault", round_index, cpu, self.names[vpage], kind.value)
+        )
+
+    def on_fault_resolved(self, round_index, cpu, vpage, kind, system_us):
+        self.events.append(
+            ("resolved", round_index, cpu, self.names[vpage], kind.value)
+        )
+
+    def on_transition(self, page_id, cpu, old_state, new_state, moved):
+        self.events.append(
+            ("transition", cpu, old_state.value, new_state.value, moved)
+        )
+
+
+class TestHeldProtocolHooks:
+    """The engine holds the bus's live ``on_fault`` and
+    ``on_fault_resolved`` lists and the NUMA manager its ``on_transition``
+    list, so a subscription made mid-run — from a thread body or from
+    another hook — is heard at the next event and an unsubscription
+    stops them.  Every expected value was recorded with the per-fault
+    ``wants_*`` properties the two layers asked before they held the
+    lists."""
+
+    def run(self, bodies_for, subscribe=()):
+        """Run ``bodies_for(engine, log, names, a, b)`` on a 2-page region
+        with the NUMA manager on the engine's bus; returns the log."""
+        rig = make_rig()
+        region = rig.space.map_object(shared_object("d", 2))
+        a, b = region.vpage_at(0), region.vpage_at(1)
+        log = ProtocolLog({a: "a", b: "b"})
+        engine = Engine(
+            rig.machine,
+            rig.faults,
+            AffinityScheduler(rig.machine.n_cpus),
+            bus=EventBus(list(subscribe)),
+        )
+        rig.numa.bus = engine.bus
+        threads = [
+            CThread(name=f"t{i}", index=i, body=body)
+            for i, body in enumerate(bodies_for(engine, log, a, b))
+        ]
+        engine.run(threads)
+        return log.events
+
+    def test_a_subscriber_added_from_a_thread_body_hears_the_next_fault(
+        self,
+    ):
+        def bodies(engine, log, a, b):
+            def writer():
+                yield MemBlock(a, writes=1)
+                engine.add_observer(log)
+                yield MemBlock(b, reads=1, writes=1)
+
+            def reader():
+                yield Compute(1.0)
+                yield Compute(1.0)
+                yield MemBlock(a, reads=1)
+
+            return writer(), reader()
+
+        assert self.run(bodies) == [
+            ("fault", 1, 0, "b", "read"),
+            ("transition", 0, "untouched", "read-only", False),
+            ("resolved", 1, 0, "b", "read"),
+            ("fault", 1, 0, "b", "write"),
+            ("transition", 0, "read-only", "local-writable", False),
+            ("resolved", 1, 0, "b", "write"),
+            ("fault", 2, 1, "a", "read"),
+            ("transition", 1, "local-writable", "read-only", False),
+            ("resolved", 2, 1, "a", "read"),
+        ]
+
+    def test_a_subscriber_added_from_a_fault_hook_hears_that_fault(self):
+        class Recruiter:
+            def __init__(self):
+                self.bus = self.recruit = None
+
+            def on_fault(self, *event):
+                if self.recruit is not None:
+                    self.bus.subscribe(self.recruit)
+                    self.recruit = None
+
+        recruiter = Recruiter()
+
+        def bodies(engine, log, a, b):
+            def body():
+                yield MemBlock(a, reads=1)
+                recruiter.bus, recruiter.recruit = engine.bus, log
+                yield MemBlock(b, writes=1)
+                yield MemBlock(a, writes=1)
+
+            return (body(),)
+
+        assert self.run(bodies, subscribe=[recruiter]) == [
+            ("fault", 1, 0, "b", "write"),
+            ("transition", 0, "untouched", "local-writable", False),
+            ("resolved", 1, 0, "b", "write"),
+            ("fault", 2, 0, "a", "write"),
+            ("transition", 0, "read-only", "local-writable", False),
+            ("resolved", 2, 0, "a", "write"),
+        ]
+
+    def test_an_unsubscribe_stops_the_events(self):
+        def bodies(engine, log, a, b):
+            engine.add_observer(log)
+
+            def body():
+                yield MemBlock(a, writes=1)
+                engine.bus.unsubscribe(log)
+                yield MemBlock(b, writes=1)
+
+            return (body(),)
+
+        assert self.run(bodies) == [
+            ("fault", 0, 0, "a", "write"),
+            ("transition", 0, "untouched", "local-writable", False),
+            ("resolved", 0, 0, "a", "write"),
+        ]
+
+    def test_a_bus_assigned_after_construction_hears_transitions(self):
+        rig = make_rig()
+        region = rig.space.map_object(shared_object("d", 2))
+        a, b = region.vpage_at(0), region.vpage_at(1)
+        first, second = ProtocolLog({}), ProtocolLog({})
+        rig.faults.handle(0, a, AccessKind.WRITE)
+        rig.numa.bus = EventBus([first])
+        rig.faults.handle(1, a, AccessKind.READ)
+        rig.numa.bus = EventBus([second])
+        rig.faults.handle(1, b, AccessKind.WRITE)
+        rig.numa.bus = None
+        rig.faults.handle(0, b, AccessKind.WRITE)
+        assert first.events == [
+            ("transition", 1, "local-writable", "read-only", False),
+        ]
+        assert second.events == [
+            ("transition", 1, "untouched", "local-writable", False),
+        ]
 
 
 #: The ledger's three ``observed`` specs at a twentieth of their size.
