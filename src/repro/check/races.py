@@ -178,9 +178,6 @@ class RaceDetector:
             self._clocks[thread] = clock
         return clock
 
-    def _record(self, event: Dict[str, object]) -> None:
-        self._trail.append(event)
-
     def _report(
         self,
         kind: str,
@@ -248,7 +245,7 @@ class RaceDetector:
             _join(clock, held_clock)
             self.sync_edges += 1
         clock[thread] = clock.get(thread, 0) + 1
-        self._record(
+        self._trail.append(
             {"t": "lock_acquire", "holder": thread, "vpage": vpage}
         )
 
@@ -264,7 +261,7 @@ class RaceDetector:
         clock = self._clock_of(thread)
         self._lock_clocks[vpage] = dict(clock)
         clock[thread] = clock.get(thread, 0) + 1
-        self._record(
+        self._trail.append(
             {"t": "lock_release", "holder": thread, "vpage": vpage}
         )
 
@@ -280,13 +277,13 @@ class RaceDetector:
     ) -> None:
         thread = f"cpu:{cpu}"
         self.accesses += 1
-        self._record(
+        self._trail.append(
             {
                 "t": "transition",
                 "page_id": page_id,
                 "cpu": cpu,
-                "old": old_state.value,
-                "new": new_state.value,
+                "old": old_state._value_,
+                "new": new_state._value_,
                 "moved": moved,
             }
         )
@@ -358,18 +355,21 @@ class RaceDetector:
         self._locksets.pop(page_id, None)
         self._last_access.pop(page_id, None)
         self._monitor_clocks.pop(page_id, None)
-        self._record({"t": "page_freed", "page_id": page_id})
+        self._trail.append({"t": "page_freed", "page_id": page_id})
 
     def on_fault(
         self, round_index: int, cpu: int, vpage: int, kind: object
     ) -> None:
-        self._record(
+        # ``_value_`` is what an enum's ``value`` property returns, read
+        # without the property's calls; ``str`` only for a non-enum kind.
+        value = getattr(kind, "_value_", None)
+        self._trail.append(
             {
                 "t": "fault",
                 "round": round_index,
                 "cpu": cpu,
                 "vpage": vpage,
-                "kind": getattr(kind, "value", str(kind)),
+                "kind": str(kind) if value is None else value,
             }
         )
 
@@ -389,7 +389,7 @@ class RaceDetector:
         if key in self._pending and vpage in self._mirror.get(cpu, ()):
             self.candidates += 1
             self._pending.discard(key)
-            self._record(
+            self._trail.append(
                 {
                     "t": "reference",
                     "round": round_index,
@@ -413,7 +413,7 @@ class RaceDetector:
             )
 
     def on_run_end(self, rounds: int) -> None:
-        self._record({"t": "run_end", "rounds": rounds})
+        self._trail.append({"t": "run_end", "rounds": rounds})
 
     # -- TLB/MMU mutation observer hooks -----------------------------------
 
@@ -439,7 +439,7 @@ class RaceDetector:
             _join(acting, target)
             _join(target, acting)
             self.sync_edges += 1
-            self._record(
+            self._trail.append(
                 {
                     "t": "shootdown",
                     "cpu": cpu,
@@ -452,7 +452,7 @@ class RaceDetector:
     def on_tlb_flush(self, cpu: int, dropped_vpages: List[int]) -> None:
         self._mirror.setdefault(cpu, set()).clear()
         self._pending = {p for p in self._pending if p[0] != cpu}
-        self._record(
+        self._trail.append(
             {
                 "t": "tlb_flush",
                 "cpu": cpu,
@@ -461,7 +461,7 @@ class RaceDetector:
         )
 
     def on_mmu_mutation(self, cpu: int, op: str, vpage: int) -> None:
-        self._record(
+        self._trail.append(
             {"t": "mmu_mutation", "cpu": cpu, "op": op, "vpage": vpage}
         )
         if vpage in self._mirror.get(cpu, ()):

@@ -96,9 +96,6 @@ class ProtocolSanitizer:
         """The recent event trail, oldest first."""
         return tuple(self._trail)
 
-    def _record(self, record: Dict[str, Any]) -> None:
-        self._trail.append(record)
-
     def _fail(
         self,
         message: str,
@@ -115,28 +112,30 @@ class ProtocolSanitizer:
         )
 
     # -- engine hooks --------------------------------------------------------
+    # Records read an enum's ``_value_``: what ``value`` returns, without
+    # that property's two Python-level calls per fault and transition.
 
     def on_fault(self, round_index, cpu, vpage, kind) -> None:
-        self._record(
+        self._trail.append(
             {
                 "t": "fault",
                 "round": round_index,
                 "cpu": cpu,
                 "vpage": vpage,
-                "kind": kind.value,
+                "kind": kind._value_,
             }
         )
 
     def on_fault_resolved(
         self, round_index, cpu, vpage, kind, system_us
     ) -> None:
-        self._record(
+        self._trail.append(
             {
                 "t": "fault_resolved",
                 "round": round_index,
                 "cpu": cpu,
                 "vpage": vpage,
-                "kind": kind.value,
+                "kind": kind._value_,
                 "system_us": system_us,
             }
         )
@@ -149,13 +148,13 @@ class ProtocolSanitizer:
         new_state: PageState,
         moved: bool,
     ) -> None:
-        self._record(
+        self._trail.append(
             {
                 "t": "transition",
                 "page_id": page_id,
                 "cpu": cpu,
-                "old_state": old_state.value,
-                "new_state": new_state.value,
+                "old_state": old_state._value_,
+                "new_state": new_state._value_,
                 "moved": moved,
             }
         )
@@ -184,7 +183,7 @@ class ProtocolSanitizer:
         self._check_pinning(page_id, new_state)
 
     def on_page_freed(self, page_id: int) -> None:
-        self._record({"t": "page_freed", "page_id": page_id})
+        self._trail.append({"t": "page_freed", "page_id": page_id})
         # A freed page's protocol history is void: the id may be reused
         # by a fresh page with a fresh move budget.
         self._move_counts.pop(page_id, None)
@@ -193,7 +192,7 @@ class ProtocolSanitizer:
     def on_fault_injected(
         self, kind: str, cpu: int, page_id: int, sim_us: float
     ) -> None:
-        self._record(
+        self._trail.append(
             {
                 "t": "fault_injected",
                 "kind": kind,
@@ -206,7 +205,7 @@ class ProtocolSanitizer:
     def on_recovery(
         self, action: str, cpu: int, page_id: int, detail: str
     ) -> None:
-        self._record(
+        self._trail.append(
             {
                 "t": "recovery",
                 "action": action,
@@ -225,21 +224,21 @@ class ProtocolSanitizer:
             self.check_directory()
 
     def on_run_end(self, rounds: int) -> None:
-        self._record({"t": "run_end", "rounds": rounds})
+        self._trail.append({"t": "run_end", "rounds": rounds})
         self.check_directory()
         self.check_locks()
 
     # -- lock observer hooks (see repro.threads.spinlock) --------------------
 
     def on_lock_acquire(self, holder: object, vpage: int) -> None:
-        self._record(
+        self._trail.append(
             {"t": "lock_acquire", "holder": repr(holder), "vpage": vpage}
         )
         self.locks.on_lock_acquire(holder, vpage)
         self.check_locks()
 
     def on_lock_release(self, holder: object, vpage: int) -> None:
-        self._record(
+        self._trail.append(
             {"t": "lock_release", "holder": repr(holder), "vpage": vpage}
         )
         self.locks.on_lock_release(holder, vpage)

@@ -66,43 +66,6 @@ class NUMAStats:
         """All whole-page copies performed (either direction)."""
         return self.copies_to_local + self.syncs
 
-    def snapshot(self) -> "NUMAStats":
-        """An independent copy of the current counts.
-
-        The telemetry sampler keeps one snapshot per sampling window;
-        the copy shares nothing with the live object, so the manager can
-        keep counting while the snapshot stays frozen.
-        """
-        copy = NUMAStats()
-        copy.faults = dict(self.faults)
-        for spec in fields(self):
-            if spec.name == "faults":
-                continue
-            setattr(copy, spec.name, getattr(self, spec.name))
-        return copy
-
-    def diff(self, prev: "NUMAStats") -> "NUMAStats":
-        """Counts accumulated since *prev* (``self - prev``, per field).
-
-        Both operands are left untouched.  Negative deltas are allowed —
-        they only arise if *prev* postdates ``self``, and preserving the
-        sign makes that mistake visible instead of silently clamping.
-        """
-        delta = NUMAStats()
-        delta.faults = {
-            kind: self.faults[kind] - prev.faults[kind]
-            for kind in AccessKind
-        }
-        for spec in fields(self):
-            if spec.name == "faults":
-                continue
-            setattr(
-                delta,
-                spec.name,
-                getattr(self, spec.name) - getattr(prev, spec.name),
-            )
-        return delta
-
     @classmethod
     def from_dict(cls, data: Dict[str, int]) -> "NUMAStats":
         """Rebuild counters from an :meth:`as_dict` view.

@@ -9,6 +9,7 @@ that manages it.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from repro.machine.config import MachineConfig
@@ -17,6 +18,11 @@ from repro.machine.memory import PhysicalMemory
 from repro.machine.pagetable import PageTableLayer
 from repro.machine.timing import TimingModel
 from repro.machine.topology import SocketTopology
+
+#: A CPU's clocks without the properties' calls (read per observed fault
+#: and per sample); ``sum`` adds the same floats in the same order.
+_USER_US = attrgetter("_user_us")
+_SYSTEM_US = attrgetter("_system_us")
 
 
 class Machine:
@@ -73,13 +79,17 @@ class Machine:
         """Number of processors."""
         return len(self._cpus)
 
+    def user_times_us(self) -> List[float]:
+        """Each processor's user time, in CPU order."""
+        return list(map(_USER_US, self._cpus))
+
     def total_user_time_us(self) -> float:
         """Total user time across all processors (the paper's T metric)."""
-        return sum(cpu.user_time_us for cpu in self._cpus)
+        return sum(map(_USER_US, self._cpus))
 
     def total_system_time_us(self) -> float:
         """Total system time across all processors (Table 4's S metric)."""
-        return sum(cpu.system_time_us for cpu in self._cpus)
+        return sum(map(_SYSTEM_US, self._cpus))
 
     @property
     def topology(self) -> Optional[SocketTopology]:

@@ -19,14 +19,15 @@ Hooks (all optional on an observer):
 location, writable_data)``
     A block of user references was issued.  The per-block hook: its
     listeners are the race detector and trace collectors (telemetry
-    pulls its reference totals from the per-CPU counters at the end).
+    pulls its reference totals from the per-CPU counters at the end),
+    and the engine calls them straight from its held list.
 ``on_fault(round_index, cpu, vpage, kind)``
     A page fault was taken (before handling).
 ``on_fault_resolved(round_index, cpu, vpage, kind, system_us)``
     The fault handler returned; ``system_us`` is the simulated system
     time the handling charged (the fault's simulated latency).
 ``on_round_end(round_index)``
-    A scheduling round completed.
+    A scheduling round completed; called from the engine's held list.
 ``on_run_end(rounds)``
     The engine ran all threads to completion.
 ``on_transition(page_id, cpu, old_state, new_state, moved)``
@@ -93,12 +94,14 @@ class EventBus:
     """Fan-out dispatcher for engine events.
 
     Subscribers receive events in subscription order, which makes
-    interleaved traces deterministic.  The per-hook lists are created
-    once and mutated in place by subscribe/unsubscribe, so a holder of
-    a :meth:`hooks` list always sees the current subscribers: the engine
-    holds ``on_reference``, ``on_round_end``, ``on_fault`` and
-    ``on_fault_resolved``, the NUMA manager ``on_transition``, and each
-    tests a list's truthiness where it would emit.
+    interleaved traces deterministic.  An observer is one subscriber
+    per object, not per ``==`` class of objects.  The per-hook lists are
+    created once and mutated in place by subscribe/unsubscribe, so a
+    holder of a :meth:`hooks` list always sees the current subscribers:
+    the engine holds ``on_reference``, ``on_round_end``, ``on_fault``
+    and ``on_fault_resolved``, the NUMA manager ``on_transition``, and
+    each tests or walks a list where it would emit.  References and
+    round ends have no ``emit_*``: the engine calls those hooks itself.
     """
 
     def __init__(self, observers: Optional[List[object]] = None) -> None:
@@ -109,11 +112,18 @@ class EventBus:
 
     # -- subscription --------------------------------------------------------
 
+    def _position(self, observer: object) -> Optional[int]:
+        """Where *observer* itself — not an ``==`` one — is subscribed."""
+        for index, known in enumerate(self._observers):
+            if known is observer:
+                return index
+        return None
+
     def subscribe(self, observer: object) -> object:
         """Register *observer* for every hook it defines; returns it."""
         if observer is None:
             raise ValueError("cannot subscribe None to the event bus")
-        if observer in self._observers:
+        if self._position(observer) is not None:
             return observer
         self._observers.append(observer)
         for name in HOOKS:
@@ -124,9 +134,10 @@ class EventBus:
 
     def unsubscribe(self, observer: object) -> None:
         """Remove *observer*; unknown observers are ignored."""
-        if observer not in self._observers:
+        index = self._position(observer)
+        if index is None:
             return
-        self._observers.remove(observer)
+        del self._observers[index]
         for name in HOOKS:
             hook = getattr(observer, name, None)
             if callable(hook) and hook in self._hooks[name]:
@@ -181,11 +192,6 @@ class EventBus:
 
     # -- dispatch ------------------------------------------------------------
 
-    def emit_reference(self, *args) -> None:
-        """Fan out one reference block."""
-        for hook in self._hooks["on_reference"]:
-            hook(*args)
-
     def emit_fault(self, *args) -> None:
         """Fan out one fault."""
         for hook in self._hooks["on_fault"]:
@@ -195,11 +201,6 @@ class EventBus:
         """Fan out one fault resolution with its simulated latency."""
         for hook in self._hooks["on_fault_resolved"]:
             hook(*args)
-
-    def emit_round_end(self, round_index: int) -> None:
-        """Fan out the end of one scheduling round."""
-        for hook in self._hooks["on_round_end"]:
-            hook(round_index)
 
     def emit_run_end(self, rounds: int) -> None:
         """Fan out run completion."""

@@ -4,7 +4,8 @@ The simulated-time results never depend on these: spans measure the
 *simulator's* wall-clock cost (``time.perf_counter``), which is what the
 ROADMAP's "make a hot path measurably faster" loop needs.  The engine
 calls :meth:`PhaseProfiler.add` directly on its hot paths (cheaper than
-a context manager there); everything else uses :meth:`span`.
+a context manager there), its reference-batch spans summed per round, so
+``calls``/``total_s``/``max_s`` mean what per-span adds would give.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Optional
 
 
 @dataclass
@@ -49,16 +50,20 @@ class PhaseProfiler:
     def __init__(self) -> None:
         self._phases: Dict[str, PhaseStat] = {}
 
-    def add(self, name: str, seconds: float) -> None:
-        """Charge *seconds* of wall-clock time to phase *name*."""
+    def add(self, name: str, seconds: float, calls: int = 1,
+            longest: Optional[float] = None) -> None:
+        """Charge *seconds* of wall-clock time to phase *name*: one span,
+        or *calls* spans the caller summed, the longest *longest*."""
         stat = self._phases.get(name)
         if stat is None:
             stat = PhaseStat(name)
             self._phases[name] = stat
-        stat.calls += 1
+        stat.calls += calls
         stat.total_s += seconds
-        if seconds > stat.max_s:
-            stat.max_s = seconds
+        if longest is None:
+            longest = seconds
+        if longest > stat.max_s:
+            stat.max_s = longest
 
     @contextmanager
     def span(self, name: str) -> Iterator[None]:

@@ -3,10 +3,11 @@
 Final totals hide dynamics: the Table 4 move count for Primes2 cannot
 show *when* false-sharing ping-pong happened or when the move-threshold
 policy started pinning.  :class:`RoundSampler` subscribes to the event
-bus, and every ``interval`` scheduling rounds snapshots the difference
+bus, and every ``interval`` scheduling rounds records the difference
 in :class:`~repro.core.stats.NUMAStats` plus page-pool and directory
 occupancy, per-CPU simulated times, and the window's local-hit fraction
 — so pinning onset, replication bursts, and ping-pong become curves.
+Deltas are between two ``NUMAStats.as_dict()`` views, the records' dicts.
 
 Sampling reads state and copies numbers; it never charges simulated
 time, so results are bit-identical with and without the sampler.
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.stats import NUMAStats
 from repro.errors import ConfigurationError
 from repro.machine.timing import MemoryLocation
 
@@ -98,7 +98,7 @@ class RoundSampler:
         self._pool = pool
         self._interval = interval
         self._samples: List[RoundSample] = []
-        self._prev_stats = numa.stats.snapshot()
+        self._prev_stats = numa.stats.as_dict()
         self._prev_round = -1
         #: (local, total) writable-data references per CPU at window start.
         self._prev_refs = [self._cpu_refs(c) for c in machine.cpus]
@@ -144,9 +144,12 @@ class RoundSampler:
         return (hits, misses, shootdowns)
 
     def _take(self, round_index: int) -> None:
-        stats = self._numa.stats.snapshot()
-        delta = stats.diff(self._prev_stats)
-        refs = [self._cpu_refs(c) for c in self._machine.cpus]
+        machine = self._machine
+        stats = self._numa.stats.as_dict()
+        prev_stats = self._prev_stats
+        delta = {name: n - prev_stats[name] for name, n in stats.items()}
+        per_cpu_user_us = machine.user_times_us()
+        refs = [self._cpu_refs(c) for c in machine.cpus]
         per_cpu_hit: List[Optional[float]] = []
         window_local = 0
         window_total = 0
@@ -168,18 +171,16 @@ class RoundSampler:
             RoundSample(
                 round_index=round_index,
                 window_rounds=round_index - self._prev_round,
-                stats_delta=delta.as_dict(),
-                stats_total=stats.as_dict(),
+                stats_delta=delta,
+                stats_total=stats,
                 pool_live_pages=self._pool.live_pages,
                 pool_capacity=self._pool.capacity,
                 pool_pending_cleanups=self._pool.pending_cleanups,
                 directory_pages=len(self._numa.directory),
                 pinned_pages=pinned,
-                user_us=sum(c.user_time_us for c in self._machine.cpus),
-                system_us=sum(c.system_time_us for c in self._machine.cpus),
-                per_cpu_user_us=[
-                    c.user_time_us for c in self._machine.cpus
-                ],
+                user_us=sum(per_cpu_user_us),
+                system_us=machine.total_system_time_us(),
+                per_cpu_user_us=per_cpu_user_us,
                 window_local_hit=(
                     window_local / window_total if window_total else None
                 ),

@@ -27,20 +27,20 @@ splitting them exactly where the unbatched simulator would have faulted.
 or a compute burst is consumed inside it, and it is left only for the
 slow arm (a miss, without a second lookup), the rare op kinds, and
 :meth:`Engine._after_op` when a pump is pending or the tick is due.  Per
-op it calls only other layers' entry points (the scheduler, ``next_op``,
-the TLB lookup, ``charge_user``); per round it tests a live-thread count
-and the bus's live ``on_round_end`` list, kept current, not recomputed.
+op it calls only other layers' entry points (``next_op``, the TLB lookup,
+``charge_user``; the scheduler only if it moves threads); per round it
+tests a live-thread count and walks the bus's live ``on_round_end`` list.
 
 Observation is fanned out through an :class:`~repro.obs.events.EventBus`:
 any number of observers subscribe to the engine's bus, and ``observer=``
-subscribes one more at construction.  A reference event costs what its
-listeners cost — the race detector and trace collectors; telemetry reads
-the per-CPU counters instead — because a TLB hit hands the page id its
-entry carries straight to ``emit_reference`` and only a miss looks it
-up.  When a :class:`PhaseProfiler` is installed, the engine times its
-own wall-clock hot phases — fault handling, policy ticks, and reference
-batches; neither the bus nor the profiler ever charges simulated time,
-and both are arms of the one loop the bare run takes.
+subscribes one more at construction.  A reference or round-end event
+costs only its listeners' hooks, which the engine calls from the bus's
+held lists itself; a TLB hit hands over the page id its entry carries,
+so only a miss looks it up.  When a :class:`PhaseProfiler` is installed,
+the engine times its own wall-clock hot phases — fault handling, policy
+ticks, and reference batches (one span per block, added once per round);
+neither the bus nor the profiler ever charges simulated time, and both
+are arms of the one loop the bare run takes.
 """
 
 from __future__ import annotations
@@ -213,124 +213,143 @@ class Engine:
         # back on self at each round's end, where it changes) are locals.
         runnable = ThreadState.RUNNABLE
         cpu_for = self._scheduler.cpu_for
+        # A lane's CPU is None under a moving scheduler, which is then asked
+        # per thread and round, so its migration count stays exact.
+        lanes = [(t, self._scheduler.fixed_cpu(t)) for t in threads]
         cpus = self._cpus
         task_us = self.task_user_us
-        bus = self._bus
         ref_hooks = self._reference_hooks
-        round_hooks = bus.hooks("on_round_end")
-        emit_reference = bus.emit_reference
+        round_hooks = self._bus.hooks("on_round_end")
         fast_path = self._fast_path
         round_index = self._round
+        # The round's reference-batch spans (count, sum, longest), added
+        # to the profiler in one call at the round's end.
+        spans, spans_s, longest = 0, 0.0, 0.0
         # Only next_op() finishes a thread; counting its Nones keeps it exact.
         live = sum(not t.finished for t in threads)
-        while live:
-            progressed = False
-            # The profiler is installed between rounds at the latest, so
-            # one look per round serves every op in it.
-            profiler = self._profiler
-            for thread in threads:
-                if thread.state is not runnable:
-                    continue
-                cpu = cpu_for(thread, round_index)
-                op = thread.next_op()
-                if op is None:
-                    live -= 1
-                    # Finishing can release a barrier the rest are at.
-                    if self._release_barriers(threads):
-                        progressed = True
-                    continue
-                task = thread.task
-                if isinstance(op, MemBlock):
-                    started = perf_counter() if profiler is not None else 0.0
-                    cpu_obj = cpus[cpu]
-                    vpage = op.vpage
-                    reads = op.reads
-                    writes = op.writes
-                    entry = cpu_obj.tlb.lookup(vpage, writes > 0) if fast_path else None
-                    if entry is None:
-                        self._mem_block(cpu, op, task)
-                    else:
-                        # FAST PATH: the cached entry proves the MMU would
-                        # translate both halves without faulting, so no
-                        # shootdown can land mid-block.  Charge the batch
-                        # off the cached per-word costs, read and write
-                        # halves as separate charges so the float sums
-                        # match the slow path bit for bit.  The counter
-                        # updates are ReferenceCounters.record with the
-                        # zero half dropped — same state, fewer calls.
-                        writable = entry.writable_data
-                        location = entry.location
-                        if reads:
-                            cost = reads * entry.fetch_us
-                            cpu_obj.charge_user(cost)
-                            task_us[task] = task_us.get(task, 0.0) + cost
-                            cpu_obj.all_refs.fetches[location] += reads
-                            if writable:
-                                cpu_obj.data_refs.fetches[location] += reads
-                        if writes:
-                            cost = writes * entry.store_us
-                            cpu_obj.charge_user(cost)
-                            task_us[task] = task_us.get(task, 0.0) + cost
-                            cpu_obj.all_refs.stores[location] += writes
-                            if writable:
-                                cpu_obj.data_refs.stores[location] += writes
-                        if ref_hooks:
-                            # OBSERVED ARM: one event per non-empty half,
-                            # as the slow arm emits them.  The entry keeps
-                            # the page id once resolved; it dies with the
-                            # mapping, so the id cannot go stale.
-                            page_id = entry.page_id
-                            if page_id is None:
-                                page_id = entry.page_id = self._page_id(vpage, task)
+        try:
+            while live:
+                progressed = False
+                # The profiler is installed between rounds at the latest,
+                # so one look per round serves every op in it.
+                profiler = self._profiler
+                for thread, cpu in lanes:
+                    if thread.state is not runnable:
+                        continue
+                    if cpu is None:
+                        cpu = cpu_for(thread, round_index)
+                    op = thread.next_op()
+                    if op is None:
+                        live -= 1
+                        # Finishing can release a barrier the rest are at.
+                        if self._release_barriers(threads):
+                            progressed = True
+                        continue
+                    task = thread.task
+                    if isinstance(op, MemBlock):
+                        started = perf_counter() if profiler is not None else 0.0
+                        cpu_obj = cpus[cpu]
+                        vpage = op.vpage
+                        reads = op.reads
+                        writes = op.writes
+                        entry = cpu_obj.tlb.lookup(vpage, writes > 0) if fast_path else None
+                        if entry is None:
+                            self._mem_block(cpu, op, task)
+                        else:
+                            # FAST PATH: the cached entry proves the MMU
+                            # would translate both halves without faulting,
+                            # so no shootdown can land mid-block.  Charge
+                            # the batch off the cached per-word costs, read
+                            # and write halves apart so the float sums match
+                            # the slow path bit for bit.  The counter updates
+                            # are ReferenceCounters.record with the zero half
+                            # dropped — same state, fewer calls.
+                            writable = entry.writable_data
+                            location = entry.location
                             if reads:
-                                emit_reference(
-                                    round_index, cpu, vpage, page_id,
-                                    reads, 0, location, writable,
-                                )
+                                cost = reads * entry.fetch_us
+                                cpu_obj.charge_user(cost)
+                                task_us[task] = task_us.get(task, 0.0) + cost
+                                cpu_obj.all_refs.fetches[location] += reads
+                                if writable:
+                                    cpu_obj.data_refs.fetches[location] += reads
                             if writes:
-                                emit_reference(
-                                    round_index, cpu, vpage, page_id,
-                                    0, writes, location, writable,
-                                )
-                    if profiler is not None:
-                        profiler.add("reference_batch", perf_counter() - started)
-                elif isinstance(op, Compute):
-                    us = op.us
-                    cpus[cpu].charge_user(us)
-                    task_us[task] = task_us.get(task, 0.0) + us
-                elif isinstance(op, Barrier):
-                    thread.state = ThreadState.WAITING
-                    thread.waiting_on = op.name
-                elif isinstance(op, Syscall):
-                    self._syscall(op, task)
-                elif isinstance(op, FreeObjectPages):
-                    self._free_object(cpu, op, task)
-                else:
-                    raise SimulationError(f"unknown operation {op!r}")
-                progressed = True
-                self.ops_executed = ops = self.ops_executed + 1
-                if ops >= self._tick_due or self._pump_pending:
-                    self._after_op()
-            self._round = round_index = round_index + 1
-            if round_hooks:
-                bus.emit_round_end(round_index - 1)
-            if not progressed:
-                if self._release_barriers(threads):
-                    continue
-                if any(
-                    t.state is ThreadState.RUNNABLE and not t.finished
-                    for t in threads
-                ):
-                    continue
-                if not any(not t.finished for t in threads):
-                    break
-                waiting = sorted(
-                    {t.waiting_on for t in threads if t.waiting_on}
-                )
-                raise SimulationError(
-                    f"deadlock: threads waiting on barriers {waiting}"
-                )
-        bus.emit_run_end(self._round)
+                                cost = writes * entry.store_us
+                                cpu_obj.charge_user(cost)
+                                task_us[task] = task_us.get(task, 0.0) + cost
+                                cpu_obj.all_refs.stores[location] += writes
+                                if writable:
+                                    cpu_obj.data_refs.stores[location] += writes
+                            if ref_hooks:
+                                # OBSERVED ARM: one event per non-empty
+                                # half, as the slow arm emits them.  The
+                                # entry keeps the page id once resolved; it
+                                # dies with the mapping, so it cannot go stale.
+                                page_id = entry.page_id
+                                if page_id is None:
+                                    page_id = entry.page_id = self._page_id(vpage, task)
+                                if reads:
+                                    for hook in ref_hooks:
+                                        hook(
+                                            round_index, cpu, vpage, page_id,
+                                            reads, 0, location, writable,
+                                        )
+                                if writes:
+                                    for hook in ref_hooks:
+                                        hook(
+                                            round_index, cpu, vpage, page_id,
+                                            0, writes, location, writable,
+                                        )
+                        if profiler is not None:
+                            span = perf_counter() - started
+                            spans += 1
+                            spans_s += span
+                            if span > longest:
+                                longest = span
+                    elif isinstance(op, Compute):
+                        us = op.us
+                        cpus[cpu].charge_user(us)
+                        task_us[task] = task_us.get(task, 0.0) + us
+                    elif isinstance(op, Barrier):
+                        thread.state = ThreadState.WAITING
+                        thread.waiting_on = op.name
+                    elif isinstance(op, Syscall):
+                        self._syscall(op, task)
+                    elif isinstance(op, FreeObjectPages):
+                        self._free_object(cpu, op, task)
+                    else:
+                        raise SimulationError(f"unknown operation {op!r}")
+                    progressed = True
+                    self.ops_executed = ops = self.ops_executed + 1
+                    if ops >= self._tick_due or self._pump_pending:
+                        self._after_op()
+                if spans:
+                    profiler.add("reference_batch", spans_s, spans, longest)
+                    spans, spans_s, longest = 0, 0.0, 0.0
+                self._round = round_index = round_index + 1
+                for hook in round_hooks:
+                    hook(round_index - 1)
+                if not progressed:
+                    if self._release_barriers(threads):
+                        continue
+                    if any(
+                        t.state is ThreadState.RUNNABLE and not t.finished
+                        for t in threads
+                    ):
+                        continue
+                    if not any(not t.finished for t in threads):
+                        break
+                    waiting = sorted(
+                        {t.waiting_on for t in threads if t.waiting_on}
+                    )
+                    raise SimulationError(
+                        f"deadlock: threads waiting on barriers {waiting}"
+                    )
+        finally:
+            # A run that raises mid-round still reports the blocks it ran.
+            if spans:
+                profiler.add("reference_batch", spans_s, spans, longest)
+        self._bus.emit_run_end(self._round)
         return self._round if threads else 0
 
     # -- op execution ------------------------------------------------------
@@ -429,7 +448,7 @@ class Engine:
                 # fault's listeners ran: one of them may have subscribed.
                 want_latency = bool(self._fault_resolved_hooks)
                 system_before = (
-                    sum(c.system_time_us for c in self._cpus)
+                    self._machine.total_system_time_us()
                     if want_latency
                     else 0.0
                 )
@@ -438,7 +457,7 @@ class Engine:
                 if profiler is not None:
                     profiler.add("fault_handling", perf_counter() - started)
                 if want_latency:
-                    system_after = sum(c.system_time_us for c in self._cpus)
+                    system_after = self._machine.total_system_time_us()
                     bus.emit_fault_resolved(
                         self._round,
                         cpu,
@@ -486,10 +505,12 @@ class Engine:
             if writable_data:
                 cpu.data_refs.stores[location] += writes
         if self._reference_hooks:
-            self._bus.emit_reference(
+            event = (
                 self._round, cpu_id, vpage, self._page_id(vpage, task),
                 reads, writes, location, writable_data,
             )
+            for hook in self._reference_hooks:
+                hook(*event)
 
     def _page_id(self, vpage: int, task: int) -> int:
         """The logical page now resident behind *vpage*, for events."""

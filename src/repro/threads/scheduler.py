@@ -15,6 +15,7 @@ does to page placement.
 from __future__ import annotations
 
 import abc
+from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.threads.cthreads import CThread
@@ -39,6 +40,11 @@ class Scheduler(abc.ABC):
     def cpu_for(self, thread: CThread, round_index: int) -> int:
         """The processor *thread* runs on during *round_index*."""
 
+    def fixed_cpu(self, thread: CThread) -> Optional[int]:
+        """The processor *thread* runs on in every round, or ``None`` if
+        that can change: only then must :meth:`cpu_for` be asked per round."""
+        return None
+
     def migrations(self) -> int:
         """Thread migrations performed so far (0 for binding schedulers)."""
         return 0
@@ -55,6 +61,9 @@ class AffinityScheduler(Scheduler):
     name = "affinity"
 
     def cpu_for(self, thread: CThread, round_index: int) -> int:
+        return thread.index % self._n
+
+    def fixed_cpu(self, thread: CThread) -> Optional[int]:
         return thread.index % self._n
 
 

@@ -1,5 +1,7 @@
 """The event bus: subscription, fan-out, and fast-path guards."""
 
+from dataclasses import dataclass, field
+
 import pytest
 
 from repro.core.state import AccessKind
@@ -30,6 +32,16 @@ class Recorder:
         self.calls.append(("run_end", rounds))
 
 
+@dataclass
+class RoundLog:
+    """A value-compared observer: two fresh ones are ``==``."""
+
+    rounds: list = field(default_factory=list)
+
+    def on_round_end(self, round_index):
+        self.rounds.append(round_index)
+
+
 class FaultsOnly:
     """Observer subscribing to a single hook."""
 
@@ -38,6 +50,12 @@ class FaultsOnly:
 
     def on_fault(self, round_index, cpu, vpage, kind):
         self.faults.append((round_index, cpu, vpage, kind))
+
+
+def deliver(bus, name, *args):
+    """Fan one event out as the engine does: over the held hook list."""
+    for hook in bus.hooks(name):
+        hook(*args)
 
 
 class TestSubscription:
@@ -66,7 +84,7 @@ class TestSubscription:
         observer = Recorder()
         bus.subscribe(observer)
         bus.subscribe(observer)
-        bus.emit_round_end(3)
+        deliver(bus, "on_round_end", 3)
         assert observer.calls == [("round", 3)]
 
     def test_subscribe_none_rejected(self):
@@ -78,7 +96,7 @@ class TestSubscription:
         observer = Recorder()
         bus.subscribe(observer)
         bus.unsubscribe(observer)
-        bus.emit_round_end(1)
+        deliver(bus, "on_round_end", 1)
         assert observer.calls == []
         assert not bus.wants_rounds
 
@@ -89,6 +107,27 @@ class TestSubscription:
         observer = Recorder()
         bus = EventBus([observer])
         assert bus.observers == [observer]
+
+    def test_equal_observers_are_two_subscribers(self):
+        """Two fresh dataclass observers compare equal; each still hears."""
+        bus = EventBus()
+        first, second = RoundLog(), RoundLog()
+        assert first == second
+        bus.subscribe(first)
+        bus.subscribe(second)
+        deliver(bus, "on_round_end", 4)
+        assert len(bus) == 2
+        assert first.rounds == second.rounds == [4]
+
+    def test_unsubscribe_removes_that_observer_not_an_equal_one(self):
+        bus = EventBus()
+        first, second = RoundLog(), RoundLog()
+        bus.subscribe(first)
+        bus.subscribe(second)
+        bus.unsubscribe(second)
+        assert len(bus) == 1 and bus.observers[0] is first
+        deliver(bus, "on_round_end", 2)
+        assert (first.rounds, second.rounds) == ([2], [])
 
 
 class TestFanOut:
@@ -107,8 +146,8 @@ class TestFanOut:
         bus = EventBus()
         observer = Recorder()
         bus.subscribe(observer)
-        bus.emit_reference(
-            5, 1, 10, 42, 3, 2, MemoryLocation.LOCAL, True
+        deliver(
+            bus, "on_reference", 5, 1, 10, 42, 3, 2, MemoryLocation.LOCAL, True
         )
         assert observer.calls == [
             ("ref", (5, 1, 10, 42, 3, 2, MemoryLocation.LOCAL, True))
@@ -134,6 +173,8 @@ class TestFanOut:
         bus = EventBus()
         faults_only = FaultsOnly()
         bus.subscribe(faults_only)
-        bus.emit_reference(0, 0, 0, 0, 1, 0, MemoryLocation.GLOBAL, False)
+        deliver(
+            bus, "on_reference", 0, 0, 0, 0, 1, 0, MemoryLocation.GLOBAL, False
+        )
         bus.emit_fault(4, 2, 9, AccessKind.WRITE)
         assert faults_only.faults == [(4, 2, 9, AccessKind.WRITE)]

@@ -60,6 +60,26 @@ class TestRoundSampler:
             assert sum(s.stats_delta[key] for s in samples) == total, key
         assert samples[-1].stats_total["moves"] == result.stats.moves
 
+    def test_each_delta_is_total_minus_previous(self):
+        """A sample's totals stay as taken while the manager counts on, so
+        each window's delta is its total minus the previous one."""
+        _, telemetry = run_with_telemetry("Primes2", interval=4)
+        samples = telemetry.samples
+        assert len(samples) > 2
+        assert samples[0].stats_delta == samples[0].stats_total
+        for prev, sample in zip(samples, samples[1:]):
+            assert sample.stats_delta == {
+                key: total - prev.stats_total[key]
+                for key, total in sample.stats_total.items()
+            }
+        assert any(any(s.stats_delta.values()) for s in samples[1:])
+
+    def test_samples_cover_every_counter(self):
+        _, telemetry = run_with_telemetry("Primes2", interval=4)
+        keys = list(NUMAStats().as_dict())
+        for sample in telemetry.samples:
+            assert list(sample.stats_delta) == list(sample.stats_total) == keys
+
     def test_rounds_are_monotonic(self):
         _, telemetry = run_with_telemetry("FFT", interval=4)
         rounds = [s.round_index for s in telemetry.samples]

@@ -355,12 +355,13 @@ REFSTREAM_SPECS = (
 #: a count, exactly repeatable, and it may only be lowered.  It read 6.36
 #: (6.10 on CPython 3.13) while the loop scanned every thread's state and
 #: asked the bus a property once per round, and 5.58 on 3.10–3.13 once it
-#: did not.  It reads 5.45 on 3.11 now that the slow arm it drops into on
-#: a miss is cheaper (``tests/vm/test_fault.py``): the scheduler,
+#: did not, and 5.45 on 3.11 once the slow arm it drops into on a miss
+#: got cheaper (``tests/vm/test_fault.py``).  It reads 4.45 on 3.10–3.13
+#: now that a binding scheduler is asked once per thread, not per op:
 #: ``next_op`` with its generator step, the TLB lookup and
 #: ``charge_user`` per op, the slow arm on a miss.  The ceiling is that
 #: figure plus 0.2.
-MAX_CALLS_PER_OP = 5.65
+MAX_CALLS_PER_OP = 4.65
 
 
 def test_dispatch_loop_call_ratchet():
