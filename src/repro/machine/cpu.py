@@ -84,8 +84,9 @@ class CPU:
         #: on the flat ACE, where page tables are unmodeled.  Every MMU
         #: mutation through the funnel below reports to it.
         self.pagetables = None
-        self._user_us = 0.0
-        self._system_us = 0.0
+        #: User/system virtual time, µs; the engine adds TLB hits in place.
+        self.user_time_us = 0.0
+        self.system_time_us = 0.0
         #: References made in user mode to writable data, for measuring α.
         self.data_refs = ReferenceCounters()
         #: All user-mode references (data_refs plus read-only/code).
@@ -140,33 +141,23 @@ class CPU:
             self.pagetables.on_mutation(self._id, acting_cpu)
 
     @property
-    def user_time_us(self) -> float:
-        """Accumulated user-mode virtual time, microseconds."""
-        return self._user_us
-
-    @property
-    def system_time_us(self) -> float:
-        """Accumulated system-mode virtual time, microseconds."""
-        return self._system_us
-
-    @property
     def total_time_us(self) -> float:
         """User plus system time."""
-        return self._user_us + self._system_us
+        return self.user_time_us + self.system_time_us
 
     def charge_user(self, microseconds: float) -> None:
         """Add time spent in user mode."""
         if microseconds < 0:
             raise ValueError("cannot charge negative time")
-        self._user_us += microseconds
+        self.user_time_us += microseconds
 
     def charge_system(self, microseconds: float) -> None:
         """Add time spent in the kernel (faults, copies, syscalls)."""
         if microseconds < 0:
             raise ValueError("cannot charge negative time")
-        self._system_us += microseconds
+        self.system_time_us += microseconds
 
     def reset_times(self) -> None:
         """Zero both clocks (used between measurement phases)."""
-        self._user_us = 0.0
-        self._system_us = 0.0
+        self.user_time_us = 0.0
+        self.system_time_us = 0.0

@@ -19,10 +19,10 @@ from repro.machine.pagetable import PageTableLayer
 from repro.machine.timing import TimingModel
 from repro.machine.topology import SocketTopology
 
-#: A CPU's clocks without the properties' calls (read per observed fault
-#: and per sample); ``sum`` adds the same floats in the same order.
-_USER_US = attrgetter("_user_us")
-_SYSTEM_US = attrgetter("_system_us")
+#: A CPU's clocks (read per observed fault and per sample); ``sum`` adds
+#: the same floats in the same order.
+_USER_US = attrgetter("user_time_us")
+_SYSTEM_US = attrgetter("system_time_us")
 
 
 class Machine:

@@ -58,7 +58,7 @@ class InterconnectContention:
     geometrically each :meth:`advance` so old traffic stops mattering,
     and :meth:`factor` converts it into the M/M/1-style service-time
     stretch ``1 / (1 - rho)`` (capped) that
-    :meth:`TimingModel.contended_ref_costs` applies.
+    :meth:`TimingModel.contended_fetch_us` applies.
     """
 
     def __init__(
@@ -259,25 +259,6 @@ class TimingModel:
     # existing simulation (and its golden bytes) is unaffected.  Only
     # policies that *choose* to consult the contended oracle see these
     # numbers, and they use them for decisions, not for charged time.
-
-    def contended_ref_costs(
-        self,
-        cpu: int,
-        frame,
-        contention: Optional[InterconnectContention],
-        edge: Optional[Edge] = None,
-    ) -> Tuple[MemoryLocation, float, float]:
-        """:meth:`ref_costs` with the edge's queueing stretch applied.
-
-        LOCAL references never cross an interconnect, so they are never
-        stretched; GLOBAL and REMOTE references are scaled by the
-        contention factor of *edge* (default: the flat bus edge).
-        """
-        location, fetch, store = self.ref_costs(cpu, frame)
-        if contention is None or location is MemoryLocation.LOCAL:
-            return location, fetch, store
-        stretch = contention.factor(edge if edge is not None else BUS_EDGE)
-        return location, fetch * stretch, store * stretch
 
     def contended_fetch_us(
         self,

@@ -27,9 +27,11 @@ splitting them exactly where the unbatched simulator would have faulted.
 or a compute burst is consumed inside it, and it is left only for the
 slow arm (a miss, without a second lookup), the rare op kinds, and
 :meth:`Engine._after_op` when a pump is pending or the tick is due.  Per
-op it calls only other layers' entry points (``next_op``, the TLB lookup,
-``charge_user``; the scheduler only if it moves threads); per round it
-tests a live-thread count and walks the bus's live ``on_round_end`` list.
+op it calls only ``next_op`` and the TLB lookup, which the ledger wraps
+(and the scheduler if it moves threads); a hit or a compute burst adds to
+the CPU clock in place, with per-op task books only if several tasks run.
+Per round it tests a live-thread count and walks the bus's live
+``on_round_end`` list.
 
 Observation is fanned out through an :class:`~repro.obs.events.EventBus`:
 any number of observers subscribe to the engine's bus, and ``observer=``
@@ -209,19 +211,25 @@ class Engine:
         loop, so an observed run takes the path a bare run takes.
         """
         # The loop body runs once per thread per round; enum members,
-        # bound methods, run-constant attributes and the round index (put
-        # back on self at each round's end, where it changes) are locals.
+        # bound methods, run-constant attributes, the round index and the
+        # op counter (put back on self at each round's end and before the
+        # slow arm or a tick) are locals.
         runnable = ThreadState.RUNNABLE
         cpu_for = self._scheduler.cpu_for
         # A lane's CPU is None under a moving scheduler, which is then asked
         # per thread and round, so its migration count stays exact.
-        lanes = [(t, self._scheduler.fixed_cpu(t)) for t in threads]
+        lanes = [(t, self._scheduler.fixed_cpu(t), t.task) for t in threads]
         cpus = self._cpus
         task_us = self.task_user_us
+        # Per-op task books only when there are tasks to tell apart; a
+        # one-task run's share is the machine's user time, set at the end.
+        books = len({t.task for t in threads}) > 1
         ref_hooks = self._reference_hooks
         round_hooks = self._bus.hooks("on_round_end")
         fast_path = self._fast_path
         round_index = self._round
+        ops = self.ops_executed
+        tick_due = self._tick_due
         # The round's reference-batch spans (count, sum, longest), added
         # to the profiler in one call at the round's end.
         spans, spans_s, longest = 0, 0.0, 0.0
@@ -233,7 +241,7 @@ class Engine:
                 # The profiler is installed between rounds at the latest,
                 # so one look per round serves every op in it.
                 profiler = self._profiler
-                for thread, cpu in lanes:
+                for thread, cpu, task in lanes:
                     if thread.state is not runnable:
                         continue
                     if cpu is None:
@@ -245,7 +253,6 @@ class Engine:
                         if self._release_barriers(threads):
                             progressed = True
                         continue
-                    task = thread.task
                     if isinstance(op, MemBlock):
                         started = perf_counter() if profiler is not None else 0.0
                         cpu_obj = cpus[cpu]
@@ -254,6 +261,7 @@ class Engine:
                         writes = op.writes
                         entry = cpu_obj.tlb.lookup(vpage, writes > 0) if fast_path else None
                         if entry is None:
+                            self.ops_executed = ops
                             self._mem_block(cpu, op, task)
                         else:
                             # FAST PATH: the cached entry proves the MMU
@@ -268,15 +276,17 @@ class Engine:
                             location = entry.location
                             if reads:
                                 cost = reads * entry.fetch_us
-                                cpu_obj.charge_user(cost)
-                                task_us[task] = task_us.get(task, 0.0) + cost
+                                cpu_obj.user_time_us += cost
+                                if books:
+                                    task_us[task] = task_us.get(task, 0.0) + cost
                                 cpu_obj.all_refs.fetches[location] += reads
                                 if writable:
                                     cpu_obj.data_refs.fetches[location] += reads
                             if writes:
                                 cost = writes * entry.store_us
-                                cpu_obj.charge_user(cost)
-                                task_us[task] = task_us.get(task, 0.0) + cost
+                                cpu_obj.user_time_us += cost
+                                if books:
+                                    task_us[task] = task_us.get(task, 0.0) + cost
                                 cpu_obj.all_refs.stores[location] += writes
                                 if writable:
                                     cpu_obj.data_refs.stores[location] += writes
@@ -308,8 +318,9 @@ class Engine:
                                 longest = span
                     elif isinstance(op, Compute):
                         us = op.us
-                        cpus[cpu].charge_user(us)
-                        task_us[task] = task_us.get(task, 0.0) + us
+                        cpus[cpu].user_time_us += us
+                        if books:
+                            task_us[task] = task_us.get(task, 0.0) + us
                     elif isinstance(op, Barrier):
                         thread.state = ThreadState.WAITING
                         thread.waiting_on = op.name
@@ -320,12 +331,15 @@ class Engine:
                     else:
                         raise SimulationError(f"unknown operation {op!r}")
                     progressed = True
-                    self.ops_executed = ops = self.ops_executed + 1
-                    if ops >= self._tick_due or self._pump_pending:
+                    ops += 1
+                    if ops >= tick_due or self._pump_pending:
+                        self.ops_executed = ops
                         self._after_op()
+                        tick_due = self._tick_due
                 if spans:
                     profiler.add("reference_batch", spans_s, spans, longest)
                     spans, spans_s, longest = 0, 0.0, 0.0
+                self.ops_executed = ops
                 self._round = round_index = round_index + 1
                 for hook in round_hooks:
                     hook(round_index - 1)
@@ -346,9 +360,12 @@ class Engine:
                         f"deadlock: threads waiting on barriers {waiting}"
                     )
         finally:
-            # A run that raises mid-round still reports the blocks it ran.
+            # A run that raises mid-round still reports what it ran.
+            self.ops_executed = ops
             if spans:
                 profiler.add("reference_batch", spans_s, spans, longest)
+            if lanes and not books:  # supersedes what the slow arm added
+                task_us[lanes[0][2]] = self._machine.total_user_time_us()
         self._bus.emit_run_end(self._round)
         return self._round if threads else 0
 

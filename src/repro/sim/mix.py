@@ -25,7 +25,7 @@ from repro.core.policy import NUMAPolicy
 from repro.core.stats import NUMAStats
 from repro.machine.config import MachineConfig
 from repro.obs.telemetry import Telemetry
-from repro.sim.harness import build_simulation, run_engine
+from repro.sim.harness import build_simulation
 from repro.workloads.base import Workload
 
 
@@ -79,7 +79,7 @@ def run_mix(
         check_invariants=check_invariants,
         telemetry=telemetry,
     )
-    rounds = run_engine(sim.engine, sim.threads, telemetry)
+    rounds = sim.run_threads(telemetry)
     return MixResult(
         tasks=[
             TaskResult(

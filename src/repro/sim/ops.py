@@ -13,6 +13,7 @@ constructing an equal one (:func:`reuse_ops`, DESIGN.md §5.7).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Tuple, Union
@@ -30,6 +31,11 @@ class Compute:
     """
 
     us: float
+
+    def __post_init__(self) -> None:
+        # The engine adds ``us`` to a CPU clock unchecked: check it here.
+        if not 0.0 <= self.us < math.inf:
+            raise ValueError("compute time must be finite and non-negative")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,13 @@ runs with the same seed produce byte-identical recovery summaries.
 
 import pytest
 
+from repro.check.races import RaceDetector
+from repro.core.policies import MoveThresholdPolicy
 from repro.faults.chaos import run_chaos
+from repro.sim.harness import run_once
+from repro.sim.mix import run_mix
+from repro.threads.spinlock import lock_observers
+from repro.workloads.gfetch import Gfetch
 from repro.workloads.parmult import ParMult
 
 
@@ -63,6 +69,28 @@ class TestSanitizedRuns:
         report = small_chaos("transient")
         assert report.sanitized
         assert report.sanitizer_checks > 0
+
+
+class TestLockObservers:
+    """Lock observers are process-wide: a run takes off what it put on."""
+
+    def test_sanitized_chaos_run_leaves_no_lock_observer(self):
+        run_chaos(ParMult.small(), "frame-loss", sanitize=True)
+        assert lock_observers() == []
+
+    def test_caller_detector_is_detached_too(self):
+        small_chaos("transient", sanitize=False, detector=RaceDetector())
+        assert lock_observers() == []
+
+    def test_environment_sanitized_runs_leave_no_lock_observer(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        small_chaos("transient")
+        policy = MoveThresholdPolicy(threshold=4)
+        run_once(ParMult.small(), policy, n_processors=4)
+        run_mix([ParMult.small(), Gfetch.small()], policy, n_processors=4)
+        assert lock_observers() == []
 
 
 class TestRecovery:

@@ -23,6 +23,8 @@ class TestRunMix:
         )
         solo = run_once(ParMult.small(), MoveThresholdPolicy(threshold=4), n_processors=4)
         assert mix.total_user_us == pytest.approx(solo.user_time_us)
+        # A one-task run's share is the machine's user time, exactly.
+        assert mix.tasks[0].user_time_us == mix.total_user_us
 
     def test_task_attribution_sums_to_total(self):
         mix = run_mix(

@@ -29,6 +29,13 @@ class TestMemBlock:
 class TestOtherOps:
     def test_compute(self):
         assert Compute(5.0).us == 5.0
+        assert Compute(0).us == 0
+
+    @pytest.mark.parametrize("us", [-1.0, float("nan"), float("inf")])
+    def test_compute_rejects_negative_or_non_finite_time(self, us):
+        # The engine adds a burst to the CPU clock without a check.
+        with pytest.raises(ValueError):
+            Compute(us)
 
     def test_barrier_carries_name(self):
         assert Barrier("phase1").name == "phase1"
