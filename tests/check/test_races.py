@@ -14,8 +14,12 @@ from repro.check.fixtures import (
     run_missed_shootdown_fixture,
     run_unguarded_write_fixture,
 )
+from repro.core.state import PageState
 from repro.errors import ProtocolViolation
 
+UNT = PageState.UNTOUCHED
+RO = PageState.READ_ONLY
+LW = PageState.LOCAL_WRITABLE
 
 def _violations(source: str, relpath: str):
     found, _ = lint_source(source, relpath, rules=RACE_RULES)
@@ -179,6 +183,46 @@ class TestFixtures:
             checker.check()
         cycle = exc.value.format_trail()
         assert "lock_edge:" in cycle and "?:" not in cycle
+
+    @pytest.mark.parametrize(
+        "steps, expected",
+        [
+            pytest.param(
+                [(0, UNT, RO), (1, LW, RO), (2, RO, LW)],
+                [("unguarded-state-write", 1, []), ("lockset-empty", 2, [])],
+                id="bypass-then-unordered-access",
+            ),
+            pytest.param(
+                [(0, UNT, RO), (1, LW, RO), (2, RO, LW), (2, LW, RO)],
+                [("unguarded-state-write", 1, []), ("lockset-empty", 2, [])],
+                id="same-cpu-again-is-ordered",
+            ),
+            pytest.param(
+                [(0, UNT, RO), (2, RO, LW)],
+                [],
+                id="no-bypass-no-report",
+            ),
+            pytest.param(
+                [(0, UNT, RO), (1, LW, RO), "free", (0, UNT, RO),
+                 (3, RO, LW)],
+                [("unguarded-state-write", 1, [])],
+                id="free-clears-the-page",
+            ),
+        ],
+    )
+    def test_lockset_rule(self, steps, expected):
+        """An access after the page's funnel was bypassed is a race
+        unless happens-before orders it; freeing the page forgets it."""
+        detector = RaceDetector(raise_on_race=False)
+        for step in steps:
+            if step == "free":
+                detector.on_page_freed(1)
+            else:
+                cpu, old, new = step
+                detector.on_transition(1, cpu, old, new, False)
+        assert [
+            (r.kind, r.cpu, r.details["lockset"]) for r in detector.reports
+        ] == expected
 
     def test_raise_mode_converts_report_to_violation(self):
         detector = RaceDetector(raise_on_race=True)
