@@ -1,8 +1,8 @@
 """Ablation — the race detector observes without perturbing.
 
 The dynamic race layer (`src/repro/check/races.py`) rides the same
-observer hooks the sanitizer uses: the event bus, the spin-lock
-observer list, and the TLB/MMU mutation observer slots.  Attaching it
+observer hooks the sanitizer uses: the event bus and the TLB/MMU
+mutation observer slots.  Attaching it
 must not change any simulated outcome — identical protocol counters and
 user/system times, zero race reports on the clean tree — and the seeded
 fixtures must still trip it.  What attaching it costs in *host* time is
@@ -18,7 +18,7 @@ from repro.check.fixtures import (
     run_missed_shootdown_fixture,
     run_unguarded_write_fixture,
 )
-from repro.check.races import attach_detector, detach_detector
+from repro.check.races import attach_detector
 from repro.core.policies import MoveThresholdPolicy
 from repro.sim.harness import build_simulation
 from repro.workloads.parmult import ParMult
@@ -40,11 +40,7 @@ def build_and_run(with_detector=False):
         detector = attach_detector(
             sim.numa, sim.engine.bus, raise_on_race=False
         )
-    try:
-        sim.engine.run(sim.threads)
-    finally:
-        if detector is not None:
-            detach_detector(detector, sim.machine)
+    sim.engine.run(sim.threads)
     return sim, detector
 
 

@@ -7,8 +7,8 @@ the other.
 
 * :mod:`repro.check.lint` — ``repro-numa lint`` and the static layer of
   ``repro-numa races``.  Each module is parsed once into a
-  ``ModuleIndex``; the eleven rules (RN001-RN011, listed in that
-  module's docstring) are the rows of one table, ``RULES``, with
+  ``ModuleIndex``; the nine rules (RN001-RN008 and RN010, listed in
+  that module's docstring) are the rows of one table, ``RULES``, with
   per-rule suppression comments and stable exit codes for CI, and the
   guard inference reads the same index.
 * :mod:`repro.check.guards` — the guard vocabulary the static pass
@@ -29,16 +29,15 @@ the other.
 
 * :mod:`repro.check.sanitizer` — an opt-in (``REPRO_SANITIZE=1``)
   event-bus observer that re-validates directory invariants,
-  move-count monotonicity, pin-stays-pinned, and spin-lock ordering
-  (:mod:`repro.check.lockorder`) after every protocol event, raising a
-  structured :class:`~repro.errors.ProtocolViolation` carrying the
-  offending event trail.
+  move-count monotonicity and pin-stays-pinned after every protocol
+  event, raising a structured :class:`~repro.errors.ProtocolViolation`
+  carrying the offending event trail.
 * :mod:`repro.check.races` — the dynamic layer of ``repro-numa
   races``: an Eraser-style lockset plus vector-clock happens-before
-  observer that rides the event bus and the spinlock/TLB/MMU observer
-  hooks, flags candidate races with full event trails, and
-  cross-checks each candidate against the model checker's reachability
-  analysis (:func:`~repro.check.modelcheck.stale_tlb_reachable`).
+  observer that rides the event bus and the TLB/MMU observer hooks,
+  flags candidate races with full event trails, and cross-checks each
+  candidate against the model checker's reachability analysis
+  (:func:`~repro.check.modelcheck.stale_tlb_reachable`).
   Seeded synthetic races (:mod:`repro.check.fixtures`) prove the wiring
   end to end on every run.
 """
@@ -63,7 +62,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "lint_races",
         "lint_source",
     ),
-    "lockorder": ("LockOrderChecker",),
     "modelcheck": (
         "ModelCheckReport",
         "legal_transition_pairs",
@@ -75,7 +73,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "RaceDetector",
         "RaceReport",
         "attach_detector",
-        "detach_detector",
         "run_race_check",
     ),
     "sanitizer": (

@@ -39,11 +39,7 @@ from repro.sim.ops import Compute, MemBlock, Op
 from repro.workloads.base import BuildContext, Workload
 from repro.vm.vm_object import shared_object
 
-from repro.check.races import (
-    RaceDetector,
-    attach_detector,
-    detach_detector,
-)
+from repro.check.races import RaceDetector, attach_detector
 
 
 class _FixtureWorkload(Workload):
@@ -123,10 +119,7 @@ def _run_fixture(workload: _FixtureWorkload) -> RaceDetector:
     detector = attach_detector(
         sim.numa, sim.engine.bus, raise_on_race=False
     )
-    try:
-        sim.engine.run(sim.threads)
-    finally:
-        detach_detector(detector, sim.machine)
+    sim.engine.run(sim.threads)
     return detector
 
 

@@ -23,7 +23,7 @@ there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 # -- the guard vocabulary ----------------------------------------------------
 
@@ -33,8 +33,6 @@ GUARD_FUNNEL = "funnel"
 #: Mutation happens in the module that declares the field — a monitor
 #: method of the owning class.
 GUARD_MONITOR = "monitor"
-#: Mutation is lexically inside a ``SpinLock`` acquire/release region.
-GUARD_SPINLOCK = "spinlock"
 #: No guard covers the site.
 GUARD_NONE = "unguarded"
 
@@ -42,8 +40,7 @@ GUARD_NONE = "unguarded"
 _GUARD_RANK = {
     GUARD_FUNNEL: 0,
     GUARD_MONITOR: 1,
-    GUARD_SPINLOCK: 2,
-    GUARD_NONE: 3,
+    GUARD_NONE: 2,
 }
 
 #: Shared protocol fields, mapped to the module(s) that declare them and
@@ -215,18 +212,10 @@ class GuardModel:
         return records
 
 
-def classify_guard(
-    relpath: str,
-    fname: str,
-    line: int,
-    lock_spans: Sequence[Tuple[int, int]],
-) -> str:
-    """Which guard covers a mutation of *fname* at *relpath*:*line*."""
+def classify_guard(relpath: str, fname: str) -> str:
+    """Which guard covers a mutation of *fname* in *relpath*."""
     if relpath in FUNNEL_MODULES:
         return GUARD_FUNNEL
     if relpath in SHARED_FIELDS.get(fname, ()):
         return GUARD_MONITOR
-    for start, end in lock_spans:
-        if start <= line <= end:
-            return GUARD_SPINLOCK
     return GUARD_NONE

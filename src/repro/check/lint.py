@@ -1,7 +1,7 @@
 """``repro-numa lint``: the static half of the correctness tooling.
 
 Everything here parses source and executes none of it.  Each module is
-parsed once and traversed once into a :class:`ModuleIndex`; the eleven
+parsed once and traversed once into a :class:`ModuleIndex`; the nine
 rules are the rows of :data:`RULES`, each a plain function over that
 index, and the guard inference ``repro-numa races --static`` prints
 (:func:`infer_guards`, over the vocabulary in :mod:`repro.check.guards`)
@@ -45,26 +45,19 @@ conventions that generic linters cannot know:
     translation the fast path will happily keep charging.
 ``shared-guard`` (RN008)
     A shared protocol field (directory entry state, MMU tables, TLB
-    cache) is mutated at a site no guard covers — not in a funnel
-    module, not in the field's declaring module, not inside a spin-lock
-    critical region.
-``lock-balance`` (RN009)
-    A function acquires a :class:`~repro.threads.spinlock.SpinLock` but
-    does not release it on every path (an early ``return`` while held,
-    or no release at all).
+    cache) is mutated at a site no guard covers: neither in a funnel
+    module nor in the field's declaring module.
 ``shootdown-pair`` (RN010)
     A function mutates an MMU directly without issuing a paired TLB
     ``invalidate``/``flush`` — the exact shape of a missed shootdown.
-``emit-under-lock`` (RN011)
-    A bus event is emitted while a spin lock is held; observers run
-    arbitrary Python, so this risks lock-order inversions against the
-    observer's own locks and inflates critical sections.
 
-RN001-RN007 are :data:`DEFAULT_RULES`, RN008-RN011 :data:`RACE_RULES`
-(what ``repro-numa races --static`` runs); ``repro-numa lint`` runs all
-eleven.  The pass never imports the analyzed modules, so it is safe
-over fixtures that deliberately race (:mod:`repro.check.fixtures`
-carries ``allow[]`` suppressions for exactly that reason).
+RN001-RN007 are :data:`DEFAULT_RULES`, RN008 and RN010
+:data:`RACE_RULES` (what ``repro-numa races --static`` runs);
+``repro-numa lint`` runs all nine.  The ids RN009 and RN011 belonged to
+spin-lock rules, deleted with the spin lock, and are not reused.  The
+pass never imports the analyzed modules, so it is safe over fixtures
+that deliberately race (:mod:`repro.check.fixtures` carries
+``allow[]`` suppressions for exactly that reason).
 
 Suppression: append ``# repro-lint: allow[rule-name]`` to the offending
 line, or put ``# repro-lint: allow-file[rule-name]`` on its own line
@@ -239,17 +232,6 @@ _ASSIGNMENT_KINDS = {
 _ASSIGNMENT_NODES = tuple(_ASSIGNMENT_KINDS)
 
 
-class LockEvent(NamedTuple):
-    """An ``acquire``/``release`` call (*key*: the lock's source text)
-    or a ``return`` (*key* empty), in the function it happens in."""
-
-    line: int
-    col: int
-    kind: str
-    key: str
-    function: str
-
-
 def _flat_targets(targets: Iterable[ast.expr]) -> Iterator[ast.expr]:
     for target in targets:
         if isinstance(target, (ast.Tuple, ast.List)):
@@ -325,10 +307,7 @@ class ModuleIndex:
         self.bare_excepts: List[Tuple[int, int]] = []
         #: Every ``def``, an enclosing one before those nested in it.
         self.functions: List[Function] = []
-        self._returns: List[Tuple[int, int, Scopes]] = []
         self._traverse(tree)
-        self.lock_events = self._lock_events()
-        self.lock_spans = self._lock_spans()
         self.sites = self._sites()
         #: Majority guard per shared field over the files of this run —
         #: RN008's "inferred guard elsewhere" hint.  A module linted on
@@ -401,8 +380,6 @@ class ModuleIndex:
             elif isinstance(node, ast.ExceptHandler):
                 if node.type is None:
                     self.bare_excepts.append((node.lineno, node.col_offset))
-            elif isinstance(node, ast.Return):
-                self._returns.append((node.lineno, node.col_offset, scopes))
             elif isinstance(node, _ASSIGNMENT_NODES):
                 value = getattr(node, "value", None)
                 if value is not None or isinstance(node, ast.Delete):
@@ -431,44 +408,6 @@ class ModuleIndex:
         """Dotted name of the innermost function (``<module>`` if none)."""
         return self.functions[scopes[-1]].qualname if scopes else "<module>"
 
-    def _lock_events(self) -> List[LockEvent]:
-        """Every acquire/release call and every return, in source order.
-
-        The one extraction RN009 (balance per function), RN011 and the
-        spin-lock guard (both via :attr:`lock_spans`) share.
-        """
-        events = [
-            LockEvent(call.line, call.col, call.name,
-                      ast.unparse(call.receiver),
-                      self.function_of(call.scopes))
-            for call in self.calls
-            if call.receiver is not None
-            and call.name in ("acquire", "release")
-        ]
-        events.extend(
-            LockEvent(line, col, "return", "", self.function_of(scopes))
-            for line, col, scopes in self._returns
-        )
-        events.sort()
-        return events
-
-    def _lock_spans(self) -> List[Tuple[int, int]]:
-        """Lexical ``acquire``..``release`` line spans, per lock expression.
-
-        Conservative: a span opens at each ``<lock>.acquire(...)`` call
-        and closes at the next ``<lock>.release(...)`` on the same
-        receiver expression (compared by source text).  Anything inside
-        such a span counts as spin-lock guarded.
-        """
-        spans: List[Tuple[int, int]] = []
-        open_at: Dict[str, int] = {}
-        for event in self.lock_events:
-            if event.kind == "acquire":
-                open_at.setdefault(event.key, event.line)
-            elif event.kind == "release" and event.key in open_at:
-                spans.append((open_at.pop(event.key), event.line))
-        return spans
-
     def _sites(self) -> List[MutationSite]:
         """Every shared-field mutation in the module, classified.
 
@@ -483,10 +422,10 @@ class ModuleIndex:
         def add(fname: Optional[str], line: int, col: int, kind: str,
                 scopes: Scopes) -> None:
             if fname is not None:
-                guard = classify_guard(relpath, fname, line, self.lock_spans)
                 sites.append(
                     MutationSite(fname, relpath, line, col,
-                                 self.function_of(scopes), guard, kind)
+                                 self.function_of(scopes),
+                                 classify_guard(relpath, fname), kind)
                 )
 
         for assignment in self.assignments:
@@ -512,7 +451,7 @@ def collect_sites(tree: ast.AST, relpath: str) -> List[MutationSite]:
     return ModuleIndex(tree, relpath).sites
 
 
-# -- the rules: one table, eleven rows ----------------------------------------
+# -- the rules: one table, nine rows ------------------------------------------
 
 #: What a rule's check yields: ``(line, col, message)``.
 Finding = Tuple[int, int, str]
@@ -745,38 +684,6 @@ def _shared_guard(index: ModuleIndex, relpath: str) -> Iterator[Finding]:
         )
 
 
-def _lock_balance(index: ModuleIndex, relpath: str) -> Iterator[Finding]:
-    by_function: Dict[str, List[LockEvent]] = {}
-    for event in index.lock_events:
-        by_function.setdefault(event.function, []).append(event)
-    for fname in sorted(by_function):
-        held: Dict[str, Tuple[int, int]] = {}
-        saw_lock = False
-        for line, col, kind, key, _ in by_function[fname]:
-            if kind == "acquire":
-                held.setdefault(key, (line, col))
-                saw_lock = True
-            elif kind == "release":
-                held.pop(key, None)
-            elif held:
-                locks = ", ".join(sorted(held))
-                yield (
-                    line,
-                    col,
-                    f"{fname} returns while still holding "
-                    f"{locks}; release before every exit",
-                )
-        if saw_lock:
-            for key in sorted(held):
-                aline, acol = held[key]
-                yield (
-                    aline,
-                    acol,
-                    f"{fname} acquires {key} without a matching "
-                    "release on every path",
-                )
-
-
 def _shootdown_pair(index: ModuleIndex, relpath: str) -> Iterator[Finding]:
     invalidating = {
         number
@@ -794,19 +701,6 @@ def _shootdown_pair(index: ModuleIndex, relpath: str) -> Iterator[Finding]:
                     f"('.{call.name}()') without a paired TLB "
                     "invalidate/flush — a missed shootdown",
                 )
-
-
-def _emit_under_lock(index: ModuleIndex, relpath: str) -> Iterator[Finding]:
-    for call in index.calls:
-        if call.name.startswith("emit_") and any(
-            start <= call.line <= end for start, end in index.lock_spans
-        ):
-            yield (
-                call.line,
-                call.col,
-                f"'{call.name}()' emitted inside a spin-lock critical "
-                "region; emit after release",
-            )
 
 
 #: Every rule, in report order: id, name, description, scope, check.
@@ -859,16 +753,8 @@ RULES: Tuple[Rule, ...] = (
         "RN008", "shared-guard",
         "shared protocol fields (directory entries, MMU tables, TLB "
         "cache) may only be mutated under their inferred guard: the "
-        "transition funnel, the declaring module's monitor methods, or "
-        "a spin-lock critical region",
+        "transition funnel or the declaring module's monitor methods",
         _everywhere, _shared_guard,
-    ),
-    Rule(
-        "RN009", "lock-balance",
-        "every SpinLock.acquire() must be paired with a release() on "
-        "all paths out of the function",
-        lambda relpath: relpath != "threads/spinlock.py",
-        _lock_balance,
     ),
     Rule(
         "RN010", "shootdown-pair",
@@ -879,17 +765,10 @@ RULES: Tuple[Rule, ...] = (
         lambda relpath: relpath not in ("machine/mmu.py", "machine/tlb.py"),
         _shootdown_pair,
     ),
-    Rule(
-        "RN011", "emit-under-lock",
-        "bus events must not be emitted while a spin lock is held: "
-        "observers run arbitrary code, risking lock-order inversions "
-        "and inflated critical sections",
-        _everywhere, _emit_under_lock,
-    ),
 )
 
 #: The hygiene/protocol rules (RN001-RN007), the race-discipline rules
-#: (RN008-RN011, ``repro-numa races --static``) and the full set
+#: (RN008 and RN010, ``repro-numa races --static``) and the full set
 #: ``repro-numa lint`` runs.
 DEFAULT_RULES: Tuple[Rule, ...] = RULES[:7]
 RACE_RULES: Tuple[Rule, ...] = RULES[7:]

@@ -1,7 +1,7 @@
 """The dynamic race detector for the simulated NUMA concurrency substrate.
 
 ``repro-numa races`` has two layers.  The **static** one — guard
-inference plus lint rules RN008-RN011 — parses source and lives with
+inference plus lint rules RN008 and RN010 — parses source and lives with
 the rest of the static tooling in :mod:`repro.check.lint`; this module
 neither imports it nor ``ast``, so a run that only wants the detector
 (a chaos worker, the sanitizer) never loads the linter.
@@ -10,15 +10,16 @@ neither imports it nor ``ast``, so a run that only wants the detector
 The **dynamic** layer is :class:`RaceDetector`, an Eraser-style lockset
 algorithm combined with vector-clock happens-before tracking, driven
 entirely off existing observation surfaces: the event bus
-(``on_transition``/``on_reference``/``on_page_freed``), the spin-lock
-observer hooks, and the TLB/MMU mutation observers added for this
-detector.  Because the simulator executes one operation at a time, the
-detector is not hunting torn reads; it hunts *discipline violations*
-that would be races on real hardware:
+(``on_transition``/``on_reference``/``on_page_freed``) and the TLB/MMU
+mutation observers added for this detector.  Because the simulator
+executes one operation at a time, the detector is not hunting torn
+reads; it hunts *discipline violations* that would be races on real
+hardware:
 
 - a directory entry's state changed without going through the
-  ``NUMAManager._transition`` funnel (caught by shadow-state mismatch
-  plus an empty lockset on the access);
+  ``NUMAManager._transition`` funnel (caught by shadow-state mismatch;
+  the page's lockset is then empty, so a later access that
+  happens-before does not order is a race too);
 - an MMU translation changed while a TLB still cached the old one and
   no shootdown followed before the next reference through that TLB
   (caught by pairing the MMU-mutation stream with the invalidation
@@ -74,16 +75,6 @@ def _happens_before(earlier: VectorClock, later: VectorClock) -> bool:
     return all(later.get(key, 0) >= value for key, value in earlier.items())
 
 
-def _holder_id(holder: object) -> str:
-    """Stable thread identity for a lock holder."""
-    if holder is None:
-        return "anonymous"
-    name = getattr(holder, "name", None)
-    if name is not None:
-        return str(name)
-    return repr(holder)
-
-
 @dataclass(frozen=True)
 class RaceReport:
     """One candidate race, with the event trail that led to it."""
@@ -128,11 +119,11 @@ class RaceReport:
 class RaceDetector:
     """Eraser-style lockset + vector-clock happens-before tracker.
 
-    Observes a single simulation through the event bus, the spin-lock
-    observer hooks and the TLB/MMU mutation observers; flags candidate
-    races either by raising :class:`~repro.errors.ProtocolViolation`
-    (``raise_on_race=True``, the sanitizer wiring) or by collecting
-    :class:`RaceReport` objects (the CLI and fixture wiring).
+    Observes a single simulation through the event bus and the TLB/MMU
+    mutation observers; flags candidate races either by raising
+    :class:`~repro.errors.ProtocolViolation` (``raise_on_race=True``,
+    the sanitizer wiring) or by collecting :class:`RaceReport` objects
+    (the CLI and fixture wiring).
 
     All state is event-driven and the engine is deterministic, so for a
     fixed workload/profile/seed the detector's counters and reports are
@@ -149,13 +140,14 @@ class RaceDetector:
         self._trail: Deque[Dict[str, object]] = deque(maxlen=self.MAX_TRAIL)
         #: Candidate races found so far (bounded by ``MAX_REPORTS``).
         self.reports: List[RaceReport] = []
-        # Vector clocks: per thread, per lock, per page funnel.
+        # Vector clocks: per thread and per page funnel.
         self._clocks: Dict[str, VectorClock] = {}
-        self._lock_clocks: Dict[int, VectorClock] = {}
         self._monitor_clocks: Dict[int, VectorClock] = {}
-        # Eraser lockset state, per page.
-        self._locks_held: Dict[str, List[int]] = {}
-        self._locksets: Dict[int, Set[str]] = {}
+        # Eraser lockset state.  The per-page funnel is the only lock, so
+        # a page's lockset is {funnel:p} until a write bypasses the
+        # funnel and empty from then until the page is freed: these are
+        # the pages whose lockset is empty.
+        self._bypassed: Set[int] = set()
         self._last_access: Dict[int, Tuple[str, VectorClock]] = {}
         # Shadow of the announced protocol state, per page.
         self._shadow: Dict[int, PageState] = {}
@@ -165,7 +157,6 @@ class RaceDetector:
         # Telemetry counters.
         self.accesses = 0
         self.sync_edges = 0
-        self.lock_events = 0
         self.candidates = 0
         self.reported = 0
 
@@ -233,38 +224,6 @@ class RaceDetector:
             return True
         return True
 
-    # -- spin-lock observer hooks -----------------------------------------
-
-    def on_lock_acquire(self, holder: object, vpage: int) -> None:
-        thread = _holder_id(holder)
-        self.lock_events += 1
-        self._locks_held.setdefault(thread, []).append(vpage)
-        clock = self._clock_of(thread)
-        held_clock = self._lock_clocks.get(vpage)
-        if held_clock is not None:
-            _join(clock, held_clock)
-            self.sync_edges += 1
-        clock[thread] = clock.get(thread, 0) + 1
-        self._trail.append(
-            {"t": "lock_acquire", "holder": thread, "vpage": vpage}
-        )
-
-    def on_lock_release(self, holder: object, vpage: int) -> None:
-        thread = _holder_id(holder)
-        self.lock_events += 1
-        held = self._locks_held.get(thread)
-        if held is not None:
-            for index in range(len(held) - 1, -1, -1):
-                if held[index] == vpage:
-                    del held[index]
-                    break
-        clock = self._clock_of(thread)
-        self._lock_clocks[vpage] = dict(clock)
-        clock[thread] = clock.get(thread, 0) + 1
-        self._trail.append(
-            {"t": "lock_release", "holder": thread, "vpage": vpage}
-        )
-
     # -- event-bus hooks ---------------------------------------------------
 
     def on_transition(
@@ -289,20 +248,10 @@ class RaceDetector:
         )
         shadow = self._shadow.get(page_id)
         rogue = shadow is not None and shadow is not old_state
-        # Eraser lockset: the synthetic per-page funnel lock models the
-        # single-site _transition monitor; spin locks the announcing
-        # thread holds participate too.
-        held: Set[str] = {
-            f"lock:{v}" for v in self._locks_held.get(thread, ())
-        }
-        held.add(f"funnel:{page_id}")
-        lockset = self._locksets.get(page_id)
-        lockset = set(held) if lockset is None else (lockset & held)
         if rogue:
             # The unannounced write that moved the state off the shadow
-            # bypassed the funnel: its lockset was empty by definition.
-            lockset = set()
-        self._locksets[page_id] = lockset
+            # bypassed the funnel: the page's lockset is empty from now.
+            self._bypassed.add(page_id)
         clock = self._clock_of(thread)
         last = self._last_access.get(page_id)
         ordered = (
@@ -326,10 +275,10 @@ class RaceDetector:
                     ),
                     "announced_state": old_state.value,
                     "new_state": new_state.value,
-                    "lockset": sorted(lockset),
+                    "lockset": [],
                 },
             )
-        elif not lockset and not ordered:
+        elif page_id in self._bypassed and not ordered:
             self.candidates += 1
             self._report(
                 "lockset-empty",
@@ -352,7 +301,7 @@ class RaceDetector:
 
     def on_page_freed(self, page_id: int) -> None:
         self._shadow.pop(page_id, None)
-        self._locksets.pop(page_id, None)
+        self._bypassed.discard(page_id)
         self._last_access.pop(page_id, None)
         self._monitor_clocks.pop(page_id, None)
         self._trail.append({"t": "page_freed", "page_id": page_id})
@@ -482,7 +431,9 @@ class RaceDetector:
         return {
             "races_accesses": self.accesses,
             "races_sync_edges": self.sync_edges,
-            "races_lock_events": self.lock_events,
+            # Kept at 0 so the chaos goldens keep their bytes; ROADMAP
+            # item 3's re-pin removes the key.
+            "races_lock_events": 0,
             "races_candidates": self.candidates,
             "races_reported": self.reported,
         }
@@ -533,26 +484,14 @@ def attach_detector(
 ) -> RaceDetector:
     """Wire a detector into a built simulation.
 
-    Subscribes to the event bus, installs the spin-lock observer
-    (replacing any detector a previous run left behind, so repeated
-    runs do not accumulate observers), and claims the TLB/MMU mutation
+    Subscribes to the event bus and claims the TLB/MMU mutation
     observer slot on every CPU.
     """
-    from repro.threads.spinlock import (
-        add_lock_observer,
-        lock_observers,
-        remove_lock_observer,
-    )
-
     if detector is None:
         detector = RaceDetector(raise_on_race=raise_on_race)
     subscribe = getattr(bus, "subscribe", None)
     if subscribe is not None:
         subscribe(detector)
-    for existing in lock_observers():
-        if isinstance(existing, RaceDetector):
-            remove_lock_observer(existing)
-    add_lock_observer(detector)
     machine = getattr(numa, "machine", None)
     if machine is not None:
         for cpu in machine.cpus:
@@ -564,10 +503,11 @@ def attach_detector(
 def detach_detector(
     detector: RaceDetector, machine: Optional[object] = None
 ) -> None:
-    """Undo :func:`attach_detector`'s global (lock observer) wiring."""
-    from repro.threads.spinlock import remove_lock_observer
+    """Release the per-CPU TLB/MMU observer slots *detector* holds.
 
-    remove_lock_observer(detector)
+    Kept only for the frozen ``benchmarks/ledger/child.py``, which
+    imports it by name; ROADMAP 1(f) deletes it.
+    """
     if machine is not None:
         for cpu in machine.cpus:
             if cpu.tlb.observer is detector:
@@ -661,7 +601,7 @@ def run_race_check(
 ) -> RaceCheckReport:
     """The full ``repro-numa races`` pass.
 
-    *static* runs RN008-RN011 over the package plus guard inference;
+    *static* runs RN008 and RN010 over the package plus guard inference;
     *dynamic* runs the workload under each fault profile with a
     collecting detector attached (a clean tree reports zero races);
     *fixtures* runs the seeded synthetic races and asserts the detector

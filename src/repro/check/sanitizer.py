@@ -2,9 +2,8 @@
 
 Opt-in via ``REPRO_SANITIZE=1`` (any value other than ``0``, ``false``,
 ``no``, ``off``):  :func:`repro.sim.harness.build_simulation` then
-subscribes a :class:`ProtocolSanitizer` to the run's event bus and
-installs it as the spin-lock observer.  After every protocol event the
-sanitizer re-checks:
+subscribes a :class:`ProtocolSanitizer` to the run's event bus.  After
+every protocol event the sanitizer re-checks:
 
 * **directory invariants** — the transitioned page still satisfies the
   Section 2.3.1 state-definition invariants
@@ -17,8 +16,6 @@ sanitizer re-checks:
   transition lands it in ``GLOBAL_WRITABLE`` and the pin is never
   dropped while the page lives (policies that deliberately reconsider
   pins declare ``reconsiders_pinning = True`` and are exempt);
-* **lock ordering** — the spin-lock acquisition graph stays acyclic
-  (:class:`~repro.check.lockorder.LockOrderChecker`);
 * **recovery soundness** — after every fault-injection *recovery*
   (retry success, degradation to global, frame offlining, pressure
   fallback) the full directory is re-swept, so a recovery path that
@@ -42,7 +39,6 @@ import os
 from collections import deque
 from typing import Any, Deque, Dict, Optional, Tuple
 
-from repro.check.lockorder import LockOrderChecker
 from repro.core.state import PageState
 from repro.errors import ProtocolError, ProtocolViolation
 
@@ -84,7 +80,6 @@ class ProtocolSanitizer:
         #: so reports that record ``sanitizer_checks`` stay comparable
         #: with pre-TLB runs.
         self.tlb_checks = 0
-        self.locks = LockOrderChecker()
         #: The :class:`~repro.check.races.RaceDetector` attached
         #: alongside this sanitizer (set by :func:`attach_sanitizer`);
         #: ``None`` when the sanitizer runs alone.
@@ -226,22 +221,6 @@ class ProtocolSanitizer:
     def on_run_end(self, rounds: int) -> None:
         self._trail.append({"t": "run_end", "rounds": rounds})
         self.check_directory()
-        self.check_locks()
-
-    # -- lock observer hooks (see repro.threads.spinlock) --------------------
-
-    def on_lock_acquire(self, holder: object, vpage: int) -> None:
-        self._trail.append(
-            {"t": "lock_acquire", "holder": repr(holder), "vpage": vpage}
-        )
-        self.locks.on_lock_acquire(holder, vpage)
-        self.check_locks()
-
-    def on_lock_release(self, holder: object, vpage: int) -> None:
-        self._trail.append(
-            {"t": "lock_release", "holder": repr(holder), "vpage": vpage}
-        )
-        self.locks.on_lock_release(holder, vpage)
 
     # -- the checks ----------------------------------------------------------
 
@@ -387,36 +366,19 @@ class ProtocolSanitizer:
                         details={"cpu": cpu_id, "vpage": vpage},
                     )
 
-    def check_locks(self) -> None:
-        """Raise if the lock-acquisition graph has an ordering cycle."""
-        self.locks.check(events=self.trail())
-
 
 def attach_sanitizer(
     numa, bus, races: bool = True, **kwargs
 ) -> ProtocolSanitizer:
-    """Wire a sanitizer into a run: subscribe it and observe the locks.
+    """Wire a sanitizer into a run: subscribe it to the event bus.
 
     ``races=True`` (the default) also attaches a raising
     :class:`~repro.check.races.RaceDetector`, so every sanitized run
     gets lockset/happens-before race checking alongside the directory
-    and TLB sweeps.  Observers a previous run left behind are replaced,
-    not accumulated.
+    and TLB sweeps.
     """
-    # Imported lazily: repro.threads pulls in the sim package, which in
-    # turn imports the harness that calls back into this module.
-    from repro.threads.spinlock import (
-        add_lock_observer,
-        lock_observers,
-        remove_lock_observer,
-    )
-
     sanitizer = ProtocolSanitizer(numa, **kwargs)
     bus.subscribe(sanitizer)
-    for existing in lock_observers():
-        if isinstance(existing, ProtocolSanitizer):
-            remove_lock_observer(existing)
-    add_lock_observer(sanitizer)
     if races:
         from repro.check.races import attach_detector
 

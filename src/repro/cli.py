@@ -686,10 +686,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
     """Run the repro-specific static lint over the package sources.
 
     Runs the full rule set: the hygiene/protocol rules (RN001-RN007)
-    plus the race-discipline rules (RN008-RN011) from
+    plus the race-discipline rules (RN008 and RN010) from
     :mod:`repro.check.races`.
     """
-    # The docstring is `lint --help`, pinned byte for byte; all eleven
+    # The docstring is `lint --help`, pinned byte for byte; all nine
     # rules have since become rows of repro.check.lint.RULES.
     from repro.check import ALL_RULES, lint_paths
 
@@ -710,16 +710,15 @@ def cmd_modelcheck(args: argparse.Namespace) -> int:
 def cmd_races(args: argparse.Namespace) -> int:
     """Race-check the protocol: static guard lint + dynamic detection.
 
-    The static layer lints RN008-RN011 (shared-state mutation outside
-    the inferred guard, unbalanced lock paths, MMU mutation without a
-    paired shootdown, bus emission under a spin lock) and prints the
-    inferred guard model.  The dynamic layer runs a workload under each
-    ``--profiles`` entry with the lockset/happens-before detector
-    attached (a clean tree reports zero races), then replays the seeded
-    synthetic-race fixtures and asserts both are caught — proving the
-    wiring, not just the absence of reports.  ``--static`` skips the
-    dynamic layer for fast CI.  Exit 0 clean, 1 findings (2 reserved
-    for usage errors).
+    The static layer lints RN008 and RN010 (shared-state mutation
+    outside the inferred guard, MMU mutation without a paired
+    shootdown) and prints the inferred guard model.  The dynamic layer
+    runs a workload under each ``--profiles`` entry with the
+    lockset/happens-before detector attached (a clean tree reports zero
+    races), then replays the seeded synthetic-race fixtures and asserts
+    both are caught — proving the wiring, not just the absence of
+    reports.  ``--static`` skips the dynamic layer for fast CI.  Exit 0
+    clean, 1 findings (2 reserved for usage errors).
     """
     from repro.check import run_race_check
 
@@ -1294,7 +1293,7 @@ COMMANDS: Tuple[Command, ...] = (
             CHECK_FORMAT,
             flag(
                 "--static",
-                "static layer only: RN008-RN011 lint + guard "
+                "static layer only: RN008 and RN010 lint + guard "
                 "inference, no simulation (fast CI mode)",
             ),
             arg(

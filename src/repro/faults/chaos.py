@@ -14,14 +14,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.check.races import RaceDetector, attach_detector, detach_detector
+from repro.check.races import RaceDetector, attach_detector
 from repro.check.sanitizer import attach_sanitizer, sanitizer_enabled
 from repro.core.policies import MoveThresholdPolicy
 from repro.core.policy import NUMAPolicy
 from repro.faults.injector import FaultInjector, RetryPolicy, make_injector
 from repro.machine.config import MachineConfig
 from repro.obs.telemetry import Telemetry
-from repro.sim.harness import build_simulation
+from repro.sim.harness import build_simulation, run_engine
 from repro.sim.result import ChaosReport
 from repro.workloads.base import Workload
 
@@ -68,17 +68,13 @@ def run_chaos(
     )
     sanitizer = sim.sanitizer  # the REPRO_SANITIZE-attached instance
     if sanitize and sanitizer is None:
-        sanitizer = sim.sanitizer = attach_sanitizer(sim.numa, sim.engine.bus)
+        sanitizer = attach_sanitizer(sim.numa, sim.engine.bus)
     race_detector = detector
     if race_detector is not None:
         attach_detector(sim.numa, sim.engine.bus, detector=race_detector)
     elif sanitizer is not None:
         race_detector = sanitizer.races
-    try:
-        rounds = sim.run_threads(telemetry)  # detaches the sanitizer
-    finally:
-        if detector is not None:
-            detach_detector(detector, sim.machine)
+    rounds = run_engine(sim.engine, sim.threads, telemetry)
     if race_detector is not None and telemetry is not None:
         race_detector.publish_metrics(telemetry.registry)
     machine = sim.machine

@@ -62,12 +62,10 @@ in the NUMA manager reaches the ``emit_transition`` call.
 
 The race detector (:mod:`repro.check.races`) subscribes to the same
 bus — ``on_transition`` drives its shadow-state check, ``on_reference``
-its missed-shootdown check — and additionally installs itself in three
-observer slots the bus does not carry: the spin-lock observer list
-(:func:`repro.threads.spinlock.add_lock_observer`, for lockset and
-happens-before tracking) and the per-CPU ``SoftwareTLB.observer`` /
-``MMU.observer`` attributes (for the TLB mirror that pairs MMU
-mutations against their shootdowns).  Its ``races_*`` counters publish
+its missed-shootdown check — and additionally installs itself in the
+per-CPU ``SoftwareTLB.observer`` / ``MMU.observer`` slots the bus does
+not carry (for the TLB mirror that pairs MMU mutations against their
+shootdowns).  Its ``races_*`` counters publish
 into the standard :class:`~repro.obs.metrics.MetricsRegistry` alongside
 the engine's own metrics.
 """

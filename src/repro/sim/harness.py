@@ -67,27 +67,16 @@ class Simulation:
     #: One build context (and through it one address space) per Mach
     #: task, in task order; a single run has exactly one.
     contexts: List[BuildContext]
-    #: The :class:`ProtocolSanitizer` attached for ``REPRO_SANITIZE`` (or
-    #: by a chaos run, which reuses this one if set), else ``None``;
-    #: :meth:`run_threads` detaches it.
+    #: The ``REPRO_SANITIZE``-attached :class:`ProtocolSanitizer`, when
+    #: the environment opted this process in (``None`` otherwise).
+    #: Chaos runs reuse it instead of attaching a second instance.
     sanitizer: object = None
 
     def run(self, telemetry: Optional[Telemetry] = None) -> RunResult:
         """Run the threads to completion and collect the result."""
-        return collect_result(self, self.run_threads(telemetry))
-
-    def run_threads(self, telemetry: Optional[Telemetry] = None) -> int:
-        """:func:`run_engine`, then detach the sanitizer: lock observers
-        are process-wide and must not outlive the run, even a failed one."""
-        try:
-            return run_engine(self.engine, self.threads, telemetry)
-        finally:
-            if self.sanitizer is not None:
-                from repro.check.races import detach_detector
-                from repro.threads.spinlock import remove_lock_observer
-
-                remove_lock_observer(self.sanitizer)
-                detach_detector(self.sanitizer.races, self.machine)
+        return collect_result(
+            self, run_engine(self.engine, self.threads, telemetry)
+        )
 
 
 def build_simulation(

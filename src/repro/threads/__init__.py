@@ -1,1 +1,1 @@
-"""Thread, lock and scheduling substrate (the C-Threads environment)."""
+"""Thread and scheduling substrate (the C-Threads environment)."""

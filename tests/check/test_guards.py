@@ -6,7 +6,6 @@ from repro.check.guards import (
     GUARD_FUNNEL,
     GUARD_MONITOR,
     GUARD_NONE,
-    GUARD_SPINLOCK,
     GuardModel,
     MutationSite,
 )
@@ -55,16 +54,6 @@ class TestSiteCollection:
         assert site.field == "local_copies"
         assert site.kind == "add"
         assert site.guard == GUARD_NONE
-
-    def test_spinlock_span_covers_mutation(self):
-        source = (
-            "def f(entry, lock):\n"
-            "    lock.acquire()\n"
-            "    entry.owner = 2\n"
-            "    lock.release()\n"
-        )
-        (site,) = _sites(source, "vm/pmap.py")
-        assert site.guard == GUARD_SPINLOCK
 
     def test_mutation_outside_spinlock_span_is_unguarded(self):
         source = (

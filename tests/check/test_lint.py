@@ -18,8 +18,9 @@ from repro.cli import main
 
 #: A miniature package tree with exactly one planted violation per rule,
 #: and what the eleven ``Rule`` subclasses before the rule table (commit
-#: 043799e) reported on it: ``[rule_id, path, line, col, message]`` rows
-#: from ``lint_paths([tree], rules=ALL_RULES, root=tree)``.
+#: 043799e) reported on it, less the rows of the two spin-lock rules
+#: deleted since (RN009, RN011): ``[rule_id, path, line, col, message]``
+#: rows from ``lint_paths([tree], rules=ALL_RULES, root=tree)``.
 PLANTED = pathlib.Path(__file__).parent / "planted"
 
 
@@ -492,7 +493,7 @@ class TestRepoIsClean:
         assert report.exit_code == 0
         assert report.files_checked > 50
 
-    def test_all_eleven_rules_suppress_the_twelve_known_sites(self):
+    def test_all_rules_suppress_the_twelve_known_sites(self):
         report = lint_paths(rules=ALL_RULES)
         assert (len(report.violations), report.suppressed) == (0, 12)
 

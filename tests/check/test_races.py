@@ -3,13 +3,7 @@
 import pytest
 
 from repro.check.lint import ALL_RULES, RACE_RULES, lint_source
-from repro.check.lockorder import LockOrderChecker
-from repro.check.races import (
-    RaceDetector,
-    attach_detector,
-    detach_detector,
-    run_race_check,
-)
+from repro.check.races import RaceDetector, run_race_check
 from repro.check.fixtures import (
     run_missed_shootdown_fixture,
     run_unguarded_write_fixture,
@@ -20,6 +14,7 @@ from repro.errors import ProtocolViolation
 UNT = PageState.UNTOUCHED
 RO = PageState.READ_ONLY
 LW = PageState.LOCAL_WRITABLE
+
 
 def _violations(source: str, relpath: str):
     found, _ = lint_source(source, relpath, rules=RACE_RULES)
@@ -45,42 +40,6 @@ class TestSharedGuardRule:
         assert _violations(source, "core/actions.py") == []
 
 
-class TestLockBalanceRule:
-    def test_unreleased_acquire_is_flagged(self):
-        source = "def f(lock):\n    lock.acquire()\n"
-        violations = _violations(source, "sim/engine.py")
-        assert any(
-            v.rule_id == "RN009" and "without a matching" in v.message
-            for v in violations
-        )
-
-    def test_return_while_held_is_flagged(self):
-        source = (
-            "def f(lock, x):\n"
-            "    lock.acquire()\n"
-            "    if x:\n"
-            "        return 1\n"
-            "    lock.release()\n"
-        )
-        violations = _violations(source, "sim/engine.py")
-        assert any(
-            v.rule_id == "RN009" and "returns while still holding" in v.message
-            for v in violations
-        )
-
-    def test_balanced_function_is_clean(self):
-        source = (
-            "def f(lock):\n"
-            "    lock.acquire()\n"
-            "    lock.release()\n"
-        )
-        assert _violations(source, "sim/engine.py") == []
-
-    def test_spinlock_module_itself_is_exempt(self):
-        source = "def f(lock):\n    lock.acquire()\n"
-        assert _violations(source, "threads/spinlock.py") == []
-
-
 class TestShootdownPairRule:
     def test_bare_mmu_mutation_is_flagged(self):
         source = "def f(cpu, vpage):\n    cpu.mmu.remove(vpage)\n"
@@ -99,27 +58,6 @@ class TestShootdownPairRule:
     def test_mmu_module_itself_is_exempt(self):
         source = "def f(self, vpage):\n    self._mmu.remove(vpage)\n"
         assert _violations(source, "machine/mmu.py") == []
-
-
-class TestEmitUnderLockRule:
-    def test_emit_inside_critical_region_is_flagged(self):
-        source = (
-            "def f(self):\n"
-            "    self._lock.acquire()\n"
-            "    self.bus.emit_transition(1)\n"
-            "    self._lock.release()\n"
-        )
-        (violation,) = _violations(source, "core/numa_manager.py")
-        assert violation.rule_id == "RN011"
-
-    def test_emit_after_release_is_clean(self):
-        source = (
-            "def f(self):\n"
-            "    self._lock.acquire()\n"
-            "    self._lock.release()\n"
-            "    self.bus.emit_transition(1)\n"
-        )
-        assert _violations(source, "core/numa_manager.py") == []
 
 
 class TestPackageIsClean:
@@ -168,21 +106,11 @@ class TestFixtures:
         assert first.format() == second.format()
 
     def test_formatted_trails_name_every_event(self):
-        """The detector and the lock-order checker key trail events
-        ``"t"``, the discriminator ``format_trail`` prints; any other
-        key renders every line as ``?:``."""
+        """The detector keys trail events ``"t"``, the discriminator
+        ``format_trail`` prints; any other key renders every line as
+        ``?:``."""
         race = run_unguarded_write_fixture().reports[0].format()
         assert "transition:" in race and "?:" not in race
-        checker = LockOrderChecker()
-        for thread, outer, inner in (("t1", 10, 20), ("t2", 20, 10)):
-            checker.on_lock_acquire(thread, outer)
-            checker.on_lock_acquire(thread, inner)
-            checker.on_lock_release(thread, inner)
-            checker.on_lock_release(thread, outer)
-        with pytest.raises(ProtocolViolation) as exc:
-            checker.check()
-        cycle = exc.value.format_trail()
-        assert "lock_edge:" in cycle and "?:" not in cycle
 
     @pytest.mark.parametrize(
         "steps, expected",
@@ -245,27 +173,6 @@ class TestDetectorPlumbing:
             "races_reported",
         }
         assert all(v == 0 for v in counters.values())
-
-    def test_attach_replaces_previous_detector_lock_observer(self):
-        from repro.threads.spinlock import lock_observers
-
-        class FakeBus:
-            def subscribe(self, observer):
-                self.observer = observer
-
-        first = attach_detector(object(), FakeBus(), raise_on_race=False)
-        try:
-            second = attach_detector(
-                object(), FakeBus(), raise_on_race=False
-            )
-            detectors = [
-                o for o in lock_observers()
-                if isinstance(o, RaceDetector)
-            ]
-            assert detectors == [second]
-        finally:
-            detach_detector(first)
-            detach_detector(second)
 
     def test_publish_metrics_exports_counter_deltas(self):
         from repro.obs.metrics import MetricsRegistry

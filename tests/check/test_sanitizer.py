@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.check.races import detach_detector
 from repro.check.sanitizer import (
     ProtocolSanitizer,
     attach_sanitizer,
@@ -15,14 +14,7 @@ from repro.core.state import AccessKind, PageState
 from repro.errors import ProtocolViolation
 from repro.machine.memory import Frame, FrameKind
 from repro.sim.harness import build_simulation
-from repro.threads.spinlock import remove_lock_observer
 from repro.workloads import small_workloads
-
-
-def detach_sanitizer(sanitizer, machine):
-    """Uninstall what ``attach_sanitizer`` installed process-wide."""
-    remove_lock_observer(sanitizer)
-    detach_detector(sanitizer.races, machine)
 
 
 class FakeNuma:
@@ -75,28 +67,21 @@ class TestCleanWorkloadRun:
             [wl], MoveThresholdPolicy(threshold=4), n_processors=4
         )
         sanitizer = attach_sanitizer(sim.numa, sim.engine.bus)
-        try:
-            sim.engine.run(sim.threads)
-        finally:
-            detach_sanitizer(sanitizer, sim.machine)
+        sim.engine.run(sim.threads)
         assert sanitizer.checks > 0
         assert sanitizer.trail()[-1]["t"] == "run_end"
 
     def test_harness_attaches_when_env_set(self, monkeypatch):
-        from repro.threads.spinlock import lock_observers
-
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         wl = small_workloads()["ParMult"]
         sim = build_simulation(
             [wl], MoveThresholdPolicy(threshold=4), n_processors=4
         )
-        try:
-            # The harness installed the sanitizer as a lock observer.
-            assert sim.sanitizer in lock_observers()
-            assert isinstance(sim.sanitizer, ProtocolSanitizer)
-            sim.engine.run(sim.threads)  # and the run passes its checks
-        finally:
-            detach_sanitizer(sim.sanitizer, sim.machine)
+        # The harness subscribed the sanitizer to the run's bus.
+        assert isinstance(sim.sanitizer, ProtocolSanitizer)
+        assert sim.sanitizer in sim.engine.bus.observers
+        sim.engine.run(sim.threads)  # and the run passes its checks
+        assert sim.sanitizer.checks > 0
 
 
 class TestDirectoryInvariantCheck:
@@ -363,35 +348,3 @@ class TestTLBCoherenceSweep:
             sanitizer.check_tlbs()
         assert exc.value.check == "tlb-coherence"
         assert "latency class" in str(exc.value)
-
-
-class TestLockHooks:
-    def test_abba_through_the_sanitizer_raises(self):
-        sanitizer = ProtocolSanitizer(FakeNuma())
-        sanitizer.on_lock_acquire("t1", 10)
-        sanitizer.on_lock_acquire("t1", 20)
-        sanitizer.on_lock_release("t1", 20)
-        sanitizer.on_lock_release("t1", 10)
-        sanitizer.on_lock_acquire("t2", 20)
-        with pytest.raises(ProtocolViolation) as exc:
-            sanitizer.on_lock_acquire("t2", 10)
-        assert exc.value.check == "lock-order"
-        # The event trail includes the lock history for debugging.
-        assert any(
-            event["t"] == "lock_acquire" for event in exc.value.events
-        )
-
-    def test_violation_trail_formats(self):
-        sanitizer = ProtocolSanitizer(FakeNuma())
-        sanitizer.on_lock_acquire("t1", 1)
-        sanitizer.on_lock_acquire("t1", 2)
-        sanitizer.on_lock_release("t1", 2)
-        sanitizer.on_lock_release("t1", 1)
-        sanitizer.on_lock_acquire("t2", 2)
-        try:
-            sanitizer.on_lock_acquire("t2", 1)
-        except ProtocolViolation as violation:
-            text = violation.format_trail()
-            assert "lock_acquire" in text
-        else:  # pragma: no cover
-            pytest.fail("expected a lock-order violation")

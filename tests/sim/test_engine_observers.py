@@ -3,7 +3,7 @@
 import sys
 
 from repro.analysis.tracing import TraceCollector
-from repro.check.races import RaceDetector, detach_detector
+from repro.check.races import RaceDetector
 from repro.check.sanitizer import attach_sanitizer
 from repro.core.state import AccessKind
 from repro.exp.spec import RunSpec
@@ -13,7 +13,6 @@ from repro.sim.engine import Engine
 from repro.sim.ops import Compute, MemBlock
 from repro.threads.cthreads import CThread
 from repro.threads.scheduler import AffinityScheduler
-from repro.threads.spinlock import remove_lock_observer
 from repro.vm.vm_object import shared_object
 from tests.conftest import make_rig
 from tests.sim.test_engine_fastpath import ReferenceLog
@@ -428,8 +427,6 @@ def observed_run_calls(spec):
         sim.engine.run(sim.threads)
     finally:
         sys.setprofile(None)
-        remove_lock_observer(sanitizer)
-        detach_detector(sanitizer.races, sim.machine)
     listeners = {
         type(observer)
         for observer in sim.engine.bus.observers

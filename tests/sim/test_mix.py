@@ -4,12 +4,10 @@ import inspect
 
 import pytest
 
-from repro.check.races import detach_detector
 from repro.core.policies import MoveThresholdPolicy
 from repro.core.policies.registry import build_policy
 from repro.sim.harness import build_simulation, run_once
 from repro.sim.mix import run_mix
-from repro.threads.spinlock import lock_observers, remove_lock_observer
 from repro.workloads.gfetch import Gfetch
 from repro.workloads.imatmult import IMatMult
 from repro.workloads.parmult import ParMult
@@ -87,12 +85,8 @@ class TestRunMix:
             sim = build_simulation(
                 workloads, MoveThresholdPolicy(threshold=4), n_processors=4
             )
-            assert sim.sanitizer in lock_observers()
-            try:
-                sim.engine.run(sim.threads)
-            finally:
-                remove_lock_observer(sim.sanitizer)
-                detach_detector(sim.sanitizer.races, sim.machine)
+            assert sim.sanitizer in sim.engine.bus.observers
+            sim.engine.run(sim.threads)
             assert sim.sanitizer.checks > 0
 
     def test_same_application_twice_does_not_cross_barriers(self):

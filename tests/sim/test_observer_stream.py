@@ -17,7 +17,6 @@ import sys
 
 import pytest
 
-from repro.check.races import detach_detector
 from repro.check.sanitizer import attach_sanitizer
 from repro.core.policies import MoveThresholdPolicy
 from repro.errors import SimulationError
@@ -30,7 +29,6 @@ from repro.sim.harness import build_simulation, collect_result
 from repro.sim.ops import Compute, MemBlock
 from repro.threads.cthreads import CThread
 from repro.threads.scheduler import AffinityScheduler, GlobalQueueScheduler
-from repro.threads.spinlock import remove_lock_observer
 from repro.vm.vm_object import shared_object
 from tests.conftest import make_rig
 from tests.sim.test_engine_observers import OBSERVED_SPECS
@@ -68,12 +66,8 @@ def observed_views(spec):
     sanitizer._trail = []
     detector._trail = []
     recorder = sim.engine.bus.subscribe(StreamRecorder())
-    try:
-        rounds = sim.engine.run(sim.threads)
-        telemetry.finalize()
-    finally:
-        remove_lock_observer(sanitizer)
-        detach_detector(detector, sim.machine)
+    rounds = sim.engine.run(sim.threads)
+    telemetry.finalize()
     records = []
     for record in telemetry.to_records():
         if record["t"] == "phase":

@@ -1,47 +1,11 @@
-"""Spin locks and the Unix-master syscall model."""
+"""The Unix-master syscall model."""
 
-from repro.sim.ops import Compute, MemBlock, Syscall
-from repro.threads.spinlock import SpinLock
+from repro.sim.ops import Syscall
 from repro.threads.unix_master import (
     PAPER_PATCHED_CALLS,
     UnixMaster,
     syscall,
 )
-
-
-class TestSpinLock:
-    def test_acquire_emits_test_and_set(self):
-        lock = SpinLock(vpage=100)
-        ops = list(lock.acquire())
-        mem = [op for op in ops if isinstance(op, MemBlock)]
-        assert len(mem) == 1
-        assert mem[0].vpage == 100
-        assert mem[0].reads == 1 and mem[0].writes == 1
-
-    def test_release_emits_single_store(self):
-        lock = SpinLock(vpage=100)
-        ops = list(lock.release())
-        mem = [op for op in ops if isinstance(op, MemBlock)]
-        assert mem[0].writes == 1 and mem[0].reads == 0
-
-    def test_acquisition_counter(self):
-        lock = SpinLock(vpage=100)
-        list(lock.acquire())
-        list(lock.release())
-        list(lock.acquire())
-        list(lock.release())
-        assert lock.acquisitions == 2
-
-    def test_critical_section_wraps_body(self):
-        lock = SpinLock(vpage=100)
-        body = [Compute(5.0)]
-        ops = list(lock.critical_section(iter(body)))
-        assert any(isinstance(op, Compute) and op.us == 5.0 for op in ops)
-        mem = [op for op in ops if isinstance(op, MemBlock)]
-        assert len(mem) == 2  # acquire + release
-
-    def test_vpage_property(self):
-        assert SpinLock(vpage=42).vpage == 42
 
 
 class TestUnixMaster:
