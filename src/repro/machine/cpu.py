@@ -156,8 +156,3 @@ class CPU:
         if microseconds < 0:
             raise ValueError("cannot charge negative time")
         self.system_time_us += microseconds
-
-    def reset_times(self) -> None:
-        """Zero both clocks (used between measurement phases)."""
-        self.user_time_us = 0.0
-        self.system_time_us = 0.0

@@ -262,7 +262,7 @@ class Engine:
                         entry = cpu_obj.tlb.lookup(vpage, writes > 0) if fast_path else None
                         if entry is None:
                             self.ops_executed = ops
-                            self._mem_block(cpu, op, task)
+                            self._mem_block(cpu, op, task, books)
                         else:
                             # FAST PATH: the cached entry proves the MMU
                             # would translate both halves without faulting,
@@ -364,7 +364,7 @@ class Engine:
             self.ops_executed = ops
             if spans:
                 profiler.add("reference_batch", spans_s, spans, longest)
-            if lanes and not books:  # supersedes what the slow arm added
+            if lanes and not books:  # neither arm booked a one-task run
                 task_us[lanes[0][2]] = self._machine.total_user_time_us()
         self._bus.emit_run_end(self._round)
         return self._round if threads else 0
@@ -400,20 +400,27 @@ class Engine:
             if profiler is not None:
                 profiler.add("policy_tick", perf_counter() - started)
 
-    def _mem_block(self, cpu: int, op: MemBlock, task: int = 0) -> None:
+    def _mem_block(
+        self, cpu: int, op: MemBlock, task: int, books: bool
+    ) -> None:
         """SLOW PATH: translate through the MMU, faulting as needed.
 
         Taken on a TLB miss (already counted: no second lookup here) and
-        for every block when the fast path is off.
+        for every block when the fast path is off.  *books* says whether
+        the run keeps per-task books (see :meth:`run`).
         """
         vpage = op.vpage
         _, _, writable = self._info_for(vpage, task)
         if op.reads:
             frame = self._resolve(cpu, vpage, AccessKind.READ, task)
-            self._charge_refs(cpu, vpage, frame, op.reads, 0, writable, task)
+            self._charge_refs(
+                cpu, vpage, frame, op.reads, 0, writable, task, books
+            )
         if op.writes:
             frame = self._resolve(cpu, vpage, AccessKind.WRITE, task)
-            self._charge_refs(cpu, vpage, frame, 0, op.writes, writable, task)
+            self._charge_refs(
+                cpu, vpage, frame, 0, op.writes, writable, task, books
+            )
         if self._fast_path:
             self._fill_tlb(cpu, vpage, writable)
 
@@ -499,7 +506,8 @@ class Engine:
         reads: int,
         writes: int,
         writable_data: bool,
-        task: int = 0,
+        task: int,
+        books: bool,
     ) -> None:
         # Distance-aware: on multi-level machines a same-socket remote
         # frame is charged at socket rates; on the flat ACE this is the
@@ -511,8 +519,9 @@ class Engine:
         cpu.charge_user(cost)
         # The fast arm's bookkeeping, a zero half skipped: the same state
         # as ReferenceCounters.record, without the calls.
-        task_us = self.task_user_us
-        task_us[task] = task_us.get(task, 0.0) + cost
+        if books:
+            task_us = self.task_user_us
+            task_us[task] = task_us.get(task, 0.0) + cost
         if reads:
             cpu.all_refs.fetches[location] += reads
             if writable_data:

@@ -25,12 +25,6 @@ class TestCPU:
         with pytest.raises(ValueError):
             cpu.charge_system(-1.0)
 
-    def test_reset_times(self):
-        cpu = CPU(0)
-        cpu.charge_user(3.0)
-        cpu.reset_times()
-        assert cpu.total_time_us == 0.0
-
     def test_cpu_owns_an_mmu_with_its_id(self):
         assert CPU(3).mmu.cpu == 3
 
