@@ -38,8 +38,6 @@ class TestCleanTreeSweep:
         assert report.sanitized
         assert report.races["races_reported"] == 0
         # The detector actually watched the run, it didn't just idle.
-        # (ParMult takes no spin locks, so only the reference and
-        # transition streams carry traffic here.)
         assert report.races["races_accesses"] > 0
 
     @pytest.mark.parametrize("profile", PROFILES)
