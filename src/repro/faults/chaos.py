@@ -49,10 +49,10 @@ def run_chaos(
     ``telemetry`` attaches the standard facade, so chaos runs get the
     same profiled ``engine_run`` span and finalized gauges as
     :func:`~repro.sim.harness.run_once`.  ``detector`` attaches a
-    caller-owned (typically collecting) :class:`RaceDetector`; without
-    one, sanitized runs still race-check through the sanitizer's own
-    raising detector, and either way the ``races_*`` counters land in
-    the report.
+    caller-owned (typically collecting) :class:`RaceDetector`, which on a
+    sanitized run also replaces the sanitizer's own; without one,
+    sanitized runs still race-check through the sanitizer's own raising
+    detector, and either way the ``races_*`` counters land in the report.
     """
     if injector is None:
         injector = make_injector(profile_name, seed, retry)
@@ -71,6 +71,11 @@ def run_chaos(
         sanitizer = attach_sanitizer(sim.numa, sim.engine.bus)
     race_detector = detector
     if race_detector is not None:
+        if sanitizer is not None:
+            # One detector serves the run: the caller's takes every CPU's
+            # TLB/MMU observer slot, so it replaces the sanitizer's own.
+            sim.engine.bus.unsubscribe(sanitizer.races)
+            sanitizer.races = race_detector
         attach_detector(sim.numa, sim.engine.bus, detector=race_detector)
     elif sanitizer is not None:
         race_detector = sanitizer.races

@@ -32,7 +32,7 @@ are bit-identical with the TLB on or off.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Mapping, Optional
 
 from repro.machine.memory import Frame
 from repro.machine.protection import Protection
@@ -260,3 +260,10 @@ class SoftwareTLB:
             "shootdowns": self.shootdowns,
             "flushes": self.flushes,
         }
+
+    @property
+    def cached(self) -> Mapping[int, TLBEntry]:
+        """The live vpage → entry map, read-only; never replaced, so a
+        held handle stays current.  The engine's lean arm probes it in
+        place of :meth:`lookup` and counts the hit or miss itself."""
+        return self._entries

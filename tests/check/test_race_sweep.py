@@ -77,3 +77,46 @@ class TestDeterministicDetectorOutput:
         decoded = json.loads(report.to_json())
         assert decoded["races"]["races_reported"] == 0
         assert decoded["races"]["races_accesses"] > 0
+
+
+class TestOneDetectorPerRun:
+    """A caller's detector on a sanitized run replaces the sanitizer's
+    own.  The caller's takes every CPU's single TLB/MMU observer slot,
+    so a second detector on the bus would hear references but never a
+    fill or an invalidation, and could never report a missed shootdown."""
+
+    @pytest.mark.parametrize(
+        "sanitize, environ", [(True, None), (False, "1")],
+        ids=["sanitize", "REPRO_SANITIZE"],
+    )
+    def test_the_callers_detector_serves_the_run(
+        self, sanitize, environ, monkeypatch
+    ):
+        from repro.check.sanitizer import ProtocolSanitizer
+        from repro.faults import chaos
+
+        if environ is not None:
+            monkeypatch.setenv("REPRO_SANITIZE", environ)
+        built, build = [], chaos.build_simulation
+
+        def build_simulation(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(chaos, "build_simulation", build_simulation)
+        detector = RaceDetector(raise_on_race=False)
+        report = _sweep("transient", detector=detector, sanitize=sanitize)
+        (sim,) = built
+        assert report.sanitized
+        assert report.races == detector.counters()
+        for cpu in sim.machine.cpus:
+            assert cpu.tlb.observer is detector
+            assert cpu.mmu.observer is detector
+        observers = sim.engine.bus.observers
+        assert [o for o in observers if isinstance(o, RaceDetector)] == [
+            detector
+        ]
+        (sanitizer,) = [
+            o for o in observers if isinstance(o, ProtocolSanitizer)
+        ]
+        assert sanitizer.races is detector
