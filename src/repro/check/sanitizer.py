@@ -337,8 +337,8 @@ class ProtocolSanitizer:
                         check="tlb-coherence",
                         details={"cpu": cpu_id, "vpage": vpage},
                     )
-                # ref_costs is the same oracle the engine's _fill_tlb
-                # uses: on multi-level machines a same-socket remote
+                # ref_costs is the same oracle the engine's _charge_half
+                # fills from: on multi-level machines a same-socket remote
                 # frame is priced at socket speed (flat: identical).
                 location, fetch_us, store_us = timing.ref_costs(
                     cpu_id, cached.frame

@@ -110,7 +110,7 @@ class ActionExecutor:
         self._cpus[cpu].remove_translation(
             mapping.vpage, acting_cpu=acting_cpu
         )
-        self._cpus[acting_cpu].charge_system(
+        self._cpus[acting_cpu].system_time_us += (  # validated prices
             self._mapping_op_us if acting_cpu == cpu else self._shootdown_us
         )
 

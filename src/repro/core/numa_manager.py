@@ -758,7 +758,7 @@ class NUMAManager:
             elif _ALLOWS[existing.protection][prot]:
                 prot = existing.protection  # keep the stronger mapping
         target.enter_translation(vpage, frame, prot, acting_cpu=cpu)
-        target.charge_system(self._mapping_op_us)
+        target.system_time_us += self._mapping_op_us  # a validated price
         entry.record_mapping(cpu, vpage, prot, frame)
         return frame
 

@@ -49,11 +49,13 @@ class Frame:
     directory and the content tokens.
     """
 
-    __slots__ = ("kind", "node", "index")
+    __slots__ = ("kind", "node", "index", "shared")
 
     kind: FrameKind
     node: Optional[int]
     index: int
+    #: Not any one CPU's own memory (a GLOBAL or SOCKET frame); set once.
+    shared: bool
 
     def __new__(
         cls, kind: FrameKind, node: Optional[int], index: int
@@ -72,6 +74,7 @@ class Frame:
         object.__setattr__(frame, "kind", kind)
         object.__setattr__(frame, "node", node)
         object.__setattr__(frame, "index", index)
+        object.__setattr__(frame, "shared", kind is not FrameKind.LOCAL)
         return _FRAMES.setdefault(key, frame)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -98,7 +101,7 @@ class Frame:
         any one CPU's own memory; their cheaper same-socket price is
         applied by :meth:`TimingModel.ref_costs`, not by this label.
         """
-        if self.kind is FrameKind.GLOBAL or self.kind is FrameKind.SOCKET:
+        if self.shared:
             return MemoryLocation.GLOBAL
         if self.node == cpu:
             return MemoryLocation.LOCAL

@@ -7,8 +7,8 @@ page per processor*; :meth:`MMU.enter` enforces that restriction, and it is
 one of the fault sources the paper lists in Section 2.3.1.
 
 A reference that misses, or that wants more rights than its mapping grants,
-raises :class:`MMUFault`.  Faults are ordinary control flow — the VM layer
-catches them and drives the NUMA protocol.
+translates to ``None``.  A fault is a value, not an exception: the engine
+tests for it and has the VM layer drive the NUMA protocol.
 
 The MMU itself never walks page tables: translation storage is abstract.
 On multi-level machines the *cost* of the walks a real MMU would perform
@@ -25,27 +25,6 @@ from typing import Dict, Iterator, Optional
 from repro.errors import MappingError
 from repro.machine.memory import Frame
 from repro.machine.protection import _ALLOWS, _NORMALIZED, Protection
-
-
-class MMUFault(Exception):
-    """A reference could not be satisfied by the current translations.
-
-    Not a :class:`repro.errors.ReproError`: faults are the mechanism that
-    drives page placement, not failures.
-    """
-
-    def __init__(self, cpu: int, vpage: int, wanted: Protection) -> None:
-        super().__init__(cpu, vpage, wanted)
-        self.cpu = cpu
-        self.vpage = vpage
-        self.wanted = wanted
-
-    def __str__(self) -> str:
-        # Built only if someone prints the fault; the engine never does.
-        return (
-            f"cpu {self.cpu} faulted on vpage {self.vpage} "
-            f"wanting {self.wanted!r}"
-        )
 
 
 @dataclass(slots=True)
@@ -149,16 +128,14 @@ class MMU:
         """Return the virtual address mapping *frame*, or ``None``."""
         return self._by_frame.get(frame)
 
-    def translate(self, vpage: int, wanted: Protection) -> Frame:
-        """Resolve *vpage* for an access needing *wanted* rights.
-
-        Raises :class:`MMUFault` on a missing translation or insufficient
-        protection.
-        """
+    def translate(self, vpage: int, wanted: Protection) -> Optional[MMUEntry]:
+        """The live translation of *vpage* for an access needing *wanted*
+        rights, or ``None`` (a fault) on a missing translation or
+        insufficient protection."""
         entry = self._by_vpage.get(vpage)
         if entry is None or not _ALLOWS[entry.protection][wanted]:
-            raise MMUFault(self._cpu, vpage, wanted)
-        return entry.frame
+            return None
+        return entry
 
     def entries(self) -> Iterator[MMUEntry]:
         """Iterate over all live translations (order unspecified)."""

@@ -221,15 +221,6 @@ class TimingModel:
             )
         return self._rows[location]  # type: ignore[attr-defined]
 
-    def block_us_for(
-        self, cpu: int, frame, reads: int, writes: int
-    ) -> Tuple[MemoryLocation, float]:
-        """``(location, cost)`` of a reference block by *cpu* on *frame*."""
-        if reads < 0 or writes < 0:
-            raise ValueError("reference counts cannot be negative")
-        location, fetch, store = self.ref_costs(cpu, frame)
-        return location, reads * fetch + writes * store
-
     def page_copy_us_for(self, cpu: int, source, destination) -> float:
         """Distance-aware :meth:`page_copy_us` executed by *cpu*.
 

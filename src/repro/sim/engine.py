@@ -13,10 +13,12 @@ already-placed page — must be cheap.  The fast path resolves a whole
 same-page reference block through the per-CPU software TLB
 (:mod:`repro.machine.tlb`) and charges it in bulk off the cached latency
 class; only a TLB miss or a protection upgrade (write to a read-only
-entry) takes the slow path, where the MMU translates and misses trap into
-the machine-independent fault handler driving the NUMA protocol.  Both
-paths charge bit-identical simulated time: the TLB entry caches the very
-per-word costs ``block_us`` would recompute, and protocol activity —
+entry) takes the slow path, where a miss is the MMU's ``None`` and runs
+the machine-independent fault handler driving the NUMA protocol.  Each
+half of a slow block is priced once, off the MMU entry it resolved, and
+the last half fills the TLB from that entry.  Both paths charge
+bit-identical simulated time: the TLB entry caches the very per-word
+costs the slow arm charged, and protocol activity —
 which is what could invalidate a translation mid-block — only ever runs
 from the slow path's fault handling or between operations (policy ticks,
 injector pumps), so a TLB hit guarantees the whole block is fault-free.
@@ -53,8 +55,7 @@ from typing import Dict, Iterator, List, Optional, Protocol, Tuple
 from repro.core.state import AccessKind
 from repro.errors import FaultResolutionError, SimulationError
 from repro.machine.machine import Machine
-from repro.machine.memory import Frame
-from repro.machine.mmu import MMUFault
+from repro.machine.mmu import MMUEntry
 from repro.machine.protection import PROT_READ, PROT_READ_WRITE
 from repro.machine.timing import MemoryLocation
 from repro.machine.tlb import SoftwareTLB
@@ -526,36 +527,35 @@ class Engine:
         the run keeps per-task books (see :meth:`run`).
         """
         vpage = op.vpage
+        reads = op.reads
+        writes = op.writes
         _, _, writable = self._info_for(vpage, task)
-        if op.reads:
-            frame = self._resolve(cpu, vpage, AccessKind.READ, task)
-            self._charge_refs(
-                cpu, vpage, frame, op.reads, 0, writable, task, books
+        fill = self._fast_path
+        if reads:
+            entry = self._resolve(cpu, vpage, AccessKind.READ, task)
+            self._charge_half(
+                cpu, entry, reads, 0, writable, task, books, fill and not writes
             )
-        if op.writes:
-            frame = self._resolve(cpu, vpage, AccessKind.WRITE, task)
-            self._charge_refs(
-                cpu, vpage, frame, 0, op.writes, writable, task, books
-            )
-        if self._fast_path:
-            self._fill_tlb(cpu, vpage, writable)
+        if writes:
+            entry = self._resolve(cpu, vpage, AccessKind.WRITE, task)
+            self._charge_half(cpu, entry, 0, writes, writable, task, books, fill)
 
     def _syscall(self, op: Syscall, task: int = 0) -> None:
         call = self._unix_master.effective_syscall(op)
         master = self._unix_master.master_cpu
-        self._machine.cpu(master).charge_system(call.service_us)
+        cpu = self._cpus[master]
+        cpu.charge_system(call.service_us)
+        ref_costs = self._timing.ref_costs
         for vpage, reads, writes in call.touched:
             # Kernel references to user memory, issued from the master
             # processor.  They drive placement like any others but are
             # charged as system time and kept out of the user α counters.
             if reads:
-                frame = self._resolve(master, vpage, AccessKind.READ, task)
-                _, cost = self._timing.block_us_for(master, frame, reads, 0)
-                self._machine.cpu(master).charge_system(cost)
+                entry = self._resolve(master, vpage, AccessKind.READ, task)
+                cpu.charge_system(reads * ref_costs(master, entry.frame)[1])
             if writes:
-                frame = self._resolve(master, vpage, AccessKind.WRITE, task)
-                _, cost = self._timing.block_us_for(master, frame, 0, writes)
-                self._machine.cpu(master).charge_system(cost)
+                entry = self._resolve(master, vpage, AccessKind.WRITE, task)
+                cpu.charge_system(writes * ref_costs(master, entry.frame)[2])
 
     def _free_object(self, cpu: int, op: FreeObjectPages, task: int = 0) -> None:
         pool = self._handlers[task].pool
@@ -569,83 +569,95 @@ class Engine:
 
     def _resolve(
         self, cpu: int, vpage: int, kind: AccessKind, task: int = 0
-    ) -> Frame:
-        """Translate, faulting as needed; returns the frame accessed."""
-        wanted = PROT_READ_WRITE if kind is AccessKind.WRITE else PROT_READ
-        mmu = self._cpus[cpu].mmu
-        bus = self._bus
-        profiler = self._profiler
-        for _ in range(MAX_FAULT_RESOLUTION_ATTEMPTS):
-            try:
-                return mmu.translate(vpage, wanted)
-            except MMUFault:
-                if self._fault_hooks:
-                    bus.emit_fault(self._round, cpu, vpage, kind)
-                # The simulated fault latency is the system time the
-                # handling charges; sum over CPUs because protocol
-                # actions (syncs, invalidations) can bill other
-                # processors than the faulting one.  Tested after the
-                # fault's listeners ran: one of them may have subscribed.
-                want_latency = bool(self._fault_resolved_hooks)
-                system_before = (
-                    self._machine.total_system_time_us()
-                    if want_latency
-                    else 0.0
-                )
-                started = perf_counter() if profiler is not None else 0.0
-                self._handlers[task].handle(cpu, vpage, kind)
-                if profiler is not None:
-                    profiler.add("fault_handling", perf_counter() - started)
-                if want_latency:
-                    system_after = self._machine.total_system_time_us()
-                    bus.emit_fault_resolved(
-                        self._round,
-                        cpu,
-                        vpage,
-                        kind,
-                        system_after - system_before,
-                    )
-        raise FaultResolutionError(
-            f"fault on vpage {vpage} (cpu {cpu}, {kind.value}) did not "
-            f"resolve after {MAX_FAULT_RESOLUTION_ATTEMPTS} attempts",
-            cpu=cpu,
-            vpage=vpage,
-            attempts=MAX_FAULT_RESOLUTION_ATTEMPTS,
-            details={"kind": kind.value},
-        )
+    ) -> MMUEntry:
+        """Translate, faulting as needed; returns the live MMU entry.
 
-    def _charge_refs(
+        A miss is ``translate``'s ``None``.  The handler runs at most
+        ``MAX_FAULT_RESOLUTION_ATTEMPTS`` times, and each run is checked
+        by a translate of its own, the last one included.
+        """
+        wanted = PROT_READ_WRITE if kind is AccessKind.WRITE else PROT_READ
+        translate = self._cpus[cpu].mmu.translate
+        attempts = 0
+        while (entry := translate(vpage, wanted)) is None:
+            if attempts == MAX_FAULT_RESOLUTION_ATTEMPTS:
+                raise FaultResolutionError(
+                    f"fault on vpage {vpage} (cpu {cpu}, {kind.value}) did "
+                    f"not resolve after {attempts} attempts",
+                    cpu=cpu,
+                    vpage=vpage,
+                    attempts=attempts,
+                    details={"kind": kind.value},
+                )
+            attempts += 1
+            if self._fault_hooks:
+                self._bus.emit_fault(self._round, cpu, vpage, kind)
+            # The simulated fault latency is the system time the handling
+            # charges; sum over CPUs because protocol actions (syncs,
+            # invalidations) can bill other processors than the faulting
+            # one.  Tested after the fault's listeners ran: one of them
+            # may have subscribed.
+            want_latency = bool(self._fault_resolved_hooks)
+            system_before = (
+                self._machine.total_system_time_us() if want_latency else 0.0
+            )
+            profiler = self._profiler
+            started = perf_counter() if profiler is not None else 0.0
+            self._handlers[task].handle(cpu, vpage, kind)
+            if profiler is not None:
+                profiler.add("fault_handling", perf_counter() - started)
+            if want_latency:
+                system_after = self._machine.total_system_time_us()
+                self._bus.emit_fault_resolved(
+                    self._round, cpu, vpage, kind, system_after - system_before
+                )
+        return entry
+
+    def _charge_half(
         self,
         cpu_id: int,
-        vpage: int,
-        frame: Frame,
+        entry: MMUEntry,
         reads: int,
         writes: int,
         writable_data: bool,
         task: int,
         books: bool,
+        fill: bool,
     ) -> None:
-        # Distance-aware: on multi-level machines a same-socket remote
-        # frame is charged at socket rates; on the flat ACE this is the
-        # classic block_us expression, float for float.
-        location, cost = self._timing.block_us_for(
-            cpu_id, frame, reads, writes
-        )
+        """Charge one half of a block (*reads* or *writes* is 0) at the
+        prices of the frame *entry* maps, and with *fill* cache *entry*
+        for the next block.
+
+        One ``ref_costs`` call prices both.  Distance-aware: on
+        multi-level machines a same-socket remote frame gets socket
+        rates, which the cached entry then charges on every fast-path
+        block, bit-identical to this arm.  The block's last half fills,
+        from the entry it resolved: a write fault may have moved the page,
+        and the TLB must describe where it ended up.  The cached
+        protection is the MMU's full protection (not the access that
+        faulted), so a read that established a writable mapping
+        fast-paths later writes too.
+        """
+        frame = entry.frame
+        location, fetch_us, store_us = self._timing.ref_costs(cpu_id, frame)
         cpu = self._cpus[cpu_id]
-        cpu.charge_user(cost)
-        # The fast arm's bookkeeping, a zero half skipped: the same state
+        # The fast arm's bookkeeping, the zero half skipped: the same state
         # as ReferenceCounters.record, without the calls.
-        if books:
-            task_us = self.task_user_us
-            task_us[task] = task_us.get(task, 0.0) + cost
         if reads:
+            cost = reads * fetch_us
             cpu.all_refs.fetches[location] += reads
             if writable_data:
                 cpu.data_refs.fetches[location] += reads
-        if writes:
+        else:
+            cost = writes * store_us
             cpu.all_refs.stores[location] += writes
             if writable_data:
                 cpu.data_refs.stores[location] += writes
+        cpu.charge_user(cost)
+        if books:
+            task_us = self.task_user_us
+            task_us[task] = task_us.get(task, 0.0) + cost
+        vpage = entry.vpage
         if self._reference_hooks:
             event = (
                 self._round, cpu_id, vpage, self._page_id(vpage, task),
@@ -653,40 +665,17 @@ class Engine:
             )
             for hook in self._reference_hooks:
                 hook(*event)
+        if fill:
+            cpu.tlb.fill(
+                vpage, frame, entry.protection, location, fetch_us, store_us,
+                writable_data,
+            )
 
     def _page_id(self, vpage: int, task: int) -> int:
         """The logical page now resident behind *vpage*, for events."""
         vm_object, offset, _ = self._info_for(vpage, task)
         page = vm_object.resident_page(offset)  # type: ignore[attr-defined]
         return page.page_id if page is not None else -1
-
-    def _fill_tlb(self, cpu_id: int, vpage: int, writable_data: bool) -> None:
-        """Cache the now-established translation for the next block.
-
-        Filled from the live MMU entry *after* the whole block resolved —
-        a write fault mid-block may have moved the page, and the entry
-        must describe where it ended up.  The cached protection is the
-        MMU's full protection (not the access that faulted), so a read
-        that established a writable mapping fast-paths later writes too.
-        """
-        mmu_entry = self._cpus[cpu_id].mmu.lookup(vpage)
-        if mmu_entry is None:
-            return
-        frame = mmu_entry.frame
-        # ref_costs hands back the per-word prices for this CPU/frame
-        # edge — on multi-level machines a same-socket remote frame gets
-        # socket rates, and the cached entry then charges them on every
-        # fast-path block, bit-identical to the slow path.
-        location, fetch_us, store_us = self._timing.ref_costs(cpu_id, frame)
-        self._cpus[cpu_id].tlb.fill(
-            vpage,
-            frame,
-            mmu_entry.protection,
-            location,
-            fetch_us,
-            store_us,
-            writable_data,
-        )
 
     def _info_for(self, vpage: int, task: int = 0) -> Tuple[object, int, bool]:
         key = (task, vpage)

@@ -81,11 +81,13 @@ class FaultHandler:
         """Resolve one fault; returns the frame now mapped for *cpu*.
 
         Charges the fixed fault overhead (trap entry/exit plus the
-        machine-independent VM path) to *cpu*'s system time; everything
-        the NUMA manager then does is charged by the action executor.
+        machine-independent VM path) to *cpu*'s system time, in place:
+        ``TimingParameters.validate`` holds the price finite and
+        non-negative.  Everything the NUMA manager then does is charged
+        by the action executor.
         """
         self._fault_count += 1
-        self._cpus[cpu].charge_system(self._fault_overhead_us)
+        self._cpus[cpu].system_time_us += self._fault_overhead_us
         # On multi-level machines the hardware walks the page table on
         # the way into the fault; where that table lives (centralized
         # global vs. per-socket replica) prices the walk.  TLB misses

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Tuple
 
 from repro.machine.config import MachineConfig
 from repro.sim.ops import Op
@@ -61,6 +61,9 @@ class Workload(abc.ABC):
     name: str = "abstract"
     #: G/L ratio for model solving (footnote 3: 2.3 for all-fetch codes).
     g_over_l: float = 2.0
+    #: State the thread bodies share, by variable name: with any, the
+    #: order bodies are pulled in decides what each one yields.
+    shared_state: Tuple[str, ...] = ()
 
     @abc.abstractmethod
     def build(self, ctx: BuildContext) -> List[ThreadBody]:

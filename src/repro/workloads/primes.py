@@ -347,6 +347,7 @@ class Primes3(Workload):
 
     name = "Primes3"
     g_over_l = 2.0
+    shared_state = ("output_tail",)
 
     def __init__(
         self, limit: int = 2_000_000, use_pragmas: bool = False

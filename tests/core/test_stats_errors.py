@@ -8,8 +8,6 @@ import pytest
 from repro import errors
 from repro.core.state import AccessKind
 from repro.core.stats import NUMAStats
-from repro.machine.mmu import MMUFault
-from repro.machine.protection import PROT_READ
 from repro.vm.address_space import SegmentationFault
 from repro.vm.fault import ProtectionViolation
 
@@ -83,10 +81,6 @@ class TestErrorHierarchy:
     def test_protection_violation_is_a_simulation_error(self):
         assert issubclass(ProtectionViolation, errors.SimulationError)
 
-    def test_mmu_fault_is_not_an_error(self):
-        """Faults are control flow, not failures."""
-        assert not issubclass(MMUFault, errors.ReproError)
-
     @pytest.mark.parametrize(
         "original, fields, message",
         [
@@ -101,12 +95,6 @@ class TestErrorHierarchy:
                 {"vpage": 5},
                 "write to read-only virtual page 5",
                 id="ProtectionViolation",
-            ),
-            pytest.param(
-                MMUFault(1, 2, PROT_READ),
-                {"cpu": 1, "vpage": 2, "wanted": PROT_READ},
-                f"cpu 1 faulted on vpage 2 wanting {PROT_READ!r}",
-                id="MMUFault",
             ),
         ],
     )

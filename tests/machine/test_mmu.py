@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import MappingError
 from repro.machine.memory import Frame, FrameKind
-from repro.machine.mmu import MMU, MMUFault
+from repro.machine.mmu import MMU
 from repro.machine.protection import PROT_READ, PROT_READ_WRITE, Protection
 
 
@@ -20,23 +20,25 @@ def frame(index: int) -> Frame:
 class TestEnter:
     def test_enter_and_translate(self, mmu):
         mmu.enter(10, frame(0), PROT_READ)
-        assert mmu.translate(10, PROT_READ) == frame(0)
+        entry = mmu.translate(10, PROT_READ)
+        assert entry is mmu.lookup(10)
+        assert (entry.vpage, entry.frame, entry.protection) == (
+            10, frame(0), PROT_READ
+        )
 
     def test_missing_translation_faults(self, mmu):
-        with pytest.raises(MMUFault) as excinfo:
-            mmu.translate(10, PROT_READ)
-        assert excinfo.value.vpage == 10
-        assert excinfo.value.cpu == 0
+        """A fault is a value: ``None``, not an exception."""
+        assert mmu.translate(10, PROT_READ) is None
 
     def test_insufficient_protection_faults(self, mmu):
         mmu.enter(10, frame(0), PROT_READ)
-        with pytest.raises(MMUFault):
-            mmu.translate(10, PROT_READ_WRITE)
+        assert mmu.translate(10, PROT_READ_WRITE) is None
+        assert mmu.lookup(10).protection == PROT_READ
 
     def test_write_mapping_allows_reads(self, mmu):
         """WRITE implies READ on the ACE."""
         mmu.enter(10, frame(0), Protection.WRITE)
-        assert mmu.translate(10, PROT_READ) == frame(0)
+        assert mmu.translate(10, PROT_READ).frame == frame(0)
 
     def test_enter_with_no_rights_rejected(self, mmu):
         with pytest.raises(MappingError):
@@ -51,14 +53,14 @@ class TestEnter:
     def test_same_frame_same_vpage_updates_protection(self, mmu):
         mmu.enter(10, frame(0), PROT_READ)
         mmu.enter(10, frame(0), PROT_READ_WRITE)
-        assert mmu.translate(10, PROT_READ_WRITE) == frame(0)
+        assert mmu.translate(10, PROT_READ_WRITE).frame == frame(0)
 
     def test_replacing_translation_frees_old_frame_slot(self, mmu):
         mmu.enter(10, frame(0), PROT_READ)
         mmu.enter(10, frame(1), PROT_READ)
         # frame 0 is no longer mapped, so it may appear elsewhere.
         mmu.enter(11, frame(0), PROT_READ)
-        assert mmu.translate(11, PROT_READ) == frame(0)
+        assert mmu.translate(11, PROT_READ).frame == frame(0)
 
     def test_replacing_translation_drops_reverse_entry(self, mmu):
         """The stale frame must not resolve back to the vpage."""
@@ -82,8 +84,7 @@ class TestRemove:
         mmu.enter(10, frame(0), PROT_READ)
         entry = mmu.remove(10)
         assert entry is not None and entry.frame == frame(0)
-        with pytest.raises(MMUFault):
-            mmu.translate(10, PROT_READ)
+        assert mmu.translate(10, PROT_READ) is None
 
     def test_remove_missing_is_none(self, mmu):
         assert mmu.remove(99) is None
@@ -103,7 +104,7 @@ class TestRemove:
         mmu.remove(10)
         assert mmu.vpage_of(frame(0)) is None
         mmu.enter(11, frame(0), PROT_READ)
-        assert mmu.translate(11, PROT_READ) == frame(0)
+        assert mmu.translate(11, PROT_READ).frame == frame(0)
 
     def test_remove_frame_drops_forward_entry(self, mmu):
         mmu.enter(10, frame(0), PROT_READ)
@@ -115,9 +116,8 @@ class TestProtect:
     def test_downgrade_causes_write_fault(self, mmu):
         mmu.enter(10, frame(0), PROT_READ_WRITE)
         mmu.protect(10, PROT_READ)
-        with pytest.raises(MMUFault):
-            mmu.translate(10, PROT_READ_WRITE)
-        assert mmu.translate(10, PROT_READ) == frame(0)
+        assert mmu.translate(10, PROT_READ_WRITE) is None
+        assert mmu.translate(10, PROT_READ).frame == frame(0)
 
     def test_protect_to_none_removes(self, mmu):
         mmu.enter(10, frame(0), PROT_READ)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import MappingError
 from repro.machine.memory import Frame, FrameKind
-from repro.machine.mmu import MMU, MMUFault
+from repro.machine.mmu import MMU
 from repro.machine.protection import PROT_READ, PROT_READ_WRITE
 from repro.vm.address_space import AddressSpace, SegmentationFault
 from repro.vm.vm_object import shared_object
@@ -94,15 +94,14 @@ class TestMMUModelEquivalence:
             except MappingError:
                 continue
         for vpage in range(8):
+            # A fault translates to None, for a missing mapping and for
+            # insufficient rights alike; a hit to the live entry itself.
             entry = mmu.lookup(vpage)
-            if entry is None:
-                try:
-                    mmu.translate(vpage, PROT_READ)
-                    raise AssertionError("translate hit an unmapped page")
-                except MMUFault:
-                    pass
-            else:
-                assert mmu.translate(vpage, PROT_READ) == entry.frame
+            assert mmu.translate(vpage, PROT_READ) is entry
+            writable = entry is not None and entry.protection.writable
+            assert mmu.translate(vpage, PROT_READ_WRITE) is (
+                entry if writable else None
+            )
 
 
 class TestAddressSpaceProperties:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.tracing import TraceCollector
 from repro.core.policies import MoveThresholdPolicy
+from repro.core.state import AccessKind, PlacementDecision
 from repro.errors import FaultResolutionError, SimulationError
 from repro.exp.spec import RunSpec
 from repro.faults.injector import make_injector
@@ -600,14 +601,99 @@ class TestFillBehavior:
         assert entry.location is location
         assert entry.fetch_us == rig.machine.timing.fetch_us(location)
 
+    def test_write_half_that_moves_the_page_fills_with_its_entry(self):
+        """Each half is priced once, off the entry it resolved, and the
+        last half's entry fills the TLB: the global frame the write moved
+        the page to, not the local copy the read half used."""
+        from tests.conftest import make_rig
+
+        class WritesGoGlobal(MoveThresholdPolicy):
+            def cache_policy(self, page, kind, cpu):
+                if kind is AccessKind.WRITE:
+                    return PlacementDecision.GLOBAL
+                return PlacementDecision.LOCAL
+
+        rig = make_rig(policy=WritesGoGlobal())
+        vpage = rig.space.map_object(shared_object("d", 1)).vpage_at(0)
+        halves = []
+
+        class Halves:
+            def on_reference(self, *event):
+                halves.append(event)
+
+        engine = Engine(
+            rig.machine,
+            rig.faults,
+            AffinityScheduler(rig.machine.n_cpus),
+            observer=Halves(),
+        )
+        thread = CThread(
+            name="t0", index=0,
+            body=iter([MemBlock(vpage, reads=5, writes=2)]),
+        )
+        engine.run([thread])
+        timing = rig.machine.timing
+        assert [event[6] for event in halves] == [
+            MemoryLocation.LOCAL, MemoryLocation.GLOBAL
+        ]
+        cpu = rig.machine.cpu(0)
+        live = cpu.mmu.lookup(vpage)
+        location, fetch_us, store_us = timing.ref_costs(0, live.frame)
+        assert location is MemoryLocation.GLOBAL
+        cached = cpu.tlb.lookup(vpage, need_write=True)
+        assert (cached.frame, cached.protection) == (
+            live.frame, live.protection
+        )
+        assert (cached.location, cached.fetch_us, cached.store_us) == (
+            location, fetch_us, store_us
+        )
+        assert cpu.user_time_us == (
+            5 * timing.fetch_us(MemoryLocation.LOCAL) + 2 * store_us
+        )
+
 
 class TestFaultResolutionBound:
+    def test_fault_the_last_run_resolves_is_resolved(self):
+        """The handler's last permitted run is checked like the others:
+        a fault it resolves is no livelock."""
+        from tests.conftest import make_rig
+
+        rig = make_rig()
+        vpage = rig.space.map_object(shared_object("d", 1)).vpage_at(0)
+        runs = []
+
+        class LateHandler:
+            """Establishes the mapping on its last permitted run only."""
+
+            space = rig.space
+            pool = rig.pool
+            pmap = rig.pmap
+
+            def handle(self, cpu, vpage, kind):
+                runs.append(kind)
+                if len(runs) == MAX_FAULT_RESOLUTION_ATTEMPTS:
+                    return rig.faults.handle(cpu, vpage, kind)
+
+        engine = Engine(
+            rig.machine,
+            LateHandler(),
+            AffinityScheduler(rig.machine.n_cpus),
+        )
+        thread = CThread(
+            name="t0", index=0, body=iter([MemBlock(vpage, reads=1)])
+        )
+        engine.run([thread])
+        assert len(runs) == MAX_FAULT_RESOLUTION_ATTEMPTS
+        assert rig.machine.cpu(0).mmu.lookup(vpage) is not None
+        assert rig.machine.cpu(0).tlb.lookup(vpage) is not None
+
     def test_unresolvable_fault_raises_structured_error(self):
         from tests.conftest import make_rig
 
         rig = make_rig()
         region = rig.space.map_object(shared_object("d", 1))
         vpage = region.vpage_at(0)
+        runs = []
 
         class StuckHandler:
             """Resolves the address but never establishes a mapping."""
@@ -617,7 +703,7 @@ class TestFaultResolutionBound:
             pmap = rig.pmap
 
             def handle(self, cpu, vpage, kind):
-                pass
+                runs.append(kind)
 
         engine = Engine(
             rig.machine,
@@ -629,6 +715,7 @@ class TestFaultResolutionBound:
         )
         with pytest.raises(FaultResolutionError) as exc:
             engine.run([thread])
+        assert len(runs) == MAX_FAULT_RESOLUTION_ATTEMPTS
         error = exc.value
         assert error.cpu == 0
         assert error.vpage == vpage
